@@ -6,7 +6,7 @@ Commands: coeffs (build + self-check), evolve (snapshots + energy CSV),
 ladder (ladder CSVs at the configured times), verify (JSON report per
 suite), report (merged markdown summary of the reports in the out dir).
 Exit codes: 0 ok, 2 config error, 3 numerical failure, 4 suite failure.
-The LANDAU_CACHE environment variable overrides io.cache_dir.
+A non-empty LANDAU_CACHE environment variable overrides io.cache_dir.
 """
 
 import argparse
@@ -46,7 +46,10 @@ def _timestamp():
 
 def _prepare(args):
     cfg = load_config(args.config)
-    cache_dir = os.environ.get("LANDAU_CACHE", cfg.io_cache_dir)
+    cache_dir = os.environ.get("LANDAU_CACHE") or cfg.io_cache_dir
+    if not cache_dir:
+        raise ConfigError("io.cache_dir must name a directory "
+                          "(or set LANDAU_CACHE)")
     out_dir = args.out or cfg.io_out_dir
     os.makedirs(out_dir, exist_ok=True)
     res = RunResources(cfg, cache_dir=cache_dir, log=print)

@@ -31,6 +31,10 @@ class CrossCheckError(LandauError):
     """Two independent computation routes disagree beyond tolerance."""
 
 
+class EigenvalueError(LandauError):
+    """Eigenvalue iteration did not converge."""
+
+
 class InstabilityError(LandauError):
     """Time stepper detected blow-up."""
 

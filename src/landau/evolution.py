@@ -22,6 +22,9 @@ from .operator import stable_dt
 
 LADDER_KMAX_CAP = 10
 LADDER_OVERFLOW = 1e100
+# Real-axis extent of the classical RK4 stability region: |R(z)| <= 1 on
+# [-2.785, 0] (Hairer & Wanner, Solving ODEs II).
+RK4_STABILITY_LIMIT = 2.785
 
 
 @dataclass
@@ -96,18 +99,14 @@ def measure_source_bound(model, T, kmax=8, samples=65):
 @dataclass
 class TimePolicy:
     safety: float = 0.4
-    dt_cap: Optional[float] = None
     dt_override: Optional[float] = None   # exact step, bypassing the bound
     fallback_dt: float = 1.0 / 128.0      # used when the operator is disabled
 
     def dt_for(self, ctx, grid):
         if self.dt_override is not None:
             return self.dt_override
-        dt = stable_dt(ctx.coeffs if ctx is not None else None, grid,
-                       self.safety, self.fallback_dt)
-        if self.dt_cap is not None:
-            dt = min(dt, self.dt_cap)
-        return dt
+        return stable_dt(ctx.coeffs if ctx is not None else None, grid,
+                         self.safety, self.fallback_dt)
 
 
 @dataclass

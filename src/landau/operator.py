@@ -20,11 +20,12 @@ convolution for validation runs).
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
-from .errors import GridMismatchError
+from .errors import EigenvalueError, GridMismatchError
 from .field import ScalarField, divergence, gradient
 from .grid import AXIS_OF_COMPONENT
 from .kernel import (KernelTables, LandauCoefficients, SYM_COMPONENTS,
@@ -198,11 +199,68 @@ class OperatorContext:
     def apply(self, f):
         return apply_L(f, self.engine, self.coeffs)
 
-    def apply_diffusion(self, f):
-        return apply_L1(f, self.coeffs)
+    @cached_property
+    def spectral_radius(self):
+        """rho(L) = max |lambda(L)|, measured on first use and then kept.
 
-    def apply_nonlocal(self, f):
-        return apply_L2(f, self.engine, self.coeffs)
+        The start vector is seeded white noise, so rho is bit-identical
+        from run to run.  A constant start vector is even in every
+        velocity component, L preserves that parity, and the iteration
+        then finds the top eigenvalue of the even subspace only (117.73
+        instead of 120.48 at N=32, R=8).
+        """
+        grid = self.coeffs.grid
+
+        def matvec(x):
+            return self.apply(ScalarField(grid, x.reshape(grid.shape))).values.ravel()
+
+        v0 = np.random.default_rng(0).standard_normal(grid.N ** 3)
+        return arnoldi_spectral_radius(matvec, v0)
+
+
+# restarted Arnoldi for OperatorContext.spectral_radius: basis size, ARPACK
+# relative residual tolerance, restart budget
+ARNOLDI_KRYLOV_DIM = 20
+ARNOLDI_TOL = 1e-6
+ARNOLDI_MAX_RESTARTS = 50
+
+
+def arnoldi_spectral_radius(matvec, v0):
+    """Largest |lambda| of a real linear map, by explicitly restarted Arnoldi.
+
+    Arnoldi rather than Lanczos because the discrete L2 is not exactly
+    self-adjoint.  Each cycle builds an orthonormal Krylov basis of
+    ARNOLDI_KRYLOV_DIM vectors (Gram-Schmidt with one reorthogonalization
+    pass) and takes the Ritz value theta of largest modulus of the
+    projected Hessenberg matrix.  It stops when the Ritz residual is at
+    most ARNOLDI_TOL*|theta|, the convergence test of ARPACK (Lehoucq,
+    Sorensen & Yang, ARPACK Users' Guide, SIAM 1998), and otherwise
+    restarts from the real part of the Ritz vector.  Written with numpy alone: importing
+    scipy.sparse.linalg would add about 26 MB to the resident memory of
+    every run.
+    """
+    m = ARNOLDI_KRYLOV_DIM
+    basis = np.empty((m + 1, v0.size))
+    basis[0] = v0 / np.linalg.norm(v0)
+    for _ in range(ARNOLDI_MAX_RESTARTS):
+        hess = np.zeros((m + 1, m))
+        for j in range(m):
+            w = matvec(basis[j])
+            for _ in range(2):
+                c = basis[:j + 1] @ w
+                w -= c @ basis[:j + 1]
+                hess[:j + 1, j] += c
+            hess[j + 1, j] = np.linalg.norm(w)
+            basis[j + 1] = w / hess[j + 1, j]
+        theta, vecs = np.linalg.eig(hess[:m])
+        k = int(np.argmax(np.abs(theta)))
+        if abs(hess[m, m - 1] * vecs[m - 1, k]) <= ARNOLDI_TOL * abs(theta[k]):
+            return float(abs(theta[k]))
+        v = (vecs[:, k] @ basis[:m]).real
+        basis[0] = v / np.linalg.norm(v)
+    raise EigenvalueError(
+        f"Arnoldi iteration for the spectral radius did not converge in "
+        f"{ARNOLDI_MAX_RESTARTS} restarts of {m} vectors")
 
 
 def make_context(coeffs: LandauCoefficients) -> OperatorContext:

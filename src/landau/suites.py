@@ -10,8 +10,8 @@ import numpy as np
 from . import verify
 from .config import fingerprint
 from .errors import ConfigError
-from .evolution import (SourceModel, TimePolicy, derivative_ladder, evolve,
-                        measure_source_bound)
+from .evolution import (RK4_STABILITY_LIMIT, SourceModel, TimePolicy,
+                        derivative_ladder, evolve, measure_source_bound)
 from .field import ScalarField, envelope_boundary_ratio, random_field, zeros
 from .grid import VelocityGrid
 from .kernel import (KernelParams, QuadratureSpec, build_coefficients,
@@ -19,6 +19,8 @@ from .kernel import (KernelParams, QuadratureSpec, build_coefficients,
 from .operator import ConvolutionEngine, make_context
 
 ENVELOPE_SHELL_LIMIT = 1e-8
+# dt*rho(L) of the coarsest energy-identity rung, inside the RK4 limit
+LADDER_DT_RHO = 2.4
 
 
 class RunResources:
@@ -188,7 +190,7 @@ def run_suite(name, res: RunResources):
     if name == "energy":
         cfg = res.cfg
         model = res.source_model()
-        n0 = _even_steps(cfg.time_T, res)
+        n0 = energy_ladder_steps(cfg.time_T, res.ctx)
         _, slope = verify.energy_identity_convergence(
             res.initial_datum(), model, cfg.time_T, res.ctx,
             steps=(n0, 2 * n0, 4 * n0))
@@ -196,6 +198,11 @@ def run_suite(name, res: RunResources):
                                   res.fingerprint, slope=slope)
         a_g = measure_source_bound(model, cfg.time_T, kmax=8)
         rep.add_check("A_g_finite", a_g, math.inf, math.isfinite(a_g))
+        # the ladder sits at dt*rho <= LADDER_DT_RHO by construction; the
+        # trajectory step comes from the diffusion bound, so check it here
+        dt_rho = res.trajectory.dt_max * res.ctx.spectral_radius
+        rep.add_check("trajectory_dt_rho", dt_rho, RK4_STABILITY_LIMIT,
+                      dt_rho < RK4_STABILITY_LIMIT)
         rep.add_constant("A_g", a_g, 1, res.grid)
         return [rep]
     if name == "smoothing":
@@ -204,14 +211,12 @@ def run_suite(name, res: RunResources):
     raise ConfigError(f"unknown suite {name!r}")
 
 
-def _even_steps(T, res):
-    """Even step count at four times the policy step: coarse enough to
-    expose the fourth-order residual above round-off, still well inside
-    the hard stability bound (the policy carries a >10x margin)."""
-    from .operator import stable_dt
-
-    dt = stable_dt(res.coeffs, res.grid, res.cfg.time_safety)
-    n = int(math.ceil(T / (4.0 * dt)))
+def energy_ladder_steps(T, ctx):
+    """Even step count n0 of the energy-identity ladder (n0, 2 n0, 4 n0
+    steps over [0, T]).  The coarsest rung runs at dt*rho(L) <= 2.4,
+    inside the RK4 stability limit, and coarse enough that the finest
+    rung's fourth-order residual stays far above round-off."""
+    n = int(math.ceil(T * ctx.spectral_radius / LADDER_DT_RHO))
     return n + (n % 2)
 
 

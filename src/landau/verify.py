@@ -70,10 +70,6 @@ class VerificationReport:
             {"N": grid.N, "R": grid.R}, stability))
 
 
-def _grid_meta(grid):
-    return {"N": grid.N, "R": grid.R}
-
-
 # ---------------------------------------------------------------------------
 # ensembles
 # ---------------------------------------------------------------------------

@@ -19,7 +19,8 @@ from landau.evolution import derivative_ladder, evolve, TimePolicy
 from landau.field import l2_norm
 from landau.kernel import maxwellian_field
 from landau.operator import apply_Q
-from landau.suites import RunResources, collect_constants, run_suite
+from landau.suites import (RunResources, collect_constants,
+                           energy_ladder_steps, run_suite)
 from landau.verify import (check_kernel_identities, energy_identity_convergence,
                            smoothing_fit)
 
@@ -121,10 +122,7 @@ def test_criterion_4_bounded_constants(inequality_constants):
 
 def test_criterion_5_energy_identity(res32):
     cfg = res32.cfg
-    from landau.operator import stable_dt
-    dt = stable_dt(res32.coeffs, res32.grid, cfg.time_safety)
-    n0 = int(math.ceil(cfg.time_T / (4.0 * dt)))
-    n0 += n0 % 2
+    n0 = energy_ladder_steps(cfg.time_T, res32.ctx)
     _, slope = energy_identity_convergence(
         res32.initial_datum(), res32.source_model(), cfg.time_T, res32.ctx,
         steps=(n0, 2 * n0, 4 * n0))

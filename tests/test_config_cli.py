@@ -162,12 +162,15 @@ def test_cli_single_suite_flag(small_run_config):
 
 
 def test_cli_cache_env_override(small_run_config, tmp_path, monkeypatch):
-    cfg_path, _, _ = small_run_config
+    cfg_path, _, cache_dir = small_run_config
     override = tmp_path / "env-cache"
     monkeypatch.setenv("LANDAU_CACHE", str(override))
     rc = cli.main(["verify", "--config", cfg_path, "--suite", "coefficients"])
     assert rc == 0
     assert any(name.startswith("coef-") for name in os.listdir(override))
+    monkeypatch.setenv("LANDAU_CACHE", "")   # empty means unset
+    assert cli.main(["coeffs", "--config", cfg_path]) == 0
+    assert any(name.startswith("coef-") for name in os.listdir(cache_dir))
 
 
 def test_cli_config_error_exit_code(tmp_path):
@@ -175,6 +178,24 @@ def test_cli_config_error_exit_code(tmp_path):
     bad.write_text("gamma = 0.5\n")
     rc = cli.main(["verify", "--config", str(bad)])
     assert rc == 2
+
+
+def test_cli_empty_cache_dir_exit_code(small_run_config, tmp_path,
+                                      monkeypatch, capsys):
+    cfg_path, _, _ = small_run_config
+    with open(cfg_path) as fh:
+        lines = [ln for ln in fh.read().splitlines()
+                 if not ln.startswith("io.cache_dir")]
+    with open(cfg_path, "w") as fh:
+        fh.write("\n".join(lines + ["io.cache_dir =", ""]))
+    monkeypatch.delenv("LANDAU_CACHE", raising=False)
+    assert cli.main(["coeffs", "--config", cfg_path]) == 2
+    assert "io.cache_dir" in capsys.readouterr().err
+    # a non-empty LANDAU_CACHE still supplies the directory
+    override = tmp_path / "env-cache"
+    monkeypatch.setenv("LANDAU_CACHE", str(override))
+    assert cli.main(["coeffs", "--config", cfg_path]) == 0
+    assert any(name.startswith("coef-") for name in os.listdir(override))
 
 
 def test_cli_missing_config_exit_code(tmp_path):

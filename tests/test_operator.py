@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from landau.errors import GridMismatchError
+from landau import operator
+from landau.errors import EigenvalueError, GridMismatchError
+from landau.evolution import (RK4_STABILITY_LIMIT, SourceModel, TimePolicy,
+                              evolve)
 from landau.field import (ScalarField, a_norm_sq, gradient, inner_product,
                           l2_norm, random_field, zeros)
 from landau.grid import VelocityGrid
@@ -11,7 +14,8 @@ from landau.kernel import (build_coefficients,
                            maxwellian_field, sqrt_maxwellian_field,
                            tabulate_fft_kernels)
 from landau.operator import (ConvolutionEngine, apply_L, apply_L1, apply_L2,
-                             apply_Q, convolve, make_context, stable_dt)
+                             apply_Q, arnoldi_spectral_radius, convolve,
+                             make_context, stable_dt)
 from tests.conftest import gaussian_field
 
 
@@ -225,3 +229,46 @@ def test_stable_dt_scaling(small_grid, small_coeffs):
     lam = small_coeffs.max_diffusion_eigenvalue
     assert dt == pytest.approx(0.4 * small_grid.h ** 2 / (6.0 * lam))
     assert stable_dt(None, small_grid, fallback=0.01) == 0.01
+
+
+def test_arnoldi_matches_dense_eigenvalues(monkeypatch):
+    # a non-normal matrix with a dense real spectrum on [0, 10], like L's
+    rng = np.random.default_rng(3)
+    n = 400
+    a = (np.diag(np.linspace(0.0, 10.0, n))
+         + 0.05 * rng.standard_normal((n, n)) / np.sqrt(n))
+    exact = np.max(np.abs(np.linalg.eigvals(a)))
+    rho = arnoldi_spectral_radius(lambda x: a @ x, rng.standard_normal(n))
+    assert rho == pytest.approx(exact, rel=1e-6)
+    monkeypatch.setattr(operator, "ARNOLDI_KRYLOV_DIM", 4)
+    monkeypatch.setattr(operator, "ARNOLDI_MAX_RESTARTS", 2)
+    with pytest.raises(EigenvalueError):
+        arnoldi_spectral_radius(lambda x: a @ x, rng.standard_normal(n))
+
+
+def test_spectral_radius_bit_identical(small_coeffs):
+    rho = make_context(small_coeffs).spectral_radius
+    assert rho > 0
+    assert make_context(small_coeffs).spectral_radius == rho
+
+
+def _rk4_drift(ctx, f0, dt, steps=300):
+    """Relative distance at t = steps*dt between RK4 with g = 0 at dt and
+    at dt/2.  The discrete L has a few small negative eigenvalues, so the
+    norm itself may grow at any stable step; an unstable step shows as the
+    top mode blowing up against the half-step run."""
+    model = SourceModel.zero(f0.grid)
+    T = steps * dt
+    coarse = evolve(f0, model, T, ctx, TimePolicy(dt_override=dt)).state.f
+    fine = evolve(f0, model, T, ctx, TimePolicy(dt_override=dt / 2)).state.f
+    return l2_norm(coarse - fine) / l2_norm(fine)
+
+
+def test_spectral_radius_brackets_rk4_stability(small_grid, small_ctx):
+    # white noise, so the datum carries the top eigenmode of L; a rho that
+    # is 3.5% low puts the 0.98 step outside the stability region
+    f0 = ScalarField(small_grid,
+                     np.random.default_rng(1).standard_normal(small_grid.shape))
+    limit = RK4_STABILITY_LIMIT / small_ctx.spectral_radius
+    assert _rk4_drift(small_ctx, f0, 1.02 * limit) > 1.0
+    assert _rk4_drift(small_ctx, f0, 0.98 * limit) < 1e-3

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from landau.config import parse_config_text
 from landau.errors import DegenerateRatioError, FitDegenerateError
 from landau.evolution import (DerivativeLadder, SourceModel, TimePolicy,
                               derivative_ladder, evolve)
@@ -15,6 +16,7 @@ from landau.verify import (check_coefficient_bounds, check_convolution_bound,
                            recheck_bilinear, smoothing_fit, smoothing_report)
 from landau.kernel import KernelParams, tabulate_fft_kernels
 from landau.operator import ConvolutionEngine
+from landau.suites import RunResources, energy_ladder_steps, run_suite
 from tests.conftest import gaussian_field
 
 
@@ -121,6 +123,35 @@ def test_energy_suite(small_grid, small_ctx):
     assert rep.passed, [c for c in rep.checks if not c.verdict]
     consts = {c.name: c.value for c in rep.constants}
     assert consts["C5"] > 0 and math.isfinite(consts["C6"])
+
+
+ENERGY_CFG = """
+grid.R = 8.0
+grid.N = 16
+f0.bandlimit = 5
+f0.envelope_width = 1.0
+source.amplitude = 0.5
+time.T = 0.5
+time.snapshot_times = 0.25, 0.5
+ladder.kmax = 2
+ladder.eval_times = 0.25, 0.5
+verify.ensemble_size = 64
+"""
+
+
+def test_energy_suite_dt_rho_check(tmp_path):
+    res = RunResources(parse_config_text(ENERGY_CFG), cache_dir=str(tmp_path),
+                       log=None)
+    [rep] = run_suite("energy", res)
+    checks = {c.id: c for c in rep.checks}
+    assert all(c.verdict for c in rep.checks), rep.checks
+    rho = res.ctx.spectral_radius
+    n0 = energy_ladder_steps(0.5, res.ctx)
+    assert n0 % 2 == 0
+    assert 1.2 < 0.5 / n0 * rho <= 2.4
+    assert checks["trajectory_dt_rho"].value == pytest.approx(
+        res.trajectory.dt_max * rho)
+    assert checks["trajectory_dt_rho"].tol == 2.785
 
 
 def test_energy_zero_run(small_grid, small_ctx):
