@@ -10,9 +10,8 @@ from .field import (ScalarField, VectorField, WeightedNormSpec, a_norm,
 from .grid import VelocityGrid
 from .kernel import (KernelParams, LandauCoefficients, QuadratureSpec,
                      build_coefficients, compute_abar_field,
-                     eval_kernel_divergence, eval_kernel_matrix,
-                     eval_maxwellian, maxwellian_field)
+                     maxwellian_field)
 from .operator import (ConvolutionEngine, OperatorContext, apply_L, apply_L1,
-                       apply_L2, apply_Q, convolve, make_context)
+                       apply_L2, apply_Q, make_context)
 
 __version__ = "0.1.0"

@@ -11,6 +11,9 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
+from .evolution import LADDER_KMAX_CAP
+from .grid import VelocityGrid
+from .kernel import KernelParams, QuadratureSpec
 
 ALL_SUITES = ("kernel", "coefficients", "convolution", "inequalities",
               "energy", "smoothing")
@@ -146,25 +149,21 @@ def load_config(path):
 
 
 def validate_config(cfg):
-    if not -3.0 < cfg.gamma < 0.0:
-        raise ConfigError(
-            f"gamma = {cfg.gamma} outside the soft potential range (-3, 0)")
-    if cfg.grid_N < 16 or cfg.grid_N % 2 != 0:
-        raise ConfigError(f"grid.N must be even and >= 16, got {cfg.grid_N}")
-    if not cfg.grid_R > 0:
-        raise ConfigError(f"grid.R must be positive, got {cfg.grid_R}")
-    if cfg.quad_radial_order < 32:
-        raise ConfigError("quadrature.radial_order must be >= 32")
-    if cfg.quad_angular_order < 26:
-        raise ConfigError("quadrature.angular_order must be >= 26")
-    if not cfg.quad_rtol > 0:
-        raise ConfigError("quadrature.rtol must be positive")
+    # the kernel, grid and quadrature objects check their own ranges
+    try:
+        KernelParams(cfg.gamma, cfg.mu_normalized)
+        VelocityGrid(R=cfg.grid_R, N=cfg.grid_N)
+        QuadratureSpec(cfg.quad_radial_order, cfg.quad_angular_order,
+                       cfg.quad_rtol)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     if not cfg.time_T > 0:
         raise ConfigError(f"time.T must be positive, got {cfg.time_T}")
     if not 0 < cfg.time_safety <= 1:
         raise ConfigError("time.safety must be in (0, 1]")
-    if cfg.ladder_kmax > 10 or cfg.ladder_kmax < 1:
-        raise ConfigError(f"ladder.kmax must be in [1, 10], got {cfg.ladder_kmax}")
+    if not 1 <= cfg.ladder_kmax <= LADDER_KMAX_CAP:
+        raise ConfigError(f"ladder.kmax must be in [1, {LADDER_KMAX_CAP}], "
+                          f"got {cfg.ladder_kmax}")
     if not cfg.ladder_eval_times:
         raise ConfigError("ladder.eval_times must name at least one time")
     for t in cfg.ladder_eval_times:

@@ -15,10 +15,6 @@ class ConfigError(LandauError):
         self.line = line
 
 
-class DomainError(LandauError):
-    """Evaluation requested at a point outside the kernel's domain (v = 0)."""
-
-
 class GridMismatchError(LandauError):
     """Operands live on different velocity grids."""
 

@@ -13,16 +13,16 @@ aligned to v and the azimuthal sum carried out in closed form.
 """
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import CrossCheckError, DomainError, QuadratureError
+from .errors import CrossCheckError, QuadratureError
 from .field import ScalarField, VectorField
 from .grid import AXIS_OF_COMPONENT, VelocityGrid
 
-SYM_COMPONENTS = ("xx", "yy", "zz", "xy", "xz", "yz")
+# position of a_jk among the six stored components (xx, yy, zz, xy, xz, yz)
 _SYM_INDEX = {(0, 0): 0, (1, 1): 1, (2, 2): 2,
               (0, 1): 3, (1, 0): 3, (0, 2): 4, (2, 0): 4, (1, 2): 5, (2, 1): 5}
 
@@ -65,30 +65,8 @@ class QuadratureSpec:
 
 
 # ---------------------------------------------------------------------------
-# pointwise kernel evaluation
+# kernel evaluation
 # ---------------------------------------------------------------------------
-
-def eval_kernel_matrix(v, params):
-    """Kernel matrix a(v) = |v|^{gamma+2} (I - vhat vhat^T) at a single point."""
-    v = np.asarray(v, dtype=float)
-    n2 = float(v @ v)
-    if n2 == 0.0:
-        raise DomainError("kernel matrix is singular at v = 0")
-    ng = n2 ** (0.5 * params.gamma)
-    return ng * (n2 * np.eye(3) - np.outer(v, v))
-
-
-def eval_kernel_divergence(v, params):
-    """Row divergence b_j(v) = sum_k d_k a_jk(v), assembled term by term."""
-    v = np.asarray(v, dtype=float)
-    n2 = float(v @ v)
-    if n2 == 0.0:
-        raise DomainError("kernel divergence is singular at v = 0")
-    g = params.gamma
-    ng = n2 ** (0.5 * g)
-    # d_k[delta_jk |v|^{g+2}] - d_k[v_j v_k |v|^g] summed over k
-    return (g + 2.0) * ng * v - (1.0 + 3.0 + g) * ng * v
-
 
 def kernel_matrix_batch(points, gamma):
     """a_jk at an array of points, shape (..., 3) -> (..., 3, 3)."""
@@ -146,12 +124,6 @@ def kernel_second_derivatives(points, gamma):
                     )
                     out[..., m, l, j, k] = t
     return out
-
-
-def eval_maxwellian(v, params):
-    """Gaussian background mu(v); unit mass under the default normalization."""
-    v = np.asarray(v, dtype=float)
-    return params.mu_prefactor * math.exp(-0.5 * float(v @ v))
 
 
 def maxwellian_field(grid, params):
@@ -393,11 +365,12 @@ def crosscheck_c2(c2, grid, params, tables_padded):
     on padded kernel tables."""
     from .operator import ConvolutionEngine  # local import avoids a cycle
 
-    engine = ConvolutionEngine(tables_padded)
+    engine = ConvolutionEngine(grid, tables_padded.b_comps, tables_padded.pad)
     mu = maxwellian_field(grid, params).values
     acc = np.zeros(grid.shape)
     for k in range(3):
-        acc += engine.convolve_array("b" + "xyz"[k], np.asarray(grid.component(k)) * mu)
+        acc += engine.inverse(
+            engine.hats[k] * engine.forward(np.asarray(grid.component(k)) * mu))
     c2_conv = 0.5 * acc
     num = math.sqrt(float(np.sum((c2_conv - c2) ** 2)))
     den = math.sqrt(float(np.sum(c2 ** 2)))
@@ -444,11 +417,19 @@ class KernelTables:
     pad: int
     a_comps: np.ndarray          # (6, M, M, M)
     b_comps: np.ndarray          # (3, M, M, M)
-    extras: dict = dataclass_field(default_factory=dict)
 
     @property
     def M(self):
         return self.pad * self.grid.N
+
+    def stacked(self):
+        """The (3, 4, M, M, M) stack whose row j is (b_j, a_j0, a_j1, a_j2)."""
+        out = np.empty((3, 4) + self.b_comps.shape[1:])
+        for j in range(3):
+            out[j, 0] = self.b_comps[j]
+            for k in range(3):
+                out[j, k + 1] = self.a_comps[_SYM_INDEX[(j, k)]]
+        return out
 
 
 def tabulate_fft_kernels(grid, params, pad=1, origin_subcells=64):

@@ -14,7 +14,11 @@ norm and (−div(Abar grad f), g) = (Abar grad f, grad g) holds to round-off.
 
 where the prefactor identity mu^{-1/2} d_j (mu X) = mu^{1/2} (d_j X - v_j X)
 is applied analytically, never by pointwise division, so nothing blows up at
-large |v|.  Convolutions run over the periodic shift lattice; fields are
+large |v|.  The kernels form one (3, 4) spectrum whose row j is
+(b_j, a_j0, a_j1, a_j2); X_j is its row j contracted against the transforms
+of (rho, v_x rho, v_y rho, v_z rho), rho = mu^{1/2} f, in the spectral form
+of Pareschi, Russo & Toscani, J. Comput. Phys. 165 (2000).  Convolutions run
+over the periodic shift lattice; fields are
 expected to carry a decaying envelope (pad=2 tables give true linear
 convolution for validation runs).
 """
@@ -28,39 +32,27 @@ import numpy as np
 from .errors import EigenvalueError, GridMismatchError
 from .field import ScalarField, divergence, gradient
 from .grid import AXIS_OF_COMPONENT
-from .kernel import (KernelTables, LandauCoefficients, SYM_COMPONENTS,
-                     tabulate_radial_kernel)
+from .kernel import LandauCoefficients
 
 
 class ConvolutionEngine:
-    """FFT convolution against the precomputed kernel tables.
+    """FFT convolution against a stack of kernel tables.
 
-    Kernel ids: "a_xx" ... "a_yz" for the matrix components, "bx", "by",
-    "bz" for the divergence kernel, plus any registered radial kernels.
-    Applying the engine to a discrete delta of mass h^-3 reproduces the
-    kernel table exactly up to transform round-off.
+    `tables` has shape (..., M, M, M) with M = pad * N, in FFT layout on
+    the shift lattice; `hats` holds their transforms over the last three
+    axes.  The operators use the (3, 4) stack whose row j is
+    (b_j, a_j0, a_j1, a_j2).  Applying the engine to a discrete delta of
+    mass h^-3 reproduces each table exactly up to transform round-off.
     """
 
-    def __init__(self, tables: KernelTables):
-        self.tables = tables
-        self.grid = tables.grid
-        self.pad = tables.pad
-        self.M = tables.M
-        self._hats = {}
-        for i, name in enumerate(SYM_COMPONENTS):
-            self._hats["a_" + name] = np.fft.rfftn(tables.a_comps[i])
-        for j, name in enumerate(("bx", "by", "bz")):
-            self._hats[name] = np.fft.rfftn(tables.b_comps[j])
-        for name, table in tables.extras.items():
-            self._hats[name] = np.fft.rfftn(table)
-
-    def register_radial_kernel(self, name, exponent, origin_subcells=64):
-        table = tabulate_radial_kernel(self.grid, exponent, self.pad, origin_subcells)
-        self.tables.extras[name] = table
-        self._hats[name] = np.fft.rfftn(table)
-
-    def kernel_ids(self):
-        return sorted(self._hats)
+    def __init__(self, grid, tables, pad=1):
+        self.grid = grid
+        self.pad = pad
+        self.M = pad * grid.N
+        if tables.shape[-3:] != (self.M,) * 3:
+            raise ValueError(f"kernel tables of shape {tables.shape} do not "
+                             f"end in the pad-{pad} lattice ({self.M},) * 3")
+        self.hats = np.fft.rfftn(tables, axes=(-3, -2, -1))
 
     def forward(self, values):
         """rfft of an N^3 array embedded in the (possibly padded) lattice."""
@@ -76,22 +68,6 @@ class ConvolutionEngine:
         n, m = self.grid.N, self.M
         out = np.fft.irfftn(hat, s=(m, m, m), axes=(0, 1, 2))
         return out[:n, :n, :n] * self.grid.cell_volume
-
-    def kernel_hat(self, kernel_id):
-        try:
-            return self._hats[kernel_id]
-        except KeyError:
-            raise KeyError(f"unknown kernel id {kernel_id!r}; have {self.kernel_ids()}")
-
-    def convolve_array(self, kernel_id, values):
-        return self.inverse(self.kernel_hat(kernel_id) * self.forward(values))
-
-
-def convolve(engine, kernel_id, density):
-    """Discrete convolution sum_u kernel(u) density(v - u) h^3."""
-    if density.grid != engine.grid:
-        raise GridMismatchError("density grid does not match engine grid")
-    return ScalarField(density.grid, engine.convolve_array(kernel_id, density.values))
 
 
 # ---------------------------------------------------------------------------
@@ -115,30 +91,23 @@ def apply_L2(f, engine: ConvolutionEngine, coeffs: LandauCoefficients):
     grid = f.grid
     mu_half = coeffs.mu_half.values
     rho = mu_half * f.values
-    rho_hat = engine.forward(rho)
-    d_hats = [engine.forward(np.asarray(grid.component(k)) * rho) for k in range(3)]
+    # transforms of (rho, v_x rho, v_y rho, v_z rho), one call each: a
+    # batched transform over the four is slower at N=48
+    src = [engine.forward(rho)]
+    src += [engine.forward(np.asarray(grid.component(k)) * rho) for k in range(3)]
 
     out = np.zeros(grid.shape)
     inv2h = 1.0 / (2.0 * grid.h)
     for j in range(3):
-        xj_hat = engine.kernel_hat("b" + "xyz"[j]) * rho_hat
-        for k in range(3):
-            xj_hat = xj_hat + engine.kernel_hat(_a_id(j, k)) * d_hats[k]
+        row = engine.hats[j]
+        xj_hat = row[0] * src[0]
+        for k in range(1, 4):
+            xj_hat = xj_hat + row[k] * src[k]
         xj = engine.inverse(xj_hat)
         ax = AXIS_OF_COMPONENT[j]
         dxj = (np.roll(xj, -1, axis=ax) - np.roll(xj, 1, axis=ax)) * inv2h
         out += dxj - np.asarray(grid.component(j)) * xj
     return ScalarField(grid, mu_half * out)
-
-
-_A_IDS = {(j, k): "a_" + SYM_COMPONENTS[idx]
-          for (j, k), idx in {(0, 0): 0, (1, 1): 1, (2, 2): 2,
-                              (0, 1): 3, (1, 0): 3, (0, 2): 4,
-                              (2, 0): 4, (1, 2): 5, (2, 1): 5}.items()}
-
-
-def _a_id(j, k):
-    return _A_IDS[(j, k)]
 
 
 def apply_L(f, engine, coeffs):
@@ -176,12 +145,13 @@ def apply_Q(G, F, engine: ConvolutionEngine):
     dG_hats = [engine.forward(d) for d in dG]
     dF = [_diff4(F.values, k, h) for k in range(3)]
 
+    a_hats = engine.hats[:, 1:]
     out = np.zeros(grid.shape)
     for j in range(3):
         acc = np.zeros(grid.shape)
         bj_hat = None
         for k in range(3):
-            a_hat = engine.kernel_hat(_a_id(j, k))
+            a_hat = a_hats[j, k]
             acc += engine.inverse(a_hat * g_hat) * dF[k]
             bj_hat = a_hat * dG_hats[k] if bj_hat is None else bj_hat + a_hat * dG_hats[k]
         acc -= engine.inverse(bj_hat) * F.values
@@ -264,7 +234,9 @@ def arnoldi_spectral_radius(matvec, v0):
 
 
 def make_context(coeffs: LandauCoefficients) -> OperatorContext:
-    return OperatorContext(ConvolutionEngine(coeffs.tables), coeffs)
+    tables = coeffs.tables
+    engine = ConvolutionEngine(coeffs.grid, tables.stacked(), tables.pad)
+    return OperatorContext(engine, coeffs)
 
 
 def stable_dt(coeffs: Optional[LandauCoefficients], grid, safety=0.4, fallback=1.0 / 128.0):

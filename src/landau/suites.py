@@ -14,9 +14,8 @@ from .evolution import (RK4_STABILITY_LIMIT, SourceModel, TimePolicy,
                         derivative_ladder, evolve, measure_source_bound)
 from .field import ScalarField, envelope_boundary_ratio, random_field, zeros
 from .grid import VelocityGrid
-from .kernel import (KernelParams, QuadratureSpec, build_coefficients,
-                     tabulate_fft_kernels)
-from .operator import ConvolutionEngine, make_context
+from .kernel import KernelParams, QuadratureSpec, build_coefficients
+from .operator import make_context
 
 ENVELOPE_SHELL_LIMIT = 1e-8
 # dt*rho(L) of the coarsest energy-identity rung, inside the RK4 limit
@@ -24,11 +23,13 @@ LADDER_DT_RHO = 2.4
 
 
 class RunResources:
-    """Lazily built shared state for one configuration."""
+    """Lazily built shared state for one configuration.  Coefficients are
+    cached on disk under cache_dir; with cache_dir None nothing is read or
+    written there."""
 
     def __init__(self, cfg, cache_dir=None, log=print):
         self.cfg = cfg
-        self.cache_dir = cache_dir if cache_dir is not None else cfg.io_cache_dir
+        self.cache_dir = cache_dir
         self.log = log or (lambda *_: None)
         self.fingerprint = fingerprint(cfg)
         self.grid = VelocityGrid(R=cfg.grid_R, N=cfg.grid_N)
@@ -37,7 +38,6 @@ class RunResources:
                                    cfg.quad_rtol)
         self._coeffs = None
         self._ctx = None
-        self._padded_engine = None
         self._ensemble = None
         self._fresh_ensemble = None
         self._trajectory = None
@@ -55,13 +55,6 @@ class RunResources:
         if self._ctx is None:
             self._ctx = make_context(self.coeffs)
         return self._ctx
-
-    @property
-    def padded_engine(self):
-        if self._padded_engine is None:
-            self._padded_engine = ConvolutionEngine(
-                tabulate_fft_kernels(self.grid, self.params, pad=2))
-        return self._padded_engine
 
     def ensemble(self, fresh=False):
         cfg = self.cfg
@@ -175,7 +168,7 @@ def run_suite(name, res: RunResources):
         return [verify.check_coefficient_bounds(res.coeffs, res.fingerprint)]
     if name == "convolution":
         return [verify.check_convolution_bound(
-            res.padded_engine, res.params, fingerprint=res.fingerprint)]
+            res.grid, res.params, fingerprint=res.fingerprint)]
     if name == "inequalities":
         ens = res.ensemble()
         reports = [

@@ -20,8 +20,8 @@ from .field import (ScalarField, VectorField, a_norm, a_norm_sq, gradient,
                     inner_product, l2_norm, project_parallel, random_field,
                     weighted_norm)
 from .kernel import (kernel_first_derivatives, kernel_matrix_batch,
-                     kernel_second_derivatives)
-from .operator import apply_L1, apply_L2
+                     kernel_second_derivatives, tabulate_radial_kernel)
+from .operator import ConvolutionEngine, apply_L1, apply_L2
 
 MIN_ENSEMBLE = 64
 EPS1 = 0.25
@@ -114,8 +114,10 @@ def make_ensemble(grid, count, seed, bandlimit=8, envelope_width=1.25):
 # ---------------------------------------------------------------------------
 
 def check_kernel_identities(params, sample_count=1000, seed=1234, fingerprint=""):
-    """Null identities of the kernel and the closed-form row divergence,
-    at scale-relative tolerance 1e-12 over random points."""
+    """Null identities of the kernel, and the row divergence
+    b_j = sum_k d_k a_jk of the analytic first derivatives against its
+    closed form -2 |v|^gamma v at v and at -v, at scale-relative tolerance
+    1e-12 over random points."""
     if sample_count < 100:
         raise ValueError("sample_count must be >= 100")
     rng = np.random.default_rng(seed)
@@ -131,13 +133,16 @@ def check_kernel_identities(params, sample_count=1000, seed=1234, fingerprint=""
     rows = np.einsum("pjk,pj->pk", a, pts)
     row_rel = float(np.max(np.abs(rows) / radii[:, None] ** (g + 3.0)))
 
-    ng = radii ** g
-    bj = (g + 2.0) * ng[:, None] * pts - (4.0 + g) * ng[:, None] * pts
-    closed = -2.0 * ng[:, None] * pts
-    div_rel = float(np.max(np.abs(bj - closed) / (2.0 * radii[:, None] ** (g + 1.0))))
-    odd_rel = float(np.max(np.abs(bj + (
-        (g + 2.0) * ng[:, None] * (-pts) - (4.0 + g) * ng[:, None] * (-pts)))
-        / (2.0 * radii[:, None] ** (g + 1.0))))
+    closed = -2.0 * (radii ** g)[:, None] * pts
+    scale = 2.0 * radii[:, None] ** (g + 1.0)
+
+    def div_error(sign):
+        # sum_k d_k a_jk at sign * v against the odd closed form there
+        trace = np.einsum("pkjk->pj", kernel_first_derivatives(sign * pts, g))
+        return float(np.max(np.abs(trace - sign * closed) / scale))
+
+    div_rel = div_error(1.0)
+    odd_rel = div_error(-1.0)
 
     rep = VerificationReport("kernel", fingerprint)
     tol = 1e-12
@@ -224,15 +229,14 @@ def check_coefficient_bounds(coeffs, fingerprint="", sample_count=400, seed=77):
 # convolution bound suite
 # ---------------------------------------------------------------------------
 
-def check_convolution_bound(engine, params, deltas=(0.5, 1.0), fingerprint=""):
+def check_convolution_bound(grid, params, deltas=(0.5, 1.0), fingerprint=""):
     """Gaussian-weighted singular convolution stays below <v>^gamma.
 
-    Uses a padded (linear) engine with the radial kernel |u|^gamma; the
-    ratio must be finite, flat beyond |v| = 4 and close to the dominated
-    limit (pi/delta)^{3/2} near the box edge."""
-    grid = engine.grid
-    if "radial_gamma" not in engine.kernel_ids():
-        engine.register_radial_kernel("radial_gamma", params.gamma)
+    Convolves with the radial kernel |u|^gamma on the pad-2 (linear)
+    lattice; the ratio must be finite, flat beyond |v| = 4 and close to the
+    dominated limit (pi/delta)^{3/2} near the box edge."""
+    engine = ConvolutionEngine(
+        grid, tabulate_radial_kernel(grid, params.gamma, pad=2), pad=2)
     wgt = grid.bracket_weight(params.gamma)
     radius = grid.radius
     shell_far = (radius >= 4.0) & (radius <= grid.R - 0.5)
@@ -243,7 +247,7 @@ def check_convolution_bound(engine, params, deltas=(0.5, 1.0), fingerprint=""):
     k_conv = 0.0
     for delta in deltas:
         density = np.exp(-delta * grid.radius_sq)
-        conv = engine.convolve_array("radial_gamma", density)
+        conv = engine.inverse(engine.hats * engine.forward(density))
         ratio = conv / wgt
         k_conv = max(k_conv, float(np.max(ratio)))
         spread = float((ratio[shell_far].max() - ratio[shell_far].min())
@@ -377,24 +381,34 @@ def _member_data(ctx, ensemble):
     return data
 
 
+def _pair_ratio_maxima(data):
+    """Largest boundedness ratios of L1 (C2) and L2 (C3, its one-sided
+    form, C4) over the pair schedule of the member data."""
+    worst = dict.fromkeys(("C2", "C3", "C3_one_sided", "C4"), 0.0)
+    for i, j in _pairing(len(data)):
+        d1, d2 = data[i], data[j]
+        if min(d1["A"], d2["A"], d1["s"], d2["s"]) < 1e-14:
+            raise DegenerateRatioError("vanishing norm in bilinear ensemble")
+        l1 = abs(inner_product(d1["L1"], d2["f"]))
+        l2 = abs(inner_product(d1["L2"], d2["f"]))
+        worst["C2"] = max(worst["C2"], l1 / (d1["A"] * d2["A"]))
+        worst["C3"] = max(worst["C3"], l2 / (d1["s"] * d2["A"] + d1["A"] * d2["s"]))
+        worst["C3_one_sided"] = max(worst["C3_one_sided"], l2 / (d1["s"] * d2["A"]))
+        worst["C4"] = max(worst["C4"], l2 / (d1["A"] * d2["A"]))
+    return worst
+
+
 def estimate_bilinear_constants(ctx, ensemble, fingerprint=""):
     """Empirical maxima of the boundedness ratios of L1 and L2, the
     quarter-slack companion constants, and the gradient-form ratio."""
     coeffs = ctx.coeffs
     data = _member_data(ctx, ensemble)
     n = len(data)
-    c2 = c3 = c3_one = c4 = kgrad = 0.0
+    worst = _pair_ratio_maxima(data)
+    kgrad = 0.0
     vol = coeffs.grid.cell_volume
     for i, j in _pairing(n):
         d1, d2 = data[i], data[j]
-        if min(d1["A"], d2["A"], d1["s"], d2["s"]) < 1e-14:
-            raise DegenerateRatioError("vanishing norm in bilinear ensemble")
-        l1 = abs(inner_product(d1["L1"], d2["f"]))
-        l2 = abs(inner_product(d1["L2"], d2["f"]))
-        c2 = max(c2, l1 / (d1["A"] * d2["A"]))
-        c3 = max(c3, l2 / (d1["s"] * d2["A"] + d1["A"] * d2["s"]))
-        c3_one = max(c3_one, l2 / (d1["s"] * d2["A"]))
-        c4 = max(c4, l2 / (d1["A"] * d2["A"]))
         cross = float(np.sum(coeffs.abar.quadratic_form_pair(d1["grad"], d2["grad"]))) * vol
         kgrad = max(kgrad, abs(cross) / (d1["A"] * d2["A"]))
 
@@ -411,11 +425,12 @@ def estimate_bilinear_constants(ctx, ensemble, fingerprint=""):
     c_eps2 = max(c_eps2, 0.0)
 
     rep = VerificationReport("bilinear", fingerprint)
-    for name, val in (("C2", c2), ("C3", c3), ("C4", c4)):
+    for name in ("C2", "C3", "C4"):
+        val = worst[name]
         rep.add_check(f"{name}_finite", val, math.inf, math.isfinite(val) and val > 0)
         rep.add_constant(name, val, n, coeffs.grid)
     rep.add_check("gradform_cauchy_schwarz", kgrad, 1.0 + 1e-9, kgrad <= 1.0 + 1e-9)
-    rep.add_constant("C3_one_sided", c3_one, n, coeffs.grid)
+    rep.add_constant("C3_one_sided", worst["C3_one_sided"], n, coeffs.grid)
     rep.add_constant("C_eps1", c_eps1, n, coeffs.grid)
     rep.add_constant("C_eps2", c_eps2, n, coeffs.grid)
     rep.add_constant("K_gradform", kgrad, n, coeffs.grid)
@@ -424,18 +439,9 @@ def estimate_bilinear_constants(ctx, ensemble, fingerprint=""):
 
 def recheck_bilinear(ctx, fresh_ensemble, constants, slack=1.1, fingerprint=""):
     """Certify measured maxima on a fresh ensemble with multiplicative slack."""
-    coeffs = ctx.coeffs
     data = _member_data(ctx, fresh_ensemble)
-    n = len(data)
     rep = VerificationReport("bilinear_recheck", fingerprint)
-    worst = {"C2": 0.0, "C3": 0.0, "C4": 0.0}
-    for i, j in _pairing(n):
-        d1, d2 = data[i], data[j]
-        l1 = abs(inner_product(d1["L1"], d2["f"]))
-        l2 = abs(inner_product(d1["L2"], d2["f"]))
-        worst["C2"] = max(worst["C2"], l1 / (d1["A"] * d2["A"]))
-        worst["C3"] = max(worst["C3"], l2 / (d1["s"] * d2["A"] + d1["A"] * d2["s"]))
-        worst["C4"] = max(worst["C4"], l2 / (d1["A"] * d2["A"]))
+    worst = _pair_ratio_maxima(data)
     for name in ("C2", "C3", "C4"):
         bound = slack * constants[name]
         rep.add_check(f"{name}_fresh_within_slack", worst[name], bound,

@@ -1,0 +1,51 @@
+"""The benchmark under bench/ drives landau through its public names and
+wraps some of them from outside (bench/tracer.py).  This test makes a
+rename or a changed call shape fail here rather than in a benchmark run."""
+
+import dataclasses
+import importlib.util
+import os
+
+import numpy as np
+
+from landau import kernel
+from landau.config import load_config, validate_config
+from landau.field import random_field
+from landau.suites import RunResources
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracer", os.path.join(REPO, "bench", "tracer.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_names_resolve(tmp_path):
+    from landau import operator
+
+    original = kernel.tabulate_fft_kernels
+    tracer = _load_tracer().Tracer().install()  # resolves every traced name
+    try:
+        cfg = validate_config(dataclasses.replace(
+            load_config(os.path.join(REPO, "configs", "reference.cfg")),
+            grid_N=16, f0_bandlimit=5))
+        res = RunResources(cfg, cache_dir=str(tmp_path / "cache"), log=None)
+        f = random_field(res.grid, 0, bandlimit=5)
+        operator.apply_L2(f, res.ctx.engine, res.coeffs)
+        b_comps = kernel.tabulate_fft_kernels(res.grid, res.params, pad=2).b_comps
+    finally:
+        tracer.uninstall()
+    assert kernel.tabulate_fft_kernels is original
+    assert b_comps.shape == (3, 32, 32, 32) and np.isfinite(b_comps).all()
+    calls = {name: row["calls"] for name, row in tracer.summary().items()}
+    assert calls["kernel.build"] == 1
+    assert calls["kernel.tables"] == 3  # pads 1 and 2 in the build, then pad 2
+    assert calls["kernel.crosscheck"] == 1
+    assert calls["operator.engine_init"] == 2  # cross-check and context
+    assert calls["operator.apply_L2"] == 1
+    assert calls["operator.fft_forward"] >= 4
+    assert os.listdir(tmp_path / "cache")

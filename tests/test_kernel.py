@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from landau.errors import DomainError, QuadratureError
+from landau.errors import QuadratureError
 from landau.grid import VelocityGrid
 from landau.kernel import (KernelParams, QuadratureSpec, abar_profiles_at,
                            cell_average_radial_power, compute_abar_field,
-                           compute_scalar_weights, eval_kernel_divergence,
-                           eval_kernel_matrix, eval_maxwellian,
+                           compute_scalar_weights, kernel_first_derivatives,
                            kernel_matrix_batch, maxwellian_field,
                            tabulate_fft_kernels)
 
@@ -21,15 +20,20 @@ def test_gamma_range_enforced():
     KernelParams(-2.9999)
 
 
+def _divergence(v, gamma):
+    """b_j = sum_k d_k a_jk, the trace of the analytic first derivatives."""
+    return np.einsum("...kjk->...j", kernel_first_derivatives(v, gamma))
+
+
 def test_kernel_matrix_axis_point():
     # unit radius on the x axis projects off the axis
-    a = eval_kernel_matrix((1.0, 0.0, 0.0), KernelParams(-1.0))
+    a = kernel_matrix_batch(np.array([1.0, 0.0, 0.0]), -1.0)
     assert np.allclose(a, np.diag([0.0, 1.0, 1.0]), atol=1e-15)
 
 
 def test_kernel_matrix_hand_value():
     # |v|^{gamma+2} (I - vhat vhat) at v = 2 e_z, gamma = -2
-    a = eval_kernel_matrix((0.0, 0.0, 2.0), KernelParams(-2.0))
+    a = kernel_matrix_batch(np.array([0.0, 0.0, 2.0]), -2.0)
     assert np.allclose(a, np.diag([1.0, 1.0, 0.0]), atol=1e-15)
 
 
@@ -37,22 +41,14 @@ def test_kernel_matrix_hand_value():
 @pytest.mark.parametrize("gamma", [-0.5, -1.0, -2.5])
 def test_kernel_null_identities(seed, gamma):
     rng = np.random.default_rng(seed)
-    p = KernelParams(gamma)
-    for _ in range(50):
-        v = rng.uniform(-4, 4, 3)
-        if np.linalg.norm(v) < 0.3:
-            continue
-        a = eval_kernel_matrix(v, p)
-        scale = np.linalg.norm(v) ** (gamma + 4.0)
-        assert abs(v @ a @ v) <= 1e-12 * scale
-        assert np.max(np.abs(a @ v)) <= 1e-12 * np.linalg.norm(v) ** (gamma + 3.0)
-
-
-def test_kernel_singular_origin():
-    with pytest.raises(DomainError):
-        eval_kernel_matrix((0.0, 0.0, 0.0), KernelParams(-1.0))
-    with pytest.raises(DomainError):
-        eval_kernel_divergence((0.0, 0.0, 0.0), KernelParams(-1.0))
+    v = rng.uniform(-4, 4, (50, 3))
+    v = v[np.linalg.norm(v, axis=1) >= 0.3]
+    r = np.linalg.norm(v, axis=1)
+    a = kernel_matrix_batch(v, gamma)
+    assert np.all(np.abs(np.einsum("pj,pjk,pk->p", v, a, v))
+                  <= 1e-12 * r ** (gamma + 4.0))
+    assert np.all(np.max(np.abs(np.einsum("pjk,pk->pj", a, v)), axis=1)
+                  <= 1e-12 * r ** (gamma + 3.0))
 
 
 @pytest.mark.parametrize("v,gamma,expected", [
@@ -60,34 +56,31 @@ def test_kernel_singular_origin():
     ((1.0, 0.0, 0.0), -1.0, (-2.0, 0.0, 0.0)),
 ])
 def test_kernel_divergence_values(v, gamma, expected):
-    b = eval_kernel_divergence(v, KernelParams(gamma))
+    # b = -2 |v|^gamma v
+    b = _divergence(np.array(v), gamma)
     assert np.allclose(b, expected, atol=1e-14)
 
 
 def test_kernel_divergence_odd():
     rng = np.random.default_rng(3)
-    p = KernelParams(-1.5)
-    for _ in range(20):
-        v = rng.uniform(-3, 3, 3)
-        if np.linalg.norm(v) < 0.3:
-            continue
-        assert np.allclose(eval_kernel_divergence(-v, p),
-                           -eval_kernel_divergence(v, p), rtol=1e-13)
+    v = rng.uniform(-3, 3, (20, 3))
+    v = v[np.linalg.norm(v, axis=1) >= 0.3]
+    assert np.allclose(_divergence(-v, -1.5), -_divergence(v, -1.5), rtol=1e-13)
 
 
 def test_kernel_divergence_matches_finite_differences():
     # centered differences of the matrix rows converge at second order
-    p = KernelParams(-1.0)
+    gamma = -1.0
     v = np.array([1.3, -0.7, 2.1])
-    b_exact = eval_kernel_divergence(v, p)
+    b_exact = _divergence(v, gamma)
 
     def fd_divergence(h):
         b = np.zeros(3)
         for k in range(3):
             e = np.zeros(3)
             e[k] = h
-            ap = eval_kernel_matrix(v + e, p)
-            am = eval_kernel_matrix(v - e, p)
+            ap = kernel_matrix_batch(v + e, gamma)
+            am = kernel_matrix_batch(v - e, gamma)
             b += (ap[:, k] - am[:, k]) / (2.0 * h)
         return b
 
@@ -97,16 +90,22 @@ def test_kernel_divergence_matches_finite_differences():
 
 
 def test_maxwellian_values():
-    p = KernelParams(-1.0)
-    assert eval_maxwellian((0.0, 0.0, 0.0), p) == pytest.approx(
-        (2.0 * math.pi) ** -1.5, rel=1e-14)
-    # ratio at |v| = 2 removes the prefactor
-    ratio = eval_maxwellian((2.0, 0.0, 0.0), p) / eval_maxwellian((0, 0, 0), p)
-    assert ratio == pytest.approx(math.exp(-2.0), rel=1e-14)
+    # R = 2, N = 16: node (8, 8, 8) sits at (h/2)(1, 1, 1)
+    grid = VelocityGrid(R=2.0, N=16)
+    i0 = (8, 8, 8)
+    v0_sq = 3.0 * (0.5 * grid.h) ** 2
+    mu = maxwellian_field(grid, KernelParams(-1.0)).values
+    assert mu[i0] == pytest.approx(
+        (2.0 * math.pi) ** -1.5 * math.exp(-0.5 * v0_sq), rel=1e-14)
+    # ratio between two nodes removes the prefactor
+    i1 = (8, 8, 12)  # v_x = 4.5 h
+    ratio = mu[i1] / mu[i0]
+    assert ratio == pytest.approx(math.exp(-0.5 * (4.5 ** 2 - 0.5 ** 2) * grid.h ** 2),
+                                  rel=1e-14)
     # literal positive-exponent prefactor variant
-    p_raw = KernelParams(-1.0, mu_normalized=False)
-    assert eval_maxwellian((0.0, 0.0, 0.0), p_raw) == pytest.approx(
-        (2.0 * math.pi) ** 1.5, rel=1e-14)
+    mu_raw = maxwellian_field(grid, KernelParams(-1.0, mu_normalized=False)).values
+    assert mu_raw[i0] == pytest.approx(
+        (2.0 * math.pi) ** 1.5 * math.exp(-0.5 * v0_sq), rel=1e-14)
 
 
 def test_maxwellian_unit_mass():
@@ -220,23 +219,27 @@ def test_fft_tables_zero_shift(small_grid, params):
     assert np.all(tables.a_comps[3:, 0, 0, 0] == 0.0)
     # off-origin samples match the pointwise kernel
     u = np.array([2.0 * small_grid.h, small_grid.h, -small_grid.h])
-    a = eval_kernel_matrix(u, params)
+    a = kernel_matrix_batch(u, params.gamma)
     iz, iy, ix = (int(round(c / small_grid.h)) % tables.M for c in (u[2], u[1], u[0]))
     assert tables.a_comps[3, iz, iy, ix] == pytest.approx(a[0, 1], rel=1e-13)
     assert tables.a_comps[0, iz, iy, ix] == pytest.approx(a[0, 0], rel=1e-13)
 
 
 def test_batch_matches_pointwise(params):
+    # against |v|^{gamma+2} (I - vhat vhat^T), point by point
     rng = np.random.default_rng(11)
     pts = rng.uniform(-3, 3, (20, 3))
     pts = pts[np.linalg.norm(pts, axis=1) > 0.4]
     batch = kernel_matrix_batch(pts, params.gamma)
     for i, v in enumerate(pts):
-        assert np.allclose(batch[i], eval_kernel_matrix(v, params), rtol=1e-13)
+        r = np.linalg.norm(v)
+        vhat = v / r
+        expected = r ** (params.gamma + 2.0) * (np.eye(3) - np.outer(vhat, vhat))
+        assert np.allclose(batch[i], expected, rtol=1e-13, atol=1e-15)
 
 
 def test_kernel_derivative_tensors_match_finite_differences():
-    from landau.kernel import kernel_first_derivatives, kernel_second_derivatives
+    from landau.kernel import kernel_second_derivatives
 
     gamma = -1.5
     v = np.array([[1.1, -0.6, 0.9]])

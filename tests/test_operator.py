@@ -12,48 +12,64 @@ from landau.field import (ScalarField, a_norm_sq, gradient, inner_product,
 from landau.grid import VelocityGrid
 from landau.kernel import (build_coefficients,
                            maxwellian_field, sqrt_maxwellian_field,
-                           tabulate_fft_kernels)
+                           tabulate_radial_kernel)
 from landau.operator import (ConvolutionEngine, apply_L, apply_L1, apply_L2,
-                             apply_Q, arnoldi_spectral_radius, convolve,
+                             apply_Q, arnoldi_spectral_radius,
                              make_context, stable_dt)
 from tests.conftest import gaussian_field
 
 
 def test_engine_delta_identity(small_grid, small_ctx):
-    # a delta of mass h^-3 reproduces the kernel table at every shift
+    # a delta of mass h^-3 reproduces the kernel table at every shift, in
+    # all 12 slots of the (3, 4) spectrum: row j is (b_j, a_j0, a_j1, a_j2)
     eng = small_ctx.engine
+    tables = small_ctx.coeffs.tables
+    assert eng.hats.shape[:2] == (3, 4)
     pos = (3, 11, 6)
     delta = np.zeros(small_grid.shape)
     delta[pos] = 1.0 / small_grid.cell_volume
-    out = eng.convolve_array("a_xy", delta)
+    delta_hat = eng.forward(delta)
     idx = np.indices(small_grid.shape)
-    table = small_ctx.coeffs.tables.a_comps[3]
-    expected = table[tuple((idx[d] - pos[d]) % eng.M for d in range(3))]
-    scale = np.max(np.abs(expected))
-    assert np.max(np.abs(out - expected)) <= 1e-12 * scale
+    shifted = tuple((idx[d] - pos[d]) % eng.M for d in range(3))
+    sym = [[0, 3, 4], [3, 1, 5], [4, 5, 2]]  # xx, yy, zz, xy, xz, yz
+    for j in range(3):
+        for slot in range(4):
+            table = (tables.b_comps[j] if slot == 0
+                     else tables.a_comps[sym[j][slot - 1]])
+            out = eng.inverse(eng.hats[j, slot] * delta_hat)
+            expected = table[shifted]
+            assert np.max(np.abs(out - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 def test_convolve_linearity(small_grid, small_ctx):
+    eng = small_ctx.engine
+
+    def conv(f):
+        return eng.inverse(eng.hats[0, 0] * eng.forward(f.values))
+
     f = random_field(small_grid, 1, bandlimit=5)
     g = random_field(small_grid, 2, bandlimit=5)
-    lhs = convolve(small_ctx.engine, "bx", 2.0 * f + (-0.5) * g)
-    rhs = 2.0 * convolve(small_ctx.engine, "bx", f) + (-0.5) * convolve(small_ctx.engine, "bx", g)
-    assert np.max(np.abs(lhs.values - rhs.values)) <= 1e-12 * np.max(np.abs(lhs.values) + 1e-300)
+    lhs = conv(2.0 * f + (-0.5) * g)
+    rhs = 2.0 * conv(f) + (-0.5) * conv(g)
+    assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(np.abs(lhs) + 1e-300)
 
 
-def test_convolve_grid_mismatch(small_ctx):
+def test_convolve_grid_mismatch(small_grid, small_ctx, small_coeffs):
     other = zeros(VelocityGrid(R=5.0, N=16))
     with pytest.raises(GridMismatchError):
-        convolve(small_ctx.engine, "a_xx", other)
+        apply_L2(other, small_ctx.engine, small_coeffs)
+    # tables must live on the lattice of the grid and pad
+    with pytest.raises(ValueError):
+        ConvolutionEngine(small_grid, small_coeffs.tables.b_comps, pad=2)
 
 
 def test_convolution_gaussian_weight_bound(small_grid, params):
     # int |v-w|^gamma e^{-delta |w|^2} dw stays below a multiple of <v>^gamma
-    eng = ConvolutionEngine(tabulate_fft_kernels(small_grid, params, pad=2))
-    eng.register_radial_kernel("radial_gamma", params.gamma)
+    eng = ConvolutionEngine(
+        small_grid, tabulate_radial_kernel(small_grid, params.gamma, pad=2), pad=2)
     for delta in (0.5, 1.0):
         density = np.exp(-delta * small_grid.radius_sq)
-        ratio = eng.convolve_array("radial_gamma", density) / \
+        ratio = eng.inverse(eng.hats * eng.forward(density)) / \
             small_grid.bracket_weight(params.gamma)
         assert np.isfinite(ratio).all()
         limit = (math.pi / delta) ** 1.5

@@ -1,4 +1,7 @@
+import dataclasses
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -14,8 +17,8 @@ from landau.verify import (check_coefficient_bounds, check_convolution_bound,
                            check_energy, estimate_bilinear_constants,
                            estimate_coercivity, make_ensemble,
                            recheck_bilinear, smoothing_fit, smoothing_report)
-from landau.kernel import KernelParams, tabulate_fft_kernels
-from landau.operator import ConvolutionEngine
+from landau import kernel, verify
+from landau.kernel import KernelParams
 from landau.suites import RunResources, energy_ladder_steps, run_suite
 from tests.conftest import gaussian_field
 
@@ -46,6 +49,17 @@ def test_kernel_identity_suite_other_gammas():
         assert rep.passed
 
 
+def test_kernel_identity_suite_catches_wrong_derivatives(params, monkeypatch):
+    # the divergence checks read the analytic first derivatives, so a
+    # relative error of 1e-9 in them fails both
+    exact = verify.kernel_first_derivatives
+    monkeypatch.setattr(verify, "kernel_first_derivatives",
+                        lambda pts, g: (1.0 + 1e-9) * exact(pts, g))
+    rep = check_kernel_identities(params, sample_count=1000, seed=5)
+    failed = {c.id for c in rep.checks if not c.verdict}
+    assert failed == {"divergence_closed_form", "divergence_odd"}
+
+
 def test_coefficient_bounds_suite(small_coeffs):
     rep = check_coefficient_bounds(small_coeffs)
     assert rep.passed
@@ -54,8 +68,7 @@ def test_coefficient_bounds_suite(small_coeffs):
 
 
 def test_convolution_bound_suite(small_grid, params):
-    engine = ConvolutionEngine(tabulate_fft_kernels(small_grid, params, pad=2))
-    rep = check_convolution_bound(engine, params, deltas=(0.5, 1.0))
+    rep = check_convolution_bound(small_grid, params, deltas=(0.5, 1.0))
     assert rep.passed, [c for c in rep.checks if not c.verdict]
     k_conv = {c.name: c.value for c in rep.constants}["K_conv"]
     assert math.isfinite(k_conv)
@@ -152,6 +165,37 @@ def test_energy_suite_dt_rho_check(tmp_path):
     assert checks["trajectory_dt_rho"].value == pytest.approx(
         res.trajectory.dt_max * rho)
     assert checks["trajectory_dt_rho"].tol == 2.785
+
+
+def test_run_resources_tabulate_each_pad_once(monkeypatch):
+    # the c2 cross-check reads the pad-2 tables and the convolution suite
+    # builds its own radial kernel, so each pad is tabulated once
+    pads = []
+    tabulate = kernel.tabulate_fft_kernels
+
+    def counting(grid, params, pad=1, **kwargs):
+        pads.append(pad)
+        return tabulate(grid, params, pad=pad, **kwargs)
+
+    # every module that imported the function by name calls the counter
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("landau")
+                and getattr(module, "tabulate_fft_kernels", None) is tabulate):
+            monkeypatch.setattr(module, "tabulate_fft_kernels", counting)
+    res = RunResources(parse_config_text(ENERGY_CFG), cache_dir=None, log=None)
+    for suite in ("coefficients", "convolution"):
+        run_suite(suite, res)
+    assert res.ctx.engine.hats.shape[:2] == (3, 4)
+    assert sorted(pads) == [1, 2]
+
+
+def test_run_resources_without_cache_dir_writes_nothing(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # where the default io.cache_dir would go
+    cfg = dataclasses.replace(parse_config_text(ENERGY_CFG),
+                              io_cache_dir=str(tmp_path / "cache"))
+    res = RunResources(cfg, cache_dir=None, log=None)
+    assert res.coeffs.c2_crosscheck > 0
+    assert os.listdir(tmp_path) == []
 
 
 def test_energy_zero_run(small_grid, small_ctx):
