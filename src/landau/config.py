@@ -45,7 +45,6 @@ class RunConfig:
     source_tau_omega: float = 1.0
     source_tau_coeffs: tuple = (1.0,)
     time_T: float = 2.0
-    time_safety: float = 0.4
     time_snapshot_times: tuple = (0.5, 1.0, 2.0)
     ladder_kmax: int = 6
     ladder_eval_times: tuple = (0.5, 1.0, 2.0)
@@ -81,7 +80,6 @@ _SCHEMA = {
     "source.tau_omega": ("source_tau_omega", float),
     "source.tau_coeffs": ("source_tau_coeffs", "float_list"),
     "time.T": ("time_T", float),
-    "time.safety": ("time_safety", float),
     "time.snapshot_times": ("time_snapshot_times", "float_list"),
     "ladder.kmax": ("ladder_kmax", int),
     "ladder.eval_times": ("ladder_eval_times", "float_list"),
@@ -159,8 +157,6 @@ def validate_config(cfg):
         raise ConfigError(str(exc)) from None
     if not cfg.time_T > 0:
         raise ConfigError(f"time.T must be positive, got {cfg.time_T}")
-    if not 0 < cfg.time_safety <= 1:
-        raise ConfigError("time.safety must be in (0, 1]")
     if not 1 <= cfg.ladder_kmax <= LADDER_KMAX_CAP:
         raise ConfigError(f"ladder.kmax must be in [1, {LADDER_KMAX_CAP}], "
                           f"got {cfg.ladder_kmax}")

@@ -131,14 +131,31 @@ def weighted_norm(f, spec_or_p, ell=None):
     return float(np.sum(integrand) * grid.cell_volume) ** (1.0 / p)
 
 
+def wrapped_difference(x, axis, out):
+    """x[i+1] - x[i-1] along `axis`, periodic, into the C-contiguous `out`;
+    bit for bit np.roll(x, -1, axis) - np.roll(x, 1, axis).  One flat pass
+    at +-stride is right off the first and last planes along `axis`, which
+    wrap and are written again."""
+    if not out.flags.c_contiguous:
+        raise ValueError("out must be C-contiguous")
+    x = np.ascontiguousarray(x)
+    s = x.strides[axis] // x.itemsize
+    flat_x, flat_out = x.reshape(-1), out.reshape(-1)  # views
+    np.subtract(flat_x[2 * s:], flat_x[:-2 * s], out=flat_out[s:-s])
+    src, dst = np.moveaxis(x, axis, 0), np.moveaxis(out, axis, 0)
+    np.subtract(src[1], src[-1], out=dst[0])
+    np.subtract(src[0], src[-2], out=dst[-1])
+    return out
+
+
 def gradient(f):
     """Second-order centered gradient with periodic wrap."""
     g = f.grid
     out = np.empty((3,) + g.shape)
     inv2h = 1.0 / (2.0 * g.h)
     for j in range(3):
-        ax = AXIS_OF_COMPONENT[j]
-        out[j] = (np.roll(f.values, -1, axis=ax) - np.roll(f.values, 1, axis=ax)) * inv2h
+        wrapped_difference(f.values, AXIS_OF_COMPONENT[j], out[j])
+    out *= inv2h
     return VectorField(g, out)
 
 
@@ -147,9 +164,9 @@ def divergence(V):
     g = V.grid
     inv2h = 1.0 / (2.0 * g.h)
     out = np.zeros(g.shape)
+    diff = np.empty(g.shape)
     for j in range(3):
-        ax = AXIS_OF_COMPONENT[j]
-        out += (np.roll(V.comps[j], -1, axis=ax) - np.roll(V.comps[j], 1, axis=ax)) * inv2h
+        out += wrapped_difference(V.comps[j], AXIS_OF_COMPONENT[j], diff) * inv2h
     return ScalarField(g, out)
 
 

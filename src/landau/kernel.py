@@ -224,13 +224,9 @@ class SymMatrixField:
         m[:, 1, 2] = m[:, 2, 1] = flat[5]
         return m
 
-    def eigenvalues(self):
-        """Node-wise eigenvalues, ascending, shape (N^3, 3)."""
-        return np.linalg.eigvalsh(self.as_matrices())
-
     def min_eigenvalue_ratio(self):
         """min eigenvalue over the grid, normalized by the local trace."""
-        eig = self.eigenvalues()
+        eig = np.linalg.eigvalsh(self.as_matrices())
         trace = self.comps[0] + self.comps[1] + self.comps[2]
         scale = np.maximum(trace.reshape(-1), 1e-300)
         return float(np.min(eig[:, 0] / scale))
@@ -359,13 +355,13 @@ def compute_scalar_weights(abar, grid):
     return c1, 0.5 * c2
 
 
-def crosscheck_c2(c2, grid, params, tables_padded):
+def crosscheck_c2(c2, grid, params, b_padded):
     """Relative L^2 agreement of c2 with the convolution route
     (1/2) sum_k (sum_j d_j a_jk) * (v_k mu), evaluated without wrap
-    on padded kernel tables."""
+    on the pad-2 divergence tables `b_padded` (tabulate_divergence_kernels)."""
     from .operator import ConvolutionEngine  # local import avoids a cycle
 
-    engine = ConvolutionEngine(grid, tables_padded.b_comps, tables_padded.pad)
+    engine = ConvolutionEngine(grid, b_padded, pad=2)
     mu = maxwellian_field(grid, params).values
     acc = np.zeros(grid.shape)
     for k in range(3):
@@ -396,13 +392,19 @@ def cell_average_radial_power(exponent, h, subcells=64):
     return float(np.mean(r2 ** (0.5 * exponent))) * h ** exponent
 
 
-def _shift_coords(grid, pad):
+def _lattice_powers(grid, exponent, pad):
+    """Shift coordinates (ux, uy, uz), |u|^2 and |u|^exponent in FFT layout;
+    the zero-shift entry of both is 1, for the caller to rewrite."""
+    if pad not in (1, 2):
+        raise ValueError(f"pad must be 1 or 2, got {pad}")
     m = pad * grid.N
     offs = np.fft.fftfreq(m) * m * grid.h  # 0, h, ..., -h ordering
     ux = offs[None, None, :]
     uy = offs[None, :, None]
     uz = offs[:, None, None]
-    return m, ux, uy, uz
+    n2 = (ux * ux + uy * uy) + uz * uz
+    n2[0, 0, 0] = 1.0
+    return (ux, uy, uz), n2, n2 ** (0.5 * exponent)
 
 
 @dataclass
@@ -432,18 +434,24 @@ class KernelTables:
         return out
 
 
+def tabulate_divergence_kernels(grid, params, pad=1):
+    """b_j(u) = sum_k d_k a_jk(u) = -2 |u|^gamma u_j on the shift lattice,
+    shape (3, M, M, M); odd kernel, symmetric cell: zero-shift entry 0."""
+    coords, _, ng = _lattice_powers(grid, params.gamma, pad)
+    bcomps = np.empty((3,) + ng.shape)
+    for j, uj in enumerate(coords):
+        bcomps[j] = -2.0 * ng * uj
+    bcomps[:, 0, 0, 0] = 0.0
+    return bcomps
+
+
 def tabulate_fft_kernels(grid, params, pad=1, origin_subcells=64):
     """Tabulate a_jk(u) and b_j(u) = sum_k d_k a_jk(u) on the shift lattice."""
-    if pad not in (1, 2):
-        raise ValueError(f"pad must be 1 or 2, got {pad}")
-    m, ux, uy, uz = _shift_coords(grid, pad)
-    n2 = (ux * ux + uy * uy) + uz * uz
-    n2_safe = n2.copy()
-    n2_safe[0, 0, 0] = 1.0  # origin entry is rewritten below
-    ng = n2_safe ** (0.5 * params.gamma)
-    ngp2 = ng * n2_safe
+    bcomps = tabulate_divergence_kernels(grid, params, pad)
+    (ux, uy, uz), n2, ng = _lattice_powers(grid, params.gamma, pad)
+    ngp2 = ng * n2
 
-    comps = np.empty((6, m, m, m))
+    comps = np.empty((6,) + n2.shape)
     comps[0] = ngp2 - ng * ux * ux
     comps[1] = ngp2 - ng * uy * uy
     comps[2] = ngp2 - ng * uz * uz
@@ -456,20 +464,12 @@ def tabulate_fft_kernels(grid, params, pad=1, origin_subcells=64):
     comps[:3, 0, 0, 0] = (2.0 / 3.0) * avg
     comps[3:, 0, 0, 0] = 0.0
 
-    bcomps = np.empty((3, m, m, m))
-    for j, uj in enumerate((ux, uy, uz)):
-        bcomps[j] = -2.0 * ng * uj
-    bcomps[:, 0, 0, 0] = 0.0  # odd kernel, symmetric cell
-
     return KernelTables(grid, params, pad, comps, bcomps)
 
 
 def tabulate_radial_kernel(grid, exponent, pad=1, origin_subcells=64):
     """Scalar radial kernel |u|^exponent on the shift lattice (FFT layout)."""
-    m, ux, uy, uz = _shift_coords(grid, pad)
-    n2 = (ux * ux + uy * uy) + uz * uz
-    n2[0, 0, 0] = 1.0
-    table = n2 ** (0.5 * exponent)
+    _, _, table = _lattice_powers(grid, exponent, pad)
     table[0, 0, 0] = cell_average_radial_power(exponent, grid.h, origin_subcells)
     return table
 
@@ -500,10 +500,6 @@ class LandauCoefficients:
     def mu_half(self):
         return sqrt_maxwellian_field(self.grid, self.params)
 
-    @cached_property
-    def max_diffusion_eigenvalue(self):
-        return float(self.abar.eigenvalues()[:, 2].max())
-
 
 def c2_tolerance(grid, quad):
     """Combined tolerance for the two c2 routes: quadrature rtol or the
@@ -529,8 +525,8 @@ def build_coefficients(grid, params, quad=QuadratureSpec(), cache_dir=None, log=
     abar = compute_abar_field(grid, params, quad)
     c1, c2 = compute_scalar_weights(abar, grid)
     tables = tabulate_fft_kernels(grid, params, pad=1)
-    tables_padded = tabulate_fft_kernels(grid, params, pad=2)
-    rel = crosscheck_c2(c2, grid, params, tables_padded)
+    rel = crosscheck_c2(c2, grid, params,
+                        tabulate_divergence_kernels(grid, params, pad=2))
     tol = c2_tolerance(grid, quad)
     if rel > tol:
         raise CrossCheckError(

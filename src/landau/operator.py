@@ -25,12 +25,11 @@ convolution for validation runs).
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
 from .errors import EigenvalueError, GridMismatchError
-from .field import ScalarField, divergence, gradient
+from .field import ScalarField, divergence, gradient, wrapped_difference
 from .grid import AXIS_OF_COMPONENT
 from .kernel import LandauCoefficients
 
@@ -97,6 +96,7 @@ def apply_L2(f, engine: ConvolutionEngine, coeffs: LandauCoefficients):
     src += [engine.forward(np.asarray(grid.component(k)) * rho) for k in range(3)]
 
     out = np.zeros(grid.shape)
+    diff = np.empty(grid.shape)
     inv2h = 1.0 / (2.0 * grid.h)
     for j in range(3):
         row = engine.hats[j]
@@ -104,8 +104,7 @@ def apply_L2(f, engine: ConvolutionEngine, coeffs: LandauCoefficients):
         for k in range(1, 4):
             xj_hat = xj_hat + row[k] * src[k]
         xj = engine.inverse(xj_hat)
-        ax = AXIS_OF_COMPONENT[j]
-        dxj = (np.roll(xj, -1, axis=ax) - np.roll(xj, 1, axis=ax)) * inv2h
+        dxj = wrapped_difference(xj, AXIS_OF_COMPONENT[j], diff) * inv2h
         out += dxj - np.asarray(grid.component(j)) * xj
     return ScalarField(grid, mu_half * out)
 
@@ -237,11 +236,3 @@ def make_context(coeffs: LandauCoefficients) -> OperatorContext:
     tables = coeffs.tables
     engine = ConvolutionEngine(coeffs.grid, tables.stacked(), tables.pad)
     return OperatorContext(engine, coeffs)
-
-
-def stable_dt(coeffs: Optional[LandauCoefficients], grid, safety=0.4, fallback=1.0 / 128.0):
-    """Explicit step bound: safety * h^2 / (6 max_v lambda_max(Abar))."""
-    if coeffs is None:
-        return fallback
-    lam = coeffs.max_diffusion_eigenvalue
-    return safety * grid.h ** 2 / (6.0 * lam)

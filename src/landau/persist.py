@@ -64,8 +64,8 @@ def save_coefficient_cache(cache_dir, coeffs):
 
 def load_coefficient_cache(cache_dir, grid, params, quad):
     """Return cached coefficients or None; header mismatches raise."""
-    from .kernel import (LandauCoefficients, SymMatrixField,
-                         tabulate_fft_kernels)
+    from .kernel import (LandauCoefficients, SymMatrixField, crosscheck_c2,
+                         tabulate_divergence_kernels, tabulate_fft_kernels)
 
     path = coefficient_cache_path(cache_dir, grid, params, quad)
     if not os.path.exists(path):
@@ -88,9 +88,8 @@ def load_coefficient_cache(cache_dir, grid, params, quad):
     tables = tabulate_fft_kernels(grid, params, pad=1)
     # the cross-check value is not part of the cache layout; recompute so
     # cached and fresh coefficient sets report identically
-    from .kernel import crosscheck_c2
     rel = crosscheck_c2(c2, grid, params,
-                        tabulate_fft_kernels(grid, params, pad=2))
+                        tabulate_divergence_kernels(grid, params, pad=2))
     return LandauCoefficients(grid, params, quad, abar, c1, c2, tables, rel)
 
 

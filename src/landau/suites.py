@@ -10,16 +10,15 @@ import numpy as np
 from . import verify
 from .config import fingerprint
 from .errors import ConfigError
-from .evolution import (RK4_STABILITY_LIMIT, SourceModel, TimePolicy,
-                        derivative_ladder, evolve, measure_source_bound)
+from .evolution import (LADDER_DT_RHO, RK4_STABILITY_LIMIT, SourceModel,
+                        TimePolicy, derivative_ladder, evolve,
+                        measure_source_bound)
 from .field import ScalarField, envelope_boundary_ratio, random_field, zeros
 from .grid import VelocityGrid
 from .kernel import KernelParams, QuadratureSpec, build_coefficients
 from .operator import make_context
 
 ENVELOPE_SHELL_LIMIT = 1e-8
-# dt*rho(L) of the coarsest energy-identity rung, inside the RK4 limit
-LADDER_DT_RHO = 2.4
 
 
 class RunResources:
@@ -141,7 +140,7 @@ class RunResources:
                                  | set(cfg.ladder_eval_times)))
             self._trajectory = evolve(
                 self.initial_datum(), self.source_model(), cfg.time_T, self.ctx,
-                TimePolicy(safety=cfg.time_safety), snapshot_times=marks)
+                TimePolicy(), snapshot_times=marks)
         return self._trajectory
 
     @property
@@ -191,8 +190,7 @@ def run_suite(name, res: RunResources):
                                   res.fingerprint, slope=slope)
         a_g = measure_source_bound(model, cfg.time_T, kmax=8)
         rep.add_check("A_g_finite", a_g, math.inf, math.isfinite(a_g))
-        # the ladder sits at dt*rho <= LADDER_DT_RHO by construction; the
-        # trajectory step comes from the diffusion bound, so check it here
+        # for the record: TimePolicy keeps it at or below TRAJECTORY_DT_RHO
         dt_rho = res.trajectory.dt_max * res.ctx.spectral_radius
         rep.add_check("trajectory_dt_rho", dt_rho, RK4_STABILITY_LIMIT,
                       dt_rho < RK4_STABILITY_LIMIT)

@@ -43,7 +43,7 @@ def test_benchmark_names_resolve(tmp_path):
     assert b_comps.shape == (3, 32, 32, 32) and np.isfinite(b_comps).all()
     calls = {name: row["calls"] for name, row in tracer.summary().items()}
     assert calls["kernel.build"] == 1
-    assert calls["kernel.tables"] == 3  # pads 1 and 2 in the build, then pad 2
+    assert calls["kernel.tables"] == 2  # pad 1 in the build, then pad 2
     assert calls["kernel.crosscheck"] == 1
     assert calls["operator.engine_init"] == 2  # cross-check and context
     assert calls["operator.apply_L2"] == 1

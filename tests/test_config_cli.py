@@ -173,11 +173,15 @@ def test_cli_cache_env_override(small_run_config, tmp_path, monkeypatch):
     assert any(name.startswith("coef-") for name in os.listdir(cache_dir))
 
 
-def test_cli_config_error_exit_code(tmp_path):
+def test_cli_config_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("gamma = 0.5\n")
     rc = cli.main(["verify", "--config", str(bad)])
     assert rc == 2
+    # the trajectory step comes from rho(L); the old step knob is refused
+    bad.write_text(MINIMAL + "time.safety = 0.4\n")
+    assert cli.main(["verify", "--config", str(bad)]) == 2
+    assert "unknown key 'time.safety'" in capsys.readouterr().err
 
 
 def test_cli_empty_cache_dir_exit_code(small_run_config, tmp_path,

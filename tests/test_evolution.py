@@ -96,6 +96,33 @@ def test_evolve_snapshots_and_log(small_grid, small_ctx):
     assert res.energy_log[0, 1] == pytest.approx(l2_norm(f0) ** 2, rel=1e-12)
 
 
+def test_default_step_from_spectral_radius(small_grid, small_ctx):
+    # each segment between marks takes ceil(span * rho / 0.3) equal steps
+    f0 = random_field(small_grid, 42, bandlimit=5, envelope_width=1.0)
+    model = SourceModel(unit_gaussian(small_grid), tau_kind="exp", amplitude=0.5)
+    rho = small_ctx.spectral_radius
+    res = evolve(f0, model, 0.25, small_ctx, TimePolicy(), snapshot_times=(0.1,))
+    steps = math.ceil(0.1 * rho / 0.3) + math.ceil(0.15 * rho / 0.3)
+    assert res.state.step_index == steps
+    assert len(res.energy_log) == steps + 1
+    assert 0.25 < res.dt_max * rho <= 0.3 * (1 + 1e-12)
+
+
+def test_default_step_accuracy(small_grid, small_ctx):
+    # the default step against a run at half of it, to T = 0.5: measured
+    # 6.9e-9 relative; the step doubled gives 1.2e-7, and the ladder's
+    # coarsest rule dt*rho = 2.4 gives 4.0e-5
+    f0 = random_field(small_grid, 7, bandlimit=5, envelope_width=1.0)
+    model = SourceModel(unit_gaussian(small_grid), tau_kind="exp", amplitude=0.5)
+    T = 0.5
+    res = evolve(f0, model, T, small_ctx, TimePolicy())
+    n = res.state.step_index
+    half = evolve(f0, model, T, small_ctx, TimePolicy(dt_override=T / (2 * n)))
+    assert half.state.step_index == 2 * n
+    err = l2_norm(res.state.f - half.state.f) / l2_norm(half.state.f)
+    assert err < 2e-8
+
+
 def test_rk4_self_convergence(small_grid, small_ctx):
     # fixed problem, halving dt: fourth-order trajectory error
     f0 = random_field(small_grid, 7, bandlimit=5, envelope_width=1.0)

@@ -7,7 +7,7 @@ from landau.errors import GridMismatchError
 from landau.field import (ScalarField, WeightedNormSpec, a_norm, a_norm_sq,
                           divergence, from_function, gradient, inner_product,
                           l2_norm, project_parallel, random_field,
-                          weighted_norm, zeros)
+                          weighted_norm, wrapped_difference, zeros)
 from landau.grid import VelocityGrid
 from tests.conftest import gaussian_field
 
@@ -85,6 +85,20 @@ def test_gradient_constant_field(small_grid):
     c = ScalarField(small_grid, np.full(small_grid.shape, 2.5))
     grad = gradient(c)
     assert np.all(grad.comps == 0.0)
+
+
+def test_wrapped_difference_matches_roll():
+    # bit for bit, on every axis of an array whose axes all differ in
+    # length, and of a non-contiguous view of it
+    x = np.random.default_rng(0).standard_normal((5, 6, 7))
+    for arr in (x, x.transpose(2, 0, 1)):
+        for axis in range(3):
+            expected = np.roll(arr, -1, axis=axis) - np.roll(arr, 1, axis=axis)
+            out = np.full(arr.shape, np.nan)
+            assert wrapped_difference(arr, axis, out) is out
+            assert np.array_equal(out, expected)
+    with pytest.raises(ValueError):  # a non-contiguous out is refused
+        wrapped_difference(x, 0, np.empty((7, 5, 6)).transpose(1, 2, 0))
 
 
 def test_divergence_is_negative_adjoint(small_grid):

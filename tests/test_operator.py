@@ -15,7 +15,7 @@ from landau.kernel import (build_coefficients,
                            tabulate_radial_kernel)
 from landau.operator import (ConvolutionEngine, apply_L, apply_L1, apply_L2,
                              apply_Q, arnoldi_spectral_radius,
-                             make_context, stable_dt)
+                             make_context)
 from tests.conftest import gaussian_field
 
 
@@ -238,13 +238,6 @@ def test_L2_matches_Q_route(params, quad):
         mask = g.radius <= 3.0
         diffs.append(float(np.max(np.abs(direct - viaQ)[mask])))
     assert diffs[0] / diffs[1] >= 3.0
-
-
-def test_stable_dt_scaling(small_grid, small_coeffs):
-    dt = stable_dt(small_coeffs, small_grid, safety=0.4)
-    lam = small_coeffs.max_diffusion_eigenvalue
-    assert dt == pytest.approx(0.4 * small_grid.h ** 2 / (6.0 * lam))
-    assert stable_dt(None, small_grid, fallback=0.01) == 0.01
 
 
 def test_arnoldi_matches_dense_eigenvalues(monkeypatch):

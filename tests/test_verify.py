@@ -168,25 +168,33 @@ def test_energy_suite_dt_rho_check(tmp_path):
 
 
 def test_run_resources_tabulate_each_pad_once(monkeypatch):
-    # the c2 cross-check reads the pad-2 tables and the convolution suite
-    # builds its own radial kernel, so each pad is tabulated once
-    pads = []
-    tabulate = kernel.tabulate_fft_kernels
+    # the operator reads the full pad-1 tables, the c2 cross-check only the
+    # pad-2 b tables, and the convolution suite builds its own radial
+    # kernel, so the full tables are built once, at pad 1
+    pads = {"tabulate_fft_kernels": [], "tabulate_divergence_kernels": []}
 
-    def counting(grid, params, pad=1, **kwargs):
-        pads.append(pad)
-        return tabulate(grid, params, pad=pad, **kwargs)
+    def counting(fn_name):
+        original = getattr(kernel, fn_name)
 
-    # every module that imported the function by name calls the counter
-    for name, module in list(sys.modules.items()):
-        if (name.startswith("landau")
-                and getattr(module, "tabulate_fft_kernels", None) is tabulate):
-            monkeypatch.setattr(module, "tabulate_fft_kernels", counting)
+        def counted(grid, params, pad=1, **kwargs):
+            pads[fn_name].append(pad)
+            return original(grid, params, pad=pad, **kwargs)
+        return original, counted
+
+    # every module that imported a function by name calls the counter
+    for fn_name in pads:
+        original, counted = counting(fn_name)
+        for name, module in list(sys.modules.items()):
+            if (name.startswith("landau")
+                    and getattr(module, fn_name, None) is original):
+                monkeypatch.setattr(module, fn_name, counted)
     res = RunResources(parse_config_text(ENERGY_CFG), cache_dir=None, log=None)
     for suite in ("coefficients", "convolution"):
         run_suite(suite, res)
     assert res.ctx.engine.hats.shape[:2] == (3, 4)
-    assert sorted(pads) == [1, 2]
+    assert pads["tabulate_fft_kernels"] == [1]
+    # the pad-1 b tables inside the full tabulation, then the cross-check's
+    assert pads["tabulate_divergence_kernels"] == [1, 2]
 
 
 def test_run_resources_without_cache_dir_writes_nothing(tmp_path, monkeypatch):
