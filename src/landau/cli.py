@@ -5,7 +5,9 @@
 Commands: coeffs (build + self-check), evolve (snapshots + energy CSV),
 ladder (ladder CSVs at the configured times), verify (JSON report per
 suite), report (merged markdown summary of the reports in the out dir).
-Exit codes: 0 ok, 2 config error, 3 numerical failure, 4 suite failure.
+Exit codes: 0 ok, 2 config error, 3 numerical failure, 4 suite failure,
+5 report refused: a report_*.json in the out dir was written under another
+config fingerprint (stale reports are never merged).
 A non-empty LANDAU_CACHE environment variable overrides io.cache_dir.
 """
 
@@ -24,6 +26,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_SUITE = 4
+EXIT_STALE_REPORT = 5
 
 
 def _build_parser():
@@ -111,6 +114,10 @@ def cmd_report(args):
             continue
         with open(os.path.join(out_dir, name)) as fh:
             doc = json.load(fh)
+        if doc.get("config_fingerprint") != res.fingerprint:
+            print(f"stale report {name}: fingerprint {doc.get('config_fingerprint')!r}"
+                  f" is not the config's {res.fingerprint!r}", file=sys.stderr)
+            return EXIT_STALE_REPORT
         for c in doc.get("checks", []):
             rows.append((doc["suite"], c["id"], c["value"], c["verdict"]))
         for k in doc.get("constants", []):

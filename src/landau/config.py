@@ -8,7 +8,7 @@ embedded in every output file for provenance.
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import ConfigError
 from .evolution import LADDER_KMAX_CAP
@@ -55,40 +55,22 @@ class RunConfig:
     io_out_dir: str = "out"
 
 
-_SCHEMA = {
-    "grid.R": ("grid_R", float),
-    "grid.N": ("grid_N", int),
-    "gamma": ("gamma", float),
-    "mu_normalized": ("mu_normalized", bool),
-    "quadrature.radial_order": ("quad_radial_order", int),
-    "quadrature.angular_order": ("quad_angular_order", int),
-    "quadrature.rtol": ("quad_rtol", float),
-    "f0.kind": ("f0_kind", str),
-    "f0.bandlimit": ("f0_bandlimit", int),
-    "f0.envelope_width": ("f0_envelope_width", float),
-    "f0.spectral_decay": ("f0_spectral_decay", float),
-    "f0.scale": ("f0_scale", float),
-    "f0.orthogonalize": ("f0_orthogonalize", bool),
-    "source.profile": ("source_profile", str),
-    "source.width": ("source_width", float),
-    "source.wavenumber": ("source_wavenumber", float),
-    "source.blend_ratio": ("source_blend_ratio", float),
-    "source.amplitude": ("source_amplitude", float),
-    "source.orthogonalize": ("source_orthogonalize", bool),
-    "source.tau_kind": ("source_tau_kind", str),
-    "source.tau_rate": ("source_tau_rate", float),
-    "source.tau_omega": ("source_tau_omega", float),
-    "source.tau_coeffs": ("source_tau_coeffs", "float_list"),
-    "time.T": ("time_T", float),
-    "time.snapshot_times": ("time_snapshot_times", "float_list"),
-    "ladder.kmax": ("ladder_kmax", int),
-    "ladder.eval_times": ("ladder_eval_times", "float_list"),
-    "verify.ensemble_size": ("verify_ensemble_size", int),
-    "verify.seed": ("verify_seed", int),
-    "verify.suites": ("verify_suites", "str_list"),
-    "io.cache_dir": ("io_cache_dir", str),
-    "io.out_dir": ("io_out_dir", str),
-}
+def _config_key(name):
+    """Config key of a RunConfig field: the first underscore becomes a dot
+    and `quad` is spelled out, except for the two keys without a section."""
+    if name in ("gamma", "mu_normalized"):
+        return name
+    section, _, key = name.partition("_")
+    return f"{'quadrature' if section == 'quad' else section}.{key}"
+
+
+def _kind(fld):
+    if fld.type is not tuple:
+        return fld.type
+    return "str_list" if isinstance(fld.default[0], str) else "float_list"
+
+
+_SCHEMA = {_config_key(f.name): (f.name, _kind(f)) for f in fields(RunConfig)}
 
 
 def _parse_value(raw, kind, key, line_no):

@@ -105,14 +105,14 @@ def measure_source_bound(model, T, kmax=8, samples=65):
 @dataclass
 class TimePolicy:
     dt_override: Optional[float] = None   # exact step, bypassing the rule
-    fallback_dt: float = 1.0 / 128.0      # used when the operator is disabled
 
     def dt_for(self, ctx):
-        """Base step TRAJECTORY_DT_RHO / rho(L), from the measured spectrum."""
+        """Base step TRAJECTORY_DT_RHO / rho(L), from the measured spectrum;
+        without an operator there is no spectrum, so the step must be given."""
         if self.dt_override is not None:
             return self.dt_override
         if ctx is None:
-            return self.fallback_dt
+            raise ValueError("a run without an operator needs dt_override")
         return TRAJECTORY_DT_RHO / ctx.spectral_radius
 
 

@@ -44,12 +44,6 @@ class ScalarField:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return ScalarField(self.grid, -self.values)
-
-    def is_finite(self):
-        return bool(np.isfinite(self.values).all())
-
 
 @dataclass
 class VectorField:
@@ -61,14 +55,6 @@ class VectorField:
             raise GridMismatchError(
                 f"comps shape {self.comps.shape} does not match grid {self.grid.shape}"
             )
-
-    def __add__(self, other):
-        _check_same_grid(self, other)
-        return VectorField(self.grid, self.comps + other.comps)
-
-    def __sub__(self, other):
-        _check_same_grid(self, other)
-        return VectorField(self.grid, self.comps - other.comps)
 
 
 @dataclass(frozen=True)
@@ -118,9 +104,7 @@ def weighted_norm(f, spec_or_p, ell=None):
     if isinstance(spec_or_p, WeightedNormSpec):
         p, ell = spec_or_p.p, spec_or_p.ell
     else:
-        p = spec_or_p
-        if ell is None:
-            ell = 0.0
+        p, ell = spec_or_p, 0.0 if ell is None else ell
     grid = f.grid
     w = grid.bracket_weight(ell)
     if p == math.inf:
@@ -186,16 +170,16 @@ def project_parallel(G):
     return VectorField(grid, par), VectorField(grid, G.comps - par)
 
 
-def a_norm_sq(f, coeffs):
+def a_norm_sq(f, coeffs, grad=None):
     """Square of the anisotropic energy norm.
 
     ||f||_A^2 = sum_{jk} int ( abar_jk d_j f d_k f + (1/4) abar_jk v_j v_k f^2 ) dv,
-    with the centered gradient and the precomputed zeroth-order weight
-    c1 = (1/4) abar_jk v_j v_k.
+    with the centered gradient (`grad`, when the caller already holds it)
+    and the precomputed zeroth-order weight c1 = (1/4) abar_jk v_j v_k.
     """
     if coeffs.grid != f.grid:
         raise GridMismatchError("coefficients live on a different grid")
-    G = gradient(f)
+    G = gradient(f) if grad is None else grad
     quad = coeffs.abar.quadratic_form(G)
     total = np.sum(quad) + np.sum(coeffs.c1 * f.values * f.values)
     return float(total) * f.grid.cell_volume

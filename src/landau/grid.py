@@ -73,11 +73,19 @@ class VelocityGrid:
         """<v>^2 = 1 + |v|^2 at every node."""
         return 1.0 + self.radius_sq
 
+    @cached_property
+    def _bracket_weights(self):
+        return {}
+
     def bracket_weight(self, ell):
-        """<v>^ell at every node."""
-        if ell == 0:
-            return np.ones(self.shape)
-        return self.bracket_sq ** (0.5 * ell)
+        """<v>^ell at every node, computed once per grid and exponent and
+        shared read-only."""
+        w = self._bracket_weights.get(ell)
+        if w is None:
+            w = np.ones(self.shape) if ell == 0 else self.bracket_sq ** (0.5 * ell)
+            w.flags.writeable = False
+            w = self._bracket_weights.setdefault(ell, w)
+        return w
 
     @cached_property
     def unit_vectors(self):

@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import CrossCheckError, QuadratureError
-from .field import ScalarField, VectorField
+from .field import ScalarField, VectorField, inner_product, l2_norm
 from .grid import AXIS_OF_COMPONENT, VelocityGrid
 
 # position of a_jk among the six stored components (xx, yy, zz, xy, xz, yz)
@@ -143,8 +143,6 @@ def collision_invariant_basis(grid, params):
     Components along these directions neither decay nor grow under the
     free flow, so reference experiments usually remove them from data and
     forcing."""
-    from .field import inner_product, l2_norm
-
     mh = sqrt_maxwellian_field(grid, params).values
     candidates = [mh]
     candidates += [np.asarray(grid.component(j)) * mh for j in range(3)]
@@ -160,8 +158,6 @@ def collision_invariant_basis(grid, params):
 
 def project_off_invariants(f, params):
     """Remove the collision-invariant components; preserves roughness."""
-    from .field import inner_product
-
     for b in collision_invariant_basis(f.grid, params):
         f = f - inner_product(f, b) * b
     return f
@@ -296,10 +292,7 @@ def abar_profiles_at(s_values, params, quad):
     base = _abar_profiles(s, params, quad.radial_order, quad.angular_order, r_max)
     fine = _abar_profiles(s, params, 2 * quad.radial_order, quad.angular_order, r_max)
     scale = max(float(np.max(np.abs(fine[0]))), float(np.max(np.abs(fine[1]))))
-    err = max(
-        float(np.max(np.abs(fine[0] - base[0]))),
-        float(np.max(np.abs(fine[1] - base[1]))),
-    ) / scale
+    err = max(float(np.max(np.abs(f - b))) for f, b in zip(fine, base)) / scale
     if err > quad.rtol:
         raise QuadratureError(
             f"radial order doubling changed abar by {err:.3e} > rtol {quad.rtol:.1e}"
@@ -491,10 +484,6 @@ class LandauCoefficients:
     c2: np.ndarray
     tables: KernelTables
     c2_crosscheck: float = math.nan
-
-    @cached_property
-    def mu(self):
-        return maxwellian_field(self.grid, self.params)
 
     @cached_property
     def mu_half(self):

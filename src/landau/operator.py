@@ -73,11 +73,12 @@ class ConvolutionEngine:
 # linear operators
 # ---------------------------------------------------------------------------
 
-def apply_L1(f, coeffs: LandauCoefficients):
-    """Diffusion-with-potential part: -div(Abar grad f) + (c1 - c2) f."""
+def apply_L1(f, coeffs: LandauCoefficients, grad=None):
+    """Diffusion-with-potential part: -div(Abar grad f) + (c1 - c2) f;
+    `grad` is the gradient of f, when the caller already holds it."""
     if f.grid != coeffs.grid:
         raise GridMismatchError("field grid does not match coefficient grid")
-    flux = coeffs.abar.apply(gradient(f))
+    flux = coeffs.abar.apply(gradient(f) if grad is None else grad)
     out = -divergence(flux).values
     out += (coeffs.c1 - coeffs.c2) * f.values
     return ScalarField(f.grid, out)

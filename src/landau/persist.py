@@ -9,8 +9,12 @@ Coefficient cache layout (little-endian):
 Field snapshot layout:
     magic "LANDAU-FLD1", u32 N, f64 R, f64 gamma, u64 step_index,
     f64 time, then N^3 f64 values in the same index order.
+
+Every file is written through a temporary file beside it, which replaces
+it only when complete.
 """
 
+import contextlib
 import hashlib
 import json
 import math
@@ -22,9 +26,26 @@ import numpy as np
 from .errors import CacheFormatError
 from .field import ScalarField
 from .grid import VelocityGrid
+from .kernel import (LandauCoefficients, SymMatrixField, crosscheck_c2,
+                     tabulate_divergence_kernels, tabulate_fft_kernels)
 
 COEF_MAGIC = b"LANDAU-COEF1"
 FIELD_MAGIC = b"LANDAU-FLD1"
+
+
+@contextlib.contextmanager
+def _replacing(path, mode="w"):
+    """Write through a temporary file beside `path` that replaces it only
+    once complete, so a failed write leaves the previous file and no
+    partial one."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def _write_array(fh, arr):
@@ -51,7 +72,7 @@ def save_coefficient_cache(cache_dir, coeffs):
     os.makedirs(cache_dir, exist_ok=True)
     path = coefficient_cache_path(cache_dir, coeffs.grid, coeffs.params, coeffs.quad)
     g, p, q = coeffs.grid, coeffs.params, coeffs.quad
-    with open(path, "wb") as fh:
+    with _replacing(path, "wb") as fh:
         fh.write(COEF_MAGIC)
         fh.write(struct.pack("<IddBII", g.N, g.R, p.gamma,
                              int(p.mu_normalized), q.radial_order, q.angular_order))
@@ -64,9 +85,6 @@ def save_coefficient_cache(cache_dir, coeffs):
 
 def load_coefficient_cache(cache_dir, grid, params, quad):
     """Return cached coefficients or None; header mismatches raise."""
-    from .kernel import (LandauCoefficients, SymMatrixField, crosscheck_c2,
-                         tabulate_divergence_kernels, tabulate_fft_kernels)
-
     path = coefficient_cache_path(cache_dir, grid, params, quad)
     if not os.path.exists(path):
         return None
@@ -94,7 +112,7 @@ def load_coefficient_cache(cache_dir, grid, params, quad):
 
 
 def save_field_snapshot(path, f, gamma, step_index, time):
-    with open(path, "wb") as fh:
+    with _replacing(path, "wb") as fh:
         fh.write(FIELD_MAGIC)
         fh.write(struct.pack("<IddQd", f.grid.N, f.grid.R, gamma, step_index, time))
         _write_array(fh, f.values)
@@ -148,7 +166,7 @@ def write_report_json(report, path, timestamp=None):
     `meta` block so byte comparison of the payload stays meaningful."""
     doc = report_to_dict(report)
     doc["meta"] = {"created": timestamp or ""}
-    with open(path, "w") as fh:
+    with _replacing(path) as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
 
@@ -162,7 +180,7 @@ def strip_meta(path):
 
 
 def write_energy_csv(path, energy_log, fingerprint):
-    with open(path, "w") as fh:
+    with _replacing(path) as fh:
         fh.write(f"# config {fingerprint}\n")
         fh.write("t,l2sq,asq,gf,lff\n")
         for row in energy_log:
@@ -170,7 +188,7 @@ def write_energy_csv(path, energy_log, fingerprint):
 
 
 def write_ladder_csv(path, ladder, fingerprint):
-    with open(path, "w") as fh:
+    with _replacing(path) as fh:
         fh.write(f"# config {fingerprint} t={float(ladder.t)!r}\n")
         fh.write("k,norm_l2,norm_a,a_k,a_k_root\n")
         for k in range(len(ladder.norms_l2)):

@@ -1,9 +1,11 @@
 """Suite orchestration: build the run resources from a config and execute
 the named verification suites.  Heavy resources (coefficients, operator
-context, ensembles, the reference trajectory and its ladders) are built
-lazily and shared across suites."""
+context, the reference trajectory and its ladders) are built lazily and
+shared across suites; the ensembles are drawn for the one suite that
+reads them."""
 
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -13,9 +15,11 @@ from .errors import ConfigError
 from .evolution import (LADDER_DT_RHO, RK4_STABILITY_LIMIT, SourceModel,
                         TimePolicy, derivative_ladder, evolve,
                         measure_source_bound)
-from .field import ScalarField, envelope_boundary_ratio, random_field, zeros
+from .field import (ScalarField, envelope_boundary_ratio, l2_norm, random_field,
+                    zeros)
 from .grid import VelocityGrid
-from .kernel import KernelParams, QuadratureSpec, build_coefficients
+from .kernel import (KernelParams, QuadratureSpec, build_coefficients,
+                     project_off_invariants)
 from .operator import make_context
 
 ENVELOPE_SHELL_LIMIT = 1e-8
@@ -35,45 +39,28 @@ class RunResources:
         self.params = KernelParams(cfg.gamma, cfg.mu_normalized)
         self.quad = QuadratureSpec(cfg.quad_radial_order, cfg.quad_angular_order,
                                    cfg.quad_rtol)
-        self._coeffs = None
-        self._ctx = None
-        self._ensemble = None
-        self._fresh_ensemble = None
-        self._trajectory = None
-        self._ladders = None
 
-    @property
+    @cached_property
     def coeffs(self):
-        if self._coeffs is None:
-            self._coeffs = build_coefficients(
-                self.grid, self.params, self.quad, self.cache_dir, self.log)
-        return self._coeffs
+        return build_coefficients(
+            self.grid, self.params, self.quad, self.cache_dir, self.log)
 
-    @property
+    @cached_property
     def ctx(self):
-        if self._ctx is None:
-            self._ctx = make_context(self.coeffs)
-        return self._ctx
+        return make_context(self.coeffs)
 
     def ensemble(self, fresh=False):
+        """The verification ensemble, or with `fresh` the one drawn from
+        seed + 1000 that the bilinear recheck certifies against.  Drawn
+        anew on each call and not kept: its member pass is all that the
+        suite reads."""
         cfg = self.cfg
-        bandlimit = min(cfg.f0_bandlimit, self.grid.N // 2 - 1)
-        if fresh:
-            if self._fresh_ensemble is None:
-                self._fresh_ensemble = verify.make_ensemble(
-                    self.grid, cfg.verify_ensemble_size, cfg.verify_seed + 1000,
-                    bandlimit, cfg.f0_envelope_width)
-            return self._fresh_ensemble
-        if self._ensemble is None:
-            self._ensemble = verify.make_ensemble(
-                self.grid, cfg.verify_ensemble_size, cfg.verify_seed,
-                bandlimit, cfg.f0_envelope_width)
-        return self._ensemble
+        return verify.make_ensemble(
+            self.grid, cfg.verify_ensemble_size,
+            cfg.verify_seed + (1000 if fresh else 0),
+            min(cfg.f0_bandlimit, self.grid.N // 2 - 1), cfg.f0_envelope_width)
 
     def initial_datum(self):
-        from .field import l2_norm
-        from .kernel import project_off_invariants
-
         cfg = self.cfg
         if cfg.f0_kind == "zero":
             return zeros(self.grid)
@@ -96,9 +83,6 @@ class RunResources:
         return f0
 
     def source_model(self):
-        from .field import l2_norm
-        from .kernel import project_off_invariants
-
         cfg = self.cfg
         if cfg.source_profile == "zero" or cfg.source_amplitude == 0.0:
             return SourceModel.zero(self.grid)
@@ -132,27 +116,20 @@ class RunResources:
                            coeffs=cfg.source_tau_coeffs,
                            amplitude=cfg.source_amplitude)
 
-    @property
+    @cached_property
     def trajectory(self):
-        if self._trajectory is None:
-            cfg = self.cfg
-            marks = tuple(sorted(set(cfg.time_snapshot_times)
-                                 | set(cfg.ladder_eval_times)))
-            self._trajectory = evolve(
-                self.initial_datum(), self.source_model(), cfg.time_T, self.ctx,
-                TimePolicy(), snapshot_times=marks)
-        return self._trajectory
+        cfg = self.cfg
+        marks = tuple(sorted(set(cfg.time_snapshot_times)
+                             | set(cfg.ladder_eval_times)))
+        return evolve(self.initial_datum(), self.source_model(), cfg.time_T,
+                      self.ctx, TimePolicy(), snapshot_times=marks)
 
-    @property
+    @cached_property
     def ladders(self):
-        if self._ladders is None:
-            model = self.source_model()
-            self._ladders = [
-                derivative_ladder(self.trajectory.snapshots[t], t,
+        model = self.source_model()
+        return [derivative_ladder(self.trajectory.snapshots[t], t,
                                   self.cfg.ladder_kmax, model, self.ctx)
-                for t in self.cfg.ladder_eval_times
-            ]
-        return self._ladders
+                for t in self.cfg.ladder_eval_times]
 
 
 # ---------------------------------------------------------------------------
@@ -169,15 +146,16 @@ def run_suite(name, res: RunResources):
         return [verify.check_convolution_bound(
             res.grid, res.params, fingerprint=res.fingerprint)]
     if name == "inequalities":
-        ens = res.ensemble()
+        members = verify.member_pass(res.ctx, res.ensemble())
         reports = [
-            verify.estimate_coercivity(res.coeffs, ens, fingerprint=res.fingerprint),
-            verify.estimate_bilinear_constants(res.ctx, ens, res.fingerprint),
-            verify.check_l3_embedding(ens, res.coeffs, res.fingerprint),
+            verify.estimate_coercivity(res.coeffs, members, fingerprint=res.fingerprint),
+            verify.estimate_bilinear_constants(members, res.fingerprint),
+            verify.check_l3_embedding(members, res.coeffs, res.fingerprint),
         ]
         consts = {c.name: c.value for rep in reports for c in rep.constants}
-        reports.append(verify.recheck_bilinear(
-            res.ctx, res.ensemble(fresh=True), consts, fingerprint=res.fingerprint))
+        del members  # frees the first ensemble before the fresh one is drawn
+        fresh = verify.member_pass(res.ctx, res.ensemble(fresh=True))
+        reports.append(verify.recheck_bilinear(fresh, consts, fingerprint=res.fingerprint))
         return reports
     if name == "energy":
         cfg = res.cfg

@@ -9,17 +9,19 @@ where the anisotropic weights differ most).
 """
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
 from typing import Optional
 
 import numpy as np
 
 from .errors import DegenerateRatioError, FitDegenerateError
-from .evolution import evolve
-from .field import (ScalarField, VectorField, a_norm, a_norm_sq, gradient,
-                    inner_product, l2_norm, project_parallel, random_field,
-                    weighted_norm)
-from .kernel import (kernel_first_derivatives, kernel_matrix_batch,
+from .evolution import TimePolicy, evolve
+from .field import (ScalarField, VectorField, a_norm, a_norm_sq, divergence,
+                    gradient, inner_product, l2_norm, project_parallel,
+                    random_field, weighted_norm)
+from .kernel import (c2_tolerance, kernel_first_derivatives, kernel_matrix_batch,
                      kernel_second_derivatives, tabulate_radial_kernel)
 from .operator import ConvolutionEngine, apply_L1, apply_L2
 
@@ -87,12 +89,11 @@ def deterministic_probes(grid):
     r2 = grid.radius_sq
     vx = np.asarray(grid.component(0))
     vy = np.asarray(grid.component(1))
+    vz = np.asarray(grid.component(2))
     for w in (1.0, 2.0):
         probes.append(_normalized(ScalarField(grid, np.exp(-r2 / (2.0 * w * w)))))
-    for center, k in (((0.0, 0.0, 0.0), 2.0), ((2.0, 0.0, 0.0), 3.0),
-                      ((0.0, 3.0, 0.0), 5.0), ((3.0, 3.0, 0.0), 4.0)):
-        cx, cy, cz = center
-        vz = np.asarray(grid.component(2))
+    for (cx, cy, cz), k in (((0.0, 0.0, 0.0), 2.0), ((2.0, 0.0, 0.0), 3.0),
+                            ((0.0, 3.0, 0.0), 5.0), ((3.0, 3.0, 0.0), 4.0)):
         bump = np.exp(-((vx - cx) ** 2 + (vy - cy) ** 2 + (vz - cz) ** 2) / 2.0)
         probes.append(_normalized(ScalarField(grid, np.cos(k * vx) * bump)))
         probes.append(_normalized(ScalarField(grid, np.sin(k * (vx + vy) / math.sqrt(2.0)) * bump)))
@@ -103,8 +104,9 @@ def make_ensemble(grid, count, seed, bandlimit=8, envelope_width=1.25):
     """count seeded random fields plus the deterministic probes."""
     if count < MIN_ENSEMBLE:
         raise ValueError(f"ensemble needs at least {MIN_ENSEMBLE} random members, got {count}")
-    members = [random_field(grid, seed + i, bandlimit, envelope_width)
-               for i in range(count)]
+    members = _map_members(
+        lambda i: random_field(grid, seed + i, bandlimit, envelope_width),
+        range(count))
     members.extend(deterministic_probes(grid))
     return members
 
@@ -157,13 +159,6 @@ def check_kernel_identities(params, sample_count=1000, seed=1234, fingerprint=""
 # coefficient bound suite
 # ---------------------------------------------------------------------------
 
-def _interior(mask_margin, shape):
-    sl = slice(mask_margin, -mask_margin)
-    m = np.zeros(shape, dtype=bool)
-    m[sl, sl, sl] = True
-    return m
-
-
 def check_coefficient_bounds(coeffs, fingerprint="", sample_count=400, seed=77):
     """Decay bounds for abar derivatives (finite differences, |beta| <= 2),
     the analytic kernel derivatives (|alpha| <= 2) and the divergence field.
@@ -174,7 +169,7 @@ def check_coefficient_bounds(coeffs, fingerprint="", sample_count=400, seed=77):
     g = coeffs.params.gamma
     h = grid.h
     wgt = grid.bracket_weight(g + 1.0)
-    interior = _interior(2, grid.shape)
+    interior = (slice(2, -2),) * 3
 
     k_first = 0.0
     k_second = 0.0
@@ -216,7 +211,6 @@ def check_coefficient_bounds(coeffs, fingerprint="", sample_count=400, seed=77):
     rep.add_check("abar_psd", psd, -1e-10, psd >= -1e-10)
     rep.add_check("c1_nonnegative", float(coeffs.c1.min()), -1e-14,
                   float(coeffs.c1.min()) >= -1e-14)
-    from .kernel import c2_tolerance
     c2_tol = c2_tolerance(grid, coeffs.quad)
     rep.add_check("c2_crosscheck_rel_l2", coeffs.c2_crosscheck, c2_tol,
                   not math.isnan(coeffs.c2_crosscheck)
@@ -266,87 +260,161 @@ def check_convolution_bound(grid, params, deltas=(0.5, 1.0), fingerprint=""):
 
 
 # ---------------------------------------------------------------------------
+# member pass
+# ---------------------------------------------------------------------------
+
+def _map_members(fn, items):
+    """fn over items on one thread per core this process may run on, in
+    order.  numpy releases the GIL in its transforms and ufunc loops, which
+    do the work of each member."""
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    with ThreadPoolExecutor(cores) as pool:
+        return list(pool.map(fn, items))
+
+
+def _pairing(n):
+    """Deterministic pair schedule: row i holds the partners of member i,
+    itself, its neighbor and a strided member, so probe-probe and
+    probe-random combinations all get sampled."""
+    strided = [(i * 7 + 3) % n for i in range(n)]
+    return [(i, (i + 1) % n, j if j != i else (i + 2) % n)
+            for i, j in enumerate(strided)]
+
+
+@dataclass
+class MemberScalars:
+    """Everything the inequality estimators read of an ensemble, one entry
+    per member; the pair entries follow the member's row of `_pairing`."""
+
+    ensemble: list
+    partners: list
+    a_sq: list        # ||f||_A^2
+    s: list           # ||f||_{2, g/2}
+    s3: list          # ||f||_{3, g/2}
+    den: list         # split-energy denominator
+    l1ff: list        # (L1 f, f)
+    l2ff: list        # (L2 f, f)
+    l1_pair: list     # (L1 f, f_j) per partner j
+    l2_pair: list     # (L2 f, f_j) per partner j
+    grad_pair: list   # (Abar grad f, grad f_j) per partner j
+
+    @property
+    def a_norm(self):
+        return [math.sqrt(max(x, 0.0)) for x in self.a_sq]
+
+
+def member_pass(ctx, ensemble):
+    """One pass over the ensemble: per member one gradient, L1 f, L2 f and
+    the weighted norms, reduced at once to scalars, so nothing N^3-sized
+    outlives its member.  A partner's gradient is recomputed, not kept."""
+    coeffs = ctx.coeffs
+    g = coeffs.params.gamma
+    vol = coeffs.grid.cell_volume
+    partners = _pairing(len(ensemble))
+
+    def scalars(i):
+        f = ensemble[i]
+        grad = gradient(f)
+        l1 = apply_L1(f, coeffs, grad=grad)
+        l2 = apply_L2(f, ctx.engine, coeffs)
+        pairs = []
+        for j in partners[i]:
+            grad_j = grad if j == i else gradient(ensemble[j])
+            cross = float(np.sum(coeffs.abar.quadratic_form_pair(grad, grad_j))) * vol
+            pairs.append((inner_product(l1, ensemble[j]),
+                          inner_product(l2, ensemble[j]), cross))
+        return (a_norm_sq(f, coeffs, grad), weighted_norm(f, 2, 0.5 * g),
+                weighted_norm(f, 3, 0.5 * g), _split_energy(f, coeffs, grad),
+                inner_product(l1, f), inner_product(l2, f), *zip(*pairs))
+
+    rows = _map_members(scalars, range(len(ensemble)))
+    return MemberScalars(ensemble, partners, *map(list, zip(*rows)))
+
+
+# ---------------------------------------------------------------------------
 # coercivity
 # ---------------------------------------------------------------------------
 
-def _split_energy(f, coeffs):
+def _split_energy(f, coeffs, grad=None):
     """Denominator of the coercivity quotient: the projection-split
     weighted Sobolev form <v>^g |P grad f|^2 + <v>^{g+2}(|(I-P) grad f|^2 + f^2)."""
     grid = f.grid
     g = coeffs.params.gamma
     w_par = grid.bracket_weight(g)
     w_perp = grid.bracket_weight(g + 2.0)
-    par, perp = project_parallel(gradient(f))
+    par, perp = project_parallel(gradient(f) if grad is None else grad)
     par_sq = np.sum(par.comps * par.comps, axis=0)
     perp_sq = np.sum(perp.comps * perp.comps, axis=0)
     dens = w_par * par_sq + w_perp * (perp_sq + f.values * f.values)
     return float(np.sum(dens)) * grid.cell_volume
 
 
-def coercivity_quotient(f, coeffs):
-    num = a_norm_sq(f, coeffs)
-    den = _split_energy(f, coeffs)
+def _quotient(num, den):
     if den < 1e-14:
         raise DegenerateRatioError("split-energy denominator below 1e-14")
     return num / den
 
 
-def _split_energy_operator(f, coeffs):
+def coercivity_quotient(f, coeffs, grad=None):
+    grad = gradient(f) if grad is None else grad
+    return _quotient(a_norm_sq(f, coeffs, grad), _split_energy(f, coeffs, grad))
+
+
+def _split_energy_operator(f, coeffs, grad):
     """Self-adjoint operator of the split form, for descent gradients."""
     grid = f.grid
     g = coeffs.params.gamma
     w_par = grid.bracket_weight(g)
     w_perp = grid.bracket_weight(g + 2.0)
-    par, perp = project_parallel(gradient(f))
+    par, perp = project_parallel(grad)
     flux = VectorField(grid, w_par * par.comps + w_perp * perp.comps)
-    from .field import divergence
-    out = -divergence(flux).values + w_perp * f.values
-    return ScalarField(grid, out)
+    return ScalarField(grid, -divergence(flux).values + w_perp * f.values)
 
 
-def _a_form_operator(f, coeffs):
+def _a_form_operator(f, coeffs, grad):
     """Self-adjoint operator of the energy form: -div(Abar grad f) + c1 f."""
-    return apply_L1(f, coeffs) + ScalarField(f.grid, coeffs.c2 * f.values)
+    return apply_L1(f, coeffs, grad=grad) + ScalarField(f.grid, coeffs.c2 * f.values)
 
 
-def estimate_coercivity(coeffs, ensemble, descent_steps=50, fingerprint=""):
-    """Smallest quotient ||f||_A^2 / split-form over the ensemble, then
-    tightened by projected gradient descent from the worst member."""
-    quotients = [coercivity_quotient(f, coeffs) for f in ensemble]
+def estimate_coercivity(coeffs, members, descent_steps=50, fingerprint=""):
+    """Smallest quotient ||f||_A^2 / split-form over the member pass, then
+    tightened by projected gradient descent from the worst member; each
+    iterate's gradient is taken once."""
+    quotients = [_quotient(num, den) for num, den in zip(members.a_sq, members.den)]
     worst = int(np.argmin(quotients))
     sample_min = float(quotients[worst])
 
-    f = _normalized(ensemble[worst].copy())
-    best = coercivity_quotient(f, coeffs)
+    f = _normalized(members.ensemble[worst].copy())
+    grad = gradient(f)
+    r = coercivity_quotient(f, coeffs, grad)
     for _ in range(descent_steps):
-        num_op = _a_form_operator(f, coeffs)
-        den_op = _split_energy_operator(f, coeffs)
-        den = _split_energy(f, coeffs)
-        r = coercivity_quotient(f, coeffs)
+        num_op = _a_form_operator(f, coeffs, grad)
+        den_op = _split_energy_operator(f, coeffs, grad)
+        den = _split_energy(f, coeffs, grad)
         grad_dir = (2.0 / den) * (num_op - r * den_op)
         gn = l2_norm(grad_dir)
         if gn < 1e-14:
             break
         eta = 0.1 * l2_norm(f) / gn
-        accepted = False
         for _ in range(6):
             trial = _normalized(f - eta * grad_dir)
-            r_trial = coercivity_quotient(trial, coeffs)
+            trial_grad = gradient(trial)
+            r_trial = coercivity_quotient(trial, coeffs, trial_grad)
             if r_trial < r:
-                f, best = trial, min(best, r_trial)
-                accepted = True
+                f, grad, r = trial, trial_grad, r_trial
                 break
             eta *= 0.5
-        if not accepted:
+        else:
             break
 
-    c1_value = min(sample_min, best)
+    c1_value = min(sample_min, r)
     rep = VerificationReport("coercivity", fingerprint)
     rep.add_check("all_quotients_positive", min(quotients), 0.0, min(quotients) > 0.0)
     rep.add_check("descent_never_above_samples", c1_value, sample_min,
                   c1_value <= sample_min + 1e-15)
-    rep.add_constant("C1", c1_value, len(ensemble), coeffs.grid)
-    rep.add_constant("C1_sample_min", sample_min, len(ensemble), coeffs.grid)
+    rep.add_constant("C1", c1_value, len(quotients), coeffs.grid)
+    rep.add_constant("C1_sample_min", sample_min, len(quotients), coeffs.grid)
     return rep
 
 
@@ -354,94 +422,60 @@ def estimate_coercivity(coeffs, ensemble, descent_steps=50, fingerprint=""):
 # bilinear constants
 # ---------------------------------------------------------------------------
 
-def _pairing(n):
-    """Deterministic pair schedule: diagonal, neighbor and strided pairs,
-    so probe-probe and probe-random combinations all get sampled."""
-    pairs = []
-    for i in range(n):
-        pairs.append((i, i))
-        pairs.append((i, (i + 1) % n))
-        j = (i * 7 + 3) % n
-        pairs.append((i, j if j != i else (i + 2) % n))
-    return pairs
-
-
-def _member_data(ctx, ensemble):
-    g = ctx.coeffs.params.gamma
-    data = []
-    for f in ensemble:
-        data.append({
-            "f": f,
-            "L1": apply_L1(f, ctx.coeffs),
-            "L2": apply_L2(f, ctx.engine, ctx.coeffs),
-            "A": a_norm(f, ctx.coeffs),
-            "s": weighted_norm(f, 2, 0.5 * g),
-            "grad": gradient(f),
-        })
-    return data
-
-
-def _pair_ratio_maxima(data):
-    """Largest boundedness ratios of L1 (C2) and L2 (C3, its one-sided
-    form, C4) over the pair schedule of the member data."""
-    worst = dict.fromkeys(("C2", "C3", "C3_one_sided", "C4"), 0.0)
-    for i, j in _pairing(len(data)):
-        d1, d2 = data[i], data[j]
-        if min(d1["A"], d2["A"], d1["s"], d2["s"]) < 1e-14:
-            raise DegenerateRatioError("vanishing norm in bilinear ensemble")
-        l1 = abs(inner_product(d1["L1"], d2["f"]))
-        l2 = abs(inner_product(d1["L2"], d2["f"]))
-        worst["C2"] = max(worst["C2"], l1 / (d1["A"] * d2["A"]))
-        worst["C3"] = max(worst["C3"], l2 / (d1["s"] * d2["A"] + d1["A"] * d2["s"]))
-        worst["C3_one_sided"] = max(worst["C3_one_sided"], l2 / (d1["s"] * d2["A"]))
-        worst["C4"] = max(worst["C4"], l2 / (d1["A"] * d2["A"]))
+def _pair_ratio_maxima(members):
+    """Largest boundedness ratios of L1 (C2), of L2 (C3, its one-sided
+    form, C4) and of the gradient form over the pair schedule of the
+    member pass."""
+    worst = dict.fromkeys(("C2", "C3", "C3_one_sided", "C4", "K_gradform"), 0.0)
+    a, s = members.a_norm, members.s
+    for i, row in enumerate(members.partners):
+        for c, j in enumerate(row):
+            if min(a[i], a[j], s[i], s[j]) < 1e-14:
+                raise DegenerateRatioError("vanishing norm in bilinear ensemble")
+            l1 = abs(members.l1_pair[i][c])
+            l2 = abs(members.l2_pair[i][c])
+            worst["C2"] = max(worst["C2"], l1 / (a[i] * a[j]))
+            worst["C3"] = max(worst["C3"], l2 / (s[i] * a[j] + a[i] * s[j]))
+            worst["C3_one_sided"] = max(worst["C3_one_sided"], l2 / (s[i] * a[j]))
+            worst["C4"] = max(worst["C4"], l2 / (a[i] * a[j]))
+            worst["K_gradform"] = max(worst["K_gradform"],
+                                      abs(members.grad_pair[i][c]) / (a[i] * a[j]))
     return worst
 
 
-def estimate_bilinear_constants(ctx, ensemble, fingerprint=""):
+def estimate_bilinear_constants(members, fingerprint=""):
     """Empirical maxima of the boundedness ratios of L1 and L2, the
     quarter-slack companion constants, and the gradient-form ratio."""
-    coeffs = ctx.coeffs
-    data = _member_data(ctx, ensemble)
-    n = len(data)
-    worst = _pair_ratio_maxima(data)
-    kgrad = 0.0
-    vol = coeffs.grid.cell_volume
-    for i, j in _pairing(n):
-        d1, d2 = data[i], data[j]
-        cross = float(np.sum(coeffs.abar.quadratic_form_pair(d1["grad"], d2["grad"]))) * vol
-        kgrad = max(kgrad, abs(cross) / (d1["A"] * d2["A"]))
-
-    c_eps1 = 0.0
-    c_eps2 = 0.0
-    for d in data:
-        a2 = d["A"] ** 2
-        s2 = d["s"] ** 2
-        l1ff = inner_product(d["L1"], d["f"])
-        l2ff = inner_product(d["L2"], d["f"])
+    grid = members.ensemble[0].grid
+    n = len(members.ensemble)
+    worst = _pair_ratio_maxima(members)
+    kgrad = worst["K_gradform"]
+    c_eps1 = c_eps2 = 0.0
+    for an, s, l1ff, l2ff in zip(members.a_norm, members.s, members.l1ff,
+                                 members.l2ff):
+        a2 = an ** 2
+        s2 = s ** 2
         c_eps1 = max(c_eps1, ((1.0 - EPS1) * a2 - l1ff) / s2)
         c_eps2 = max(c_eps2, (abs(l2ff) - EPS2 * a2) / s2)
-    c_eps1 = max(c_eps1, 0.0)
-    c_eps2 = max(c_eps2, 0.0)
 
     rep = VerificationReport("bilinear", fingerprint)
     for name in ("C2", "C3", "C4"):
         val = worst[name]
         rep.add_check(f"{name}_finite", val, math.inf, math.isfinite(val) and val > 0)
-        rep.add_constant(name, val, n, coeffs.grid)
+        rep.add_constant(name, val, n, grid)
     rep.add_check("gradform_cauchy_schwarz", kgrad, 1.0 + 1e-9, kgrad <= 1.0 + 1e-9)
-    rep.add_constant("C3_one_sided", worst["C3_one_sided"], n, coeffs.grid)
-    rep.add_constant("C_eps1", c_eps1, n, coeffs.grid)
-    rep.add_constant("C_eps2", c_eps2, n, coeffs.grid)
-    rep.add_constant("K_gradform", kgrad, n, coeffs.grid)
+    rep.add_constant("C3_one_sided", worst["C3_one_sided"], n, grid)
+    rep.add_constant("C_eps1", c_eps1, n, grid)
+    rep.add_constant("C_eps2", c_eps2, n, grid)
+    rep.add_constant("K_gradform", kgrad, n, grid)
     return rep
 
 
-def recheck_bilinear(ctx, fresh_ensemble, constants, slack=1.1, fingerprint=""):
-    """Certify measured maxima on a fresh ensemble with multiplicative slack."""
-    data = _member_data(ctx, fresh_ensemble)
+def recheck_bilinear(members, constants, slack=1.1, fingerprint=""):
+    """Certify measured maxima on the member pass of a fresh ensemble with
+    multiplicative slack."""
     rep = VerificationReport("bilinear_recheck", fingerprint)
-    worst = _pair_ratio_maxima(data)
+    worst = _pair_ratio_maxima(members)
     for name in ("C2", "C3", "C4"):
         bound = slack * constants[name]
         rep.add_check(f"{name}_fresh_within_slack", worst[name], bound,
@@ -450,31 +484,30 @@ def recheck_bilinear(ctx, fresh_ensemble, constants, slack=1.1, fingerprint=""):
     # (1 - eps1) ||f||_A^2 <= (L1 f, f) + slack * C_eps1 ||f||^2_{2, g/2}
     # must hold for every fresh member; record the smallest margin.
     margin = math.inf
-    for d in data:
-        lhs = (1.0 - EPS1) * d["A"] ** 2
-        rhs = inner_product(d["L1"], d["f"]) + slack * constants["C_eps1"] * d["s"] ** 2
+    for an, s, l1ff in zip(members.a_norm, members.s, members.l1ff):
+        lhs = (1.0 - EPS1) * an ** 2
+        rhs = l1ff + slack * constants["C_eps1"] * s ** 2
         margin = min(margin, rhs - lhs)
     rep.add_check("eps1_inequality_fresh_margin", margin, 0.0,
                   margin >= -1e-10 * max(1.0, abs(margin)))
     return rep
 
 
-def check_l3_embedding(ensemble, coeffs, fingerprint=""):
-    """K_L3 = max ||f||_{3, g/2} / ||f||_A over the ensemble."""
+def check_l3_embedding(members, coeffs, fingerprint=""):
+    """K_L3 = max ||f||_{3, g/2} / ||f||_A over the member pass."""
     g = coeffs.params.gamma
     worst = 0.0
-    for f in ensemble:
-        an = a_norm(f, coeffs)
+    for an, s3 in zip(members.a_norm, members.s3):
         if an < 1e-14:
             raise DegenerateRatioError("vanishing A-norm in embedding ensemble")
-        worst = max(worst, weighted_norm(f, 3, 0.5 * g) / an)
+        worst = max(worst, s3 / an)
     gauss = _normalized(ScalarField(coeffs.grid, np.exp(-coeffs.grid.radius_sq / 2.0)))
     gauss_ratio = weighted_norm(gauss, 3, 0.5 * g) / a_norm(gauss, coeffs)
     rep = VerificationReport("l3_embedding", fingerprint)
     rep.add_check("K_L3_finite", worst, math.inf, math.isfinite(worst) and worst > 0)
     rep.add_check("gaussian_probe_ratio", gauss_ratio, math.inf,
                   math.isfinite(gauss_ratio))
-    rep.add_constant("K_L3", worst, len(ensemble), coeffs.grid)
+    rep.add_constant("K_L3", worst, len(members.ensemble), coeffs.grid)
     return rep
 
 
@@ -520,8 +553,6 @@ def energy_identity_convergence(f0, model, T, ctx, steps=(32, 64, 128), coeffs=N
     """Residual at a ladder of uniform step counts; returns (residuals, slope).
 
     Step counts should double; the expected convergence slope is 4."""
-    from .evolution import TimePolicy
-
     residuals = []
     for n in steps:
         policy = TimePolicy(dt_override=T / n)

@@ -249,6 +249,49 @@ def test_cli_report_summary(small_run_config):
     assert "K_coef" in text
 
 
+def test_cli_report_refuses_mixed_fingerprints(small_run_config, capsys):
+    cfg_path, out_dir, _ = small_run_config
+    assert cli.main(["verify", "--config", cfg_path, "--suite", "kernel"]) == 0
+    # a report left in the out dir by a run of another configuration
+    other = os.path.join(out_dir, "report_kernel.json")
+    with open(other) as fh:
+        doc = json.load(fh)
+    doc["config_fingerprint"] = "0" * len(doc["config_fingerprint"])
+    with open(os.path.join(out_dir, "report_other.json"), "w") as fh:
+        json.dump(doc, fh)
+    assert cli.main(["report", "--config", cfg_path]) == cli.EXIT_STALE_REPORT == 5
+    assert "report_other.json" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out_dir, "summary.md"))
+    os.remove(os.path.join(out_dir, "report_other.json"))
+    assert cli.main(["report", "--config", cfg_path]) == 0
+
+
+def test_failed_writes_leave_previous_file(tmp_path, monkeypatch):
+    grid = VelocityGrid(R=6.0, N=16)
+    snap = str(tmp_path / "snapshot.fld")
+    persist.save_field_snapshot(snap, ScalarField(grid, np.ones(grid.shape)),
+                                -1.0, 3, 0.5)
+    energy = str(tmp_path / "energy.csv")
+    persist.write_energy_csv(energy, np.ones((2, 5)), "abc")
+    before = {p: (tmp_path / p).read_bytes() for p in (snap, energy)}
+
+    def failing(fh, arr):
+        fh.write(b"partial")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(persist, "_write_array", failing)
+    with pytest.raises(OSError):
+        persist.save_field_snapshot(snap, ScalarField(grid, np.zeros(grid.shape)),
+                                    -1.0, 4, 1.0)
+    with pytest.raises(ValueError):  # fails on its second row
+        persist.write_energy_csv(energy, [[0.0] * 5, ["x"] * 5], "abc")
+    for p, data in before.items():
+        assert (tmp_path / p).read_bytes() == data
+    assert sorted(os.listdir(tmp_path)) == ["energy.csv", "snapshot.fld"]
+    loaded, _, step, _ = persist.load_field_snapshot(snap)
+    assert step == 3 and np.all(loaded.values == 1.0)
+
+
 def test_cli_determinism_byte_identical(small_run_config, tmp_path):
     # identical config and seed, two runs into separate out dirs:
     # identical reports modulo the meta block

@@ -108,6 +108,16 @@ def test_default_step_from_spectral_radius(small_grid, small_ctx):
     assert 0.25 < res.dt_max * rho <= 0.3 * (1 + 1e-12)
 
 
+def test_step_without_operator_must_be_given(small_grid):
+    # with no operator there is no spectrum to take the step from
+    with pytest.raises(ValueError, match="dt_override"):
+        TimePolicy().dt_for(None)
+    model = SourceModel.zero(small_grid)
+    with pytest.raises(ValueError, match="dt_override"):
+        evolve(zeros(small_grid), model, 0.25, None)
+    assert TimePolicy(dt_override=0.125).dt_for(None) == 0.125
+
+
 def test_default_step_accuracy(small_grid, small_ctx):
     # the default step against a run at half of it, to T = 0.5: measured
     # 6.9e-9 relative; the step doubled gives 1.2e-7, and the ladder's

@@ -33,6 +33,16 @@ def test_grid_index_order():
     assert flat[1] - flat[0] == pytest.approx(g.h)
 
 
+def test_bracket_weight_computed_once_read_only():
+    g = VelocityGrid(R=8.0, N=16)
+    w = g.bracket_weight(-1.0)
+    assert g.bracket_weight(-1.0) is w
+    assert np.array_equal(w, g.bracket_sq ** -0.5)
+    assert np.array_equal(g.bracket_weight(0), np.ones(g.shape))
+    with pytest.raises(ValueError):
+        w[0, 0, 0] = 1.0
+
+
 def test_weighted_norm_gaussian_value():
     # || e^{-|v|^2/2} ||_{L^2} = pi^{3/4} on a fine wide grid
     g = VelocityGrid(R=8.0, N=64)

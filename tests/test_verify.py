@@ -1,7 +1,9 @@
 import dataclasses
+import gc
 import math
 import os
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -10,14 +12,18 @@ from landau.config import parse_config_text
 from landau.errors import DegenerateRatioError, FitDegenerateError
 from landau.evolution import (DerivativeLadder, SourceModel, TimePolicy,
                               derivative_ladder, evolve)
-from landau.field import l2_norm, random_field, zeros
+from landau.field import (a_norm_sq, gradient, inner_product, l2_norm,
+                          random_field, weighted_norm, zeros)
+from landau.operator import apply_L1, apply_L2
+from landau.persist import report_to_dict
 from landau.verify import (check_coefficient_bounds, check_convolution_bound,
                            check_kernel_identities, check_l3_embedding,
                            coercivity_quotient, energy_identity_convergence,
                            check_energy, estimate_bilinear_constants,
-                           estimate_coercivity, make_ensemble,
+                           estimate_coercivity, make_ensemble, member_pass,
                            recheck_bilinear, smoothing_fit, smoothing_report)
 from landau import kernel, verify
+from landau.grid import VelocityGrid
 from landau.kernel import KernelParams
 from landau.suites import RunResources, energy_ladder_steps, run_suite
 from tests.conftest import gaussian_field
@@ -27,6 +33,11 @@ from tests.conftest import gaussian_field
 def ensemble(small_grid):
     return make_ensemble(small_grid, 64, seed=42, bandlimit=5,
                          envelope_width=1.0)
+
+
+@pytest.fixture(scope="module")
+def members(small_ctx, ensemble):
+    return member_pass(small_ctx, ensemble)
 
 
 def test_ensemble_size_floor(small_grid):
@@ -74,8 +85,8 @@ def test_convolution_bound_suite(small_grid, params):
     assert math.isfinite(k_conv)
 
 
-def test_coercivity_estimate(small_coeffs, ensemble):
-    rep = estimate_coercivity(small_coeffs, ensemble, descent_steps=12)
+def test_coercivity_estimate(small_coeffs, members):
+    rep = estimate_coercivity(small_coeffs, members, descent_steps=12)
     assert rep.passed
     consts = {c.name: c.value for c in rep.constants}
     assert consts["C1"] > 0
@@ -96,8 +107,8 @@ def test_coercivity_degenerate_zero_field(small_grid, small_coeffs):
         coercivity_quotient(zeros(small_grid), small_coeffs)
 
 
-def test_bilinear_constants(small_ctx, ensemble):
-    rep = estimate_bilinear_constants(small_ctx, ensemble)
+def test_bilinear_constants(small_ctx, members):
+    rep = estimate_bilinear_constants(members)
     assert rep.passed
     consts = {c.name: c.value for c in rep.constants}
     for name in ("C2", "C3", "C4"):
@@ -107,12 +118,122 @@ def test_bilinear_constants(small_ctx, ensemble):
 
     fresh = make_ensemble(small_ctx.coeffs.grid, 64, seed=7777, bandlimit=5,
                           envelope_width=1.0)
-    recheck = recheck_bilinear(small_ctx, fresh, consts, slack=1.1)
+    recheck = recheck_bilinear(member_pass(small_ctx, fresh), consts, slack=1.1)
     assert recheck.passed, [c for c in recheck.checks if not c.verdict]
 
 
-def test_l3_embedding(small_coeffs, ensemble):
-    rep = check_l3_embedding(ensemble, small_coeffs)
+def test_member_pass_matches_public_functions(small_ctx, ensemble, members):
+    # every scalar of the pass, bit for bit against the public functions
+    # on each member, with every gradient computed afresh
+    coeffs = small_ctx.coeffs
+    g = coeffs.params.gamma
+    vol = coeffs.grid.cell_volume
+    assert members.partners == verify._pairing(len(ensemble))
+    for i, f in enumerate(ensemble):
+        l1 = apply_L1(f, coeffs)
+        l2 = apply_L2(f, small_ctx.engine, coeffs)
+        assert members.a_sq[i] == a_norm_sq(f, coeffs)
+        assert members.s[i] == weighted_norm(f, 2, 0.5 * g)
+        assert members.s3[i] == weighted_norm(f, 3, 0.5 * g)
+        assert members.den[i] == verify._split_energy(f, coeffs)
+        assert members.l1ff[i] == inner_product(l1, f)
+        assert members.l2ff[i] == inner_product(l2, f)
+        for c, j in enumerate(members.partners[i]):
+            assert members.l1_pair[i][c] == inner_product(l1, ensemble[j])
+            assert members.l2_pair[i][c] == inner_product(l2, ensemble[j])
+            cross = coeffs.abar.quadratic_form_pair(gradient(f), gradient(ensemble[j]))
+            assert members.grad_pair[i][c] == float(np.sum(cross)) * vol
+
+
+def test_member_pass_under_thread_contention(small_ctx, members, monkeypatch):
+    # eight threads on a fresh, equal grid whose lazily computed arrays
+    # (radii, bracket weights) they fill concurrently, switching every
+    # 10 us: the same scalars as the pass on the warm grid
+    grid = VelocityGrid(R=small_ctx.coeffs.grid.R, N=small_ctx.coeffs.grid.N)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)),
+                        raising=False)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        again = member_pass(small_ctx, make_ensemble(grid, 64, seed=42, bandlimit=5,
+                                                     envelope_width=1.0))
+    finally:
+        sys.setswitchinterval(interval)
+    for fld in dataclasses.fields(members):
+        if fld.name != "ensemble":
+            assert getattr(again, fld.name) == getattr(members, fld.name), fld.name
+
+
+def test_coercivity_descent_one_gradient_per_iterate(small_coeffs, members,
+                                                     monkeypatch):
+    # the descent takes one gradient per iterate it evaluates and hands it
+    # to every form of that iterate
+    from landau import field, operator
+    calls = {"gradient": 0, "quotient": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    grad = counted("gradient", field.gradient)
+    for module in (field, operator, verify):
+        monkeypatch.setattr(module, "gradient", grad)
+    monkeypatch.setattr(verify, "coercivity_quotient",
+                        counted("quotient", verify.coercivity_quotient))
+    estimate_coercivity(small_coeffs, members, descent_steps=12)
+    assert calls["quotient"] > 1
+    assert calls["gradient"] == calls["quotient"]
+
+
+def test_coercivity_descent_equals_fresh_gradients(small_coeffs, members,
+                                                   monkeypatch):
+    # the shared gradient changes no bit: every form of every iterate
+    # recomputing its own gives the same report
+    shared = estimate_coercivity(small_coeffs, members, descent_steps=12)
+    consts = {c.name: c.value for c in shared.constants}
+    assert consts["C1"] < consts["C1_sample_min"]  # the descent moved
+    for name in ("_a_form_operator", "_split_energy_operator",
+                 "_split_energy", "coercivity_quotient"):
+        monkeypatch.setattr(verify, name, lambda f, coeffs, grad=None,
+                            fn=getattr(verify, name): fn(f, coeffs, gradient(f)))
+    fresh = estimate_coercivity(small_coeffs, members, descent_steps=12)
+    assert report_to_dict(fresh) == report_to_dict(shared)
+
+
+def test_inequalities_suite_reports_identical():
+    # two runs, each with its own ensembles and threaded member passes
+    docs = []
+    for _ in range(2):
+        res = RunResources(parse_config_text(ENERGY_CFG), cache_dir=None, log=None)
+        docs.append([report_to_dict(r) for r in run_suite("inequalities", res)])
+    assert [d["suite"] for d in docs[0]] == [
+        "coercivity", "bilinear", "l3_embedding", "bilinear_recheck"]
+    assert docs[0] == docs[1]
+
+
+def test_inequalities_suite_frees_each_ensemble(monkeypatch):
+    # the first ensemble is gone before the fresh one is drawn, and
+    # neither outlives the suite
+    drawn = []
+
+    def tracked(*args, **kwargs):
+        gc.collect()
+        assert all(ref() is None for ref in drawn)
+        fields = make_ensemble(*args, **kwargs)
+        drawn.extend(weakref.ref(f) for f in fields)
+        return fields
+
+    monkeypatch.setattr(verify, "make_ensemble", tracked)
+    res = RunResources(parse_config_text(ENERGY_CFG), cache_dir=None, log=None)
+    run_suite("inequalities", res)
+    gc.collect()
+    assert len(drawn) == 2 * 74 and all(ref() is None for ref in drawn)
+
+
+def test_l3_embedding(small_coeffs, members):
+    rep = check_l3_embedding(members, small_coeffs)
     assert rep.passed
     k = {c.name: c.value for c in rep.constants}["K_L3"]
     assert math.isfinite(k) and k > 0
@@ -278,8 +399,8 @@ def test_report_constants_reproducible(small_coeffs, small_ctx):
     # same seed, same ensemble, bit-identical constants
     e1 = make_ensemble(small_coeffs.grid, 64, seed=3, bandlimit=5)
     e2 = make_ensemble(small_coeffs.grid, 64, seed=3, bandlimit=5)
-    r1 = estimate_bilinear_constants(small_ctx, e1)
-    r2 = estimate_bilinear_constants(small_ctx, e2)
+    r1 = estimate_bilinear_constants(member_pass(small_ctx, e1))
+    r2 = estimate_bilinear_constants(member_pass(small_ctx, e2))
     v1 = {c.name: c.value for c in r1.constants}
     v2 = {c.name: c.value for c in r2.constants}
     assert v1 == v2
