@@ -2,11 +2,10 @@
 soft potentials (-3 < gamma < 0) on a truncated velocity grid."""
 
 from .config import RunConfig, load_config
-from .evolution import (DerivativeLadder, SourceModel, TimePolicy,
-                        derivative_ladder, evolve, step)
-from .field import (ScalarField, VectorField, WeightedNormSpec, a_norm,
-                    gradient, inner_product, l2_norm, project_parallel,
-                    random_field, weighted_norm)
+from .evolution import (DerivativeLadder, SourceModel, derivative_ladder,
+                        evolve, step)
+from .field import (ScalarField, VectorField, a_norm, gradient, inner_product,
+                    l2_norm, project_parallel, random_field, weighted_norm)
 from .grid import VelocityGrid
 from .kernel import (KernelParams, LandauCoefficients, QuadratureSpec,
                      build_coefficients, compute_abar_field,

@@ -73,11 +73,19 @@ def _kind(fld):
 _SCHEMA = {_config_key(f.name): (f.name, _kind(f)) for f in fields(RunConfig)}
 
 
+def _finite(raw, key, line_no):
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ConfigError(f"value {raw.strip()!r} for key {key!r} is not finite",
+                          line=line_no)
+    return value
+
+
 def _parse_value(raw, kind, key, line_no):
     raw = raw.strip()
     try:
         if kind is float:
-            return float(raw)
+            return _finite(raw, key, line_no)
         if kind is int:
             return int(raw)
         if kind is bool:
@@ -90,7 +98,7 @@ def _parse_value(raw, kind, key, line_no):
         if kind is str:
             return raw
         if kind == "float_list":
-            return tuple(float(x) for x in raw.split(",") if x.strip())
+            return tuple(_finite(x, key, line_no) for x in raw.split(",") if x.strip())
         if kind == "str_list":
             return tuple(x.strip() for x in raw.split(",") if x.strip())
     except ValueError:
@@ -168,7 +176,7 @@ def validate_config(cfg):
     for s in cfg.verify_suites:
         if s not in ALL_SUITES:
             raise ConfigError(f"unknown suite {s!r}; choose from {ALL_SUITES}")
-    if not math.isfinite(cfg.f0_envelope_width) or cfg.f0_envelope_width <= 0:
+    if not cfg.f0_envelope_width > 0:
         raise ConfigError("f0.envelope_width must be positive")
     return cfg
 

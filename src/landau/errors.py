@@ -32,11 +32,7 @@ class EigenvalueError(LandauError):
 
 
 class InstabilityError(LandauError):
-    """Time stepper detected blow-up."""
-
-
-class UnsupportedOrderError(LandauError):
-    """Requested derivative order above the configured maximum."""
+    """Time step outside the stability region of the integrator."""
 
 
 class LadderOverflowError(LandauError):

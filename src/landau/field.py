@@ -57,26 +57,8 @@ class VectorField:
             )
 
 
-@dataclass(frozen=True)
-class WeightedNormSpec:
-    """Weighted Lebesgue norm ||<v>^ell f||_{L^p}; p in {2, 3, inf}."""
-
-    p: float
-    ell: float = 0.0
-
-    def __post_init__(self):
-        if self.p not in (2, 3, math.inf):
-            raise ValueError(f"p must be 2, 3 or inf, got {self.p}")
-
-
 def zeros(grid):
     return ScalarField(grid, np.zeros(grid.shape))
-
-
-def from_function(grid, fn):
-    """Sample fn(vx, vy, vz) at the cell centers."""
-    vx, vy, vz = grid.coords
-    return ScalarField(grid, np.asarray(fn(vx, vy, vz), dtype=float))
 
 
 def _check_same_grid(a, b):
@@ -94,17 +76,12 @@ def l2_norm(f):
     return math.sqrt(max(inner_product(f, f), 0.0))
 
 
-def weighted_norm(f, spec_or_p, ell=None):
-    """Discrete ||<v>^ell f||_{L^p} over the grid.
+def weighted_norm(f, p, ell=0.0):
+    """Discrete ||<v>^ell f||_{L^p} over the grid, p in {2, 3, inf}.
 
-    Accepts either a WeightedNormSpec or (p, ell) directly.  Finite p uses
-    the cell quadrature (sum <v>^{p ell} |f|^p h^3)^{1/p}; p = inf is the
-    weighted max over nodes.
+    Finite p uses the cell quadrature (sum <v>^{p ell} |f|^p h^3)^{1/p};
+    p = inf is the weighted max over nodes.
     """
-    if isinstance(spec_or_p, WeightedNormSpec):
-        p, ell = spec_or_p.p, spec_or_p.ell
-    else:
-        p, ell = spec_or_p, 0.0 if ell is None else ell
     grid = f.grid
     w = grid.bracket_weight(ell)
     if p == math.inf:

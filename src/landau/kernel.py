@@ -438,7 +438,7 @@ def tabulate_divergence_kernels(grid, params, pad=1):
     return bcomps
 
 
-def tabulate_fft_kernels(grid, params, pad=1, origin_subcells=64):
+def tabulate_fft_kernels(grid, params, pad=1):
     """Tabulate a_jk(u) and b_j(u) = sum_k d_k a_jk(u) on the shift lattice."""
     bcomps = tabulate_divergence_kernels(grid, params, pad)
     (ux, uy, uz), n2, ng = _lattice_powers(grid, params.gamma, pad)
@@ -453,17 +453,17 @@ def tabulate_fft_kernels(grid, params, pad=1, origin_subcells=64):
     comps[5] = -ng * uy * uz
     # zero-shift regularization: cell average of the radial factor; the
     # direction average of (I - uhat uhat^T) over the symmetric cell is (2/3) I
-    avg = cell_average_radial_power(params.gamma + 2.0, grid.h, origin_subcells)
+    avg = cell_average_radial_power(params.gamma + 2.0, grid.h)
     comps[:3, 0, 0, 0] = (2.0 / 3.0) * avg
     comps[3:, 0, 0, 0] = 0.0
 
     return KernelTables(grid, params, pad, comps, bcomps)
 
 
-def tabulate_radial_kernel(grid, exponent, pad=1, origin_subcells=64):
+def tabulate_radial_kernel(grid, exponent, pad=1):
     """Scalar radial kernel |u|^exponent on the shift lattice (FFT layout)."""
     _, _, table = _lattice_powers(grid, exponent, pad)
-    table[0, 0, 0] = cell_average_radial_power(exponent, grid.h, origin_subcells)
+    table[0, 0, 0] = cell_average_radial_power(exponent, grid.h)
     return table
 
 

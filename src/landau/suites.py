@@ -13,8 +13,7 @@ from . import verify
 from .config import fingerprint
 from .errors import ConfigError
 from .evolution import (LADDER_DT_RHO, RK4_STABILITY_LIMIT, SourceModel,
-                        TimePolicy, derivative_ladder, evolve,
-                        measure_source_bound)
+                        derivative_ladder, evolve, measure_source_bound)
 from .field import (ScalarField, envelope_boundary_ratio, l2_norm, random_field,
                     zeros)
 from .grid import VelocityGrid
@@ -122,7 +121,7 @@ class RunResources:
         marks = tuple(sorted(set(cfg.time_snapshot_times)
                              | set(cfg.ladder_eval_times)))
         return evolve(self.initial_datum(), self.source_model(), cfg.time_T,
-                      self.ctx, TimePolicy(), snapshot_times=marks)
+                      self.ctx, snapshot_times=marks)
 
     @cached_property
     def ladders(self):
@@ -168,7 +167,7 @@ def run_suite(name, res: RunResources):
                                   res.fingerprint, slope=slope)
         a_g = measure_source_bound(model, cfg.time_T, kmax=8)
         rep.add_check("A_g_finite", a_g, math.inf, math.isfinite(a_g))
-        # for the record: TimePolicy keeps it at or below TRAJECTORY_DT_RHO
+        # for the record: evolve keeps it at or below TRAJECTORY_DT_RHO
         dt_rho = res.trajectory.dt_max * res.ctx.spectral_radius
         rep.add_check("trajectory_dt_rho", dt_rho, RK4_STABILITY_LIMIT,
                       dt_rho < RK4_STABILITY_LIMIT)
@@ -194,7 +193,3 @@ def run_suites(names, res: RunResources):
     for name in names:
         reports.extend(run_suite(name, res))
     return reports
-
-
-def collect_constants(reports):
-    return {c.name: c.value for rep in reports for c in rep.constants}

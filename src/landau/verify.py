@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateRatioError, FitDegenerateError
-from .evolution import TimePolicy, evolve
+from .evolution import evolve
 from .field import (ScalarField, VectorField, a_norm, a_norm_sq, divergence,
                     gradient, inner_product, l2_norm, project_parallel,
                     random_field, weighted_norm)
@@ -549,14 +549,13 @@ def energy_identity_residual(result):
     return abs(float(log[-1, 1] - log[0, 1] - total))
 
 
-def energy_identity_convergence(f0, model, T, ctx, steps=(32, 64, 128), coeffs=None):
+def energy_identity_convergence(f0, model, T, ctx, steps=(32, 64, 128)):
     """Residual at a ladder of uniform step counts; returns (residuals, slope).
 
     Step counts should double; the expected convergence slope is 4."""
     residuals = []
     for n in steps:
-        policy = TimePolicy(dt_override=T / n)
-        res = evolve(f0, model, T, ctx, policy, snapshot_times=(), coeffs=coeffs)
+        res = evolve(f0, model, T, ctx, dt=T / n)
         residuals.append(energy_identity_residual(res))
     slopes = [math.log2(residuals[i] / residuals[i + 1])
               for i in range(len(residuals) - 1)

@@ -1,6 +1,9 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
+from landau.field import zeros
 from landau.grid import VelocityGrid
 from landau.kernel import KernelParams, QuadratureSpec, build_coefficients
 from landau.operator import make_context
@@ -34,6 +37,24 @@ def small_coeffs(small_grid, params, quad, tmp_path_factory):
 @pytest.fixture(scope="session")
 def small_ctx(small_coeffs):
     return make_context(small_coeffs)
+
+
+@dataclass
+class ZeroOperator:
+    """Operator-context stand-in for L = 0: it carries real coefficients,
+    which the energy log and the ladders' A-norms read, applies as zero and
+    has spectral radius 0, so any step size is inside the RK4 limit."""
+
+    coeffs: object
+    spectral_radius: float = 0.0
+
+    def apply(self, f):
+        return zeros(f.grid)
+
+
+@pytest.fixture(scope="session")
+def small_zero_ctx(small_coeffs):
+    return ZeroOperator(small_coeffs)
 
 
 @pytest.fixture(scope="session")

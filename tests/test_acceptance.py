@@ -15,14 +15,14 @@ import pytest
 
 from landau import cli, persist
 from landau.config import load_config
-from landau.evolution import derivative_ladder, evolve, TimePolicy
+from landau.evolution import derivative_ladder, evolve
 from landau.field import l2_norm
 from landau.kernel import maxwellian_field
 from landau.operator import apply_Q
-from landau.suites import (RunResources, collect_constants,
-                           energy_ladder_steps, run_suite)
+from landau.suites import RunResources, energy_ladder_steps, run_suite
 from landau.verify import (check_kernel_identities, energy_identity_convergence,
                            smoothing_fit)
+from tests.conftest import ZeroOperator
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -85,7 +85,8 @@ def inequality_constants(res32, res24):
         reports.append(run_suite("coefficients", res)[0])
         reports.append(run_suite("convolution", res)[0])
         out[tag] = {
-            "constants": collect_constants(reports),
+            "constants": {c.name: c.value
+                          for rep in reports for c in rep.constants},
             "reports": reports,
         }
     return out
@@ -158,11 +159,11 @@ def test_criterion_7_scalar_oracle(res32):
     model = res32.source_model()
     f0 = res32.initial_datum()
     times = cfg.ladder_eval_times
-    res = evolve(f0, model, cfg.time_T, None,
-                 TimePolicy(dt_override=cfg.time_T / 512.0),
+    zero_ctx = ZeroOperator(res32.coeffs)
+    res = evolve(f0, model, cfg.time_T, zero_ctx, dt=cfg.time_T / 512.0,
                  snapshot_times=times)
     ladders = [derivative_ladder(res.snapshots[t], t, cfg.ladder_kmax,
-                                 model, None) for t in times]
+                                 model, zero_ctx) for t in times]
     fit = smoothing_fit(ladders)
 
     # scalar oracle: f(t) = f0 + amp (1 - e^{-t}) phi exactly, and

@@ -8,7 +8,7 @@ import os
 
 import numpy as np
 
-from landau import kernel
+from landau import evolution, kernel
 from landau.config import load_config, validate_config
 from landau.field import random_field
 from landau.suites import RunResources
@@ -37,6 +37,9 @@ def test_benchmark_names_resolve(tmp_path):
         f = random_field(res.grid, 0, bandlimit=5)
         operator.apply_L2(f, res.ctx.engine, res.coeffs)
         b_comps = kernel.tabulate_fft_kernels(res.grid, res.params, pad=2).b_comps
+        # evolution.rk4_steps counts the spans of evolution.step
+        traj = evolution.evolve(f, evolution.SourceModel.zero(res.grid), 0.05,
+                                res.ctx)
     finally:
         tracer.uninstall()
     assert kernel.tabulate_fft_kernels is original
@@ -46,6 +49,10 @@ def test_benchmark_names_resolve(tmp_path):
     assert calls["kernel.tables"] == 2  # pad 1 in the build, then pad 2
     assert calls["kernel.crosscheck"] == 1
     assert calls["operator.engine_init"] == 2  # cross-check and context
-    assert calls["operator.apply_L2"] == 1
+    # the direct call, then one per application of L (spectral radius, steps)
+    assert calls["operator.apply_L2"] == 1 + calls["operator.apply_L"]
+    assert calls["evolution.evolve"] == 1
+    assert traj.state.step_index > 1
+    assert calls["evolution.step"] == traj.state.step_index
     assert calls["operator.fft_forward"] >= 4
     assert os.listdir(tmp_path / "cache")

@@ -1,12 +1,14 @@
 import json
+import math
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from landau import cli
-from landau.config import (fingerprint, load_config, parse_config_text,
-                           validate_config, RunConfig)
+from landau.config import (_SCHEMA, canonical_text, fingerprint, load_config,
+                           parse_config_text, validate_config, RunConfig)
 from landau.errors import ConfigError
 from landau import persist
 from landau.field import ScalarField
@@ -65,6 +67,50 @@ def test_parse_error_has_line_number():
 def test_duplicate_key_rejected():
     with pytest.raises(ConfigError, match="duplicate"):
         parse_config_text("gamma = -1\ngamma = -2\n")
+
+
+def test_non_finite_values_rejected():
+    for text in ("grid.R = inf\n", "gamma = nan\n", "time.T = 1e999\n",
+                 "gamma = -1\nsource.amplitude = -INF\n",
+                 "time.snapshot_times = 0.5, NaN\n"):
+        line = text.count("\n")
+        with pytest.raises(ConfigError, match=f"line {line}: .* not finite"):
+            parse_config_text(text)
+
+
+# values a config line may carry, for every kind of key: mostly admissible,
+# with non-finite and unparseable ones mixed in
+_FLOATS = st.one_of(st.floats(0.1, 2.0), st.floats(-2.9, -0.1), st.floats(),
+                    st.sampled_from(["nan", "inf", "-inf", "1e999", "x"]))
+_VALUES = {
+    float: _FLOATS.map(str),
+    int: st.sampled_from(["1", "6", "10", "16", "32", "64", "80", "-3", "2.5"]),
+    bool: st.sampled_from(["true", "false", "yes", "0", "maybe"]),
+    str: st.sampled_from(["random", "gaussian", "zero", "blend", "exp",
+                          "poly", "cos", "out", ""]),
+    "float_list": st.lists(_FLOATS.map(str), max_size=3).map(", ".join),
+    "str_list": st.lists(st.sampled_from(["kernel", "energy", "bogus"]),
+                         max_size=2).map(", ".join),
+}
+_LINES = st.lists(st.sampled_from(sorted(_SCHEMA)), max_size=5, unique=True).flatmap(
+    lambda keys: st.tuples(*(_VALUES[_SCHEMA[k][1]].map(
+        lambda v, k=k: f"{k} = {v}") for k in keys)))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(_LINES)
+def test_parsed_config_finite_and_canonical(lines):
+    try:
+        cfg = parse_config_text("\n".join(lines))
+    except ConfigError:
+        return
+    for attr, kind in _SCHEMA.values():
+        value = getattr(cfg, attr)
+        if kind is float or kind == "float_list":
+            assert all(math.isfinite(v) for v in np.atleast_1d(value))
+    again = parse_config_text(canonical_text(cfg))
+    assert again == cfg
+    assert fingerprint(again) == fingerprint(cfg)
 
 
 def test_fingerprint_stability():
@@ -200,6 +246,26 @@ def test_cli_empty_cache_dir_exit_code(small_run_config, tmp_path,
     monkeypatch.setenv("LANDAU_CACHE", str(override))
     assert cli.main(["coeffs", "--config", cfg_path]) == 0
     assert any(name.startswith("coef-") for name in os.listdir(override))
+
+
+@pytest.mark.parametrize("line", ["grid.R = inf", "time.T = inf",
+                                  "source.amplitude = nan", "f0.scale = inf"])
+def test_cli_non_finite_config_exit_code(small_run_config, capsys, line):
+    # before, grid.R = inf crashed `coeffs` in the eigensolver, time.T = inf
+    # crashed `evolve` with OverflowError, and a nan amplitude or an inf
+    # scale wrote NaN/inf output with exit code 0
+    cfg_path, out_dir, _ = small_run_config
+    key = line.split(" = ")[0]
+    with open(cfg_path) as fh:
+        lines = [ln for ln in fh.read().splitlines()
+                 if not ln.startswith(key + " ")]
+    with open(cfg_path, "w") as fh:
+        fh.write("\n".join(lines + [line, ""]))
+    for command in ("coeffs", "evolve", "ladder", "verify", "report"):
+        assert cli.main([command, "--config", cfg_path]) == 2
+        err = capsys.readouterr().err
+        assert f"line {len(lines) + 1}:" in err and "not finite" in err
+    assert not os.path.exists(out_dir)
 
 
 def test_cli_missing_config_exit_code(tmp_path):

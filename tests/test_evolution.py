@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from landau.errors import LadderOverflowError, UnsupportedOrderError
-from landau.evolution import (EvolutionState, SourceModel,
-                              TimePolicy, derivative_ladder, evolve,
-                              measure_source_bound, source_eval, step)
+from landau.errors import InstabilityError, LadderOverflowError
+from landau.evolution import (RK4_STABILITY_LIMIT, SourceModel,
+                              derivative_ladder, evolve, measure_source_bound,
+                              source_eval, step)
 from landau.field import l2_norm, random_field, zeros
 from tests.conftest import gaussian_field
 
@@ -42,12 +42,6 @@ def test_source_eval_cos(small_grid):
     assert np.allclose(source_eval(model, 2, t).values, expected, rtol=1e-13)
 
 
-def test_source_order_cap(small_grid):
-    model = SourceModel(unit_gaussian(small_grid), max_order=4)
-    with pytest.raises(UnsupportedOrderError):
-        source_eval(model, 5, 0.0)
-
-
 def test_source_bound_finite(small_grid):
     model = SourceModel(unit_gaussian(small_grid), tau_kind="exp", rate=1.0)
     a_g = measure_source_bound(model, T=2.0, kmax=8)
@@ -56,24 +50,22 @@ def test_source_bound_finite(small_grid):
 
 def test_step_zero_stays_zero(small_grid, small_ctx):
     model = SourceModel.zero(small_grid)
-    state = EvolutionState(zeros(small_grid))
-    out = step(state, 0.01, small_ctx, model, small_ctx.coeffs)
-    assert np.all(out.f.values == 0.0)
-    assert out.t == pytest.approx(0.01)
-    assert len(out.energy_log) == 1
+    out, row = step(zeros(small_grid), 0.25, 0.01, small_ctx, model)
+    assert np.all(out.values == 0.0)
+    # the energy-log row of the step start
+    assert row == (0.25, 0.0, 0.0, 0.0, 0.0)
 
 
-def test_step_without_operator_matches_quadrature(small_grid):
+def test_step_without_operator_matches_quadrature(small_grid, small_zero_ctx):
     # with L = 0 and g = phi e^{-t}, a single RK4 step reproduces the
     # exact integral of tau to O(dt^5)
     phi = unit_gaussian(small_grid)
     model = SourceModel(phi, tau_kind="exp", rate=1.0)
     errs = []
     for dt in (0.2, 0.1):
-        state = EvolutionState(zeros(small_grid))
-        out = step(state, dt, None, model)
+        out, _ = step(zeros(small_grid), 0.0, dt, small_zero_ctx, model)
         exact = (1.0 - math.exp(-dt)) * phi.values
-        errs.append(float(np.max(np.abs(out.f.values - exact))))
+        errs.append(float(np.max(np.abs(out.values - exact))))
     assert 24.0 <= errs[0] / errs[1] <= 40.0  # fifth-order local error
 
 
@@ -87,7 +79,7 @@ def test_evolve_zero_data_zero_source(small_grid, small_ctx):
 def test_evolve_snapshots_and_log(small_grid, small_ctx):
     f0 = random_field(small_grid, 42, bandlimit=5, envelope_width=1.0)
     model = SourceModel(unit_gaussian(small_grid), tau_kind="exp", amplitude=0.5)
-    res = evolve(f0, model, 0.2, small_ctx, TimePolicy(), snapshot_times=(0.1, 0.2))
+    res = evolve(f0, model, 0.2, small_ctx, snapshot_times=(0.1, 0.2))
     assert set(res.snapshots) == {0.1, 0.2}
     t = res.energy_log[:, 0]
     assert np.all(np.diff(t) > 0)
@@ -101,21 +93,11 @@ def test_default_step_from_spectral_radius(small_grid, small_ctx):
     f0 = random_field(small_grid, 42, bandlimit=5, envelope_width=1.0)
     model = SourceModel(unit_gaussian(small_grid), tau_kind="exp", amplitude=0.5)
     rho = small_ctx.spectral_radius
-    res = evolve(f0, model, 0.25, small_ctx, TimePolicy(), snapshot_times=(0.1,))
+    res = evolve(f0, model, 0.25, small_ctx, snapshot_times=(0.1,))
     steps = math.ceil(0.1 * rho / 0.3) + math.ceil(0.15 * rho / 0.3)
     assert res.state.step_index == steps
     assert len(res.energy_log) == steps + 1
     assert 0.25 < res.dt_max * rho <= 0.3 * (1 + 1e-12)
-
-
-def test_step_without_operator_must_be_given(small_grid):
-    # with no operator there is no spectrum to take the step from
-    with pytest.raises(ValueError, match="dt_override"):
-        TimePolicy().dt_for(None)
-    model = SourceModel.zero(small_grid)
-    with pytest.raises(ValueError, match="dt_override"):
-        evolve(zeros(small_grid), model, 0.25, None)
-    assert TimePolicy(dt_override=0.125).dt_for(None) == 0.125
 
 
 def test_default_step_accuracy(small_grid, small_ctx):
@@ -125,9 +107,9 @@ def test_default_step_accuracy(small_grid, small_ctx):
     f0 = random_field(small_grid, 7, bandlimit=5, envelope_width=1.0)
     model = SourceModel(unit_gaussian(small_grid), tau_kind="exp", amplitude=0.5)
     T = 0.5
-    res = evolve(f0, model, T, small_ctx, TimePolicy())
+    res = evolve(f0, model, T, small_ctx)
     n = res.state.step_index
-    half = evolve(f0, model, T, small_ctx, TimePolicy(dt_override=T / (2 * n)))
+    half = evolve(f0, model, T, small_ctx, dt=T / (2 * n))
     assert half.state.step_index == 2 * n
     err = l2_norm(res.state.f - half.state.f) / l2_norm(half.state.f)
     assert err < 2e-8
@@ -140,7 +122,7 @@ def test_rk4_self_convergence(small_grid, small_ctx):
     T = 0.08
     sols = {}
     for n in (4, 8, 16):
-        res = evolve(f0, model, T, small_ctx, TimePolicy(dt_override=T / n))
+        res = evolve(f0, model, T, small_ctx, dt=T / n)
         sols[n] = res.state.f.values
     e1 = float(np.max(np.abs(sols[4] - sols[16])))
     e2 = float(np.max(np.abs(sols[8] - sols[16])))
@@ -159,13 +141,13 @@ def test_ladder_base_case(small_grid, small_ctx):
     assert lad.norms_l2[1] == pytest.approx(l2_norm(lf), rel=1e-12)
 
 
-def test_ladder_closed_form_without_operator(small_grid):
+def test_ladder_closed_form_without_operator(small_grid, small_zero_ctx):
     # with L = 0 the rungs are the source's time derivatives
     phi = unit_gaussian(small_grid)
     model = SourceModel(phi, tau_kind="exp", rate=1.0)
     f_t = 0.5 * phi
     t = 0.8
-    lad = derivative_ladder(f_t, t, 5, model, None)
+    lad = derivative_ladder(f_t, t, 5, model, small_zero_ctx)
     for m in range(1, 6):
         expected = model.tau_derivative(m - 1, t) * phi.values
         assert np.allclose(lad.entries[m].values, expected, rtol=1e-13)
@@ -219,11 +201,10 @@ def test_ladder_matches_time_differencing(small_grid, small_ctx):
     model = SourceModel(unit_gaussian(small_grid), tau_kind="exp", amplitude=0.5)
     t0 = 0.3
     deltas = (0.1, 0.05)
-    policy = TimePolicy()
     errs = []
     for d in deltas:
         marks = (t0 - d, t0, t0 + d)
-        res = evolve(f0, model, t0 + d, small_ctx, policy, snapshot_times=marks)
+        res = evolve(f0, model, t0 + d, small_ctx, snapshot_times=marks)
         lad = derivative_ladder(res.snapshots[t0], t0, 1, model, small_ctx)
         fd = (res.snapshots[t0 + d].values - res.snapshots[t0 - d].values) / (2 * d)
         errs.append(float(np.max(np.abs(fd - lad.entries[1].values))))
@@ -231,20 +212,29 @@ def test_ladder_matches_time_differencing(small_grid, small_ctx):
     assert 2.5 <= ratio <= 6.0  # second order in the offset
 
 
-def test_instability_guard(small_grid):
-    # forward instability triggers the growth error rather than NaNs
-    class Unstable:
-        coeffs = None
+def test_instability_guard(small_grid, small_ctx):
+    # a step at or beyond the real-axis RK4 limit, or not positive, is
+    # refused before L is applied even once; just inside the limit the run
+    # goes ahead
+    class Counting:
+        coeffs = small_ctx.coeffs
+        spectral_radius = small_ctx.spectral_radius
+        calls = 0
 
         def apply(self, f):
-            return -400.0 * f  # f' = 400 f under rhs = -L f
+            self.calls += 1
+            return small_ctx.apply(f)
 
-    from landau.errors import InstabilityError
-
+    ctx = Counting()
+    limit = RK4_STABILITY_LIMIT / ctx.spectral_radius
     f0 = random_field(small_grid, 31, bandlimit=5)
     model = SourceModel.zero(small_grid)
-    state = EvolutionState(f0)
-    with pytest.raises(InstabilityError):
-        s = state
-        for _ in range(10):
-            s = step(s, 0.05, Unstable(), model)
+    for dt in (limit, 1.02 * limit, math.inf, math.nan, 0.0, -0.5 * limit):
+        with pytest.raises(InstabilityError, match="dt\\*rho"):
+            evolve(f0, model, 3.0 * limit, ctx, dt=dt)
+    assert ctx.calls == 0
+    res = evolve(f0, model, 3.0 * 0.98 * limit, ctx, dt=0.98 * limit)
+    # four stages per step, the first shared with the log row, plus the
+    # final log row
+    assert res.state.step_index == 3
+    assert ctx.calls == 4 * 3 + 1

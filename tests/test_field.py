@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from landau.errors import GridMismatchError
-from landau.field import (ScalarField, WeightedNormSpec, a_norm, a_norm_sq,
-                          divergence, from_function, gradient, inner_product,
-                          l2_norm, project_parallel, random_field,
-                          weighted_norm, wrapped_difference, zeros)
+from landau.field import (ScalarField, a_norm, a_norm_sq, divergence, gradient,
+                          inner_product, l2_norm, project_parallel,
+                          random_field, weighted_norm, wrapped_difference, zeros)
 from landau.grid import VelocityGrid
 from tests.conftest import gaussian_field
 
@@ -60,10 +59,10 @@ def test_weighted_norm_basics(small_grid):
     assert weighted_norm(3.0 * g, 2, -0.5) == pytest.approx(
         3.0 * weighted_norm(g, 2, -0.5), rel=1e-13)
     # p = inf is the weighted max
-    spec = WeightedNormSpec(p=math.inf, ell=0.0)
-    assert weighted_norm(g, spec) == pytest.approx(float(np.max(g.values)), rel=1e-14)
+    assert weighted_norm(g, math.inf) == pytest.approx(float(np.max(g.values)),
+                                                       rel=1e-14)
     with pytest.raises(ValueError):
-        WeightedNormSpec(p=4)
+        weighted_norm(g, 4)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -232,9 +231,3 @@ def test_a_norm_controls_weighted_norms(small_grid, small_coeffs):
         denom = gn + weighted_norm(f, 2, 1.0 + gamma / 2.0)
         worst = min(worst, a_norm(f, small_coeffs) / denom)
     assert worst > 0.0
-
-
-def test_from_function(small_grid):
-    f = from_function(small_grid, lambda x, y, z: x + 2 * y + 3 * z)
-    vx, vy, vz = small_grid.coords
-    assert np.allclose(f.values, vx + 2 * vy + 3 * vz)

@@ -10,8 +10,7 @@ import pytest
 
 from landau.config import parse_config_text
 from landau.errors import DegenerateRatioError, FitDegenerateError
-from landau.evolution import (DerivativeLadder, SourceModel, TimePolicy,
-                              derivative_ladder, evolve)
+from landau.evolution import DerivativeLadder, SourceModel, derivative_ladder, evolve
 from landau.field import (a_norm_sq, gradient, inner_product, l2_norm,
                           random_field, weighted_norm, zeros)
 from landau.operator import apply_L1, apply_L2
@@ -247,8 +246,7 @@ def _unit_gaussian(grid):
 def test_energy_suite(small_grid, small_ctx):
     f0 = random_field(small_grid, 42, bandlimit=5, envelope_width=1.0)
     model = SourceModel(_unit_gaussian(small_grid), tau_kind="exp", amplitude=0.5)
-    res = evolve(f0, model, 0.5, small_ctx, TimePolicy(),
-                 snapshot_times=(0.25, 0.5))
+    res = evolve(f0, model, 0.5, small_ctx, snapshot_times=(0.25, 0.5))
     lads = [derivative_ladder(res.snapshots[t], t, 2, model, small_ctx)
             for t in (0.25, 0.5)]
     _, slope = energy_identity_convergence(f0, model, 0.5, small_ctx,
@@ -346,15 +344,15 @@ def _scalar_ladder(grid, t, kmax, norm0, phi_norm):
                             a_k, a_k ** (1.0 / (ks + 1.0)))
 
 
-def test_smoothing_fit_scalar_oracle(small_grid):
+def test_smoothing_fit_scalar_oracle(small_grid, small_zero_ctx):
     # the fitting pipeline reproduces a closed-form scalar C to 1e-6
     phi = _unit_gaussian(small_grid)
     model = SourceModel(phi, tau_kind="exp", rate=1.0)
     f0 = random_field(small_grid, 42, bandlimit=5, envelope_width=1.0)
     times = (0.5, 1.0, 2.0)
-    res = evolve(f0, model, 2.0, None, TimePolicy(dt_override=1.0 / 128.0),
+    res = evolve(f0, model, 2.0, small_zero_ctx, dt=1.0 / 128.0,
                  snapshot_times=times)
-    ladders = [derivative_ladder(res.snapshots[t], t, 6, model, None)
+    ladders = [derivative_ladder(res.snapshots[t], t, 6, model, small_zero_ctx)
                for t in times]
     fit = smoothing_fit(ladders)
 
@@ -374,9 +372,10 @@ def test_smoothing_fit_scalar_oracle(small_grid):
     assert fit.C == pytest.approx(oracle_c, rel=1e-6)
 
 
-def test_smoothing_fit_degenerate(small_grid):
+def test_smoothing_fit_degenerate(small_grid, small_zero_ctx):
     model = SourceModel.zero(small_grid)
-    lad = derivative_ladder(_unit_gaussian(small_grid), 1.0, 3, model, None)
+    lad = derivative_ladder(_unit_gaussian(small_grid), 1.0, 3, model,
+                            small_zero_ctx)
     # L = 0 and g = 0 make every rung above 0 vanish
     with pytest.raises(FitDegenerateError):
         smoothing_fit([lad])
@@ -385,8 +384,7 @@ def test_smoothing_fit_degenerate(small_grid):
 def test_smoothing_report_checks(small_grid, small_ctx):
     f0 = random_field(small_grid, 42, bandlimit=5, envelope_width=1.0)
     model = SourceModel(_unit_gaussian(small_grid), tau_kind="exp", amplitude=0.5)
-    res = evolve(f0, model, 1.0, small_ctx, TimePolicy(),
-                 snapshot_times=(0.5, 1.0))
+    res = evolve(f0, model, 1.0, small_ctx, snapshot_times=(0.5, 1.0))
     lads = [derivative_ladder(res.snapshots[t], t, 4, model, small_ctx)
             for t in (0.5, 1.0)]
     rep, fit = smoothing_report(lads, grid=small_grid)
