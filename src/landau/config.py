@@ -169,6 +169,8 @@ def validate_config(cfg):
         raise ConfigError("f0.scale must be positive")
     if cfg.source_profile not in ("gaussian", "packet", "blend", "zero"):
         raise ConfigError(f"unknown source.profile {cfg.source_profile!r}")
+    if not cfg.source_width > 0:
+        raise ConfigError(f"source.width must be positive, got {cfg.source_width}")
     if cfg.source_tau_kind not in ("exp", "poly", "cos"):
         raise ConfigError(f"unknown source.tau_kind {cfg.source_tau_kind!r}")
     if cfg.verify_ensemble_size < 64:

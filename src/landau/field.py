@@ -92,20 +92,25 @@ def weighted_norm(f, p, ell=0.0):
     return float(np.sum(integrand) * grid.cell_volume) ** (1.0 / p)
 
 
+# per axis 0, 1, 2: the index tuples of planes 0, 1, -2 and -1 along it
+_PLANES = tuple(tuple((slice(None),) * axis + (i,) for i in (0, 1, -2, -1))
+                for axis in range(3))
+
+
 def wrapped_difference(x, axis, out):
-    """x[i+1] - x[i-1] along `axis`, periodic, into the C-contiguous `out`;
-    bit for bit np.roll(x, -1, axis) - np.roll(x, 1, axis).  One flat pass
-    at +-stride is right off the first and last planes along `axis`, which
-    wrap and are written again."""
+    """x[i+1] - x[i-1] along `axis` (0, 1 or 2), periodic, into the
+    C-contiguous `out`; bit for bit np.roll(x, -1, axis) - np.roll(x, 1, axis).
+    One flat pass at +-stride is right off the first and last planes along
+    `axis`, which wrap and are written again."""
     if not out.flags.c_contiguous:
         raise ValueError("out must be C-contiguous")
     x = np.ascontiguousarray(x)
     s = x.strides[axis] // x.itemsize
     flat_x, flat_out = x.reshape(-1), out.reshape(-1)  # views
     np.subtract(flat_x[2 * s:], flat_x[:-2 * s], out=flat_out[s:-s])
-    src, dst = np.moveaxis(x, axis, 0), np.moveaxis(out, axis, 0)
-    np.subtract(src[1], src[-1], out=dst[0])
-    np.subtract(src[0], src[-2], out=dst[-1])
+    first, second, before_last, last = _PLANES[axis]
+    np.subtract(x[second], x[last], out=out[first])
+    np.subtract(x[first], x[before_last], out=out[last])
     return out
 
 

@@ -489,6 +489,11 @@ class LandauCoefficients:
     def mu_half(self):
         return sqrt_maxwellian_field(self.grid, self.params)
 
+    @cached_property
+    def c1_minus_c2(self):
+        """c1 - c2, the zeroth-order weight of L1, formed once."""
+        return self.c1 - self.c2
+
 
 def c2_tolerance(grid, quad):
     """Combined tolerance for the two c2 routes: quadrature rtol or the

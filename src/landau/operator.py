@@ -80,7 +80,7 @@ def apply_L1(f, coeffs: LandauCoefficients, grad=None):
         raise GridMismatchError("field grid does not match coefficient grid")
     flux = coeffs.abar.apply(gradient(f) if grad is None else grad)
     out = -divergence(flux).values
-    out += (coeffs.c1 - coeffs.c2) * f.values
+    out += coeffs.c1_minus_c2 * f.values
     return ScalarField(f.grid, out)
 
 

@@ -2,7 +2,13 @@
 the named verification suites.  Heavy resources (coefficients, operator
 context, the reference trajectory and its ladders) are built lazily and
 shared across suites; the ensembles are drawn for the one suite that
-reads them."""
+reads them.
+
+Independent work runs on one thread per core through `verify.map_on_cores`:
+the members of each ensemble in the inequalities suite, and in the energy
+suite the energy-identity rungs beside the reference trajectory.  Each job
+owns the arrays it writes and results are reduced in a fixed order, so
+every output is the same bytes for any thread count."""
 
 import math
 from functools import cached_property
@@ -159,16 +165,21 @@ def run_suite(name, res: RunResources):
     if name == "energy":
         cfg = res.cfg
         model = res.source_model()
+        # rho(L) is measured here, before either job starts
         n0 = energy_ladder_steps(cfg.time_T, res.ctx)
-        _, slope = verify.energy_identity_convergence(
-            res.initial_datum(), model, cfg.time_T, res.ctx,
-            steps=(n0, 2 * n0, 4 * n0))
-        rep = verify.check_energy(res.trajectory, res.ladders,
-                                  res.fingerprint, slope=slope)
+        f0 = res.initial_datum()
+        # the energy-identity rungs beside the trajectory; the rungs come
+        # first, so that their errors surface first
+        (_, slope), traj = verify.map_on_cores(lambda job: job(), (
+            lambda: verify.energy_identity_convergence(
+                f0, model, cfg.time_T, res.ctx, steps=(n0, 2 * n0, 4 * n0)),
+            lambda: res.trajectory))
+        rep = verify.check_energy(traj, res.ladders, res.fingerprint,
+                                  slope=slope)
         a_g = measure_source_bound(model, cfg.time_T, kmax=8)
         rep.add_check("A_g_finite", a_g, math.inf, math.isfinite(a_g))
         # for the record: evolve keeps it at or below TRAJECTORY_DT_RHO
-        dt_rho = res.trajectory.dt_max * res.ctx.spectral_radius
+        dt_rho = traj.dt_max * res.ctx.spectral_radius
         rep.add_check("trajectory_dt_rho", dt_rho, RK4_STABILITY_LIMIT,
                       dt_rho < RK4_STABILITY_LIMIT)
         rep.add_constant("A_g", a_g, 1, res.grid)

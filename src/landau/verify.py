@@ -104,7 +104,7 @@ def make_ensemble(grid, count, seed, bandlimit=8, envelope_width=1.25):
     """count seeded random fields plus the deterministic probes."""
     if count < MIN_ENSEMBLE:
         raise ValueError(f"ensemble needs at least {MIN_ENSEMBLE} random members, got {count}")
-    members = _map_members(
+    members = map_on_cores(
         lambda i: random_field(grid, seed + i, bandlimit, envelope_width),
         range(count))
     members.extend(deterministic_probes(grid))
@@ -260,13 +260,17 @@ def check_convolution_bound(grid, params, deltas=(0.5, 1.0), fingerprint=""):
 
 
 # ---------------------------------------------------------------------------
-# member pass
+# one thread per core; member pass
 # ---------------------------------------------------------------------------
 
-def _map_members(fn, items):
-    """fn over items on one thread per core this process may run on, in
-    order.  numpy releases the GIL in its transforms and ufunc loops, which
-    do the work of each member."""
+def map_on_cores(fn, items):
+    """[fn(x) for x in items], on one thread per core this process may run
+    on, returned in the order of items; the first item whose call raised
+    raises here.  The only place that picks a thread count.  It maps
+    ensemble members and whole evolutions, whose work numpy does with the
+    GIL released in its transforms and ufunc loops.  Each call must own
+    every array it writes, so the results do not depend on the thread
+    count."""
     cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
              else os.cpu_count() or 1)
     with ThreadPoolExecutor(cores) as pool:
@@ -328,7 +332,7 @@ def member_pass(ctx, ensemble):
                 weighted_norm(f, 3, 0.5 * g), _split_energy(f, coeffs, grad),
                 inner_product(l1, f), inner_product(l2, f), *zip(*pairs))
 
-    rows = _map_members(scalars, range(len(ensemble)))
+    rows = map_on_cores(scalars, range(len(ensemble)))
     return MemberScalars(ensemble, partners, *map(list, zip(*rows)))
 
 

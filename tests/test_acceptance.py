@@ -19,9 +19,8 @@ from landau.evolution import derivative_ladder, evolve
 from landau.field import l2_norm
 from landau.kernel import maxwellian_field
 from landau.operator import apply_Q
-from landau.suites import RunResources, energy_ladder_steps, run_suite
-from landau.verify import (check_kernel_identities, energy_identity_convergence,
-                           smoothing_fit)
+from landau.suites import RunResources, run_suite
+from landau.verify import check_kernel_identities, smoothing_fit
 from tests.conftest import ZeroOperator
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -122,13 +121,10 @@ def test_criterion_4_bounded_constants(inequality_constants):
 
 
 def test_criterion_5_energy_identity(res32):
-    cfg = res32.cfg
-    n0 = energy_ladder_steps(cfg.time_T, res32.ctx)
-    _, slope = energy_identity_convergence(
-        res32.initial_datum(), res32.source_model(), cfg.time_T, res32.ctx,
-        steps=(n0, 2 * n0, 4 * n0))
-    from landau.verify import check_energy
-    rep = check_energy(res32.trajectory, res32.ladders, slope=slope)
+    # the suite runs the energy-identity ladder at n0, 2 n0 and 4 n0 steps
+    # beside the trajectory
+    [rep] = run_suite("energy", res32)
+    slope = {c.id: c.value for c in rep.checks}["residual_dt_slope"]
     consts = {c.name: c.value for c in rep.constants}
     ok = abs(slope - 4.0) <= 0.5 and all(
         math.isfinite(consts[k]) for k in ("C5", "C6"))

@@ -268,6 +268,22 @@ def test_cli_non_finite_config_exit_code(small_run_config, capsys, line):
     assert not os.path.exists(out_dir)
 
 
+@pytest.mark.parametrize("width", ["0", "-1.5"])
+def test_cli_source_width_exit_code(small_run_config, capsys, width):
+    # before, a zero width ended `evolve` in a ZeroDivisionError traceback
+    # and a negative one acted as its absolute value
+    cfg_path, out_dir, _ = small_run_config
+    with open(cfg_path) as fh:
+        lines = [ln for ln in fh.read().splitlines()
+                 if not ln.startswith("source.width ")]
+    with open(cfg_path, "w") as fh:
+        fh.write("\n".join(lines + [f"source.width = {width}", ""]))
+    for command in ("coeffs", "evolve", "ladder", "verify", "report"):
+        assert cli.main([command, "--config", cfg_path]) == 2
+        assert "source.width must be positive" in capsys.readouterr().err
+    assert not os.path.exists(out_dir)
+
+
 def test_cli_missing_config_exit_code(tmp_path):
     rc = cli.main(["verify", "--config", str(tmp_path / "nope.cfg")])
     assert rc == 2

@@ -286,6 +286,31 @@ def test_energy_suite_dt_rho_check(tmp_path):
     assert checks["trajectory_dt_rho"].tol == 2.785
 
 
+def test_energy_suite_same_bytes_for_any_thread_count(tmp_path, monkeypatch):
+    # the energy-identity rungs and the trajectory run side by side on two
+    # threads that switch every 10 us, and one after the other on one
+    # core: the same reports, energy log and snapshots, bit for bit
+    runs = []
+    interval = sys.getswitchinterval()
+    for cores in ({0, 1}, {0}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, c=cores: c,
+                            raising=False)
+        res = RunResources(parse_config_text(ENERGY_CFG),
+                           cache_dir=str(tmp_path), log=None)
+        sys.setswitchinterval(1e-5)
+        try:
+            reports = run_suite("energy", res) + run_suite("smoothing", res)
+        finally:
+            sys.setswitchinterval(interval)
+        traj = res.trajectory
+        runs.append(([report_to_dict(r) for r in reports],
+                     traj.energy_log.tobytes(),
+                     {t: f.values.tobytes() for t, f in traj.snapshots.items()}))
+    assert [d["suite"] for d in runs[0][0]] == ["energy", "smoothing"]
+    assert sorted(runs[0][2]) == [0.25, 0.5]
+    assert runs[0] == runs[1]
+
+
 def test_run_resources_tabulate_each_pad_once(monkeypatch):
     # the operator reads the full pad-1 tables, the c2 cross-check only the
     # pad-2 b tables, and the convolution suite builds its own radial
