@@ -142,7 +142,7 @@ def cmd_report(args):
             lines.append(f"| {suite} | {cid} | {fmt(value)} | {verdict} |")
         lines.append("")
     path = os.path.join(out_dir, "summary.md")
-    with open(path, "w") as fh:
+    with persist._replacing(path) as fh:
         fh.write("\n".join(lines))
     print(f"summary written to {path}")
     return EXIT_OK

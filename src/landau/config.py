@@ -28,22 +28,16 @@ class RunConfig:
     quad_radial_order: int = 32
     quad_angular_order: int = 64
     quad_rtol: float = 1e-6
-    f0_kind: str = "random"            # random | gaussian | zero
     f0_bandlimit: int = 10
     f0_envelope_width: float = 1.25
     f0_spectral_decay: float = 2.0
     f0_scale: float = 1.0
-    f0_orthogonalize: bool = True
-    source_profile: str = "gaussian"   # gaussian | packet | blend | zero
+    source_profile: str = "gaussian"   # gaussian | blend
     source_width: float = 1.5
     source_wavenumber: float = 1.3
     source_blend_ratio: float = 1.0
     source_amplitude: float = 1.0
-    source_orthogonalize: bool = True
-    source_tau_kind: str = "exp"       # exp | poly | cos
     source_tau_rate: float = 1.0
-    source_tau_omega: float = 1.0
-    source_tau_coeffs: tuple = (1.0,)
     time_T: float = 2.0
     time_snapshot_times: tuple = (0.5, 1.0, 2.0)
     ladder_kmax: int = 6
@@ -163,16 +157,12 @@ def validate_config(cfg):
     if not 0 < cfg.f0_bandlimit < cfg.grid_N // 2:
         raise ConfigError(
             f"f0.bandlimit must be in (0, N/2), got {cfg.f0_bandlimit}")
-    if cfg.f0_kind not in ("random", "gaussian", "zero"):
-        raise ConfigError(f"unknown f0.kind {cfg.f0_kind!r}")
     if not cfg.f0_scale > 0:
         raise ConfigError("f0.scale must be positive")
-    if cfg.source_profile not in ("gaussian", "packet", "blend", "zero"):
+    if cfg.source_profile not in ("gaussian", "blend"):
         raise ConfigError(f"unknown source.profile {cfg.source_profile!r}")
     if not cfg.source_width > 0:
         raise ConfigError(f"source.width must be positive, got {cfg.source_width}")
-    if cfg.source_tau_kind not in ("exp", "poly", "cos"):
-        raise ConfigError(f"unknown source.tau_kind {cfg.source_tau_kind!r}")
     if cfg.verify_ensemble_size < 64:
         raise ConfigError("verify.ensemble_size must be >= 64")
     for s in cfg.verify_suites:

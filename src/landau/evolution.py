@@ -2,8 +2,8 @@
 
 Two rules keep the factorial-scale quantities trustworthy:
 
-* the forcing is separable, g(t, v) = tau(t) phi(v), with every time
-  derivative of tau available in closed form, and
+* the forcing is separable, g(t, v) = amplitude e^{-rate t} phi(v), with
+  every time derivative available in closed form, and
 * time derivatives of the solution are obtained by the exact operator
   recursion  d_t^m f = -L d_t^{m-1} f + d_t^{m-1} g,  never by finite
   differencing of trajectories, which would destroy the k! scaling.
@@ -37,48 +37,28 @@ TRAJECTORY_DT_RHO = LADDER_DT_RHO / 8
 
 @dataclass
 class SourceModel:
-    """Separable analytic forcing g(t, v) = tau(t) phi(v).
-
-    tau kinds: "exp" (amplitude e^{-rate t}), "poly" (coefficients in
-    increasing degree), "cos" (amplitude cos(omega t)).  All have closed
-    form derivatives of every order.
-    """
+    """Separable analytic forcing g(t, v) = amplitude e^{-rate t} phi(v),
+    whose time derivatives of every order are in closed form."""
 
     phi: ScalarField
-    tau_kind: str = "exp"
     rate: float = 1.0
-    omega: float = 1.0
     amplitude: float = 1.0
-    coeffs: tuple = (1.0,)
-
-    def __post_init__(self):
-        if self.tau_kind not in ("exp", "poly", "cos", "zero"):
-            raise ValueError(f"unknown tau kind {self.tau_kind!r}")
 
     @classmethod
     def zero(cls, grid):
-        return cls(zeros(grid), tau_kind="zero", amplitude=0.0)
+        return cls(zeros(grid), amplitude=0.0)
 
     def tau_derivative(self, m, t):
-        """m-th time derivative of tau at time t, in closed form."""
+        """m-th time derivative of amplitude e^{-rate t} at time t."""
         if m < 0:
             raise ValueError("derivative order must be >= 0")
-        if self.tau_kind == "zero" or self.amplitude == 0.0:
-            return 0.0
-        if self.tau_kind == "exp":
-            return self.amplitude * (-self.rate) ** m * math.exp(-self.rate * t)
-        if self.tau_kind == "cos":
-            return self.amplitude * self.omega ** m * math.cos(self.omega * t + 0.5 * m * math.pi)
-        # polynomial: d^m/dt^m sum c_i t^i
-        total = 0.0
-        for i, c in enumerate(self.coeffs):
-            if i >= m:
-                total += c * math.factorial(i) / math.factorial(i - m) * t ** (i - m)
-        return self.amplitude * total
+        if self.amplitude == 0.0:
+            return 0.0  # +0.0, where 0.0 * (-rate) ** m gives -0.0 for odd m
+        return self.amplitude * (-self.rate) ** m * math.exp(-self.rate * t)
 
 
 def source_eval(model, m, t):
-    """d_t^m g(t) as a field: tau^{(m)}(t) phi."""
+    """d_t^m g(t) as a field: d_t^m (amplitude e^{-rate t}) phi."""
     return model.tau_derivative(m, t) * model.phi
 
 
@@ -111,7 +91,6 @@ class EvolutionResult:
     state: EvolutionState
     energy_log: np.ndarray            # rows (t, l2sq, asq, gf, lff)
     snapshots: dict                   # time -> ScalarField
-    dt_max: float
 
 
 def _rhs(f, t, ctx, model):
@@ -163,13 +142,11 @@ def evolve(f0, model, T, ctx, dt=None, snapshot_times=()):
 
     f, t, log = f0, 0.0, []
     snapshots = {}
-    dt_max = 0.0
     prev = 0.0
     for mark in marks:
         span = mark - prev
         n = max(1, int(math.ceil(span / dt - 1e-12)))
         h = span / n
-        dt_max = max(dt_max, h)
         for _ in range(n):
             f, row = step(f, t, h, ctx, model)
             log.append(row)
@@ -180,7 +157,7 @@ def evolve(f0, model, T, ctx, dt=None, snapshot_times=()):
         prev = mark
     state = EvolutionState(f, t, len(log))
     log.append(_log_row(f, t, ctx, model)[0])
-    return EvolutionResult(state, np.array(log), snapshots, dt_max)
+    return EvolutionResult(state, np.array(log), snapshots)
 
 
 # ---------------------------------------------------------------------------

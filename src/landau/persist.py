@@ -26,8 +26,7 @@ import numpy as np
 from .errors import CacheFormatError
 from .field import ScalarField
 from .grid import VelocityGrid
-from .kernel import (LandauCoefficients, SymMatrixField, crosscheck_c2,
-                     tabulate_divergence_kernels, tabulate_fft_kernels)
+from .kernel import SymMatrixField
 
 COEF_MAGIC = b"LANDAU-COEF1"
 FIELD_MAGIC = b"LANDAU-FLD1"
@@ -84,7 +83,8 @@ def save_coefficient_cache(cache_dir, coeffs):
 
 
 def load_coefficient_cache(cache_dir, grid, params, quad):
-    """Return cached coefficients or None; header mismatches raise."""
+    """Return the cached (abar, c1, c2) or None; a malformed file or a
+    header that does not match the request raises CacheFormatError."""
     path = coefficient_cache_path(cache_dir, grid, params, quad)
     if not os.path.exists(path):
         return None
@@ -102,13 +102,7 @@ def load_coefficient_cache(cache_dir, grid, params, quad):
         comps = np.stack([_read_array(fh, n3).reshape(grid.shape) for _ in range(6)])
         c1 = _read_array(fh, n3).reshape(grid.shape)
         c2 = _read_array(fh, n3).reshape(grid.shape)
-    abar = SymMatrixField(grid, comps)
-    tables = tabulate_fft_kernels(grid, params, pad=1)
-    # the cross-check value is not part of the cache layout; recompute so
-    # cached and fresh coefficient sets report identically
-    rel = crosscheck_c2(c2, grid, params,
-                        tabulate_divergence_kernels(grid, params, pad=2))
-    return LandauCoefficients(grid, params, quad, abar, c1, c2, tables, rel)
+    return SymMatrixField(grid, comps), c1, c2
 
 
 def save_field_snapshot(path, f, gamma, step_index, time):

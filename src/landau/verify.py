@@ -569,7 +569,7 @@ def energy_identity_convergence(f0, model, T, ctx, steps=(32, 64, 128)):
 
 
 def check_energy(result, ladders, fingerprint="", slope=None):
-    """C5 from the trajectory log, C6 from depth-1 ladder entries, plus the
+    """C5 from the trajectory log, C6 the depth-1 ladder envelope, plus the
     energy-identity residual (and its dt-slope when measured)."""
     log = result.energy_log
     t = log[:, 0]
@@ -577,14 +577,7 @@ def check_energy(result, ladders, fingerprint="", slope=None):
         0.5 * (log[1:, 2] + log[:-1, 2]) * np.diff(t))])
     c5 = math.sqrt(float(np.max(log[:, 1] + cum)))
 
-    c6 = math.nan
-    if ladders:
-        times = np.array([lad.t for lad in ladders])
-        vals = np.array([lad.t * lad.norms_l2[1] for lad in ladders])
-        a_vals = np.array([(lad.t * lad.norms_a[1]) ** 2 for lad in ladders])
-        order = np.argsort(times)
-        integral = float(np.trapezoid(a_vals[order], times[order]))
-        c6 = math.sqrt(float(np.max(vals)) ** 2 + max(integral, 0.0))
+    c6 = ladder_envelope(ladders, 1) if ladders else math.nan
 
     residual = energy_identity_residual(result)
     grid = result.state.f.grid
@@ -613,7 +606,18 @@ class SmoothingFit:
     points: list  # (t, k, a_k)
 
 
-def smoothing_fit(ladders, T=None):
+def ladder_envelope(ladders, k):
+    """sqrt(sup_t (t^k ||d_t^k f||)^2 + int (t^k ||d_t^k f||_A)^2 dt) / k!
+    over the ladder times, the integral by the trapezoid rule on them."""
+    times = np.array([lad.t for lad in ladders])
+    order = np.argsort(times)
+    sup = max(lad.t ** k * lad.norms_l2[k] for lad in ladders)
+    a_sq = np.array([(lad.t ** k * lad.norms_a[k]) ** 2 for lad in ladders])
+    integral = float(np.trapezoid(a_sq[order], times[order]))
+    return math.sqrt(sup * sup + max(integral, 0.0)) / math.factorial(k)
+
+
+def smoothing_fit(ladders):
     """Least-squares factorial fit of the ladder magnitudes.
 
     Fits log a_k ~ (k+1) log C over all ladders and depths, where
@@ -641,15 +645,8 @@ def smoothing_fit(ladders, T=None):
     max_pos = float(np.max(resid))
 
     kmax = min(len(lad.a_k) for lad in ladders) - 1
-    times = np.array([lad.t for lad in ladders])
-    order = np.argsort(times)
-    b = 0.0
-    for k in range(kmax + 1):
-        sup = max(lad.t ** k * lad.norms_l2[k] for lad in ladders)
-        a_sq = np.array([(lad.t ** k * lad.norms_a[k]) ** 2 for lad in ladders])
-        integral = float(np.trapezoid(a_sq[order], times[order]))
-        bk = math.sqrt(sup * sup + max(integral, 0.0)) / math.factorial(k)
-        b = max(b, bk ** (1.0 / (k + 1.0)))
+    b = max(ladder_envelope(ladders, k) ** (1.0 / (k + 1.0))
+            for k in range(kmax + 1))
 
     roots = [float(np.max(lad.a_k_root)) for lad in ladders]
     variation = 0.0
@@ -660,7 +657,7 @@ def smoothing_fit(ladders, T=None):
     return SmoothingFit(math.exp(log_c), b, max_pos, variation, points)
 
 
-def smoothing_report(ladders, fingerprint="", grid=None):
+def smoothing_report(ladders, grid, fingerprint=""):
     fit = smoothing_fit(ladders)
     rep = VerificationReport("smoothing", fingerprint)
     rep.add_check("fit_max_positive_residual", fit.max_positive_residual, 0.5,
@@ -669,7 +666,6 @@ def smoothing_report(ladders, fingerprint="", grid=None):
                   fit.root_variation <= 0.25)
     rep.add_check("C_positive_finite", fit.C, math.inf,
                   math.isfinite(fit.C) and fit.C > 0)
-    if grid is not None:
-        rep.add_constant("C", fit.C, len(ladders), grid)
-        rep.add_constant("B", fit.B, len(ladders), grid)
+    rep.add_constant("C", fit.C, len(ladders), grid)
+    rep.add_constant("B", fit.B, len(ladders), grid)
     return rep, fit

@@ -86,8 +86,8 @@ _VALUES = {
     float: _FLOATS.map(str),
     int: st.sampled_from(["1", "6", "10", "16", "32", "64", "80", "-3", "2.5"]),
     bool: st.sampled_from(["true", "false", "yes", "0", "maybe"]),
-    str: st.sampled_from(["random", "gaussian", "zero", "blend", "exp",
-                          "poly", "cos", "out", ""]),
+    str: st.sampled_from(["gaussian", "blend", "packet", "zero", "random",
+                          "out", ""]),
     "float_list": st.lists(_FLOATS.map(str), max_size=3).map(", ".join),
     "str_list": st.lists(st.sampled_from(["kernel", "energy", "bogus"]),
                          max_size=2).map(", ".join),
@@ -146,11 +146,10 @@ def test_coefficient_cache_roundtrip(tmp_path, small_grid, params, quad,
                                      small_coeffs):
     cache = str(tmp_path / "cache")
     persist.save_coefficient_cache(cache, small_coeffs)
-    loaded = persist.load_coefficient_cache(cache, small_grid, params, quad)
-    assert loaded is not None
-    assert np.array_equal(loaded.abar.comps, small_coeffs.abar.comps)
-    assert np.array_equal(loaded.c1, small_coeffs.c1)
-    assert np.array_equal(loaded.c2, small_coeffs.c2)
+    abar, c1, c2 = persist.load_coefficient_cache(cache, small_grid, params, quad)
+    assert np.array_equal(abar.comps, small_coeffs.abar.comps)
+    assert np.array_equal(c1, small_coeffs.c1)
+    assert np.array_equal(c2, small_coeffs.c2)
     # cache layout on disk: header then raveled f8 arrays
     path = persist.coefficient_cache_path(cache, small_grid, params, quad)
     with open(path, "rb") as fh:
@@ -228,6 +227,38 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     bad.write_text(MINIMAL + "time.safety = 0.4\n")
     assert cli.main(["verify", "--config", str(bad)]) == 2
     assert "unknown key 'time.safety'" in capsys.readouterr().err
+    # every run takes the projected random datum and the forcing
+    # e^{-rate t} phi, so the selectors of other kinds are refused
+    for line in ("f0.kind = random", "f0.orthogonalize = true",
+                 "source.orthogonalize = true", "source.tau_kind = exp",
+                 "source.tau_omega = 1.0", "source.tau_coeffs = 1.0"):
+        bad.write_text(MINIMAL + line + "\n")
+        assert cli.main(["verify", "--config", str(bad)]) == 2
+        key = line.split(" = ")[0]
+        assert f"unknown key {key!r}" in capsys.readouterr().err
+    for profile in ("packet", "zero"):
+        bad.write_text(MINIMAL + f"source.profile = {profile}\n")
+        assert cli.main(["verify", "--config", str(bad)]) == 2
+        assert "unknown source.profile" in capsys.readouterr().err
+
+
+def test_cli_cached_c2_failing_crosscheck_exit_code(small_run_config, capsys):
+    # a cached coefficient set passes the same c2 cross-check as a fresh
+    # build; before, `coeffs` exited 4 and `evolve` ran on the corrupt c2
+    cfg_path, _, cache_dir = small_run_config
+    assert cli.main(["coeffs", "--config", cfg_path]) == 0
+    [name] = os.listdir(cache_dir)
+    n3 = 16 ** 3
+    # c2 is the last of eight N^3 blocks after the 41-byte header; negated,
+    # it lies about 2 from the convolution route (tolerance 0.5 at N=16)
+    c2 = np.memmap(os.path.join(cache_dir, name), dtype="<f8", mode="r+",
+                   offset=len(persist.COEF_MAGIC) + 29 + 7 * 8 * n3, shape=(n3,))
+    c2 *= -1.0
+    c2.flush()
+    del c2
+    for command in ("coeffs", "evolve", "ladder", "verify"):
+        assert cli.main([command, "--config", cfg_path]) == 3
+        assert "c2 routes disagree" in capsys.readouterr().err
 
 
 def test_cli_empty_cache_dir_exit_code(small_run_config, tmp_path,
@@ -372,6 +403,31 @@ def test_failed_writes_leave_previous_file(tmp_path, monkeypatch):
     assert sorted(os.listdir(tmp_path)) == ["energy.csv", "snapshot.fld"]
     loaded, _, step, _ = persist.load_field_snapshot(snap)
     assert step == 3 and np.all(loaded.values == 1.0)
+
+    # summary.md: `landau report` writes it through the same replacement
+    run = tmp_path / "run"
+    run.mkdir()
+    cfg_path = run / "run.cfg"
+    cfg_path.write_text(MINIMAL + f"io.out_dir = {run}\n")
+    doc = {"suite": "kernel",
+           "config_fingerprint": fingerprint(load_config(str(cfg_path))),
+           "checks": [{"id": "a", "value": 1.0, "verdict": "pass"}],
+           "constants": []}
+    (run / "report_kernel.json").write_text(json.dumps(doc))
+    assert cli.main(["report", "--config", str(cfg_path)]) == 0
+    summary = (run / "summary.md").read_bytes()
+    doc["checks"].append({"id": "b", "value": 2.0, "verdict": "pass"})
+    (run / "report_kernel.json").write_text(json.dumps(doc))
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError):
+        cli.main(["report", "--config", str(cfg_path)])
+    assert (run / "summary.md").read_bytes() == summary
+    assert sorted(os.listdir(run)) == ["report_kernel.json", "run.cfg",
+                                       "summary.md"]
 
 
 def test_cli_determinism_byte_identical(small_run_config, tmp_path):

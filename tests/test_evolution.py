@@ -18,32 +18,14 @@ def unit_gaussian(grid, width=1.5):
 
 def test_source_eval_exp(small_grid):
     phi = unit_gaussian(small_grid)
-    model = SourceModel(phi, tau_kind="exp", rate=1.0)
+    model = SourceModel(phi, rate=1.0)
     # third derivative of e^{-t} at t=0 flips the sign
     out = source_eval(model, 3, 0.0)
     assert np.allclose(out.values, -phi.values, rtol=1e-14)
 
 
-def test_source_eval_poly_kills_high_orders(small_grid):
-    phi = unit_gaussian(small_grid)
-    model = SourceModel(phi, tau_kind="poly", coeffs=(1.0, 2.0, -0.5))
-    out = source_eval(model, 3, 0.7)
-    assert np.all(out.values == 0.0)
-    # second derivative of 1 + 2t - t^2/2 is -1
-    out2 = source_eval(model, 2, 0.3)
-    assert np.allclose(out2.values, -phi.values, rtol=1e-14)
-
-
-def test_source_eval_cos(small_grid):
-    phi = unit_gaussian(small_grid)
-    model = SourceModel(phi, tau_kind="cos", omega=2.0)
-    t = 0.4
-    expected = 2.0 ** 2 * math.cos(2.0 * t + math.pi) * phi.values
-    assert np.allclose(source_eval(model, 2, t).values, expected, rtol=1e-13)
-
-
 def test_source_bound_finite(small_grid):
-    model = SourceModel(unit_gaussian(small_grid), tau_kind="exp", rate=1.0)
+    model = SourceModel(unit_gaussian(small_grid), rate=1.0)
     a_g = measure_source_bound(model, T=2.0, kmax=8)
     assert 0.0 < a_g < 10.0
 
@@ -60,7 +42,7 @@ def test_step_without_operator_matches_quadrature(small_grid, small_zero_ctx):
     # with L = 0 and g = phi e^{-t}, a single RK4 step reproduces the
     # exact integral of tau to O(dt^5)
     phi = unit_gaussian(small_grid)
-    model = SourceModel(phi, tau_kind="exp", rate=1.0)
+    model = SourceModel(phi, rate=1.0)
     errs = []
     for dt in (0.2, 0.1):
         out, _ = step(zeros(small_grid), 0.0, dt, small_zero_ctx, model)
@@ -78,7 +60,7 @@ def test_evolve_zero_data_zero_source(small_grid, small_ctx):
 
 def test_evolve_snapshots_and_log(small_grid, small_ctx):
     f0 = random_field(small_grid, 42, bandlimit=5, envelope_width=1.0)
-    model = SourceModel(unit_gaussian(small_grid), tau_kind="exp", amplitude=0.5)
+    model = SourceModel(unit_gaussian(small_grid), amplitude=0.5)
     res = evolve(f0, model, 0.2, small_ctx, snapshot_times=(0.1, 0.2))
     assert set(res.snapshots) == {0.1, 0.2}
     t = res.energy_log[:, 0]
@@ -91,13 +73,14 @@ def test_evolve_snapshots_and_log(small_grid, small_ctx):
 def test_default_step_from_spectral_radius(small_grid, small_ctx):
     # each segment between marks takes ceil(span * rho / 0.3) equal steps
     f0 = random_field(small_grid, 42, bandlimit=5, envelope_width=1.0)
-    model = SourceModel(unit_gaussian(small_grid), tau_kind="exp", amplitude=0.5)
+    model = SourceModel(unit_gaussian(small_grid), amplitude=0.5)
     rho = small_ctx.spectral_radius
     res = evolve(f0, model, 0.25, small_ctx, snapshot_times=(0.1,))
     steps = math.ceil(0.1 * rho / 0.3) + math.ceil(0.15 * rho / 0.3)
     assert res.state.step_index == steps
     assert len(res.energy_log) == steps + 1
-    assert 0.25 < res.dt_max * rho <= 0.3 * (1 + 1e-12)
+    dt = np.diff(res.energy_log[:, 0])
+    assert 0.25 < dt.max() * rho <= 0.3 * (1 + 1e-12)
 
 
 def test_default_step_accuracy(small_grid, small_ctx):
@@ -105,7 +88,7 @@ def test_default_step_accuracy(small_grid, small_ctx):
     # 6.9e-9 relative; the step doubled gives 1.2e-7, and the ladder's
     # coarsest rule dt*rho = 2.4 gives 4.0e-5
     f0 = random_field(small_grid, 7, bandlimit=5, envelope_width=1.0)
-    model = SourceModel(unit_gaussian(small_grid), tau_kind="exp", amplitude=0.5)
+    model = SourceModel(unit_gaussian(small_grid), amplitude=0.5)
     T = 0.5
     res = evolve(f0, model, T, small_ctx)
     n = res.state.step_index
@@ -118,7 +101,7 @@ def test_default_step_accuracy(small_grid, small_ctx):
 def test_rk4_self_convergence(small_grid, small_ctx):
     # fixed problem, halving dt: fourth-order trajectory error
     f0 = random_field(small_grid, 7, bandlimit=5, envelope_width=1.0)
-    model = SourceModel(unit_gaussian(small_grid), tau_kind="exp", amplitude=1.0)
+    model = SourceModel(unit_gaussian(small_grid), amplitude=1.0)
     T = 0.08
     sols = {}
     for n in (4, 8, 16):
@@ -144,7 +127,7 @@ def test_ladder_base_case(small_grid, small_ctx):
 def test_ladder_closed_form_without_operator(small_grid, small_zero_ctx):
     # with L = 0 the rungs are the source's time derivatives
     phi = unit_gaussian(small_grid)
-    model = SourceModel(phi, tau_kind="exp", rate=1.0)
+    model = SourceModel(phi, rate=1.0)
     f_t = 0.5 * phi
     t = 0.8
     lad = derivative_ladder(f_t, t, 5, model, small_zero_ctx)
@@ -198,7 +181,7 @@ def test_ladder_overflow_guard(small_grid):
 def test_ladder_matches_time_differencing(small_grid, small_ctx):
     # (f(t+d) - f(t-d)) / 2d approaches the first rung as d shrinks
     f0 = random_field(small_grid, 30, bandlimit=4, envelope_width=1.0)
-    model = SourceModel(unit_gaussian(small_grid), tau_kind="exp", amplitude=0.5)
+    model = SourceModel(unit_gaussian(small_grid), amplitude=0.5)
     t0 = 0.3
     deltas = (0.1, 0.05)
     errs = []
