@@ -11,6 +11,6 @@ from .kernel import (KernelParams, LandauCoefficients, QuadratureSpec,
                      build_coefficients, compute_abar_field,
                      maxwellian_field)
 from .operator import (ConvolutionEngine, OperatorContext, apply_L, apply_L1,
-                       apply_L2, apply_Q, make_context)
+                       apply_L2, make_context)
 
 __version__ = "0.1.0"

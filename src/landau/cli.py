@@ -8,7 +8,8 @@ suite), report (merged markdown summary of the reports in the out dir).
 Exit codes: 0 ok, 2 config error, 3 numerical failure, 4 suite failure,
 5 report refused: a report_*.json in the out dir was written under another
 config fingerprint (stale reports are never merged).
-A non-empty LANDAU_CACHE environment variable overrides io.cache_dir.
+Commands write only into the out dir; each builds the coefficients it
+needs afresh.
 """
 
 import argparse
@@ -49,14 +50,9 @@ def _timestamp():
 
 def _prepare(args):
     cfg = load_config(args.config)
-    cache_dir = os.environ.get("LANDAU_CACHE") or cfg.io_cache_dir
-    if not cache_dir:
-        raise ConfigError("io.cache_dir must name a directory "
-                          "(or set LANDAU_CACHE)")
     out_dir = args.out or cfg.io_out_dir
     os.makedirs(out_dir, exist_ok=True)
-    res = RunResources(cfg, cache_dir=cache_dir, log=print)
-    return cfg, res, out_dir
+    return cfg, RunResources(cfg, log=print), out_dir
 
 
 def cmd_coeffs(args):

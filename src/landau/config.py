@@ -45,7 +45,6 @@ class RunConfig:
     verify_ensemble_size: int = 64
     verify_seed: int = 42
     verify_suites: tuple = ALL_SUITES
-    io_cache_dir: str = ".landau-cache"
     io_out_dir: str = "out"
 
 

@@ -52,4 +52,5 @@ class FitDegenerateError(LandauError):
 
 
 class CacheFormatError(LandauError):
-    """On-disk cache or snapshot file is malformed or mismatched."""
+    """A field snapshot file is malformed: wrong magic, or a size other
+    than the one its header implies."""

@@ -501,26 +501,11 @@ def c2_tolerance(grid, quad):
     return min(0.5, max(quad.rtol, grid.h ** 2))
 
 
-def build_coefficients(grid, params, quad=QuadratureSpec(), cache_dir=None, log=None):
-    """Compute (or load) the full coefficient set, cross-checking c2.
-
-    When cache_dir is given, abar, c1 and c2 are cached on disk keyed by
-    (R, N, gamma, normalization, quadrature orders).  A cached set is
-    cross-checked like a fresh one, so a corrupt c2 raises CrossCheckError
-    either way; only a fresh set is saved.
-    """
-    from . import persist
-
-    cached = None
-    if cache_dir is not None:
-        cached = persist.load_coefficient_cache(cache_dir, grid, params, quad)
-    if cached is None:
-        abar = compute_abar_field(grid, params, quad)
-        c1, c2 = compute_scalar_weights(abar, grid)
-    else:
-        abar, c1, c2 = cached
-        if log:
-            log(f"coefficients: cache hit ({persist.coefficient_cache_path(cache_dir, grid, params, quad)})")
+def build_coefficients(grid, params, quad=QuadratureSpec()):
+    """Compute the full coefficient set, cross-checking c2 against the
+    convolution route; a disagreement raises CrossCheckError."""
+    abar = compute_abar_field(grid, params, quad)
+    c1, c2 = compute_scalar_weights(abar, grid)
     tables = tabulate_fft_kernels(grid, params, pad=1)
     rel = crosscheck_c2(c2, grid, params,
                         tabulate_divergence_kernels(grid, params, pad=2))
@@ -529,9 +514,4 @@ def build_coefficients(grid, params, quad=QuadratureSpec(), cache_dir=None, log=
         raise CrossCheckError(
             f"c2 routes disagree: relative L2 difference {rel:.3e} > {tol:.3e}"
         )
-    coeffs = LandauCoefficients(grid, params, quad, abar, c1, c2, tables, rel)
-    if cache_dir is not None and cached is None:
-        persist.save_coefficient_cache(cache_dir, coeffs)
-        if log:
-            log("coefficients: computed and cached")
-    return coeffs
+    return LandauCoefficients(grid, params, quad, abar, c1, c2, tables, rel)

@@ -1,21 +1,15 @@
 """Binary file formats, JSON reports and CSV emission.
 
-Coefficient cache layout (little-endian):
-    magic "LANDAU-COEF1", u32 N, f64 R, f64 gamma, u8 mu_normalized,
-    u32 radial_order, u32 angular_order, then the six abar component
-    arrays followed by c1 and c2, each N^3 f64 in flat index order
-    (iz*N + iy)*N + ix with ix fastest.
-
-Field snapshot layout:
+Field snapshot layout (little-endian):
     magic "LANDAU-FLD1", u32 N, f64 R, f64 gamma, u64 step_index,
-    f64 time, then N^3 f64 values in the same index order.
+    f64 time, then N^3 f64 values in flat index order
+    (iz*N + iy)*N + ix with ix fastest.
 
 Every file is written through a temporary file beside it, which replaces
 it only when complete.
 """
 
 import contextlib
-import hashlib
 import json
 import math
 import os
@@ -26,10 +20,9 @@ import numpy as np
 from .errors import CacheFormatError
 from .field import ScalarField
 from .grid import VelocityGrid
-from .kernel import SymMatrixField
 
-COEF_MAGIC = b"LANDAU-COEF1"
 FIELD_MAGIC = b"LANDAU-FLD1"
+FIELD_HEADER = struct.Struct("<IddQd")
 
 
 @contextlib.contextmanager
@@ -51,76 +44,30 @@ def _write_array(fh, arr):
     fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
-def _read_array(fh, count):
-    data = fh.read(8 * count)
-    if len(data) != 8 * count:
-        raise CacheFormatError("truncated array block")
-    return np.frombuffer(data, dtype="<f8", count=count).copy()
-
-
-def coefficient_cache_path(cache_dir, grid, params, quad):
-    key = (
-        f"R{grid.R!r}-N{grid.N}-g{params.gamma!r}-mu{int(params.mu_normalized)}"
-        f"-q{quad.radial_order}x{quad.angular_order}"
-    )
-    digest = hashlib.sha256(key.encode()).hexdigest()[:16]
-    return os.path.join(cache_dir, f"coef-{digest}.bin")
-
-
-def save_coefficient_cache(cache_dir, coeffs):
-    os.makedirs(cache_dir, exist_ok=True)
-    path = coefficient_cache_path(cache_dir, coeffs.grid, coeffs.params, coeffs.quad)
-    g, p, q = coeffs.grid, coeffs.params, coeffs.quad
-    with _replacing(path, "wb") as fh:
-        fh.write(COEF_MAGIC)
-        fh.write(struct.pack("<IddBII", g.N, g.R, p.gamma,
-                             int(p.mu_normalized), q.radial_order, q.angular_order))
-        for c in coeffs.abar.comps:
-            _write_array(fh, c)
-        _write_array(fh, coeffs.c1)
-        _write_array(fh, coeffs.c2)
-    return path
-
-
-def load_coefficient_cache(cache_dir, grid, params, quad):
-    """Return the cached (abar, c1, c2) or None; a malformed file or a
-    header that does not match the request raises CacheFormatError."""
-    path = coefficient_cache_path(cache_dir, grid, params, quad)
-    if not os.path.exists(path):
-        return None
-    with open(path, "rb") as fh:
-        magic = fh.read(len(COEF_MAGIC))
-        if magic != COEF_MAGIC:
-            raise CacheFormatError(f"bad magic in {path}")
-        n, r, gamma, mu_norm, rad, ang = struct.unpack("<IddBII", fh.read(29))
-        if (n, r, gamma, bool(mu_norm), rad, ang) != (
-            grid.N, grid.R, params.gamma, params.mu_normalized,
-            quad.radial_order, quad.angular_order,
-        ):
-            raise CacheFormatError(f"header of {path} does not match request")
-        n3 = n ** 3
-        comps = np.stack([_read_array(fh, n3).reshape(grid.shape) for _ in range(6)])
-        c1 = _read_array(fh, n3).reshape(grid.shape)
-        c2 = _read_array(fh, n3).reshape(grid.shape)
-    return SymMatrixField(grid, comps), c1, c2
-
-
 def save_field_snapshot(path, f, gamma, step_index, time):
     with _replacing(path, "wb") as fh:
         fh.write(FIELD_MAGIC)
-        fh.write(struct.pack("<IddQd", f.grid.N, f.grid.R, gamma, step_index, time))
+        fh.write(FIELD_HEADER.pack(f.grid.N, f.grid.R, gamma, step_index, time))
         _write_array(fh, f.values)
 
 
 def load_field_snapshot(path):
+    """Return (field, gamma, step_index, time); a file whose magic is wrong
+    or whose size is not the one its header implies raises CacheFormatError."""
     with open(path, "rb") as fh:
-        magic = fh.read(len(FIELD_MAGIC))
-        if magic != FIELD_MAGIC:
-            raise CacheFormatError(f"bad magic in {path}")
-        n, r, gamma, step_index, time = struct.unpack("<IddQd", fh.read(36))
-        grid = VelocityGrid(R=r, N=n)
-        values = _read_array(fh, n ** 3).reshape(grid.shape)
-    return ScalarField(grid, values), gamma, step_index, time
+        data = fh.read()
+    start = len(FIELD_MAGIC) + FIELD_HEADER.size
+    if data[:len(FIELD_MAGIC)] != FIELD_MAGIC:
+        raise CacheFormatError(f"bad magic in {path}")
+    if len(data) < start:
+        raise CacheFormatError(f"truncated header in {path}")
+    n, r, gamma, step_index, time = FIELD_HEADER.unpack_from(data, len(FIELD_MAGIC))
+    if len(data) != start + 8 * n ** 3:
+        raise CacheFormatError(f"{path} holds {len(data)} bytes; its header "
+                               f"implies {start + 8 * n ** 3}")
+    grid = VelocityGrid(R=r, N=n)
+    values = np.frombuffer(data, dtype="<f8", offset=start).reshape(grid.shape)
+    return ScalarField(grid, values.copy()), gamma, step_index, time
 
 
 # ---------------------------------------------------------------------------

@@ -161,7 +161,9 @@ def check_kernel_identities(params, sample_count=1000, seed=1234, fingerprint=""
 
 def check_coefficient_bounds(coeffs, fingerprint="", sample_count=400, seed=77):
     """Decay bounds for abar derivatives (finite differences, |beta| <= 2),
-    the analytic kernel derivatives (|alpha| <= 2) and the divergence field.
+    the analytic kernel derivatives (|alpha| <= 2) and the divergence field,
+    and the pad-1 divergence tables b_j against the trace of the analytic
+    first derivatives, scale-relative to 2 |u|^{gamma+1}, at 1e-12.
 
     Edge stencils are excluded from the finite-difference scans; reported
     ratios are measured maxima, asserted finite only."""
@@ -198,6 +200,17 @@ def check_coefficient_bounds(coeffs, fingerprint="", sample_count=400, seed=77):
 
     div_ratio = float(np.max(np.abs(2.0 * coeffs.c2) / wgt))
 
+    # the pad-1 b tables against sum_k d_k a_jk at seeded nonzero shifts
+    m = coeffs.tables.M
+    offs = np.fft.fftfreq(m) * m * h
+    flat = rng.integers(1, m ** 3, size=sample_count)
+    iz, iy, ix = np.unravel_index(flat, (m, m, m))
+    shifts = np.stack([offs[ix], offs[iy], offs[iz]], axis=-1)
+    trace = np.einsum("pkjk->pj", kernel_first_derivatives(shifts, g))
+    table = coeffs.tables.b_comps.reshape(3, -1)[:, flat].T
+    scale = 2.0 * np.linalg.norm(shifts, axis=-1) ** (g + 1.0)
+    b_err = float(np.max(np.abs(table - trace) / scale[:, None]))
+
     k_coef = max(k_first, k_second, div_ratio)
     rep = VerificationReport("coefficients", fingerprint)
     rep.add_check("abar_first_derivative_finite", k_first, math.inf, math.isfinite(k_first))
@@ -215,6 +228,7 @@ def check_coefficient_bounds(coeffs, fingerprint="", sample_count=400, seed=77):
     rep.add_check("c2_crosscheck_rel_l2", coeffs.c2_crosscheck, c2_tol,
                   not math.isnan(coeffs.c2_crosscheck)
                   and coeffs.c2_crosscheck <= c2_tol)
+    rep.add_check("b_table_vs_kernel_derivatives", b_err, 1e-12, b_err <= 1e-12)
     rep.add_constant("K_coef", k_coef, 0, grid)
     return rep
 

@@ -29,9 +29,8 @@ def quad():
 
 
 @pytest.fixture(scope="session")
-def small_coeffs(small_grid, params, quad, tmp_path_factory):
-    cache = tmp_path_factory.mktemp("coef-cache")
-    return build_coefficients(small_grid, params, quad, cache_dir=str(cache))
+def small_coeffs(small_grid, params, quad):
+    return build_coefficients(small_grid, params, quad)
 
 
 @pytest.fixture(scope="session")

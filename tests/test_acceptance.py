@@ -18,9 +18,9 @@ from landau.config import load_config
 from landau.evolution import derivative_ladder, evolve
 from landau.field import l2_norm
 from landau.kernel import maxwellian_field
-from landau.operator import apply_Q
 from landau.suites import RunResources, run_suite
 from landau.verify import check_kernel_identities, smoothing_fit
+from tests.collision_oracle import apply_Q
 from tests.conftest import ZeroOperator
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -35,9 +35,7 @@ def _report(criterion, ok, detail):
 def ref_cfg(tmp_path_factory):
     cfg = load_config(os.path.join(REPO, "configs", "reference.cfg"))
     work = tmp_path_factory.mktemp("acceptance")
-    return dataclasses.replace(cfg,
-                               io_cache_dir=str(work / "cache"),
-                               io_out_dir=str(work / "out"))
+    return dataclasses.replace(cfg, io_out_dir=str(work / "out"))
 
 
 @pytest.fixture(scope="module")
@@ -199,15 +197,13 @@ ladder.eval_times = 0.25, 0.5
 verify.ensemble_size = 64
 verify.seed = 42
 verify.suites = kernel, coefficients, convolution, inequalities, energy, smoothing
-io.cache_dir = {cache}
 io.out_dir = {out}
 """
 
 
 def test_criterion_8_determinism(tmp_path):
     cfg_path = tmp_path / "det.cfg"
-    cfg_path.write_text(DET_CFG.format(cache=tmp_path / "cache",
-                                       out=tmp_path / "out"))
+    cfg_path.write_text(DET_CFG.format(out=tmp_path / "out"))
     outs = [str(tmp_path / "out_a"), str(tmp_path / "out_b")]
     for out in outs:
         # determinism is about the bytes, not the verdicts: the coarse

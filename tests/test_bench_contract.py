@@ -33,7 +33,10 @@ def test_benchmark_names_resolve(tmp_path):
         cfg = validate_config(dataclasses.replace(
             load_config(os.path.join(REPO, "configs", "reference.cfg")),
             grid_N=16, f0_bandlimit=5))
-        res = RunResources(cfg, cache_dir=str(tmp_path / "cache"), log=None)
+        # the benchmark hands each round an empty directory as cache_dir
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        res = RunResources(cfg, cache_dir=str(cache), log=None)
         f = random_field(res.grid, 0, bandlimit=5)
         operator.apply_L2(f, res.ctx.engine, res.coeffs)
         b_comps = kernel.tabulate_fft_kernels(res.grid, res.params, pad=2).b_comps
@@ -55,4 +58,4 @@ def test_benchmark_names_resolve(tmp_path):
     assert traj.state.step_index > 1
     assert calls["evolution.step"] == traj.state.step_index
     assert calls["operator.fft_forward"] >= 4
-    assert os.listdir(tmp_path / "cache")
+    assert os.listdir(cache) == []  # every build is cold; nothing is written

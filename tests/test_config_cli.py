@@ -1,15 +1,16 @@
 import json
 import math
 import os
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from landau import cli
+from landau import cli, kernel
 from landau.config import (_SCHEMA, canonical_text, fingerprint, load_config,
                            parse_config_text, validate_config, RunConfig)
-from landau.errors import ConfigError
+from landau.errors import CacheFormatError, ConfigError
 from landau import persist
 from landau.field import ScalarField
 from landau.grid import VelocityGrid
@@ -142,18 +143,49 @@ def test_field_snapshot_roundtrip(tmp_path):
     assert g.grid == grid
 
 
-def test_coefficient_cache_roundtrip(tmp_path, small_grid, params, quad,
-                                     small_coeffs):
-    cache = str(tmp_path / "cache")
-    persist.save_coefficient_cache(cache, small_coeffs)
-    abar, c1, c2 = persist.load_coefficient_cache(cache, small_grid, params, quad)
-    assert np.array_equal(abar.comps, small_coeffs.abar.comps)
-    assert np.array_equal(c1, small_coeffs.c1)
-    assert np.array_equal(c2, small_coeffs.c2)
-    # cache layout on disk: header then raveled f8 arrays
-    path = persist.coefficient_cache_path(cache, small_grid, params, quad)
-    with open(path, "rb") as fh:
-        assert fh.read(12) == b"LANDAU-COEF1"
+def test_field_snapshot_wrong_size_refused(tmp_path):
+    grid = VelocityGrid(R=6.0, N=16)
+    path = tmp_path / "snap.fld"
+    persist.save_field_snapshot(str(path), ScalarField(grid, np.ones(grid.shape)),
+                                gamma=-1.0, step_index=7, time=0.25)
+    data = path.read_bytes()
+    for bad in (data + b"j" * 17, data[:-8]):
+        path.write_bytes(bad)
+        with pytest.raises(CacheFormatError, match="header implies"):
+            persist.load_field_snapshot(str(path))
+
+
+def _f64_bits(x):
+    return struct.pack("<d", x)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(n=st.integers(8, 12).map(lambda k: 2 * k),
+       r=st.floats(0.0, exclude_min=True, allow_infinity=False),
+       gamma=st.floats(), step=st.integers(0, 2 ** 64 - 1), t=st.floats(),
+       seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_field_snapshot_format_property(tmp_path_factory, n, r, gamma, step, t,
+                                        seed, data):
+    # any header and any bit pattern of values, NaN payloads included,
+    # come back bit for bit; a strict prefix or an appended suffix is refused
+    grid = VelocityGrid(R=r, N=n)
+    bits = np.random.default_rng(seed).integers(0, 2 ** 64, size=grid.shape,
+                                                dtype=np.uint64)
+    path = tmp_path_factory.mktemp("fld") / "snap.fld"
+    persist.save_field_snapshot(str(path), ScalarField(grid, bits.view("<f8")),
+                                gamma, step, t)
+    field, gamma_back, step_back, t_back = persist.load_field_snapshot(str(path))
+    assert field.grid == grid
+    assert np.array_equal(field.values.view(np.uint64), bits)
+    assert _f64_bits(gamma_back) == _f64_bits(gamma)
+    assert _f64_bits(t_back) == _f64_bits(t) and step_back == step
+    whole = path.read_bytes()
+    cut = data.draw(st.integers(0, len(whole) - 1), label="prefix length")
+    suffix = data.draw(st.binary(min_size=1, max_size=64), label="suffix")
+    for bad in (whole[:cut], whole + suffix):
+        path.write_bytes(bad)
+        with pytest.raises(CacheFormatError):
+            persist.load_field_snapshot(str(path))
 
 
 SMALL_RUN = """
@@ -171,22 +203,20 @@ ladder.eval_times = 0.125, 0.25
 verify.ensemble_size = 64
 verify.seed = 42
 verify.suites = kernel, coefficients
-io.cache_dir = {cache}
 io.out_dir = {out}
 """
 
 
 @pytest.fixture()
 def small_run_config(tmp_path):
-    cache = tmp_path / "cache"
     out = tmp_path / "out"
     path = tmp_path / "run.cfg"
-    path.write_text(SMALL_RUN.format(cache=cache, out=out))
-    return str(path), str(out), str(cache)
+    path.write_text(SMALL_RUN.format(out=out))
+    return str(path), str(out)
 
 
 def test_cli_verify_and_exit_codes(small_run_config, capsys):
-    cfg_path, out_dir, _ = small_run_config
+    cfg_path, out_dir = small_run_config
     rc = cli.main(["verify", "--config", cfg_path])
     assert rc == 0
     for suite in ("kernel", "coefficients"):
@@ -199,23 +229,11 @@ def test_cli_verify_and_exit_codes(small_run_config, capsys):
 
 
 def test_cli_single_suite_flag(small_run_config):
-    cfg_path, out_dir, _ = small_run_config
+    cfg_path, out_dir = small_run_config
     rc = cli.main(["verify", "--config", cfg_path, "--suite", "kernel"])
     assert rc == 0
     assert os.path.exists(os.path.join(out_dir, "report_kernel.json"))
     assert not os.path.exists(os.path.join(out_dir, "report_coefficients.json"))
-
-
-def test_cli_cache_env_override(small_run_config, tmp_path, monkeypatch):
-    cfg_path, _, cache_dir = small_run_config
-    override = tmp_path / "env-cache"
-    monkeypatch.setenv("LANDAU_CACHE", str(override))
-    rc = cli.main(["verify", "--config", cfg_path, "--suite", "coefficients"])
-    assert rc == 0
-    assert any(name.startswith("coef-") for name in os.listdir(override))
-    monkeypatch.setenv("LANDAU_CACHE", "")   # empty means unset
-    assert cli.main(["coeffs", "--config", cfg_path]) == 0
-    assert any(name.startswith("coef-") for name in os.listdir(cache_dir))
 
 
 def test_cli_config_error_exit_code(tmp_path, capsys):
@@ -231,7 +249,9 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     # e^{-rate t} phi, so the selectors of other kinds are refused
     for line in ("f0.kind = random", "f0.orthogonalize = true",
                  "source.orthogonalize = true", "source.tau_kind = exp",
-                 "source.tau_omega = 1.0", "source.tau_coeffs = 1.0"):
+                 "source.tau_omega = 1.0", "source.tau_coeffs = 1.0",
+                 # every command builds its coefficients afresh
+                 "io.cache_dir = .landau-cache"):
         bad.write_text(MINIMAL + line + "\n")
         assert cli.main(["verify", "--config", str(bad)]) == 2
         key = line.split(" = ")[0]
@@ -242,41 +262,21 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         assert "unknown source.profile" in capsys.readouterr().err
 
 
-def test_cli_cached_c2_failing_crosscheck_exit_code(small_run_config, capsys):
-    # a cached coefficient set passes the same c2 cross-check as a fresh
-    # build; before, `coeffs` exited 4 and `evolve` ran on the corrupt c2
-    cfg_path, _, cache_dir = small_run_config
-    assert cli.main(["coeffs", "--config", cfg_path]) == 0
-    [name] = os.listdir(cache_dir)
-    n3 = 16 ** 3
-    # c2 is the last of eight N^3 blocks after the 41-byte header; negated,
-    # it lies about 2 from the convolution route (tolerance 0.5 at N=16)
-    c2 = np.memmap(os.path.join(cache_dir, name), dtype="<f8", mode="r+",
-                   offset=len(persist.COEF_MAGIC) + 29 + 7 * 8 * n3, shape=(n3,))
-    c2 *= -1.0
-    c2.flush()
-    del c2
+def test_cli_c2_failing_crosscheck_exit_code(small_run_config, monkeypatch,
+                                             capsys):
+    # every build runs the c2 gate: a negated c2 lies about 2 from the
+    # convolution route (tolerance 0.5 at N=16)
+    cfg_path, _ = small_run_config
+    weights = kernel.compute_scalar_weights
+
+    def negated_c2(abar, grid):
+        c1, c2 = weights(abar, grid)
+        return c1, -c2
+
+    monkeypatch.setattr(kernel, "compute_scalar_weights", negated_c2)
     for command in ("coeffs", "evolve", "ladder", "verify"):
         assert cli.main([command, "--config", cfg_path]) == 3
         assert "c2 routes disagree" in capsys.readouterr().err
-
-
-def test_cli_empty_cache_dir_exit_code(small_run_config, tmp_path,
-                                      monkeypatch, capsys):
-    cfg_path, _, _ = small_run_config
-    with open(cfg_path) as fh:
-        lines = [ln for ln in fh.read().splitlines()
-                 if not ln.startswith("io.cache_dir")]
-    with open(cfg_path, "w") as fh:
-        fh.write("\n".join(lines + ["io.cache_dir =", ""]))
-    monkeypatch.delenv("LANDAU_CACHE", raising=False)
-    assert cli.main(["coeffs", "--config", cfg_path]) == 2
-    assert "io.cache_dir" in capsys.readouterr().err
-    # a non-empty LANDAU_CACHE still supplies the directory
-    override = tmp_path / "env-cache"
-    monkeypatch.setenv("LANDAU_CACHE", str(override))
-    assert cli.main(["coeffs", "--config", cfg_path]) == 0
-    assert any(name.startswith("coef-") for name in os.listdir(override))
 
 
 @pytest.mark.parametrize("line", ["grid.R = inf", "time.T = inf",
@@ -285,7 +285,7 @@ def test_cli_non_finite_config_exit_code(small_run_config, capsys, line):
     # before, grid.R = inf crashed `coeffs` in the eigensolver, time.T = inf
     # crashed `evolve` with OverflowError, and a nan amplitude or an inf
     # scale wrote NaN/inf output with exit code 0
-    cfg_path, out_dir, _ = small_run_config
+    cfg_path, out_dir = small_run_config
     key = line.split(" = ")[0]
     with open(cfg_path) as fh:
         lines = [ln for ln in fh.read().splitlines()
@@ -303,7 +303,7 @@ def test_cli_non_finite_config_exit_code(small_run_config, capsys, line):
 def test_cli_source_width_exit_code(small_run_config, capsys, width):
     # before, a zero width ended `evolve` in a ZeroDivisionError traceback
     # and a negative one acted as its absolute value
-    cfg_path, out_dir, _ = small_run_config
+    cfg_path, out_dir = small_run_config
     with open(cfg_path) as fh:
         lines = [ln for ln in fh.read().splitlines()
                  if not ln.startswith("source.width ")]
@@ -320,17 +320,17 @@ def test_cli_missing_config_exit_code(tmp_path):
     assert rc == 2
 
 
-def test_cli_evolve_then_ladder_reuses_cache(small_run_config, capsys):
-    cfg_path, out_dir, cache_dir = small_run_config
+def test_cli_evolve_then_ladder(small_run_config, tmp_path, monkeypatch):
+    cfg_path, out_dir = small_run_config
+    # no command writes outside its out dir; LANDAU_CACHE is not read
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("LANDAU_CACHE", str(tmp_path / "env-cache"))
     assert cli.main(["evolve", "--config", cfg_path]) == 0
-    captured = capsys.readouterr()
-    assert "cache" in captured.out  # first build announces caching
     assert os.path.exists(os.path.join(out_dir, "energy.csv"))
     assert os.path.exists(os.path.join(out_dir, "snapshot_t0.25.fld"))
 
     assert cli.main(["ladder", "--config", cfg_path]) == 0
-    captured = capsys.readouterr()
-    assert "cache hit" in captured.out
+    assert sorted(os.listdir(tmp_path)) == ["out", "run.cfg"]
     ladder_path = os.path.join(out_dir, "ladder_t0.25.csv")
     assert os.path.exists(ladder_path)
     with open(ladder_path) as fh:
@@ -344,7 +344,7 @@ def test_cli_evolve_then_ladder_reuses_cache(small_run_config, capsys):
 
 
 def test_cli_energy_csv_header(small_run_config):
-    cfg_path, out_dir, _ = small_run_config
+    cfg_path, out_dir = small_run_config
     assert cli.main(["evolve", "--config", cfg_path]) == 0
     with open(os.path.join(out_dir, "energy.csv")) as fh:
         lines = fh.read().splitlines()
@@ -353,7 +353,7 @@ def test_cli_energy_csv_header(small_run_config):
 
 
 def test_cli_report_summary(small_run_config):
-    cfg_path, out_dir, _ = small_run_config
+    cfg_path, out_dir = small_run_config
     assert cli.main(["verify", "--config", cfg_path]) == 0
     assert cli.main(["report", "--config", cfg_path]) == 0
     with open(os.path.join(out_dir, "summary.md")) as fh:
@@ -363,7 +363,7 @@ def test_cli_report_summary(small_run_config):
 
 
 def test_cli_report_refuses_mixed_fingerprints(small_run_config, capsys):
-    cfg_path, out_dir, _ = small_run_config
+    cfg_path, out_dir = small_run_config
     assert cli.main(["verify", "--config", cfg_path, "--suite", "kernel"]) == 0
     # a report left in the out dir by a run of another configuration
     other = os.path.join(out_dir, "report_kernel.json")
@@ -433,7 +433,7 @@ def test_failed_writes_leave_previous_file(tmp_path, monkeypatch):
 def test_cli_determinism_byte_identical(small_run_config, tmp_path):
     # identical config and seed, two runs into separate out dirs:
     # identical reports modulo the meta block
-    cfg_path, _, _ = small_run_config
+    cfg_path, _ = small_run_config
     outs = [str(tmp_path / "det_a"), str(tmp_path / "det_b")]
     for out in outs:
         assert cli.main(["verify", "--config", cfg_path, "--out", out]) == 0

@@ -13,8 +13,8 @@ from landau.kernel import (build_coefficients,
                            maxwellian_field, sqrt_maxwellian_field,
                            tabulate_radial_kernel)
 from landau.operator import (ConvolutionEngine, apply_L, apply_L1, apply_L2,
-                             apply_Q, arnoldi_spectral_radius,
-                             make_context)
+                             arnoldi_spectral_radius, make_context)
+from tests.collision_oracle import apply_Q
 from tests.conftest import gaussian_field
 
 

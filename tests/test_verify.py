@@ -77,6 +77,18 @@ def test_coefficient_bounds_suite(small_coeffs):
     assert math.isfinite(k_coef) and k_coef > 0
 
 
+def test_coefficient_suite_catches_b_table_error(small_coeffs):
+    # a 1e-9 relative error in the b_y table fails the b-table check alone
+    tables = small_coeffs.tables
+    b_comps = tables.b_comps.copy()
+    b_comps[1] *= 1.0 + 1e-9
+    bad = dataclasses.replace(
+        small_coeffs, tables=dataclasses.replace(tables, b_comps=b_comps))
+    rep = check_coefficient_bounds(bad)
+    assert [c.id for c in rep.checks if not c.verdict] == [
+        "b_table_vs_kernel_derivatives"]
+
+
 def test_convolution_bound_suite(small_grid, params):
     rep = check_convolution_bound(small_grid, params, deltas=(0.5, 1.0))
     assert rep.passed, [c for c in rep.checks if not c.verdict]
@@ -205,7 +217,7 @@ def test_inequalities_suite_reports_identical():
     # two runs, each with its own ensembles and threaded member passes
     docs = []
     for _ in range(2):
-        res = RunResources(parse_config_text(ENERGY_CFG), cache_dir=None, log=None)
+        res = RunResources(parse_config_text(ENERGY_CFG), log=None)
         docs.append([report_to_dict(r) for r in run_suite("inequalities", res)])
     assert [d["suite"] for d in docs[0]] == [
         "coercivity", "bilinear", "l3_embedding", "bilinear_recheck"]
@@ -225,7 +237,7 @@ def test_inequalities_suite_frees_each_ensemble(monkeypatch):
         return fields
 
     monkeypatch.setattr(verify, "make_ensemble", tracked)
-    res = RunResources(parse_config_text(ENERGY_CFG), cache_dir=None, log=None)
+    res = RunResources(parse_config_text(ENERGY_CFG), log=None)
     run_suite("inequalities", res)
     gc.collect()
     assert len(drawn) == 2 * 74 and all(ref() is None for ref in drawn)
@@ -271,15 +283,14 @@ verify.ensemble_size = 64
 """
 
 
-def test_energy_suite_dt_rho_check(tmp_path, monkeypatch):
+def test_energy_suite_dt_rho_check(monkeypatch):
     # the rungs and the trajectory start from one datum, drawn once: one
     # random field and one boundary-shell warning per energy run
     draws, logged = [], []
     monkeypatch.setattr(suites, "random_field",
                         lambda *a: draws.append(a) or random_field(*a))
     monkeypatch.setattr(suites, "ENVELOPE_SHELL_LIMIT", 0.0)
-    res = RunResources(parse_config_text(ENERGY_CFG), cache_dir=str(tmp_path),
-                       log=logged.append)
+    res = RunResources(parse_config_text(ENERGY_CFG), log=logged.append)
     [rep] = run_suite("energy", res)
     assert all(c.verdict for c in rep.checks), rep.checks
     assert len(draws) == 1
@@ -290,7 +301,7 @@ def test_energy_suite_dt_rho_check(tmp_path, monkeypatch):
     assert 1.2 < 0.5 / n0 * rho <= 2.4
 
 
-def test_energy_suite_same_bytes_for_any_thread_count(tmp_path, monkeypatch):
+def test_energy_suite_same_bytes_for_any_thread_count(monkeypatch):
     # the energy-identity rungs and the trajectory run side by side on two
     # threads that switch every 10 us, and one after the other on one
     # core: the same reports, energy log and snapshots, bit for bit
@@ -299,8 +310,7 @@ def test_energy_suite_same_bytes_for_any_thread_count(tmp_path, monkeypatch):
     for cores in ({0, 1}, {0}):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, c=cores: c,
                             raising=False)
-        res = RunResources(parse_config_text(ENERGY_CFG),
-                           cache_dir=str(tmp_path), log=None)
+        res = RunResources(parse_config_text(ENERGY_CFG), log=None)
         sys.setswitchinterval(1e-5)
         try:
             reports = run_suite("energy", res) + run_suite("smoothing", res)
@@ -336,7 +346,7 @@ def test_run_resources_tabulate_each_pad_once(monkeypatch):
             if (name.startswith("landau")
                     and getattr(module, fn_name, None) is original):
                 monkeypatch.setattr(module, fn_name, counted)
-    res = RunResources(parse_config_text(ENERGY_CFG), cache_dir=None, log=None)
+    res = RunResources(parse_config_text(ENERGY_CFG), log=None)
     for suite in ("coefficients", "convolution"):
         run_suite(suite, res)
     assert res.ctx.engine.hats.shape[:2] == (3, 4)
@@ -346,10 +356,8 @@ def test_run_resources_tabulate_each_pad_once(monkeypatch):
 
 
 def test_run_resources_without_cache_dir_writes_nothing(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)  # where the default io.cache_dir would go
-    cfg = dataclasses.replace(parse_config_text(ENERGY_CFG),
-                              io_cache_dir=str(tmp_path / "cache"))
-    res = RunResources(cfg, cache_dir=None, log=None)
+    monkeypatch.chdir(tmp_path)  # where a relative path would land
+    res = RunResources(parse_config_text(ENERGY_CFG), log=None)
     assert res.coeffs.c2_crosscheck > 0
     assert os.listdir(tmp_path) == []
 
