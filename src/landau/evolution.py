@@ -8,12 +8,26 @@ Two rules keep the factorial-scale quantities trustworthy:
   recursion  d_t^m f = -L d_t^{m-1} f + d_t^{m-1} g,  never by finite
   differencing of trajectories, which would destroy the k! scaling.
 
-There is one integrator, classical RK4 (`evolve`, one `step` per RK4
-step), and one guard on it: a step whose dt*rho(L) reaches the real-axis
-limit of the RK4 stability region is refused before it is taken.
+The forcing's amplitude tau(t) = amplitude e^{-rate t} solves
+tau' = -rate tau, so y = (f, tau) obeys one linear system y' = -G y with
+G(f, tau) = (L f - tau phi, rate tau), whose spectrum is that of L and
+rate.  `evolve` applies the exact propagator e^{-s G} through its
+Chebyshev expansion on an interval [lo, hi] that contains that spectrum
+(Tal-Ezer & Kosloff, J. Chem. Phys. 81, 1984; augmenting the system with
+the forcing follows Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011), so
+no step size and no stability region enter.  The time axis is cut into
+octave segments [0, T/2^K], ..., [T/2, T] with K = ceil(log2(rho(L) T)),
+plus every requested time as an edge; one `step` propagates one segment
+and its SEGMENT_SAMPLES uniform sample times by a single three-term
+recurrence.  The samples form the energy log, whose nested subsamples are
+the energy-identity rungs.  `evolve` propagates on the interval that
+`spectral_interval` builds from the measured spectral radius and lower
+edge of L; `step` refuses, before it applies L, an interval that does not
+contain them.
 """
 
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,16 +37,18 @@ from .field import ScalarField, a_norm, inner_product, l2_norm, zeros
 
 LADDER_KMAX_CAP = 10
 LADDER_OVERFLOW = 1e100
-# Real-axis extent of the classical RK4 stability region: |R(z)| <= 1 on
-# [-2.785, 0] (Hairer & Wanner, Solving ODEs II).
-RK4_STABILITY_LIMIT = 2.785
-# dt*rho(L) of the coarsest energy-identity rung, inside the RK4 limit
-LADDER_DT_RHO = 2.4
-# dt*rho(L) of the trajectory: one halving below the finest energy-identity
-# rung (4 n0 steps), whose fourth-order convergence the energy suite
-# measures.  The N=24 snapshots lie up to 1.4e-9 from a DOP853 reference
-# solution at 0.3, and up to 1.1e-8 at 0.5.
-TRAJECTORY_DT_RHO = LADDER_DT_RHO / 8
+# p: panels per segment of the coarsest energy-identity rung; the rungs
+# take p, 2p and 4p panels per segment.  Measured at N=24 (seed 42): the
+# log of p = 4 takes 344 applications of L and gives a residual dt-slope
+# of 3.90, that of p = 8 takes 488 and gives 3.97.
+RUNG_PANELS = 4
+SEGMENT_SAMPLES = 4 * RUNG_PANELS
+# the interval reaches (SPECTRUM_MARGIN - 1) rho(L) beyond the measured
+# edges of the spectrum at both ends: room for their measurement errors
+SPECTRUM_MARGIN = 1.02
+# the Chebyshev series is cut where the coefficients left out sum to at
+# most this fraction of the sum of all of them
+CHEBYSHEV_TOL = 1e-15
 
 
 @dataclass
@@ -76,7 +92,7 @@ def measure_source_bound(model, T, kmax=8, samples=65):
 
 
 # ---------------------------------------------------------------------------
-# time stepping
+# Chebyshev propagation
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -93,71 +109,148 @@ class EvolutionResult:
     snapshots: dict                   # time -> ScalarField
 
 
-def _rhs(f, t, ctx, model):
-    """g(t) - L f."""
-    return source_eval(model, 0, t) - ctx.apply(f)
+def scaled_bessel_i(z):
+    """e^{-z} I_k(z) for k = 0..M and each z >= 0 of the 1-d array `z`, as
+    an (M + 1, len(z)) array, M large enough that the terms left out are
+    far below round-off.
+
+    Miller's backward recurrence I_{k-1} = I_{k+1} + (2k/z) I_k, run on
+    the ratios r_k = I_k / I_{k-1} = z / (2k + z r_{k+1}) so that nothing
+    overflows, and normalized by e^{-z} (I_0 + 2 sum_k I_k) = 1.  Written
+    with numpy alone: importing scipy.special would add about 26 MB to the
+    resident memory of every run."""
+    z = np.asarray(z, dtype=float)
+    zmax = float(np.max(z))
+    top = int(zmax + 10.0 * math.sqrt(zmax)) + 40
+    ratios = np.empty((top + 1,) + z.shape)
+    r = np.zeros_like(z)
+    for k in range(top, 0, -1):
+        r = z / (2.0 * k + z * r)
+        ratios[k] = r
+    ratios[0] = 1.0
+    rel = np.cumprod(ratios, axis=0)          # I_k / I_0
+    return rel / (2.0 * np.sum(rel, axis=0) - 1.0)
+
+
+def chebyshev_coefficients(offsets, interval):
+    """Coefficients c[k, i] of e^{-s_i x} = sum_k c[k, i] T_k(X) for the
+    offsets s_i >= 0, where x in [lo, hi] = interval and
+    X = (2x - hi - lo) / (hi - lo):
+    c[k, i] = (2 - delta_k0) (-1)^k e^{-s_i lo} I~_k(s_i (hi - lo) / 2),
+    with I~_k the exponentially scaled modified Bessel function.  The
+    series is cut where, at the largest offset, the coefficients left out
+    sum to at most CHEBYSHEV_TOL of the sum of all of them."""
+    lo, hi = interval
+    offsets = np.asarray(offsets, dtype=float)
+    bessel = scaled_bessel_i(0.5 * (hi - lo) * offsets)
+    widest = bessel[:, int(np.argmax(offsets))]
+    tail = 2.0 * np.cumsum(widest[::-1])[::-1]     # tail[k] = 2 sum_{j>=k}
+    degree = max(1, int(np.argmax(tail <= CHEBYSHEV_TOL)) - 1)
+    k = np.arange(degree + 1)
+    signs = np.where(k % 2 == 0, 2.0, -2.0)
+    signs[0] = 1.0
+    return (signs[:, None] * bessel[:degree + 1]) * np.exp(-lo * offsets)
+
+
+def spectral_interval(ctx, model):
+    """The measured edges (lower, upper) of the spectrum of G, and the
+    propagation interval of `evolve`, which reaches (SPECTRUM_MARGIN - 1)
+    rho beyond the edges of L.
+
+    upper = max(rho(L), rate) and lower = min(lower edge of L, rate); the
+    lower edge rho - max |rho - lambda(L)| is at most min Re lambda(L)."""
+    rho, edge, rate = ctx.spectral_radius, ctx.spectrum_lower_edge, model.rate
+    margin = (SPECTRUM_MARGIN - 1.0) * rho
+    return ((min(edge, rate), max(rho, rate)),
+            (min(edge - margin, rate), max(rho + margin, rate)))
+
+
+def segment_edges(T, rho, marks=()):
+    """0, the octaves T/2^K, ..., T/2, T with K = ceil(log2(rho T)) (none
+    when rho T <= 1), and every mark in (0, T]."""
+    octaves = math.ceil(math.log2(rho * T)) if rho * T > 1.0 else 0
+    edges = {T * 2.0 ** -j for j in range(octaves + 1)}
+    edges |= {float(m) for m in marks if 0.0 < m <= T}
+    return [0.0] + sorted(edges)
 
 
 def _log_row(f, t, ctx, model):
-    """The energy-log row (t, ||f||^2, ||f||_A^2, (g, f), (Lf, f)) and the
-    right-hand side g(t) - L f it is read from."""
-    g = source_eval(model, 0, t)
-    rhs = g - ctx.apply(f)
-    gf = inner_product(g, f)
-    lff = gf - inner_product(rhs, f)      # (Lf, f) = (g - rhs, f)
-    return (t, inner_product(f, f), a_norm(f, ctx.coeffs) ** 2, gf, lff), rhs
+    """The energy-log row (t, ||f||^2, ||f||_A^2, (g, f), (Lf, f))."""
+    return (t, inner_product(f, f), a_norm(f, ctx.coeffs) ** 2,
+            inner_product(source_eval(model, 0, t), f),
+            inner_product(ctx.apply(f), f))
 
 
-def step(f, t, dt, ctx, model):
-    """One classical four-stage explicit Runge-Kutta step of f' = g - L f
-    from time t; returns the new field and the energy-log row of the step
-    start, which shares its evaluation of g(t) - L f with the first stage."""
-    row, k1 = _log_row(f, t, ctx, model)
-    k2 = _rhs(f + (0.5 * dt) * k1, t + 0.5 * dt, ctx, model)
-    k3 = _rhs(f + (0.5 * dt) * k2, t + 0.5 * dt, ctx, model)
-    k4 = _rhs(f + dt * k3, t + dt, ctx, model)
-    return f + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), row
+def step(f, t0, t1, ctx, model, interval):
+    """Propagate f(t0) to the SEGMENT_SAMPLES uniform times of (t0, t1] by
+    one Chebyshev recurrence T_{k+1}(X) y = 2 X T_k(X) y - T_{k-1}(X) y,
+    X = (2 G - hi - lo) / (hi - lo), whose vectors serve every sample time;
+    returns the fields at those times, the last at t1.  It applies L once
+    per term after the first of the series, len(chebyshev_coefficients) - 1
+    times.
+
+    An interval [lo, hi] that does not contain the measured edges of the
+    spectrum of G (see `spectral_interval`) raises InstabilityError before
+    L is applied: outside [lo, hi] the series grows instead of decaying."""
+    (lower, upper), _ = spectral_interval(ctx, model)
+    lo, hi = interval
+    if not (lo <= lower and upper <= hi and lo < hi and math.isfinite(hi - lo)):
+        raise InstabilityError(
+            f"interval [{lo:.6g}, {hi:.6g}] does not contain the measured "
+            f"spectrum [{lower:.6g}, {upper:.6g}] of the propagated system")
+    grid = f.grid
+    phi = model.phi.values
+    scale, shift = 2.0 / (hi - lo), (hi + lo) / (hi - lo)
+    rate_x = scale * model.rate - shift
+
+    def apply_x(fv, tau):
+        lf = ctx.apply(ScalarField(grid, fv)).values
+        return scale * (lf - tau * phi) - shift * fv, rate_x * tau
+
+    offsets = (t1 - t0) * np.arange(1, SEGMENT_SAMPLES + 1) / SEGMENT_SAMPLES
+    coef = chebyshev_coefficients(offsets, interval)
+    prev = (f.values, model.tau_derivative(0, t0))
+    cur = apply_x(*prev)
+    acc = np.multiply.outer(coef[0], prev[0]) + np.multiply.outer(coef[1], cur[0])
+    for k in range(2, len(coef)):
+        nxt = apply_x(*cur)
+        prev, cur = cur, (2.0 * nxt[0] - prev[0], 2.0 * nxt[1] - prev[1])
+        acc += np.multiply.outer(coef[k], cur[0])
+    return [ScalarField(grid, v) for v in acc]
 
 
-def evolve(f0, model, T, ctx, dt=None, snapshot_times=()):
-    """Integrate to time T, hitting each snapshot time exactly.
-
-    The base step `dt` defaults to TRAJECTORY_DT_RHO / rho(L); each
-    segment between requested times is subdivided uniformly at no more
-    than it.  A base step that is not positive, or whose dt*rho(L) is at
-    or beyond the real-axis RK4 limit, raises InstabilityError before any
-    step is taken.  The energy log gets one row per step plus the final
-    time.
-    """
+def evolve(f0, model, T, ctx, snapshot_times=(), log=None):
+    """Propagate f0 to time T on the interval of `spectral_interval`;
+    returns the energy log, with one row at 0 and SEGMENT_SAMPLES rows per
+    segment (see `segment_edges`), and the fields at the snapshot times and
+    at T.  `log`, when given, receives one progress line per segment."""
     if T <= 0:
         raise ValueError("horizon T must be positive")
-    rho = ctx.spectral_radius
-    if dt is None:
-        dt = TRAJECTORY_DT_RHO / rho
-    if not (dt > 0 and dt * rho < RK4_STABILITY_LIMIT):
-        raise InstabilityError(
-            f"step dt = {dt:.4g} with dt*rho(L) = {dt * rho:.4g} is not a "
-            f"positive step inside the RK4 stability limit {RK4_STABILITY_LIMIT}")
-    marks = sorted({float(s) for s in snapshot_times if 0.0 < s <= T} | {T})
+    lo, hi = spectral_interval(ctx, model)[1]
+    edges = segment_edges(T, ctx.spectral_radius, snapshot_times)
+    # applications of L per segment: the series' terms and the log rows
+    costs = [len(chebyshev_coefficients([t1 - t0], (lo, hi))) - 1 + SEGMENT_SAMPLES
+             for t0, t1 in zip(edges[:-1], edges[1:])]
+    planned = 1 + sum(costs)
 
-    f, t, log = f0, 0.0, []
-    snapshots = {}
-    prev = 0.0
-    for mark in marks:
-        span = mark - prev
-        n = max(1, int(math.ceil(span / dt - 1e-12)))
-        h = span / n
-        for _ in range(n):
-            f, row = step(f, t, h, ctx, model)
-            log.append(row)
-            t += h
-        t = mark  # guard against accumulated round-off in t
-        if mark in snapshot_times or math.isclose(mark, T):
-            snapshots[mark] = f.copy()
-        prev = mark
-    state = EvolutionState(f, t, len(log))
-    log.append(_log_row(f, t, ctx, model)[0])
-    return EvolutionResult(state, np.array(log), snapshots)
+    f, rows, snapshots = f0, [_log_row(f0, 0.0, ctx, model)], {}
+    applied, started = 1, time.perf_counter()
+    for i, (t0, t1) in enumerate(zip(edges[:-1], edges[1:]), 1):
+        samples = step(f, t0, t1, ctx, model, (lo, hi))
+        for j, sample in enumerate(samples, 1):
+            t = t1 if j == SEGMENT_SAMPLES else t0 + (t1 - t0) * j / SEGMENT_SAMPLES
+            rows.append(_log_row(sample, t, ctx, model))
+        f = samples[-1].copy()      # frees the block of samples
+        if t1 in snapshot_times or t1 == T:
+            snapshots[t1] = f
+        applied += costs[i - 1]
+        if log is not None:
+            left = (time.perf_counter() - started) * (planned - applied) / applied
+            log(f"evolve: segment {i}/{len(costs)}, t = {t1:.4g}, "
+                f"||f|| = {math.sqrt(rows[-1][1]):.4g}, {applied} of {planned} "
+                f"applications of L, about {left:.1f} s left")
+    return EvolutionResult(EvolutionState(f, T, len(costs)), np.array(rows),
+                           snapshots)
 
 
 # ---------------------------------------------------------------------------

@@ -135,13 +135,35 @@ class OperatorContext:
         then finds the top eigenvalue of the even subspace only (117.73
         instead of 120.48 at N=32, R=8).
         """
+        return self._shifted_radius(0.0, ARNOLDI_TOL)
+
+    @cached_property
+    def spectrum_lower_edge(self):
+        """rho - max |rho - lambda(L)|, measured on first use and then kept:
+        it bounds min Re lambda(L) from below, and is negative because the
+        discrete L2 is not exactly self-adjoint (-0.36 at N=24, R=8).
+
+        Measured to LOWER_EDGE_TOL only.  The eigenvalues of L at the low
+        end cluster within a small fraction of rho, so there the Ritz
+        residual falls by about 8% per restart at N=48; the propagator
+        widens its interval by 2% of rho anyway (evolution.SPECTRUM_MARGIN).
+        The value is an estimate at that residual: within 0.002 of the
+        converged edge at N=24, but -0.056 at N=48, where 38 restarts reach
+        -0.0855 and still move, so at N >= 48 it understates how far the
+        spectrum reaches below zero."""
+        rho = self.spectral_radius
+        return rho - self._shifted_radius(rho, LOWER_EDGE_TOL)
+
+    def _shifted_radius(self, shift, tol):
+        """max |lambda(L) - shift|, by Arnoldi from seeded white noise."""
         grid = self.coeffs.grid
 
         def matvec(x):
-            return self.apply(ScalarField(grid, x.reshape(grid.shape))).values.ravel()
+            lx = self.apply(ScalarField(grid, x.reshape(grid.shape))).values.ravel()
+            return lx - shift * x
 
         v0 = np.random.default_rng(0).standard_normal(grid.N ** 3)
-        return arnoldi_spectral_radius(matvec, v0)
+        return arnoldi_spectral_radius(matvec, v0, tol)
 
 
 # restarted Arnoldi for OperatorContext.spectral_radius: basis size, ARPACK
@@ -149,9 +171,11 @@ class OperatorContext:
 ARNOLDI_KRYLOV_DIM = 20
 ARNOLDI_TOL = 1e-6
 ARNOLDI_MAX_RESTARTS = 50
+# relative Ritz residual at which OperatorContext.spectrum_lower_edge stops
+LOWER_EDGE_TOL = 1e-3
 
 
-def arnoldi_spectral_radius(matvec, v0):
+def arnoldi_spectral_radius(matvec, v0, tol=ARNOLDI_TOL):
     """Largest |lambda| of a real linear map, by explicitly restarted Arnoldi.
 
     Arnoldi rather than Lanczos because the discrete L2 is not exactly
@@ -159,7 +183,7 @@ def arnoldi_spectral_radius(matvec, v0):
     ARNOLDI_KRYLOV_DIM vectors (Gram-Schmidt with one reorthogonalization
     pass) and takes the Ritz value theta of largest modulus of the
     projected Hessenberg matrix.  It stops when the Ritz residual is at
-    most ARNOLDI_TOL*|theta|, the convergence test of ARPACK (Lehoucq,
+    most tol*|theta|, the convergence test of ARPACK (Lehoucq,
     Sorensen & Yang, ARPACK Users' Guide, SIAM 1998), and otherwise
     restarts from the real part of the Ritz vector.  Written with numpy alone: importing
     scipy.sparse.linalg would add about 26 MB to the resident memory of
@@ -180,7 +204,7 @@ def arnoldi_spectral_radius(matvec, v0):
             basis[j + 1] = w / hess[j + 1, j]
         theta, vecs = np.linalg.eig(hess[:m])
         k = int(np.argmax(np.abs(theta)))
-        if abs(hess[m, m - 1] * vecs[m - 1, k]) <= ARNOLDI_TOL * abs(theta[k]):
+        if abs(hess[m, m - 1] * vecs[m - 1, k]) <= tol * abs(theta[k]):
             return float(abs(theta[k]))
         v = (vecs[:, k] @ basis[:m]).real
         basis[0] = v / np.linalg.norm(v)

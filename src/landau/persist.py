@@ -52,8 +52,9 @@ def save_field_snapshot(path, f, gamma, step_index, time):
 
 
 def load_field_snapshot(path):
-    """Return (field, gamma, step_index, time); a file whose magic is wrong
-    or whose size is not the one its header implies raises CacheFormatError."""
+    """Return (field, gamma, step_index, time); a file whose magic is wrong,
+    whose size is not the one its header implies or whose header names a
+    grid VelocityGrid refuses raises CacheFormatError."""
     with open(path, "rb") as fh:
         data = fh.read()
     start = len(FIELD_MAGIC) + FIELD_HEADER.size
@@ -65,7 +66,11 @@ def load_field_snapshot(path):
     if len(data) != start + 8 * n ** 3:
         raise CacheFormatError(f"{path} holds {len(data)} bytes; its header "
                                f"implies {start + 8 * n ** 3}")
-    grid = VelocityGrid(R=r, N=n)
+    try:
+        grid = VelocityGrid(R=r, N=n)
+    except ValueError as exc:
+        raise CacheFormatError(f"{path} names a grid this package refuses: "
+                               f"{exc}") from exc
     values = np.frombuffer(data, dtype="<f8", offset=start).reshape(grid.shape)
     return ScalarField(grid, values.copy()), gamma, step_index, time
 

@@ -4,11 +4,12 @@ context, the initial datum and forcing, the reference trajectory and its
 ladders) are built lazily, once, and shared across suites; the ensembles
 are drawn for the one suite that reads them.
 
-Independent work runs on one thread per core through `verify.map_on_cores`:
-the members of each ensemble in the inequalities suite, and in the energy
-suite the energy-identity rungs beside the reference trajectory.  Each job
-owns the arrays it writes and results are reduced in a fixed order, so
-every output is the same bytes for any thread count."""
+The energy suite reads one propagation: the reference trajectory's graded
+energy log gives C5, and its nested subsamples are the energy-identity
+rungs.  The members of each ensemble in the inequalities suite run on one
+thread per core through `verify.map_on_cores`; each member owns the arrays
+it writes and results are reduced in a fixed order, so every output is the
+same bytes for any thread count."""
 
 import math
 from functools import cached_property
@@ -18,7 +19,7 @@ import numpy as np
 from . import verify
 from .config import fingerprint
 from .errors import ConfigError
-from .evolution import (LADDER_DT_RHO, SourceModel, derivative_ladder, evolve,
+from .evolution import (SourceModel, derivative_ladder, evolve,
                         measure_source_bound)
 from .field import ScalarField, envelope_boundary_ratio, l2_norm, random_field
 from .grid import VelocityGrid
@@ -118,7 +119,7 @@ class RunResources:
         marks = tuple(sorted(set(cfg.time_snapshot_times)
                              | set(cfg.ladder_eval_times)))
         return evolve(self.initial_datum(), self.source_model(), cfg.time_T,
-                      self.ctx, snapshot_times=marks)
+                      self.ctx, snapshot_times=marks, log=self.log)
 
     @cached_property
     def ladders(self):
@@ -154,37 +155,19 @@ def run_suite(name, res: RunResources):
         reports.append(verify.recheck_bilinear(fresh, consts, fingerprint=res.fingerprint))
         return reports
     if name == "energy":
-        cfg = res.cfg
-        model = res.source_model()
-        # rho(L), the forcing and the datum are computed here, on the calling
-        # thread, before either job starts
-        n0 = energy_ladder_steps(cfg.time_T, res.ctx)
-        f0 = res.initial_datum()
-        # the energy-identity rungs beside the trajectory; the rungs come
-        # first, so that their errors surface first
-        (_, slope), traj = verify.map_on_cores(lambda job: job(), (
-            lambda: verify.energy_identity_convergence(
-                f0, model, cfg.time_T, res.ctx, steps=(n0, 2 * n0, 4 * n0)),
-            lambda: res.trajectory))
-        rep = verify.check_energy(traj, res.ladders, res.fingerprint,
-                                  slope=slope)
-        a_g = measure_source_bound(model, cfg.time_T, kmax=8)
+        traj = res.trajectory
+        rep = verify.check_energy(traj, res.ladders, res.fingerprint)
+        a_g = measure_source_bound(res.source_model(), res.cfg.time_T, kmax=8)
         rep.add_check("A_g_finite", a_g, math.inf, math.isfinite(a_g))
         rep.add_constant("A_g", a_g, 1, res.grid)
+        rep.add_constant("spectral_radius", res.ctx.spectral_radius, 0, res.grid)
+        rep.add_constant("spectrum_lower_edge", res.ctx.spectrum_lower_edge, 0,
+                         res.grid)
         return [rep]
     if name == "smoothing":
         rep, _ = verify.smoothing_report(res.ladders, res.grid, res.fingerprint)
         return [rep]
     raise ConfigError(f"unknown suite {name!r}")
-
-
-def energy_ladder_steps(T, ctx):
-    """Even step count n0 of the energy-identity ladder (n0, 2 n0, 4 n0
-    steps over [0, T]).  The coarsest rung runs at dt*rho(L) <= 2.4,
-    inside the RK4 stability limit, and coarse enough that the finest
-    rung's fourth-order residual stays far above round-off."""
-    n = int(math.ceil(T * ctx.spectral_radius / LADDER_DT_RHO))
-    return n + (n % 2)
 
 
 def run_suites(names, res: RunResources):

@@ -42,10 +42,11 @@ def small_ctx(small_coeffs):
 class ZeroOperator:
     """Operator-context stand-in for L = 0: it carries real coefficients,
     which the energy log and the ladders' A-norms read, applies as zero and
-    has spectral radius 0, so any step size is inside the RK4 limit."""
+    has the measured spectral radius and lower edge of L = 0."""
 
     coeffs: object
     spectral_radius: float = 0.0
+    spectrum_lower_edge: float = 0.0
 
     def apply(self, f):
         return zeros(f.grid)

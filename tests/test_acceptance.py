@@ -119,8 +119,8 @@ def test_criterion_4_bounded_constants(inequality_constants):
 
 
 def test_criterion_5_energy_identity(res32):
-    # the suite runs the energy-identity ladder at n0, 2 n0 and 4 n0 steps
-    # beside the trajectory
+    # the energy-identity rungs are the trajectory log's subsamples with
+    # 4, 8 and 16 panels per segment
     [rep] = run_suite("energy", res32)
     slope = {c.id: c.value for c in rep.checks}["residual_dt_slope"]
     consts = {c.name: c.value for c in rep.constants}
@@ -154,8 +154,7 @@ def test_criterion_7_scalar_oracle(res32):
     f0 = res32.initial_datum()
     times = cfg.ladder_eval_times
     zero_ctx = ZeroOperator(res32.coeffs)
-    res = evolve(f0, model, cfg.time_T, zero_ctx, dt=cfg.time_T / 512.0,
-                 snapshot_times=times)
+    res = evolve(f0, model, cfg.time_T, zero_ctx, snapshot_times=times)
     ladders = [derivative_ladder(res.snapshots[t], t, cfg.ladder_kmax,
                                  model, zero_ctx) for t in times]
     fit = smoothing_fit(ladders)

@@ -40,7 +40,8 @@ def test_benchmark_names_resolve(tmp_path):
         f = random_field(res.grid, 0, bandlimit=5)
         operator.apply_L2(f, res.ctx.engine, res.coeffs)
         b_comps = kernel.tabulate_fft_kernels(res.grid, res.params, pad=2).b_comps
-        # evolution.rk4_steps counts the spans of evolution.step
+        # evolution.rk4_steps counts the spans of evolution.step, one per
+        # propagated segment
         traj = evolution.evolve(f, evolution.SourceModel.zero(res.grid), 0.05,
                                 res.ctx)
     finally:

@@ -155,6 +155,16 @@ def test_field_snapshot_wrong_size_refused(tmp_path):
             persist.load_field_snapshot(str(path))
 
 
+def test_field_snapshot_unsupported_grid_refused(tmp_path):
+    # exactly sized for its header, which names a grid VelocityGrid refuses
+    path = tmp_path / "snap.fld"
+    for n, r in ((8, 6.0), (17, 6.0), (16, 0.0), (16, math.nan)):
+        header = persist.FIELD_HEADER.pack(n, r, -1.0, 7, 0.25)
+        path.write_bytes(persist.FIELD_MAGIC + header + bytes(8 * n ** 3))
+        with pytest.raises(CacheFormatError, match="grid this package refuses"):
+            persist.load_field_snapshot(str(path))
+
+
 def _f64_bits(x):
     return struct.pack("<d", x)
 

@@ -3,11 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from landau import evolution
 from landau.errors import InstabilityError, LadderOverflowError
-from landau.evolution import (RK4_STABILITY_LIMIT, SourceModel,
-                              derivative_ladder, evolve, measure_source_bound,
-                              source_eval, step)
-from landau.field import l2_norm, random_field, zeros
+from landau.evolution import (SEGMENT_SAMPLES, SourceModel,
+                              chebyshev_coefficients, derivative_ladder,
+                              evolve, measure_source_bound, scaled_bessel_i,
+                              source_eval, spectral_interval, step)
+from landau.field import ScalarField, l2_norm, random_field, zeros
+from landau.operator import apply_L1
+from landau.verify import energy_identity_convergence
 from tests.conftest import gaussian_field
 
 
@@ -32,86 +36,172 @@ def test_source_bound_finite(small_grid):
 
 def test_step_zero_stays_zero(small_grid, small_ctx):
     model = SourceModel.zero(small_grid)
-    out, row = step(zeros(small_grid), 0.25, 0.01, small_ctx, model)
-    assert np.all(out.values == 0.0)
-    # the energy-log row of the step start
-    assert row == (0.25, 0.0, 0.0, 0.0, 0.0)
+    interval = spectral_interval(small_ctx, model)[1]
+    samples = step(zeros(small_grid), 0.25, 0.35, small_ctx, model, interval)
+    assert len(samples) == SEGMENT_SAMPLES
+    assert all(np.all(f.values == 0.0) for f in samples)
+
+
+def test_scaled_bessel_matches_scipy():
+    # e^{-z} I_k(z) against scipy's ive, from z = 0 to the widest segment
+    # of an N=64 run (z about 260)
+    from scipy.special import ive
+
+    z = np.array([0.0, 1e-9, 1e-3, 0.5, 3.0, 34.5, 260.0])
+    got = scaled_bessel_i(z)
+    exact = ive(np.arange(len(got))[:, None], z[None, :])
+    assert np.max(np.abs(got - exact)) <= 1e-15
+    big = exact > 1e-20
+    assert np.max(np.abs(got - exact)[big] / exact[big]) <= 1e-12
+
+
+def test_chebyshev_series_reproduces_exponential():
+    # sum_k c_k T_k(X(x)) = e^{-s x} on [lo, hi], for an interval reaching
+    # below zero like the measured spectrum of L
+    lo, hi = -0.5, 70.0
+    offsets = np.array([1e-4, 0.01, 0.1, 0.5])
+    coef = chebyshev_coefficients(offsets, (lo, hi))
+    x = np.linspace(lo, hi, 1001)
+    cheb = np.polynomial.chebyshev.chebval((2.0 * x - hi - lo) / (hi - lo), coef)
+    exact = np.exp(-np.multiply.outer(offsets, x))
+    assert np.max(np.abs(cheb - exact) / np.exp(-lo * offsets)[:, None]) <= 1e-14
 
 
 def test_step_without_operator_matches_quadrature(small_grid, small_zero_ctx):
-    # with L = 0 and g = phi e^{-t}, a single RK4 step reproduces the
-    # exact integral of tau to O(dt^5)
+    # with L = 0 and g = amplitude e^{-t} phi the solution is
+    # f0 + amplitude (1 - e^{-t}) phi; the operator stand-in carries the
+    # measured edges 0 of L = 0
     phi = unit_gaussian(small_grid)
-    model = SourceModel(phi, rate=1.0)
-    errs = []
-    for dt in (0.2, 0.1):
-        out, _ = step(zeros(small_grid), 0.0, dt, small_zero_ctx, model)
-        exact = (1.0 - math.exp(-dt)) * phi.values
-        errs.append(float(np.max(np.abs(out.values - exact))))
-    assert 24.0 <= errs[0] / errs[1] <= 40.0  # fifth-order local error
+    model = SourceModel(phi, rate=1.0, amplitude=0.7)
+    f0 = random_field(small_grid, 5, bandlimit=5, envelope_width=1.0)
+
+    def exact(t):
+        return f0.values + 0.7 * (1.0 - math.exp(-t)) * phi.values
+
+    scale = float(np.max(np.abs(f0.values)))
+    interval = spectral_interval(small_zero_ctx, model)[1]
+    samples = step(f0, 0.0, 0.4, small_zero_ctx, model, interval)
+    for i, f in enumerate(samples, 1):
+        err = np.max(np.abs(f.values - exact(0.4 * i / SEGMENT_SAMPLES)))
+        assert err <= 1e-12 * scale
+    res = evolve(f0, model, 2.0, small_zero_ctx, snapshot_times=(0.5, 1.0))
+    assert sorted(res.snapshots) == [0.5, 1.0, 2.0]
+    for t, f in res.snapshots.items():
+        assert np.max(np.abs(f.values - exact(t))) <= 1e-12 * scale
 
 
 def test_evolve_zero_data_zero_source(small_grid, small_ctx):
     model = SourceModel.zero(small_grid)
     res = evolve(zeros(small_grid), model, 0.5, small_ctx)
     assert l2_norm(res.state.f) == 0.0
-    assert res.energy_log[-1, 0] == pytest.approx(0.5)
+    assert res.energy_log[-1, 0] == 0.5
 
 
 def test_evolve_snapshots_and_log(small_grid, small_ctx):
     f0 = random_field(small_grid, 42, bandlimit=5, envelope_width=1.0)
     model = SourceModel(unit_gaussian(small_grid), amplitude=0.5)
-    res = evolve(f0, model, 0.2, small_ctx, snapshot_times=(0.1, 0.2))
+    lines = []
+    res = evolve(f0, model, 0.2, small_ctx, snapshot_times=(0.1, 0.2),
+                 log=lines.append)
     assert set(res.snapshots) == {0.1, 0.2}
     t = res.energy_log[:, 0]
     assert np.all(np.diff(t) > 0)
     assert np.isfinite(res.energy_log).all()
-    # log rows are (t, l2sq, asq, gf, lff); the first row is the datum
+    # log rows are (t, l2sq, asq, gf, lff); the first row is the datum,
+    # then SEGMENT_SAMPLES rows per segment, the snapshot times among them
     assert res.energy_log[0, 1] == pytest.approx(l2_norm(f0) ** 2, rel=1e-12)
+    segments = res.state.step_index
+    assert len(res.energy_log) == 1 + SEGMENT_SAMPLES * segments
+    assert {0.1, 0.2} <= set(t)
+    # one progress line per segment, counting the applications of L
+    assert len(lines) == segments
+    assert lines[-1].startswith(f"evolve: segment {segments}/{segments}, t = 0.2")
+    assert "applications of L" in lines[-1]
 
 
 def test_default_step_from_spectral_radius(small_grid, small_ctx):
-    # each segment between marks takes ceil(span * rho / 0.3) equal steps
+    # octave segments [0, T/2^K], ..., [T/2, T] with K = ceil(log2(rho T)),
+    # the snapshot time 0.1 splitting one of them, SEGMENT_SAMPLES uniform
+    # rows each
     f0 = random_field(small_grid, 42, bandlimit=5, envelope_width=1.0)
     model = SourceModel(unit_gaussian(small_grid), amplitude=0.5)
     rho = small_ctx.spectral_radius
-    res = evolve(f0, model, 0.25, small_ctx, snapshot_times=(0.1,))
-    steps = math.ceil(0.1 * rho / 0.3) + math.ceil(0.15 * rho / 0.3)
-    assert res.state.step_index == steps
-    assert len(res.energy_log) == steps + 1
-    dt = np.diff(res.energy_log[:, 0])
-    assert 0.25 < dt.max() * rho <= 0.3 * (1 + 1e-12)
+    T = 0.25
+    res = evolve(f0, model, T, small_ctx, snapshot_times=(0.1,))
+    octaves = math.ceil(math.log2(rho * T))
+    assert res.state.step_index == octaves + 2
+    t = res.energy_log[:, 0]
+    edges = t[::SEGMENT_SAMPLES]
+    assert 0.1 in edges and T in edges
+    assert 0.5 < edges[1] * rho <= 1.0       # the first octave
+    for a, b in zip(edges[:-1], edges[1:]):
+        seg = t[(t >= a) & (t <= b)]
+        assert np.allclose(np.diff(seg), (b - a) / SEGMENT_SAMPLES, rtol=1e-12)
 
 
 def test_default_step_accuracy(small_grid, small_ctx):
-    # the default step against a run at half of it, to T = 0.5: measured
-    # 6.9e-9 relative; the step doubled gives 1.2e-7, and the ladder's
-    # coarsest rule dt*rho = 2.4 gives 4.0e-5
+    # the measured interval against a much wider one, whose series has
+    # other coefficients and more terms, at every sample of a segment of
+    # length 8/rho
     f0 = random_field(small_grid, 7, bandlimit=5, envelope_width=1.0)
     model = SourceModel(unit_gaussian(small_grid), amplitude=0.5)
-    T = 0.5
-    res = evolve(f0, model, T, small_ctx)
-    n = res.state.step_index
-    half = evolve(f0, model, T, small_ctx, dt=T / (2 * n))
-    assert half.state.step_index == 2 * n
-    err = l2_norm(res.state.f - half.state.f) / l2_norm(half.state.f)
-    assert err < 2e-8
+    t0, t1 = 0.1, 0.1 + 8.0 / small_ctx.spectral_radius
+    lo, hi = spectral_interval(small_ctx, model)[1]
+    measured = step(f0, t0, t1, small_ctx, model, (lo, hi))
+    wide = step(f0, t0, t1, small_ctx, model, (lo - 5.0, 2.0 * hi))
+    for f, g in zip(measured, wide):
+        assert l2_norm(f - g) <= 1e-12 * l2_norm(g)
 
 
-def test_rk4_self_convergence(small_grid, small_ctx):
-    # fixed problem, halving dt: fourth-order trajectory error
-    f0 = random_field(small_grid, 7, bandlimit=5, envelope_width=1.0)
-    model = SourceModel(unit_gaussian(small_grid), amplitude=1.0)
-    T = 0.08
-    sols = {}
-    for n in (4, 8, 16):
-        res = evolve(f0, model, T, small_ctx, dt=T / n)
-        sols[n] = res.state.f.values
-    e1 = float(np.max(np.abs(sols[4] - sols[16])))
-    e2 = float(np.max(np.abs(sols[8] - sols[16])))
-    # Richardson: e1/e2 ~ (16 + ...) for a 4th-order method against a
-    # finer reference; accept a broad band around 16
-    assert 10.0 <= e1 / e2 <= 24.0
+def test_propagator_top_ritz_vector(small_grid, small_ctx):
+    # with g = 0 the top Ritz vector v of L, Lv = theta v up to a residual
+    # of 1.5e-12 theta (scipy's ARPACK, in the test only), propagates to
+    # e^{-s theta} v at every sample
+    from scipy.sparse.linalg import LinearOperator, eigs
+
+    grid = small_grid
+
+    def matvec(x):
+        return small_ctx.apply(ScalarField(grid, x.reshape(grid.shape))).values.ravel()
+
+    n = grid.N ** 3
+    theta, vec = eigs(LinearOperator((n, n), matvec=matvec, dtype=float), k=1,
+                      which="LM", v0=np.random.default_rng(0).standard_normal(n),
+                      tol=1e-10)
+    theta, vec = theta[0], vec[:, 0]
+    assert abs(theta.imag) <= 1e-12 * abs(theta)
+    v = ScalarField(grid, (vec / vec[np.argmax(np.abs(vec))]).real.reshape(grid.shape))
+    model = SourceModel.zero(grid)
+    span = 1.0 / small_ctx.spectral_radius
+    samples = step(v, 0.0, span, small_ctx, model,
+                   spectral_interval(small_ctx, model)[1])
+    for i, f in enumerate(samples, 1):
+        exact = math.exp(-theta.real * span * i / SEGMENT_SAMPLES) * v
+        assert l2_norm(f - exact) <= 1e-10 * l2_norm(exact)
+
+
+def test_propagator_with_L1_fails_residual_slope(small_grid, small_ctx, monkeypatch):
+    # the energy log reads (Lf, f) with the true L, so a propagator that
+    # drops L2 breaks the fourth-order energy identity of its rungs
+    f0 = random_field(small_grid, 42, bandlimit=5, envelope_width=1.0)
+    model = SourceModel(unit_gaussian(small_grid), amplitude=0.5)
+    _, slope = energy_identity_convergence(evolve(f0, model, 0.5, small_ctx))
+    assert abs(slope - 4.0) <= 0.5
+
+    class L1Only:
+        # propagates with L1 on the interval measured for L
+        coeffs = small_ctx.coeffs
+        spectral_radius = small_ctx.spectral_radius
+        spectrum_lower_edge = small_ctx.spectrum_lower_edge
+
+        def apply(self, f):
+            return apply_L1(f, self.coeffs)
+
+    original = evolution.step
+    monkeypatch.setattr(evolution, "step",
+                        lambda f, t0, t1, ctx, *a: original(f, t0, t1, L1Only(), *a))
+    _, slope = energy_identity_convergence(evolve(f0, model, 0.5, small_ctx))
+    assert not abs(slope - 4.0) <= 0.5
 
 
 def test_ladder_base_case(small_grid, small_ctx):
@@ -196,12 +286,13 @@ def test_ladder_matches_time_differencing(small_grid, small_ctx):
 
 
 def test_instability_guard(small_grid, small_ctx):
-    # a step at or beyond the real-axis RK4 limit, or not positive, is
-    # refused before L is applied even once; just inside the limit the run
-    # goes ahead
+    # an interval that does not contain the measured spectrum, [lower edge,
+    # rho] of L, is refused before L is applied even once; an interval that
+    # contains it goes ahead
     class Counting:
         coeffs = small_ctx.coeffs
         spectral_radius = small_ctx.spectral_radius
+        spectrum_lower_edge = small_ctx.spectrum_lower_edge
         calls = 0
 
         def apply(self, f):
@@ -209,15 +300,20 @@ def test_instability_guard(small_grid, small_ctx):
             return small_ctx.apply(f)
 
     ctx = Counting()
-    limit = RK4_STABILITY_LIMIT / ctx.spectral_radius
+    rho, edge = ctx.spectral_radius, ctx.spectrum_lower_edge
+    assert edge < 0.0 < rho
     f0 = random_field(small_grid, 31, bandlimit=5)
     model = SourceModel.zero(small_grid)
-    for dt in (limit, 1.02 * limit, math.inf, math.nan, 0.0, -0.5 * limit):
-        with pytest.raises(InstabilityError, match="dt\\*rho"):
-            evolve(f0, model, 3.0 * limit, ctx, dt=dt)
+    for interval in ((edge, 0.99 * rho), (edge + 0.01, 1.02 * rho),
+                     (0.0, 1.02 * rho), (edge, math.inf), (math.nan, rho),
+                     (1.02 * rho, edge)):
+        with pytest.raises(InstabilityError, match="does not contain"):
+            step(f0, 0.0, 0.1, ctx, model, interval)
+    # the forcing's rate is an eigenvalue of the propagated system too
+    fast = SourceModel(unit_gaussian(small_grid), rate=2.0 * rho)
+    with pytest.raises(InstabilityError, match="does not contain"):
+        step(f0, 0.0, 0.1, ctx, fast, (edge, 1.02 * rho))
     assert ctx.calls == 0
-    res = evolve(f0, model, 3.0 * 0.98 * limit, ctx, dt=0.98 * limit)
-    # four stages per step, the first shared with the log row, plus the
-    # final log row
-    assert res.state.step_index == 3
-    assert ctx.calls == 4 * 3 + 1
+    samples = step(f0, 0.0, 0.1, ctx, model, (edge, rho))
+    assert ctx.calls > 0
+    assert all(np.isfinite(f.values).all() for f in samples)

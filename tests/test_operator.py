@@ -1,11 +1,12 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from landau import operator
 from landau.errors import EigenvalueError, GridMismatchError
-from landau.evolution import RK4_STABILITY_LIMIT, SourceModel, step
+from landau.evolution import SourceModel, step
 from landau.field import (ScalarField, a_norm_sq, gradient, inner_product,
                           l2_norm, random_field, zeros)
 from landau.grid import VelocityGrid
@@ -260,30 +261,28 @@ def test_spectral_radius_bit_identical(small_coeffs):
     assert make_context(small_coeffs).spectral_radius == rho
 
 
-def _rk4_drift(ctx, f0, dt, steps=300):
-    """Relative distance at t = steps*dt between RK4 with g = 0 at dt and
-    at dt/2.  The discrete L has a few small negative eigenvalues, so the
-    norm itself may grow at any stable step; an unstable step shows as the
-    top mode blowing up against the half-step run."""
-    model = SourceModel.zero(f0.grid)
-
-    def run(h, n):
-        # evolution.step directly: evolve refuses a step outside the limit
-        f, t = f0, 0.0
-        for _ in range(n):
-            f, _ = step(f, t, h, ctx, model)
-            t += h
-        return f
-
-    coarse, fine = run(dt, steps), run(dt / 2, 2 * steps)
-    return l2_norm(coarse - fine) / l2_norm(fine)
-
-
-def test_spectral_radius_brackets_rk4_stability(small_grid, small_ctx):
-    # white noise, so the datum carries the top eigenmode of L; a rho that
-    # is 3.5% low puts the 0.98 step outside the stability region
+def test_spectral_radius_brackets_chebyshev_interval(small_grid, small_ctx):
+    # white noise, so the datum carries the top eigenmodes of L, over a
+    # segment of length 140 / rho, against a series on a much wider
+    # interval: hi = 1.02 rho keeps 12 digits, a rho measured 2% low loses
+    # five and one measured 10% low blows up (8e-13, 7e-8 and 1.9e3)
     f0 = ScalarField(small_grid,
                      np.random.default_rng(1).standard_normal(small_grid.shape))
-    limit = RK4_STABILITY_LIMIT / small_ctx.spectral_radius
-    assert _rk4_drift(small_ctx, f0, 1.02 * limit) > 1.0
-    assert _rk4_drift(small_ctx, f0, 0.98 * limit) < 1e-3
+    model = SourceModel.zero(small_grid)
+    rho, edge = small_ctx.spectral_radius, small_ctx.spectrum_lower_edge
+    span = 140.0 / rho
+
+    def end(hi, lo=edge):
+        # the true L, whose spectrum is taken to have been measured as [lo, hi]
+        measured = SimpleNamespace(apply=small_ctx.apply, spectral_radius=hi,
+                                   spectrum_lower_edge=lo)
+        return step(f0, 0.0, span, measured, model, (lo, hi))[-1]
+
+    ref = end(2.0 * rho, edge - 1.0)
+
+    def drift(factor):
+        return l2_norm(end(factor * rho) - ref) / l2_norm(ref)
+
+    assert drift(1.02) < 1e-11
+    assert drift(0.98) > 1e-8
+    assert drift(0.9) > 1.0

@@ -10,7 +10,8 @@ import pytest
 
 from landau.config import parse_config_text
 from landau.errors import DegenerateRatioError, FitDegenerateError
-from landau.evolution import DerivativeLadder, SourceModel, derivative_ladder, evolve
+from landau.evolution import (SEGMENT_SAMPLES, DerivativeLadder, SourceModel,
+                              derivative_ladder, evolve)
 from landau.field import (a_norm_sq, gradient, inner_product, l2_norm,
                           random_field, weighted_norm, zeros)
 from landau.operator import apply_L1, apply_L2
@@ -24,7 +25,7 @@ from landau.verify import (check_coefficient_bounds, check_convolution_bound,
 from landau import kernel, suites, verify
 from landau.grid import VelocityGrid
 from landau.kernel import KernelParams
-from landau.suites import RunResources, energy_ladder_steps, run_suite
+from landau.suites import RunResources, run_suite
 from tests.conftest import gaussian_field
 
 
@@ -261,12 +262,16 @@ def test_energy_suite(small_grid, small_ctx):
     res = evolve(f0, model, 0.5, small_ctx, snapshot_times=(0.25, 0.5))
     lads = [derivative_ladder(res.snapshots[t], t, 2, model, small_ctx)
             for t in (0.25, 0.5)]
-    _, slope = energy_identity_convergence(f0, model, 0.5, small_ctx,
-                                           steps=(24, 48, 96))
-    rep = check_energy(res, lads, slope=slope)
+    rep = check_energy(res, lads)
     assert rep.passed, [c for c in rep.checks if not c.verdict]
     consts = {c.name: c.value for c in rep.constants}
     assert consts["C5"] > 0 and math.isfinite(consts["C6"])
+    # the rungs are the log's subsamples; the finest is the full log
+    residuals, slope = energy_identity_convergence(res)
+    checks = {c.id: c.value for c in rep.checks}
+    assert checks["residual_dt_slope"] == slope
+    assert checks["energy_identity_residual"] == residuals[-1]
+    assert residuals[0] > residuals[1] > residuals[2] > 0.0
 
 
 ENERGY_CFG = """
@@ -284,8 +289,9 @@ verify.ensemble_size = 64
 
 
 def test_energy_suite_dt_rho_check(monkeypatch):
-    # the rungs and the trajectory start from one datum, drawn once: one
-    # random field and one boundary-shell warning per energy run
+    # one propagation gives the trajectory and the rungs: one random field
+    # and one boundary-shell warning per energy run, and the first octave
+    # of the log has dt*rho(L) in (0.5, 1]
     draws, logged = [], []
     monkeypatch.setattr(suites, "random_field",
                         lambda *a: draws.append(a) or random_field(*a))
@@ -296,33 +302,16 @@ def test_energy_suite_dt_rho_check(monkeypatch):
     assert len(draws) == 1
     assert sum("boundary shell" in line for line in logged) == 1
     rho = res.ctx.spectral_radius
-    n0 = energy_ladder_steps(0.5, res.ctx)
-    assert n0 % 2 == 0
-    assert 1.2 < 0.5 / n0 * rho <= 2.4
-
-
-def test_energy_suite_same_bytes_for_any_thread_count(monkeypatch):
-    # the energy-identity rungs and the trajectory run side by side on two
-    # threads that switch every 10 us, and one after the other on one
-    # core: the same reports, energy log and snapshots, bit for bit
-    runs = []
-    interval = sys.getswitchinterval()
-    for cores in ({0, 1}, {0}):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, c=cores: c,
-                            raising=False)
-        res = RunResources(parse_config_text(ENERGY_CFG), log=None)
-        sys.setswitchinterval(1e-5)
-        try:
-            reports = run_suite("energy", res) + run_suite("smoothing", res)
-        finally:
-            sys.setswitchinterval(interval)
-        traj = res.trajectory
-        runs.append(([report_to_dict(r) for r in reports],
-                     traj.energy_log.tobytes(),
-                     {t: f.values.tobytes() for t, f in traj.snapshots.items()}))
-    assert [d["suite"] for d in runs[0][0]] == ["energy", "smoothing"]
-    assert sorted(runs[0][2]) == [0.25, 0.5]
-    assert runs[0] == runs[1]
+    edge = res.ctx.spectrum_lower_edge
+    consts = {c.name: c.value for c in rep.constants}
+    assert consts["spectral_radius"] == rho
+    assert consts["spectrum_lower_edge"] == edge < 0.0
+    log = res.trajectory.energy_log
+    segments = math.ceil(math.log2(0.5 * rho)) + 1
+    assert res.trajectory.state.step_index == segments
+    assert len(log) == 1 + SEGMENT_SAMPLES * segments
+    assert sum(line.startswith("evolve: segment") for line in logged) == segments
+    assert 0.5 < log[SEGMENT_SAMPLES, 0] * rho <= 1.0
 
 
 def test_run_resources_tabulate_each_pad_once(monkeypatch):
@@ -387,8 +376,7 @@ def test_smoothing_fit_scalar_oracle(small_grid, small_zero_ctx):
     model = SourceModel(phi, rate=1.0)
     f0 = random_field(small_grid, 42, bandlimit=5, envelope_width=1.0)
     times = (0.5, 1.0, 2.0)
-    res = evolve(f0, model, 2.0, small_zero_ctx, dt=1.0 / 128.0,
-                 snapshot_times=times)
+    res = evolve(f0, model, 2.0, small_zero_ctx, snapshot_times=times)
     ladders = [derivative_ladder(res.snapshots[t], t, 6, model, small_zero_ctx)
                for t in times]
     fit = smoothing_fit(ladders)
