@@ -73,7 +73,7 @@ def cmd_evolve(args):
     for t, snap in sorted(result.snapshots.items()):
         path = os.path.join(out_dir, f"snapshot_t{t:g}.fld")
         persist.save_field_snapshot(path, snap, cfg.gamma,
-                                    result.state.step_index, t)
+                                    result.snapshot_steps[t], t)
     print(f"energy log and {len(result.snapshots)} snapshots written to {out_dir}")
     return EXIT_OK
 

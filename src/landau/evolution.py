@@ -19,11 +19,13 @@ no step size and no stability region enter.  The time axis is cut into
 octave segments [0, T/2^K], ..., [T/2, T] with K = ceil(log2(rho(L) T)),
 plus every requested time as an edge; one `step` propagates one segment
 and its SEGMENT_SAMPLES uniform sample times by a single three-term
-recurrence.  The samples form the energy log, whose nested subsamples are
-the energy-identity rungs.  `evolve` propagates on the interval that
-`spectral_interval` builds from the measured spectral radius and lower
-edge of L; `step` refuses, before it applies L, an interval that does not
-contain them.
+recurrence, and returns f and L f at those times.  The samples form the
+energy log, whose nested subsamples are the energy-identity rungs; the
+log's (Lf, f) comes from the recurrence's own applications of L, and
+`evolve` checks it against L applied directly to the last sample of each
+segment.  `evolve` propagates on the interval that `spectral_interval`
+builds from the measured spectral radius and lower edge of L; `step`
+refuses, before it applies L, an interval that does not contain them.
 """
 
 import math
@@ -39,8 +41,9 @@ LADDER_KMAX_CAP = 10
 LADDER_OVERFLOW = 1e100
 # p: panels per segment of the coarsest energy-identity rung; the rungs
 # take p, 2p and 4p panels per segment.  Measured at N=24 (seed 42): the
-# log of p = 4 takes 344 applications of L and gives a residual dt-slope
-# of 3.90, that of p = 8 takes 488 and gives 3.97.
+# log of p = 4 and that of p = 8 both take 218 applications of L, since a
+# sample costs none, and give residual dt-slopes of 3.90 and 3.97; p = 8
+# doubles the samples' memory and the log rows' A-norms.
 RUNG_PANELS = 4
 SEGMENT_SAMPLES = 4 * RUNG_PANELS
 # the interval reaches (SPECTRUM_MARGIN - 1) rho(L) beyond the measured
@@ -49,6 +52,10 @@ SPECTRUM_MARGIN = 1.02
 # the Chebyshev series is cut where the coefficients left out sum to at
 # most this fraction of the sum of all of them
 CHEBYSHEV_TOL = 1e-15
+# terms of the series that `step` adds into its samples per matrix
+# product, (SEGMENT_SAMPLES x 8) @ (8 x N^3); a product with this few terms
+# gives the same bytes for any BLAS thread count
+ACCUMULATED_TERMS = 8
 
 
 @dataclass
@@ -107,6 +114,8 @@ class EvolutionResult:
     state: EvolutionState
     energy_log: np.ndarray            # rows (t, l2sq, asq, gf, lff)
     snapshots: dict                   # time -> ScalarField
+    snapshot_steps: dict              # time -> index of the segment ending there
+    lf_gap: float                     # largest ||Lf_log - Lf|| / ||Lf|| checked
 
 
 def scaled_bessel_i(z):
@@ -174,20 +183,22 @@ def segment_edges(T, rho, marks=()):
     return [0.0] + sorted(edges)
 
 
-def _log_row(f, t, ctx, model):
-    """The energy-log row (t, ||f||^2, ||f||_A^2, (g, f), (Lf, f))."""
+def _log_row(f, lf, t, ctx, model):
+    """The energy-log row (t, ||f||^2, ||f||_A^2, (g, f), (Lf, f)), with
+    `lf` = L f as the caller holds it."""
     return (t, inner_product(f, f), a_norm(f, ctx.coeffs) ** 2,
-            inner_product(source_eval(model, 0, t), f),
-            inner_product(ctx.apply(f), f))
+            inner_product(source_eval(model, 0, t), f), inner_product(lf, f))
 
 
 def step(f, t0, t1, ctx, model, interval):
     """Propagate f(t0) to the SEGMENT_SAMPLES uniform times of (t0, t1] by
     one Chebyshev recurrence T_{k+1}(X) y = 2 X T_k(X) y - T_{k-1}(X) y,
-    X = (2 G - hi - lo) / (hi - lo), whose vectors serve every sample time;
-    returns the fields at those times, the last at t1.  It applies L once
-    per term after the first of the series, len(chebyshev_coefficients) - 1
-    times.
+    X = (2 G - hi - lo) / (hi - lo), whose vectors serve every sample time.
+    Returns the fields f at those times, the last at t1, and L f at the
+    same times, sum_k c_k(s_i) L (T_k y)_f: every term's image under L is
+    the one the recurrence takes to build the next term, and the last
+    term's is one more, so L is applied len(chebyshev_coefficients) times.
+    Both sums run as one matrix product per ACCUMULATED_TERMS terms.
 
     An interval [lo, hi] that does not contain the measured edges of the
     spectrum of G (see `spectral_interval`) raises InstabilityError before
@@ -203,46 +214,73 @@ def step(f, t0, t1, ctx, model, interval):
     scale, shift = 2.0 / (hi - lo), (hi + lo) / (hi - lo)
     rate_x = scale * model.rate - shift
 
-    def apply_x(fv, tau):
-        lf = ctx.apply(ScalarField(grid, fv)).values
-        return scale * (lf - tau * phi) - shift * fv, rate_x * tau
-
     offsets = (t1 - t0) * np.arange(1, SEGMENT_SAMPLES + 1) / SEGMENT_SAMPLES
     coef = chebyshev_coefficients(offsets, interval)
-    prev = (f.values, model.tau_derivative(0, t0))
-    cur = apply_x(*prev)
-    acc = np.multiply.outer(coef[0], prev[0]) + np.multiply.outer(coef[1], cur[0])
-    for k in range(2, len(coef)):
-        nxt = apply_x(*cur)
-        prev, cur = cur, (2.0 * nxt[0] - prev[0], 2.0 * nxt[1] - prev[1])
-        acc += np.multiply.outer(coef[k], cur[0])
-    return [ScalarField(grid, v) for v in acc]
+    degree = len(coef) - 1
+    # samples[0] holds f, samples[1] L f; terms the same for the pending T_k y
+    samples = np.zeros((2, SEGMENT_SAMPLES, f.values.size))
+    terms = np.empty((2, ACCUMULATED_TERMS, f.values.size))
+    prev, cur = None, (f.values, model.tau_derivative(0, t0))
+    for k in range(degree + 1):
+        lf = ctx.apply(ScalarField(grid, cur[0])).values
+        j = k % ACCUMULATED_TERMS
+        terms[0, j], terms[1, j] = cur[0].ravel(), lf.ravel()
+        if j == ACCUMULATED_TERMS - 1 or k == degree:
+            block = coef[k - j:k + 1].T
+            for part in (0, 1):
+                samples[part] += block @ terms[part, :j + 1]
+        if k < degree:
+            xf = scale * (lf - cur[1] * phi) - shift * cur[0]
+            xt = rate_x * cur[1]
+            if prev is not None:
+                xf, xt = 2.0 * xf - prev[0], 2.0 * xt - prev[1]
+            prev, cur = cur, (xf, xt)
+    fields = samples.reshape((2, SEGMENT_SAMPLES) + grid.shape)
+    return ([ScalarField(grid, v) for v in fields[0]],
+            [ScalarField(grid, v) for v in fields[1]])
+
+
+def _relative_gap(got, exact):
+    """||got - exact|| / ||exact||, or ||got|| when exact is zero."""
+    norm = l2_norm(exact)
+    return l2_norm(got - exact) / norm if norm > 0.0 else l2_norm(got)
 
 
 def evolve(f0, model, T, ctx, snapshot_times=(), log=None):
     """Propagate f0 to time T on the interval of `spectral_interval`;
     returns the energy log, with one row at 0 and SEGMENT_SAMPLES rows per
-    segment (see `segment_edges`), and the fields at the snapshot times and
-    at T.  `log`, when given, receives one progress line per segment."""
+    segment (see `segment_edges`), the fields at the snapshot times and at
+    T with the index of the segment that ends at each, and `lf_gap`.
+
+    The log's (Lf, f) takes L f from `step`.  L is also applied directly
+    to the last sample of every segment; `lf_gap` is the largest relative
+    distance between the two, so a propagator that applies another
+    operator than ctx's cannot pass its own energy identity unnoticed.
+    `log`, when given, receives one progress line per segment."""
     if T <= 0:
         raise ValueError("horizon T must be positive")
     lo, hi = spectral_interval(ctx, model)[1]
     edges = segment_edges(T, ctx.spectral_radius, snapshot_times)
-    # applications of L per segment: the series' terms and the log rows
-    costs = [len(chebyshev_coefficients([t1 - t0], (lo, hi))) - 1 + SEGMENT_SAMPLES
+    # applications of L per segment: the series' terms but the last, one
+    # for the last term and one for the direct check
+    costs = [len(chebyshev_coefficients([t1 - t0], (lo, hi))) + 1
              for t0, t1 in zip(edges[:-1], edges[1:])]
     planned = 1 + sum(costs)
 
-    f, rows, snapshots = f0, [_log_row(f0, 0.0, ctx, model)], {}
+    f, rows = f0, [_log_row(f0, ctx.apply(f0), 0.0, ctx, model)]
+    snapshots, snapshot_steps, gaps = {}, {}, []
     applied, started = 1, time.perf_counter()
     for i, (t0, t1) in enumerate(zip(edges[:-1], edges[1:]), 1):
-        samples = step(f, t0, t1, ctx, model, (lo, hi))
-        for j, sample in enumerate(samples, 1):
-            t = t1 if j == SEGMENT_SAMPLES else t0 + (t1 - t0) * j / SEGMENT_SAMPLES
-            rows.append(_log_row(sample, t, ctx, model))
-        f = samples[-1].copy()      # frees the block of samples
+        samples, lfs = step(f, t0, t1, ctx, model, (lo, hi))
+        times = [t0 + (t1 - t0) * j / SEGMENT_SAMPLES
+                 for j in range(1, SEGMENT_SAMPLES)] + [t1]
+        rows += [_log_row(sample, lf, t, ctx, model)
+                 for sample, lf, t in zip(samples, lfs, times)]
+        f = samples[-1].copy()
+        gaps.append(_relative_gap(lfs[-1], ctx.apply(f)))
+        del samples, lfs            # frees the block of samples
         if t1 in snapshot_times or t1 == T:
-            snapshots[t1] = f
+            snapshots[t1], snapshot_steps[t1] = f, i
         applied += costs[i - 1]
         if log is not None:
             left = (time.perf_counter() - started) * (planned - applied) / applied
@@ -250,7 +288,7 @@ def evolve(f0, model, T, ctx, snapshot_times=(), log=None):
                 f"||f|| = {math.sqrt(rows[-1][1]):.4g}, {applied} of {planned} "
                 f"applications of L, about {left:.1f} s left")
     return EvolutionResult(EvolutionState(f, T, len(costs)), np.array(rows),
-                           snapshots)
+                           snapshots, snapshot_steps, float(np.max(gaps)))
 
 
 # ---------------------------------------------------------------------------

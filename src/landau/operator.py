@@ -175,6 +175,11 @@ ARNOLDI_MAX_RESTARTS = 50
 LOWER_EDGE_TOL = 1e-3
 
 
+def _norm(x):
+    """Euclidean norm of a 1-d array, summed without BLAS."""
+    return float(np.sqrt(np.einsum("i,i->", x, x)))
+
+
 def arnoldi_spectral_radius(matvec, v0, tol=ARNOLDI_TOL):
     """Largest |lambda| of a real linear map, by explicitly restarted Arnoldi.
 
@@ -185,29 +190,32 @@ def arnoldi_spectral_radius(matvec, v0, tol=ARNOLDI_TOL):
     projected Hessenberg matrix.  It stops when the Ritz residual is at
     most tol*|theta|, the convergence test of ARPACK (Lehoucq,
     Sorensen & Yang, ARPACK Users' Guide, SIAM 1998), and otherwise
-    restarts from the real part of the Ritz vector.  Written with numpy alone: importing
+    restarts from the real part of the Ritz vector.  Its projections, norms
+    and Ritz vector are numpy reductions (einsum, which never calls BLAS),
+    so their summation order, and with it rho, is the same for any BLAS
+    thread count.  Written with numpy alone: importing
     scipy.sparse.linalg would add about 26 MB to the resident memory of
     every run.
     """
     m = ARNOLDI_KRYLOV_DIM
     basis = np.empty((m + 1, v0.size))
-    basis[0] = v0 / np.linalg.norm(v0)
+    basis[0] = v0 / _norm(v0)
     for _ in range(ARNOLDI_MAX_RESTARTS):
         hess = np.zeros((m + 1, m))
         for j in range(m):
             w = matvec(basis[j])
             for _ in range(2):
-                c = basis[:j + 1] @ w
-                w -= c @ basis[:j + 1]
+                c = np.einsum("ij,j->i", basis[:j + 1], w)
+                w -= np.einsum("i,ij->j", c, basis[:j + 1])
                 hess[:j + 1, j] += c
-            hess[j + 1, j] = np.linalg.norm(w)
+            hess[j + 1, j] = _norm(w)
             basis[j + 1] = w / hess[j + 1, j]
         theta, vecs = np.linalg.eig(hess[:m])
         k = int(np.argmax(np.abs(theta)))
         if abs(hess[m, m - 1] * vecs[m - 1, k]) <= tol * abs(theta[k]):
             return float(abs(theta[k]))
-        v = (vecs[:, k] @ basis[:m]).real
-        basis[0] = v / np.linalg.norm(v)
+        v = np.einsum("i,ij->j", vecs[:, k].real, basis[:m])
+        basis[0] = v / _norm(v)
     raise EigenvalueError(
         f"Arnoldi iteration for the spectral radius did not converge in "
         f"{ARNOLDI_MAX_RESTARTS} restarts of {m} vectors")

@@ -28,6 +28,10 @@ from .operator import ConvolutionEngine, apply_L1, apply_L2
 MIN_ENSEMBLE = 64
 EPS1 = 0.25
 EPS2 = 0.25
+# largest relative gap between the energy log's L f, taken from the
+# propagator's recurrence, and L applied directly (reference.cfg: 2.3e-15 at
+# N=24, 4.8e-11 at N=64; a propagator that drops L2: 0.78 at N=16)
+LF_GAP_TOL = 1e-10
 
 
 @dataclass
@@ -568,8 +572,10 @@ def energy_identity_convergence(result):
 
 def check_energy(result, ladders, fingerprint=""):
     """C5 from the trajectory log, C6 the depth-1 ladder envelope, plus the
-    energy-identity residual on the full log and its dt-slope over the
-    rungs."""
+    energy-identity residual on the full log, its dt-slope over the rungs
+    and the gap between the log's L f and L applied directly (`lf_gap` of
+    `evolution.evolve`): the log's (Lf, f) is only as true as that gap is
+    small."""
     log = result.energy_log
     t = log[:, 0]
     cum = np.concatenate([[0.0], np.cumsum(
@@ -586,6 +592,8 @@ def check_energy(result, ladders, fingerprint=""):
     rep.add_check("energy_identity_residual", residuals[-1], math.inf,
                   math.isfinite(residuals[-1]))
     rep.add_check("residual_dt_slope", slope, 0.5, abs(slope - 4.0) <= 0.5)
+    rep.add_check("energy_log_lf_gap", result.lf_gap, LF_GAP_TOL,
+                  result.lf_gap <= LF_GAP_TOL)
     rep.add_constant("C5", c5, 1, grid)
     rep.add_constant("C6", c6, 1, grid)
     return rep

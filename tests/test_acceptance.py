@@ -120,13 +120,16 @@ def test_criterion_4_bounded_constants(inequality_constants):
 
 def test_criterion_5_energy_identity(res32):
     # the energy-identity rungs are the trajectory log's subsamples with
-    # 4, 8 and 16 panels per segment
+    # 4, 8 and 16 panels per segment; the log's L f, taken from the
+    # propagator, agrees with L applied directly
     [rep] = run_suite("energy", res32)
-    slope = {c.id: c.value for c in rep.checks}["residual_dt_slope"]
+    checks = {c.id: c for c in rep.checks}
+    slope, gap = checks["residual_dt_slope"].value, checks["energy_log_lf_gap"]
     consts = {c.name: c.value for c in rep.constants}
-    ok = abs(slope - 4.0) <= 0.5 and all(
+    ok = abs(slope - 4.0) <= 0.5 and gap.verdict and all(
         math.isfinite(consts[k]) for k in ("C5", "C6"))
     assert _report(5, ok, f"energy-identity dt-slope {slope:.2f}, "
+                          f"L f gap {gap.value:.1e}, "
                           f"C5 = {consts['C5']:.3f}, C6 = {consts['C6']:.3f}")
 
 

@@ -14,6 +14,7 @@ from landau.errors import CacheFormatError, ConfigError
 from landau import persist
 from landau.field import ScalarField
 from landau.grid import VelocityGrid
+from landau.suites import RunResources
 
 MINIMAL = """
 grid.R = 6.0
@@ -360,6 +361,21 @@ def test_cli_energy_csv_header(small_run_config):
         lines = fh.read().splitlines()
     assert lines[1] == "t,l2sq,asq,gf,lff"
     assert len(lines) > 10
+
+
+def test_cli_snapshot_headers_carry_own_segment(small_run_config):
+    # each snapshot records the index of the segment that ends at its time,
+    # the last one the trajectory's segment count
+    cfg_path, out_dir = small_run_config
+    assert cli.main(["evolve", "--config", cfg_path]) == 0
+    headers = [persist.load_field_snapshot(os.path.join(out_dir, f"snapshot_t{t:g}.fld"))
+               for t in (0.125, 0.25)]
+    assert [h[3] for h in headers] == [0.125, 0.25]
+    steps = [h[2] for h in headers]
+    assert 0 < steps[0] < steps[1]
+    traj = RunResources(load_config(cfg_path), log=None).trajectory
+    assert steps[1] == traj.state.step_index
+    assert steps == [traj.snapshot_steps[0.125], traj.snapshot_steps[0.25]]
 
 
 def test_cli_report_summary(small_run_config):

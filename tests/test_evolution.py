@@ -1,17 +1,22 @@
 import math
+import os
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import landau
 from landau import evolution
 from landau.errors import InstabilityError, LadderOverflowError
 from landau.evolution import (SEGMENT_SAMPLES, SourceModel,
                               chebyshev_coefficients, derivative_ladder,
                               evolve, measure_source_bound, scaled_bessel_i,
                               source_eval, spectral_interval, step)
-from landau.field import ScalarField, l2_norm, random_field, zeros
+from landau.field import ScalarField, inner_product, l2_norm, random_field, zeros
 from landau.operator import apply_L1
-from landau.verify import energy_identity_convergence
+from landau.verify import check_energy
 from tests.conftest import gaussian_field
 
 
@@ -37,9 +42,9 @@ def test_source_bound_finite(small_grid):
 def test_step_zero_stays_zero(small_grid, small_ctx):
     model = SourceModel.zero(small_grid)
     interval = spectral_interval(small_ctx, model)[1]
-    samples = step(zeros(small_grid), 0.25, 0.35, small_ctx, model, interval)
-    assert len(samples) == SEGMENT_SAMPLES
-    assert all(np.all(f.values == 0.0) for f in samples)
+    samples, lfs = step(zeros(small_grid), 0.25, 0.35, small_ctx, model, interval)
+    assert len(samples) == len(lfs) == SEGMENT_SAMPLES
+    assert all(np.all(f.values == 0.0) for f in samples + lfs)
 
 
 def test_scaled_bessel_matches_scipy():
@@ -80,7 +85,7 @@ def test_step_without_operator_matches_quadrature(small_grid, small_zero_ctx):
 
     scale = float(np.max(np.abs(f0.values)))
     interval = spectral_interval(small_zero_ctx, model)[1]
-    samples = step(f0, 0.0, 0.4, small_zero_ctx, model, interval)
+    samples, _ = step(f0, 0.0, 0.4, small_zero_ctx, model, interval)
     for i, f in enumerate(samples, 1):
         err = np.max(np.abs(f.values - exact(0.4 * i / SEGMENT_SAMPLES)))
         assert err <= 1e-12 * scale
@@ -147,10 +152,15 @@ def test_default_step_accuracy(small_grid, small_ctx):
     model = SourceModel(unit_gaussian(small_grid), amplitude=0.5)
     t0, t1 = 0.1, 0.1 + 8.0 / small_ctx.spectral_radius
     lo, hi = spectral_interval(small_ctx, model)[1]
-    measured = step(f0, t0, t1, small_ctx, model, (lo, hi))
-    wide = step(f0, t0, t1, small_ctx, model, (lo - 5.0, 2.0 * hi))
+    measured, lfs = step(f0, t0, t1, small_ctx, model, (lo, hi))
+    wide, _ = step(f0, t0, t1, small_ctx, model, (lo - 5.0, 2.0 * hi))
     for f, g in zip(measured, wide):
         assert l2_norm(f - g) <= 1e-12 * l2_norm(g)
+    # L f at each sample, summed from the recurrence's own applications of
+    # L, is L applied to the sample
+    for f, lf in zip(measured, lfs):
+        direct = small_ctx.apply(f)
+        assert l2_norm(lf - direct) <= 1e-12 * l2_norm(direct)
 
 
 def test_propagator_top_ritz_vector(small_grid, small_ctx):
@@ -173,35 +183,78 @@ def test_propagator_top_ritz_vector(small_grid, small_ctx):
     v = ScalarField(grid, (vec / vec[np.argmax(np.abs(vec))]).real.reshape(grid.shape))
     model = SourceModel.zero(grid)
     span = 1.0 / small_ctx.spectral_radius
-    samples = step(v, 0.0, span, small_ctx, model,
-                   spectral_interval(small_ctx, model)[1])
-    for i, f in enumerate(samples, 1):
+    samples, lfs = step(v, 0.0, span, small_ctx, model,
+                        spectral_interval(small_ctx, model)[1])
+    for i, (f, lf) in enumerate(zip(samples, lfs), 1):
         exact = math.exp(-theta.real * span * i / SEGMENT_SAMPLES) * v
         assert l2_norm(f - exact) <= 1e-10 * l2_norm(exact)
+        assert l2_norm(lf - theta.real * exact) <= 1e-10 * theta.real * l2_norm(exact)
 
 
-def test_propagator_with_L1_fails_residual_slope(small_grid, small_ctx, monkeypatch):
-    # the energy log reads (Lf, f) with the true L, so a propagator that
-    # drops L2 breaks the fourth-order energy identity of its rungs
+class CountingContext:
+    """The operator context of `ctx`, counting its applications of L."""
+
+    def __init__(self, ctx, apply=None):
+        self.coeffs = ctx.coeffs
+        self.spectral_radius = ctx.spectral_radius
+        self.spectrum_lower_edge = ctx.spectrum_lower_edge
+        self._apply = apply or ctx.apply
+        self.calls = 0
+
+    def apply(self, f):
+        self.calls += 1
+        return self._apply(f)
+
+
+def test_evolve_counts_its_applications_of_L(small_grid, small_ctx):
+    # the last progress line's "k of planned applications of L" is the
+    # number evolve made, and all that it planned
     f0 = random_field(small_grid, 42, bandlimit=5, envelope_width=1.0)
     model = SourceModel(unit_gaussian(small_grid), amplitude=0.5)
-    _, slope = energy_identity_convergence(evolve(f0, model, 0.5, small_ctx))
-    assert abs(slope - 4.0) <= 0.5
+    ctx = CountingContext(small_ctx)
+    lines = []
+    evolve(f0, model, 0.5, ctx, snapshot_times=(0.25,), log=lines.append)
+    applied, planned = map(int, re.search(
+        r"(\d+) of (\d+) applications of L", lines[-1]).groups())
+    assert ctx.calls == applied == planned
 
-    class L1Only:
-        # propagates with L1 on the interval measured for L
-        coeffs = small_ctx.coeffs
-        spectral_radius = small_ctx.spectral_radius
-        spectrum_lower_edge = small_ctx.spectrum_lower_edge
 
-        def apply(self, f):
-            return apply_L1(f, self.coeffs)
+def test_energy_log_lff_is_direct(small_grid, small_ctx):
+    # the log's (Lf, f), taken from the recurrence, is (Lf, f) with L
+    # applied to the snapshot itself
+    f0 = random_field(small_grid, 42, bandlimit=5, envelope_width=1.0)
+    model = SourceModel(unit_gaussian(small_grid), amplitude=0.5)
+    res = evolve(f0, model, 0.5, small_ctx, snapshot_times=(0.1, 0.25))
+    log = res.energy_log
+    for t, f in res.snapshots.items():
+        [row] = log[log[:, 0] == t]
+        assert row[4] == pytest.approx(inner_product(small_ctx.apply(f), f),
+                                       rel=1e-12)
+    assert res.lf_gap <= 1e-13
 
+
+def test_propagator_with_L1_fails_lf_gap(small_grid, small_ctx, monkeypatch):
+    # the log's L f comes from the propagator, so a propagator that drops
+    # L2 keeps its own energy identity; the gap to L applied directly to
+    # the last sample of each segment catches it
+    f0 = random_field(small_grid, 42, bandlimit=5, envelope_width=1.0)
+    model = SourceModel(unit_gaussian(small_grid), amplitude=0.5)
+
+    def checks(res):
+        return {c.id: c for c in check_energy(res, []).checks}
+
+    true = checks(evolve(f0, model, 0.5, small_ctx))
+    assert true["energy_log_lf_gap"].verdict
+    assert abs(true["residual_dt_slope"].value - 4.0) <= 0.5
+
+    # propagates with L1 on the interval measured for L
+    l1_only = CountingContext(small_ctx, lambda f: apply_L1(f, small_ctx.coeffs))
     original = evolution.step
     monkeypatch.setattr(evolution, "step",
-                        lambda f, t0, t1, ctx, *a: original(f, t0, t1, L1Only(), *a))
-    _, slope = energy_identity_convergence(evolve(f0, model, 0.5, small_ctx))
-    assert not abs(slope - 4.0) <= 0.5
+                        lambda f, t0, t1, ctx, *a: original(f, t0, t1, l1_only, *a))
+    wrong = checks(evolve(f0, model, 0.5, small_ctx))
+    assert not wrong["energy_log_lf_gap"].verdict
+    assert wrong["energy_log_lf_gap"].value > 0.1
 
 
 def test_ladder_base_case(small_grid, small_ctx):
@@ -289,17 +342,7 @@ def test_instability_guard(small_grid, small_ctx):
     # an interval that does not contain the measured spectrum, [lower edge,
     # rho] of L, is refused before L is applied even once; an interval that
     # contains it goes ahead
-    class Counting:
-        coeffs = small_ctx.coeffs
-        spectral_radius = small_ctx.spectral_radius
-        spectrum_lower_edge = small_ctx.spectrum_lower_edge
-        calls = 0
-
-        def apply(self, f):
-            self.calls += 1
-            return small_ctx.apply(f)
-
-    ctx = Counting()
+    ctx = CountingContext(small_ctx)
     rho, edge = ctx.spectral_radius, ctx.spectrum_lower_edge
     assert edge < 0.0 < rho
     f0 = random_field(small_grid, 31, bandlimit=5)
@@ -314,6 +357,43 @@ def test_instability_guard(small_grid, small_ctx):
     with pytest.raises(InstabilityError, match="does not contain"):
         step(f0, 0.0, 0.1, ctx, fast, (edge, 1.02 * rho))
     assert ctx.calls == 0
-    samples = step(f0, 0.0, 0.1, ctx, model, (edge, rho))
+    samples, _ = step(f0, 0.0, 0.1, ctx, model, (edge, rho))
     assert ctx.calls > 0
     assert all(np.isfinite(f.values).all() for f in samples)
+
+
+# rho, the lower edge, the energy log and the snapshots of a short run at
+# N=24, R=8, where OpenBLAS splits a dot product of N^3 terms over threads
+BLAS_THREADS_RUN = """
+import hashlib
+import numpy as np
+from landau.evolution import SourceModel, evolve
+from landau.field import ScalarField, l2_norm, random_field
+from landau.grid import VelocityGrid
+from landau.kernel import KernelParams, QuadratureSpec, build_coefficients
+from landau.operator import make_context
+
+grid = VelocityGrid(R=8.0, N=24)
+ctx = make_context(build_coefficients(grid, KernelParams(-1.0), QuadratureSpec()))
+phi = ScalarField(grid, np.exp(-grid.radius_sq / 2.0))
+model = SourceModel((1.0 / l2_norm(phi)) * phi, amplitude=0.5)
+f0 = random_field(grid, 42, bandlimit=8, envelope_width=1.25)
+res = evolve(f0, model, 0.1, ctx, snapshot_times=(0.05,))
+print(repr(ctx.spectral_radius), repr(ctx.spectrum_lower_edge))
+print(hashlib.sha256(res.energy_log.tobytes()).hexdigest())
+for t, f in sorted(res.snapshots.items()):
+    print(t, hashlib.sha256(f.values.tobytes()).hexdigest())
+"""
+
+
+def test_outputs_independent_of_blas_threads():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(landau.__file__)))
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-c", BLAS_THREADS_RUN], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        outputs.append(run.stdout)
+    assert len(outputs[0].splitlines()) == 4
+    assert outputs[0] == outputs[1]

@@ -276,7 +276,8 @@ def test_spectral_radius_brackets_chebyshev_interval(small_grid, small_ctx):
         # the true L, whose spectrum is taken to have been measured as [lo, hi]
         measured = SimpleNamespace(apply=small_ctx.apply, spectral_radius=hi,
                                    spectrum_lower_edge=lo)
-        return step(f0, 0.0, span, measured, model, (lo, hi))[-1]
+        samples, _ = step(f0, 0.0, span, measured, model, (lo, hi))
+        return samples[-1]
 
     ref = end(2.0 * rho, edge - 1.0)
 
