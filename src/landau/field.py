@@ -77,17 +77,12 @@ def l2_norm(f):
 
 
 def weighted_norm(f, p, ell=0.0):
-    """Discrete ||<v>^ell f||_{L^p} over the grid, p in {2, 3, inf}.
-
-    Finite p uses the cell quadrature (sum <v>^{p ell} |f|^p h^3)^{1/p};
-    p = inf is the weighted max over nodes.
-    """
+    """Discrete ||<v>^ell f||_{L^p} over the grid, p in {2, 3}, by the
+    cell quadrature (sum <v>^{p ell} |f|^p h^3)^{1/p}."""
     grid = f.grid
     w = grid.bracket_weight(ell)
-    if p == math.inf:
-        return float(np.max(w * np.abs(f.values)))
     if p not in (2, 3):
-        raise ValueError(f"p must be 2, 3 or inf, got {p}")
+        raise ValueError(f"p must be 2 or 3, got {p}")
     integrand = (w * np.abs(f.values)) ** p
     return float(np.sum(integrand) * grid.cell_volume) ** (1.0 / p)
 

@@ -197,18 +197,6 @@ class SymMatrixField:
             + 2.0 * (xy * gx * gy + xz * gx * gz + yz * gy * gz)
         )
 
-    def quadratic_form_pair(self, V, W):
-        """sum_jk A_jk V_j W_k at every node (symmetric in V, W)."""
-        xx, yy, zz, xy, xz, yz = self.comps
-        vx, vy, vz = V.comps
-        wx, wy, wz = W.comps
-        return (
-            xx * vx * wx + yy * vy * wy + zz * vz * wz
-            + xy * (vx * wy + vy * wx)
-            + xz * (vx * wz + vz * wx)
-            + yz * (vy * wz + vz * wy)
-        )
-
     def as_matrices(self):
         """Dense (N^3, 3, 3) view for eigenvalue work."""
         n3 = self.grid.N ** 3

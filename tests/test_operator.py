@@ -3,6 +3,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from landau import operator
 from landau.errors import EigenvalueError, GridMismatchError
@@ -153,6 +154,27 @@ def test_L_additivity_and_linearity(small_grid, small_ctx, small_coeffs):
     ref = 2.0 * apply_L(f, small_ctx.engine, small_coeffs) \
         + 3.0 * apply_L(g, small_ctx.engine, small_coeffs)
     assert np.max(np.abs(lin.values - ref.values)) <= 1e-10 * np.max(np.abs(ref.values))
+
+
+# coefficients of a linear combination: zero, or far enough from it that
+# alpha * f is not subnormal
+_COEF = st.floats(-4.0, 4.0).filter(lambda x: x == 0.0 or abs(x) >= 1e-3)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(seeds=st.tuples(st.integers(0, 2 ** 32 - 1), st.integers(0, 2 ** 32 - 1)),
+       alpha=_COEF, beta=_COEF)
+def test_L_linearity_property(small_grid, small_ctx, seeds, alpha, beta):
+    # L(alpha f + beta g) = alpha L f + beta L g node by node on unenveloped
+    # noise, within round-off of the larger term
+    f, g = (ScalarField(small_grid, np.random.default_rng(s).standard_normal(
+        small_grid.shape)) for s in seeds)
+    lf, lg = small_ctx.apply(f), small_ctx.apply(g)
+    lhs = small_ctx.apply(alpha * f + beta * g)
+    gap = np.max(np.abs(lhs.values - (alpha * lf + beta * lg).values))
+    scale = max(abs(alpha) * np.max(np.abs(lf.values)),
+                abs(beta) * np.max(np.abs(lg.values)))
+    assert gap <= 1e-12 * scale
 
 
 def test_L_lower_bound_measured(small_grid, small_ctx, small_coeffs):

@@ -104,6 +104,20 @@ def test_coercivity_estimate(small_coeffs, members):
     assert consts["C1"] > 0
     # descent never reports a minimum above any sampled quotient
     assert consts["C1"] <= consts["C1_sample_min"] + 1e-15
+    assert {c.id for c in rep.checks} == {"all_quotients_positive", "C1_positive"}
+
+
+def test_coercivity_report_fails_on_nonpositive_descent_iterate(
+        small_coeffs, members, monkeypatch):
+    # every sampled quotient is positive, but the descent's iterates read
+    # negated quotients: only C1_positive sees the final iterate
+    quotient = verify.coercivity_quotient
+    monkeypatch.setattr(verify, "coercivity_quotient",
+                        lambda f, coeffs, grad=None: -quotient(f, coeffs, grad))
+    rep = estimate_coercivity(small_coeffs, members, descent_steps=3)
+    verdicts = {c.id: c.verdict for c in rep.checks}
+    assert verdicts == {"all_quotients_positive": True, "C1_positive": False}
+    assert not rep.passed
 
 
 def test_coercivity_quotient_radial_probe(small_grid, small_coeffs):
@@ -136,11 +150,14 @@ def test_bilinear_constants(small_ctx, members):
 
 def test_member_pass_matches_public_functions(small_ctx, ensemble, members):
     # every scalar of the pass, bit for bit against the public functions
-    # on each member, with every gradient computed afresh
+    # on each member, with every gradient computed afresh; the cross terms,
+    # taken by summation by parts from (L1 f, f_j), to round-off against
+    # the gradient form itself
     coeffs = small_ctx.coeffs
     g = coeffs.params.gamma
     vol = coeffs.grid.cell_volume
     assert members.partners == verify._pairing(len(ensemble))
+    a = members.a_norm
     for i, f in enumerate(ensemble):
         l1 = apply_L1(f, coeffs)
         l2 = apply_L2(f, small_ctx.engine, coeffs)
@@ -150,11 +167,29 @@ def test_member_pass_matches_public_functions(small_ctx, ensemble, members):
         assert members.den[i] == verify._split_energy(f, coeffs)
         assert members.l1ff[i] == inner_product(l1, f)
         assert members.l2ff[i] == inner_product(l2, f)
+        flux = coeffs.abar.apply(gradient(f))
         for c, j in enumerate(members.partners[i]):
             assert members.l1_pair[i][c] == inner_product(l1, ensemble[j])
             assert members.l2_pair[i][c] == inner_product(l2, ensemble[j])
-            cross = coeffs.abar.quadratic_form_pair(gradient(f), gradient(ensemble[j]))
-            assert members.grad_pair[i][c] == float(np.sum(cross)) * vol
+            form = float(np.sum(flux.comps * gradient(ensemble[j]).comps)) * vol
+            assert abs(members.grad_pair[i][c] - form) <= 1e-13 * a[i] * a[j]
+
+
+def test_member_pass_one_gradient_per_member(small_ctx, ensemble, monkeypatch):
+    # the pass takes one gradient per member and none for its partners
+    from landau import field, operator
+    calls = []
+    gradient_of = field.gradient
+
+    def counted(f):
+        calls.append(id(f))
+        return gradient_of(f)
+
+    for module in (field, operator, verify):
+        monkeypatch.setattr(module, "gradient", counted)
+    member_pass(small_ctx, ensemble)
+    assert len(calls) == len(ensemble)
+    assert set(calls) == {id(f) for f in ensemble}
 
 
 def test_member_pass_under_thread_contention(small_ctx, members, monkeypatch):
