@@ -26,7 +26,7 @@ class RunConfig:
     gamma: float = -1.0
     mu_normalized: bool = True
     quad_radial_order: int = 32
-    quad_angular_order: int = 64
+    quad_angular_order: int = 64       # validated; abar's polar integral is closed-form
     quad_rtol: float = 1e-6
     f0_bandlimit: int = 10
     f0_envelope_width: float = 1.25

@@ -190,7 +190,15 @@ def _log_row(f, lf, t, ctx, model):
             inner_product(source_eval(model, 0, t), f), inner_product(lf, f))
 
 
-def step(f, t0, t1, ctx, model, interval):
+def step_buffers(n):
+    """The blocks `step` works in for fields of n values: the samples and
+    their L f, the pending terms and their L (T_k y), and one product."""
+    return (np.empty((2, SEGMENT_SAMPLES, n)),
+            np.empty((2, ACCUMULATED_TERMS, n)),
+            np.empty((SEGMENT_SAMPLES, n)))
+
+
+def step(f, t0, t1, ctx, model, interval, buffers=None):
     """Propagate f(t0) to the SEGMENT_SAMPLES uniform times of (t0, t1] by
     one Chebyshev recurrence T_{k+1}(X) y = 2 X T_k(X) y - T_{k-1}(X) y,
     X = (2 G - hi - lo) / (hi - lo), whose vectors serve every sample time.
@@ -198,7 +206,9 @@ def step(f, t0, t1, ctx, model, interval):
     same times, sum_k c_k(s_i) L (T_k y)_f: every term's image under L is
     the one the recurrence takes to build the next term, and the last
     term's is one more, so L is applied len(chebyshev_coefficients) times.
-    Both sums run as one matrix product per ACCUMULATED_TERMS terms.
+    Both sums run as one matrix product per ACCUMULATED_TERMS terms.  The
+    returned fields are views of `buffers` (see `step_buffers`, allocated
+    afresh when None), which the next step on the same buffers overwrites.
 
     An interval [lo, hi] that does not contain the measured edges of the
     spectrum of G (see `spectral_interval`) raises InstabilityError before
@@ -218,8 +228,8 @@ def step(f, t0, t1, ctx, model, interval):
     coef = chebyshev_coefficients(offsets, interval)
     degree = len(coef) - 1
     # samples[0] holds f, samples[1] L f; terms the same for the pending T_k y
-    samples = np.zeros((2, SEGMENT_SAMPLES, f.values.size))
-    terms = np.empty((2, ACCUMULATED_TERMS, f.values.size))
+    samples, terms, product = buffers or step_buffers(f.values.size)
+    samples.fill(0.0)
     prev, cur = None, (f.values, model.tau_derivative(0, t0))
     for k in range(degree + 1):
         lf = ctx.apply(ScalarField(grid, cur[0])).values
@@ -228,7 +238,8 @@ def step(f, t0, t1, ctx, model, interval):
         if j == ACCUMULATED_TERMS - 1 or k == degree:
             block = coef[k - j:k + 1].T
             for part in (0, 1):
-                samples[part] += block @ terms[part, :j + 1]
+                np.matmul(block, terms[part, :j + 1], out=product)
+                samples[part] += product
         if k < degree:
             xf = scale * (lf - cur[1] * phi) - shift * cur[0]
             xt = rate_x * cur[1]
@@ -270,15 +281,17 @@ def evolve(f0, model, T, ctx, snapshot_times=(), log=None):
     f, rows = f0, [_log_row(f0, ctx.apply(f0), 0.0, ctx, model)]
     snapshots, snapshot_steps, gaps = {}, {}, []
     applied, started = 1, time.perf_counter()
+    # one set of blocks for every segment: each segment's rows, last
+    # sample and gap are taken before the next one overwrites them
+    buffers = step_buffers(f0.values.size)
     for i, (t0, t1) in enumerate(zip(edges[:-1], edges[1:]), 1):
-        samples, lfs = step(f, t0, t1, ctx, model, (lo, hi))
+        samples, lfs = step(f, t0, t1, ctx, model, (lo, hi), buffers)
         times = [t0 + (t1 - t0) * j / SEGMENT_SAMPLES
                  for j in range(1, SEGMENT_SAMPLES)] + [t1]
         rows += [_log_row(sample, lf, t, ctx, model)
                  for sample, lf, t in zip(samples, lfs, times)]
         f = samples[-1].copy()
         gaps.append(_relative_gap(lfs[-1], ctx.apply(f)))
-        del samples, lfs            # frees the block of samples
         if t1 in snapshot_times or t1 == T:
             snapshots[t1], snapshot_steps[t1] = f, i
         applied += costs[i - 1]

@@ -6,10 +6,13 @@ The interaction kernel is
 
 a positive semidefinite projection off the v direction scaled by |v|^{gamma+2}.
 The smoothed diffusion matrix abar = a * mu (Gaussian-weighted convolution) is
-evaluated by a singularity-centered spherical product quadrature, reduced per
-node to the two rotation-invariant radial profiles (eigenvalue along v and
-transverse to it), which is exactly the product rule with the polar axis
-aligned to v and the azimuthal sum carried out in closed form.
+reduced per node to its two rotation-invariant radial profiles (eigenvalue
+along v and transverse to it).  With the polar axis along v, the azimuthal
+and the polar integrals are both in closed form; only the radial integral,
+with its r^{gamma+4} endpoint singularity, is a Gauss-Legendre rule, checked
+by doubling its order.  The c2 cross-check convolves the separable fields
+v_k mu on the pad-2 lattice, whose transforms are outer products of 1-d
+transforms.
 """
 
 import math
@@ -48,8 +51,10 @@ class KernelParams:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Orders for the abar quadrature: Gauss-Legendre points per radial panel,
-    Gauss-Legendre points in cos(theta), and the doubling-check tolerance."""
+    """Orders for the abar quadrature: Gauss-Legendre points per radial panel
+    and the doubling-check tolerance.  `angular_order` is validated but no
+    longer affects abar, whose polar integral is in closed form; it stays
+    accepted because existing configs and callers name it."""
 
     radial_order: int = 32
     angular_order: int = 64
@@ -244,41 +249,74 @@ def _radial_rule(r_max, n_per_panel):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def _abar_profiles(s_values, params, radial_order, angular_order, r_max):
+# below this a = s r the closed forms of `polar_integrals` lose digits to
+# cancellation, and their even power series takes over
+_SERIES_BELOW = 0.5
+# coefficients of a^{2m}, m = 0..8, in the even power series of the two
+# polar integrals; at a = 0.5 the first term left out is 7e-19 of the sum
+_SERIES_DEN = np.array([(2 * m + 1) * (2 * m + 3) * math.factorial(2 * m)
+                        for m in range(9)], dtype=float)
+_SERIES_PAR = 4.0 / _SERIES_DEN
+_SERIES_PERP = 4.0 * np.arange(1.0, 10.0) / _SERIES_DEN
+
+
+def polar_integrals(s, r):
+    """The two polar integrals of the abar profiles, with a = s r,
+
+        par  = e^{-(s^2+r^2)/2} int (1-t^2)   e^{a t} dt
+             = (4/a^2) (cosh a - sinh a/a) e^{-(s^2+r^2)/2},
+        perp = e^{-(s^2+r^2)/2} int (1+t^2)/2 e^{a t} dt
+             = (2 sinh a/a - 2 cosh a/a^2 + 2 sinh a/a^3) e^{-(s^2+r^2)/2},
+
+    over t in [-1, 1], broadcast over s, r >= 0.  So that nothing overflows
+    and the cancellation in cosh a - sinh a/a acts on O(1) numbers only,
+    cosh and sinh times the Gaussian are written as
+    e^{-(s-r)^2/2} (1 +- e^{-2a}) / 2, since e^{-(s+r)^2/2} =
+    e^{-(s-r)^2/2} e^{-2a}.  Below a = _SERIES_BELOW, where the closed
+    forms cancel (and are 0/0 at s = 0), the even power series
+    sum_m a^{2m} / (2m)! (4, 4m + 4) / ((2m+1)(2m+3)) times
+    e^{-(s-r)^2/2} e^{-a} replaces them."""
+    a = s * r
+    near = np.exp(-0.5 * (s - r) ** 2)     # e^{-(s^2+r^2)/2} e^{a}
+    cosh = 0.5 * (1.0 + np.exp(-2.0 * a))  # e^{-a} cosh a
+    sinh = -0.5 * np.expm1(-2.0 * a)       # e^{-a} sinh a
+    small = a < _SERIES_BELOW
+    inv = 1.0 / np.where(small, 1.0, a)
+    q = cosh - sinh * inv
+    par = 4.0 * inv * inv * q
+    perp = 2.0 * inv * (sinh - q * inv)
+    if np.any(small):
+        a2, polyval = a * a, np.polynomial.polynomial.polyval
+        par = np.where(small, np.exp(-a) * polyval(a2, _SERIES_PAR), par)
+        perp = np.where(small, np.exp(-a) * polyval(a2, _SERIES_PERP), perp)
+    return near * par, near * perp
+
+
+def _abar_profiles(s_values, params, radial_order, r_max):
     """Parallel/transverse eigenvalue profiles of abar at radii s_values.
 
-    With the polar axis along v the integrand factorizes; the azimuthal sum
-    of the product rule is exact for the degree-2 dependence and leaves
+    With the polar axis along v the integrand factorizes; the azimuthal
+    integral of the degree-2 dependence and the polar one
+    (`polar_integrals`) are in closed form and leave
 
         l_par(s)  = 2 pi C_mu int r^{g+4} e^{-(s^2+r^2)/2} int (1-t^2)   e^{s r t} dt dr
         l_perp(s) = 2 pi C_mu int r^{g+4} e^{-(s^2+r^2)/2} int (1+t^2)/2 e^{s r t} dt dr
+
+    for the radial rule.
     """
     r, wr = _radial_rule(r_max, radial_order)
-    t, wt = np.polynomial.legendre.leggauss(angular_order)
     radial_factor = wr * r ** (params.gamma + 4.0)
-    wpar = wt * (1.0 - t * t)
-    wperp = wt * 0.5 * (1.0 + t * t)
     pref = 2.0 * math.pi * params.mu_prefactor
-
-    l_par = np.empty_like(s_values)
-    l_perp = np.empty_like(s_values)
-    chunk = max(1, int(4e6 // (r.size * t.size)))
-    for lo in range(0, s_values.size, chunk):
-        s = s_values[lo:lo + chunk][:, None, None]
-        expo = np.exp(-0.5 * (s * s + r[None, :, None] ** 2) + s * r[None, :, None] * t[None, None, :])
-        tpar = expo @ wpar
-        tperp = expo @ wperp
-        l_par[lo:lo + chunk] = pref * (tpar @ radial_factor)
-        l_perp[lo:lo + chunk] = pref * (tperp @ radial_factor)
-    return l_par, l_perp
+    par, perp = polar_integrals(s_values[:, None], r[None, :])
+    return pref * (par @ radial_factor), pref * (perp @ radial_factor)
 
 
 def abar_profiles_at(s_values, params, quad):
     """Public profile evaluation with the order-doubling convergence check."""
     s = np.asarray(s_values, dtype=float)
     r_max = float(s.max()) + 8.0
-    base = _abar_profiles(s, params, quad.radial_order, quad.angular_order, r_max)
-    fine = _abar_profiles(s, params, 2 * quad.radial_order, quad.angular_order, r_max)
+    base = _abar_profiles(s, params, quad.radial_order, r_max)
+    fine = _abar_profiles(s, params, 2 * quad.radial_order, r_max)
     scale = max(float(np.max(np.abs(fine[0]))), float(np.max(np.abs(fine[1]))))
     err = max(float(np.max(np.abs(f - b))) for f, b in zip(fine, base)) / scale
     if err > quad.rtol:
@@ -336,19 +374,30 @@ def compute_scalar_weights(abar, grid):
     return c1, 0.5 * c2
 
 
-def crosscheck_c2(c2, grid, params, b_padded):
-    """Relative L^2 agreement of c2 with the convolution route
-    (1/2) sum_k (sum_j d_j a_jk) * (v_k mu), evaluated without wrap
-    on the pad-2 divergence tables `b_padded` (tabulate_divergence_kernels)."""
+def c2_by_convolution(grid, params, b_padded):
+    """The convolution route to c2, (1/2) sum_k (sum_j d_j a_jk) * (v_k mu),
+    evaluated without wrap on the pad-2 divergence tables `b_padded`
+    (tabulate_divergence_kernels).  v_k mu is a product of 1-d factors, so
+    its transforms are outer products (ConvolutionEngine.forward_separable),
+    and the three products are summed before one inverse transform."""
     from .operator import ConvolutionEngine  # local import avoids a cycle
 
     engine = ConvolutionEngine(grid, b_padded, pad=2)
-    mu = maxwellian_field(grid, params).values
-    acc = np.zeros(grid.shape)
+    gauss = np.exp(-0.5 * grid.axis ** 2)
+    products = engine.hats             # this engine's own: overwritten here
     for k in range(3):
-        acc += engine.inverse(
-            engine.hats[k] * engine.forward(np.asarray(grid.component(k)) * mu))
-    c2_conv = 0.5 * acc
+        factors = [gauss, gauss, gauss]
+        factors[AXIS_OF_COMPONENT[k]] = grid.axis * gauss
+        products[k] *= engine.forward_separable(factors)
+    products[0] += products[1]
+    products[0] += products[2]
+    return (0.5 * params.mu_prefactor) * engine.inverse(products[0])
+
+
+def crosscheck_c2(c2, grid, params, b_padded):
+    """Relative L^2 agreement of c2 with the convolution route
+    (`c2_by_convolution`) on the pad-2 divergence tables `b_padded`."""
+    c2_conv = c2_by_convolution(grid, params, b_padded)
     num = math.sqrt(float(np.sum((c2_conv - c2) ** 2)))
     den = math.sqrt(float(np.sum(c2 ** 2)))
     return num / max(den, 1e-300)
@@ -393,46 +442,49 @@ class KernelTables:
     """Sampled convolution kernels on the shift lattice in FFT layout
     (index 0 is the zero shift).  The singular zero-shift cell of a_jk is
     replaced by its analytic cell average; the divergence kernel is odd,
-    so its zero-shift entry is 0."""
+    so its zero-shift entry is 0.  `comps` holds the nine distinct tables,
+    (b_x, b_y, b_z) and then a_jk in the order of _SYM_INDEX."""
 
     grid: VelocityGrid
     params: KernelParams
     pad: int
-    a_comps: np.ndarray          # (6, M, M, M)
-    b_comps: np.ndarray          # (3, M, M, M)
+    comps: np.ndarray            # (9, M, M, M)
 
     @property
     def M(self):
         return self.pad * self.grid.N
 
-    def stacked(self):
-        """The (3, 4, M, M, M) stack whose row j is (b_j, a_j0, a_j1, a_j2)."""
-        out = np.empty((3, 4) + self.b_comps.shape[1:])
-        for j in range(3):
-            out[j, 0] = self.b_comps[j]
-            for k in range(3):
-                out[j, k + 1] = self.a_comps[_SYM_INDEX[(j, k)]]
-        return out
+    @property
+    def b_comps(self):
+        return self.comps[:3]
+
+    @property
+    def a_comps(self):
+        return self.comps[3:]
 
 
-def tabulate_divergence_kernels(grid, params, pad=1):
+def tabulate_divergence_kernels(grid, params, pad=1, out=None):
     """b_j(u) = sum_k d_k a_jk(u) = -2 |u|^gamma u_j on the shift lattice,
-    shape (3, M, M, M); odd kernel, symmetric cell: zero-shift entry 0."""
+    shape (3, M, M, M), written into `out` when given; odd kernel,
+    symmetric cell: zero-shift entry 0."""
     coords, _, ng = _lattice_powers(grid, params.gamma, pad)
-    bcomps = np.empty((3,) + ng.shape)
+    bcomps = np.empty((3,) + ng.shape) if out is None else out
+    ng *= -2.0
     for j, uj in enumerate(coords):
-        bcomps[j] = -2.0 * ng * uj
+        np.multiply(ng, uj, out=bcomps[j])
     bcomps[:, 0, 0, 0] = 0.0
     return bcomps
 
 
 def tabulate_fft_kernels(grid, params, pad=1):
-    """Tabulate a_jk(u) and b_j(u) = sum_k d_k a_jk(u) on the shift lattice."""
-    bcomps = tabulate_divergence_kernels(grid, params, pad)
+    """Tabulate b_j(u) = sum_k d_k a_jk(u) and a_jk(u) on the shift lattice."""
+    m = pad * grid.N
+    tables = np.empty((9, m, m, m))
+    tabulate_divergence_kernels(grid, params, pad, out=tables[:3])
     (ux, uy, uz), n2, ng = _lattice_powers(grid, params.gamma, pad)
     ngp2 = ng * n2
 
-    comps = np.empty((6,) + n2.shape)
+    comps = tables[3:]
     comps[0] = ngp2 - ng * ux * ux
     comps[1] = ngp2 - ng * uy * uy
     comps[2] = ngp2 - ng * uz * uz
@@ -445,7 +497,7 @@ def tabulate_fft_kernels(grid, params, pad=1):
     comps[:3, 0, 0, 0] = (2.0 / 3.0) * avg
     comps[3:, 0, 0, 0] = 0.0
 
-    return KernelTables(grid, params, pad, comps, bcomps)
+    return KernelTables(grid, params, pad, tables)
 
 
 def tabulate_radial_kernel(grid, exponent, pad=1):

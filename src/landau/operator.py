@@ -14,9 +14,10 @@ norm and (−div(Abar grad f), g) = (Abar grad f, grad g) holds to round-off.
 
 where the prefactor identity mu^{-1/2} d_j (mu X) = mu^{1/2} (d_j X - v_j X)
 is applied analytically, never by pointwise division, so nothing blows up at
-large |v|.  The kernels form one (3, 4) spectrum whose row j is
-(b_j, a_j0, a_j1, a_j2); X_j is its row j contracted against the transforms
-of (rho, v_x rho, v_y rho, v_z rho), rho = mu^{1/2} f, in the spectral form
+large |v|.  The kernels are transformed once: the nine distinct tables
+b_j and a_jk = a_kj (KernelTables.comps).  X_j contracts b_j, a_j0, a_j1
+and a_j2 against the transforms of (rho, v_x rho, v_y rho, v_z rho),
+rho = mu^{1/2} f, in the spectral form
 of Pareschi, Russo & Toscani, J. Comput. Phys. 165 (2000).  Convolutions run
 over the periodic shift lattice; fields are
 expected to carry a decaying envelope (pad=2 tables give true linear
@@ -31,7 +32,7 @@ import numpy as np
 from .errors import EigenvalueError, GridMismatchError
 from .field import ScalarField, divergence, gradient, wrapped_difference
 from .grid import AXIS_OF_COMPONENT
-from .kernel import LandauCoefficients
+from .kernel import _SYM_INDEX, LandauCoefficients
 
 
 class ConvolutionEngine:
@@ -39,9 +40,9 @@ class ConvolutionEngine:
 
     `tables` has shape (..., M, M, M) with M = pad * N, in FFT layout on
     the shift lattice; `hats` holds their transforms over the last three
-    axes.  The operators use the (3, 4) stack whose row j is
-    (b_j, a_j0, a_j1, a_j2).  Applying the engine to a discrete delta of
-    mass h^-3 reproduces each table exactly up to transform round-off.
+    axes.  The operators use the nine tables of KernelTables.comps.
+    Applying the engine to a discrete delta of mass h^-3 reproduces each
+    table exactly up to transform round-off.
     """
 
     def __init__(self, grid, tables, pad=1):
@@ -51,7 +52,12 @@ class ConvolutionEngine:
         if tables.shape[-3:] != (self.M,) * 3:
             raise ValueError(f"kernel tables of shape {tables.shape} do not "
                              f"end in the pad-{pad} lattice ({self.M},) * 3")
-        self.hats = np.fft.rfftn(tables, axes=(-3, -2, -1))
+        # one table at a time: a batched rfftn holds two more transforms of
+        # the whole stack at once (same bytes either way)
+        m = self.M
+        self.hats = np.empty(tables.shape[:-3] + (m, m, m // 2 + 1), complex)
+        for idx in np.ndindex(tables.shape[:-3]):
+            self.hats[idx] = np.fft.rfftn(tables[idx])
 
     def forward(self, values):
         """rfft of an N^3 array embedded in the (possibly padded) lattice."""
@@ -61,6 +67,15 @@ class ConvolutionEngine:
         padded = np.zeros((m, m, m))
         padded[:n, :n, :n] = values
         return np.fft.rfftn(padded)
+
+    def forward_separable(self, factors):
+        """`forward` of the N^3 array factors[0][iz] factors[1][iy]
+        factors[2][ix], as the outer product of the factors' zero-padded
+        1-d transforms: no N^3 or M^3 field in velocity space is formed."""
+        m = self.M
+        fz, fy = (np.fft.fft(f, m) for f in factors[:2])
+        fx = np.fft.rfft(factors[2], m)
+        return (fz[:, None, None] * fy[None, :, None]) * fx[None, None, :]
 
     def inverse(self, hat):
         """Inverse transform, cropped to the grid and scaled by h^3."""
@@ -99,11 +114,11 @@ def apply_L2(f, engine: ConvolutionEngine, coeffs: LandauCoefficients):
     out = np.zeros(grid.shape)
     diff = np.empty(grid.shape)
     inv2h = 1.0 / (2.0 * grid.h)
+    hats = engine.hats
     for j in range(3):
-        row = engine.hats[j]
-        xj_hat = row[0] * src[0]
-        for k in range(1, 4):
-            xj_hat = xj_hat + row[k] * src[k]
+        xj_hat = hats[j] * src[0]
+        for k in range(3):
+            xj_hat = xj_hat + hats[3 + _SYM_INDEX[(j, k)]] * src[k + 1]
         xj = engine.inverse(xj_hat)
         dxj = wrapped_difference(xj, AXIS_OF_COMPONENT[j], diff) * inv2h
         out += dxj - np.asarray(grid.component(j)) * xj
@@ -223,5 +238,5 @@ def arnoldi_spectral_radius(matvec, v0, tol=ARNOLDI_TOL):
 
 def make_context(coeffs: LandauCoefficients) -> OperatorContext:
     tables = coeffs.tables
-    engine = ConvolutionEngine(coeffs.grid, tables.stacked(), tables.pad)
+    engine = ConvolutionEngine(coeffs.grid, tables.comps, tables.pad)
     return OperatorContext(engine, coeffs)

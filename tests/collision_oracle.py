@@ -9,6 +9,7 @@ import numpy as np
 from landau.errors import GridMismatchError
 from landau.field import ScalarField
 from landau.grid import AXIS_OF_COMPONENT
+from landau.kernel import _SYM_INDEX
 
 
 def _diff4(values, j, h):
@@ -43,13 +44,14 @@ def apply_Q(G, F, engine):
     dG_hats = [engine.forward(d) for d in dG]
     dF = [_diff4(F.values, k, h) for k in range(3)]
 
-    a_hats = engine.hats[:, 1:]
+    a_hats = [[engine.hats[3 + _SYM_INDEX[(j, k)]] for k in range(3)]
+              for j in range(3)]
     out = np.zeros(grid.shape)
     for j in range(3):
         acc = np.zeros(grid.shape)
         bj_hat = None
         for k in range(3):
-            a_hat = a_hats[j, k]
+            a_hat = a_hats[j][k]
             acc += engine.inverse(a_hat * g_hat) * dF[k]
             bj_hat = a_hat * dG_hats[k] if bj_hat is None else bj_hat + a_hat * dG_hats[k]
         acc -= engine.inverse(bj_hat) * F.values

@@ -13,7 +13,8 @@ from landau.errors import InstabilityError, LadderOverflowError
 from landau.evolution import (SEGMENT_SAMPLES, SourceModel,
                               chebyshev_coefficients, derivative_ladder,
                               evolve, measure_source_bound, scaled_bessel_i,
-                              source_eval, spectral_interval, step)
+                              source_eval, spectral_interval, step,
+                              step_buffers)
 from landau.field import ScalarField, inner_product, l2_norm, random_field, zeros
 from landau.operator import apply_L1
 from landau.verify import check_energy
@@ -161,6 +162,25 @@ def test_default_step_accuracy(small_grid, small_ctx):
     for f, lf in zip(measured, lfs):
         direct = small_ctx.apply(f)
         assert l2_norm(lf - direct) <= 1e-12 * l2_norm(direct)
+
+
+def test_step_on_reused_buffers_is_bit_identical(small_grid, small_ctx):
+    # evolve hands every segment the same blocks: a step on blocks that
+    # another step has filled gives the bytes of a step on fresh blocks
+    model = SourceModel(unit_gaussian(small_grid), amplitude=0.5)
+    interval = spectral_interval(small_ctx, model)[1]
+    t0, t1 = 0.1, 0.1 + 8.0 / small_ctx.spectral_radius
+    buffers = step_buffers(small_grid.N ** 3)
+    step(random_field(small_grid, 8, bandlimit=5), 0.0, 0.2, small_ctx, model,
+         interval, buffers)
+    f0 = random_field(small_grid, 7, bandlimit=5, envelope_width=1.0)
+    reused = step(f0, t0, t1, small_ctx, model, interval, buffers)
+    fresh = step(f0, t0, t1, small_ctx, model, interval)
+    for got, want in zip(reused, fresh):
+        for g, w in zip(got, want):
+            assert np.array_equal(g.values, w.values)
+    # the fields returned are views of the blocks
+    assert np.shares_memory(reused[0][-1].values, buffers[0])
 
 
 def test_propagator_top_ritz_vector(small_grid, small_ctx):

@@ -5,11 +5,14 @@ import pytest
 
 from landau.errors import QuadratureError
 from landau.grid import VelocityGrid
-from landau.kernel import (KernelParams, QuadratureSpec, abar_profiles_at,
+from landau.kernel import (KernelParams, QuadratureSpec, _radial_rule,
+                           abar_profiles_at, c2_by_convolution,
                            cell_average_radial_power, compute_abar_field,
                            compute_scalar_weights, kernel_first_derivatives,
                            kernel_matrix_batch, maxwellian_field,
+                           polar_integrals, tabulate_divergence_kernels,
                            tabulate_fft_kernels)
+from landau.operator import ConvolutionEngine
 
 
 def test_gamma_range_enforced():
@@ -138,6 +141,81 @@ def test_abar_quadrature_rejects_impossible_tolerance():
     p = KernelParams(-2.9)
     with pytest.raises(QuadratureError):
         abar_profiles_at(np.array([4.0]), p, QuadratureSpec(rtol=1e-16))
+
+
+def _polar_integrals_by_gauss(s, r):
+    """Both polar integrals by composite 30-point Gauss-Legendre in
+    u = 1 - t on [0, 2], with panels halving toward u = 0, where
+    e^{-(s^2+r^2)/2} e^{s r t} = e^{-(s-r)^2/2} e^{-s r u} lives for large
+    s r; in u the exponent carries no rounding of 1 - t."""
+    x, w = np.polynomial.legendre.leggauss(30)
+    edges = np.array([0.0] + [2.0 ** (1 - k) for k in range(40, -1, -1)])
+    lo, hi = edges[:-1, None], edges[1:, None]
+    u = (0.5 * (hi - lo) * (x + 1.0) + lo).ravel()
+    wu = (0.5 * (hi - lo) * w).ravel()
+    e = wu * np.exp(-0.5 * (s - r) ** 2 - s * r * u)
+    return np.sum(u * (2.0 - u) * e), np.sum(0.5 * (1.0 + (1.0 - u) ** 2) * e)
+
+
+def test_polar_integrals_closed_form_against_gauss_rule():
+    # a = s r from 0 to 320: s = 0, both sides of the series' switch at
+    # a = 0.5, and beyond the largest s r (about 300) of an R = 8 box
+    pairs = [(s, r) for s in (0.0, 1e-3, 0.1, 0.7, 1.0, 3.0, 8.0, 13.86)
+             for r in (0.0, 1e-4, 0.01, 0.3, 0.5, 0.72, 1.0, 2.0, 5.0, 10.0,
+                       17.88, 22.0)]
+    pairs += [(1.0, 0.4999), (1.0, 0.5001), (0.02, 22.0),
+              (math.sqrt(320.0), math.sqrt(320.0)), (16.0, 20.0)]
+    for s, r in pairs:
+        got = polar_integrals(np.array(s), np.array(r))
+        want = _polar_integrals_by_gauss(s, r)
+        for g, w in zip(got, want):
+            assert abs(float(g) - w) <= 1e-13 * w, (s, r)
+    # broadcast over (s, r) blocks like the profiles use them
+    s = np.array([0.0, 0.3, 4.0])[:, None]
+    r = np.array([0.0, 1.0, 9.0])[None, :]
+    par, perp = polar_integrals(s, r)
+    assert par.shape == perp.shape == (3, 3)
+    assert par[0, 0] == pytest.approx(4.0 / 3.0, rel=1e-15)
+    assert perp[0, 0] == pytest.approx(4.0 / 3.0, rel=1e-15)
+
+
+def _product_rule_profiles(s, gamma, radial_order, r_max, angular_order=64):
+    """The abar profiles by the radial rule times a Gauss-Legendre rule of
+    `angular_order` points in t = cos(theta), the polar rule the closed
+    form replaced."""
+    r, wr = _radial_rule(r_max, radial_order)
+    t, wt = np.polynomial.legendre.leggauss(angular_order)
+    expo = np.exp(-0.5 * (s[:, None, None] ** 2 + r[None, :, None] ** 2)
+                  + s[:, None, None] * r[None, :, None] * t[None, None, :])
+    radial = wr * r ** (gamma + 4.0)
+    pref = 2.0 * math.pi * KernelParams(gamma).mu_prefactor
+    return (pref * ((expo @ (wt * (1.0 - t * t))) @ radial),
+            pref * ((expo @ (wt * 0.5 * (1.0 + t * t))) @ radial))
+
+
+@pytest.mark.parametrize("gamma", [-1.0, -2.0])
+def test_abar_profiles_match_product_rule(gamma):
+    # node radii of an R = 8 box, 0 included, on the doubled radial order
+    # that abar_profiles_at returns
+    s = np.concatenate([[0.0], np.linspace(0.05, 8.0 * math.sqrt(3.0), 47)])
+    quad = QuadratureSpec()
+    got = abar_profiles_at(s, KernelParams(gamma), quad)
+    want = _product_rule_profiles(s, gamma, 2 * quad.radial_order, s.max() + 8.0)
+    for g, w in zip(got, want):
+        assert np.max(np.abs(g - w) / w) <= 1e-12
+
+
+def test_c2_one_inverse_matches_three_inverse_route(small_grid, params):
+    # the separable transforms summed before one inverse, against three
+    # zero-padded forward transforms of v_k mu and three inverses
+    b_padded = tabulate_divergence_kernels(small_grid, params, pad=2)
+    got = c2_by_convolution(small_grid, params, b_padded)
+    engine = ConvolutionEngine(small_grid, b_padded, pad=2)
+    mu = maxwellian_field(small_grid, params).values
+    want = 0.5 * sum(
+        engine.inverse(engine.hats[k] * engine.forward(
+            np.asarray(small_grid.component(k)) * mu)) for k in range(3))
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_abar_field_psd_and_eigen_scaling(small_grid, params, small_coeffs):

@@ -22,10 +22,11 @@ from tests.conftest import gaussian_field
 
 def test_engine_delta_identity(small_grid, small_ctx):
     # a delta of mass h^-3 reproduces the kernel table at every shift, in
-    # all 12 slots of the (3, 4) spectrum: row j is (b_j, a_j0, a_j1, a_j2)
+    # all 12 slots (b_j, a_j0, a_j1, a_j2) of the nine distinct spectra:
+    # b_j is spectrum j, a_jk spectrum 3 + _SYM_INDEX[(j, k)]
     eng = small_ctx.engine
     tables = small_ctx.coeffs.tables
-    assert eng.hats.shape[:2] == (3, 4)
+    assert eng.hats.shape[0] == 9
     pos = (3, 11, 6)
     delta = np.zeros(small_grid.shape)
     delta[pos] = 1.0 / small_grid.cell_volume
@@ -37,16 +38,33 @@ def test_engine_delta_identity(small_grid, small_ctx):
         for slot in range(4):
             table = (tables.b_comps[j] if slot == 0
                      else tables.a_comps[sym[j][slot - 1]])
-            out = eng.inverse(eng.hats[j, slot] * delta_hat)
+            spectrum = j if slot == 0 else 3 + sym[j][slot - 1]
+            out = eng.inverse(eng.hats[spectrum] * delta_hat)
             expected = table[shifted]
             assert np.max(np.abs(out - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("pad", [1, 2])
+def test_forward_separable_matches_forward(small_grid, params, pad):
+    # the outer product of 1-d transforms against the transform of the
+    # N^3 product field, each factor on its own axis
+    eng = ConvolutionEngine(
+        small_grid, tabulate_radial_kernel(small_grid, params.gamma, pad), pad)
+    ax = small_grid.axis
+    factors = [np.exp(-0.3 * ax * ax), ax * np.exp(-0.5 * ax * ax),
+               np.cos(ax) * np.exp(-0.2 * ax * ax)]
+    field = factors[0][:, None, None] * factors[1][None, :, None] * factors[2]
+    want = eng.forward(field)
+    got = eng.forward_separable(factors)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_convolve_linearity(small_grid, small_ctx):
     eng = small_ctx.engine
 
     def conv(f):
-        return eng.inverse(eng.hats[0, 0] * eng.forward(f.values))
+        return eng.inverse(eng.hats[0] * eng.forward(f.values))
 
     f = random_field(small_grid, 1, bandlimit=5)
     g = random_field(small_grid, 2, bandlimit=5)

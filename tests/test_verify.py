@@ -81,10 +81,10 @@ def test_coefficient_bounds_suite(small_coeffs):
 def test_coefficient_suite_catches_b_table_error(small_coeffs):
     # a 1e-9 relative error in the b_y table fails the b-table check alone
     tables = small_coeffs.tables
-    b_comps = tables.b_comps.copy()
-    b_comps[1] *= 1.0 + 1e-9
+    comps = tables.comps.copy()
+    comps[1] *= 1.0 + 1e-9                     # b_y
     bad = dataclasses.replace(
-        small_coeffs, tables=dataclasses.replace(tables, b_comps=b_comps))
+        small_coeffs, tables=dataclasses.replace(tables, comps=comps))
     rep = check_coefficient_bounds(bad)
     assert [c.id for c in rep.checks if not c.verdict] == [
         "b_table_vs_kernel_derivatives"]
@@ -373,7 +373,7 @@ def test_run_resources_tabulate_each_pad_once(monkeypatch):
     res = RunResources(parse_config_text(ENERGY_CFG), log=None)
     for suite in ("coefficients", "convolution"):
         run_suite(suite, res)
-    assert res.ctx.engine.hats.shape[:2] == (3, 4)
+    assert res.ctx.engine.hats.shape[0] == 9
     assert pads["tabulate_fft_kernels"] == [1]
     # the pad-1 b tables inside the full tabulation, then the cross-check's
     assert pads["tabulate_divergence_kernels"] == [1, 2]
