@@ -5,7 +5,7 @@ from .config import RunConfig, load_config
 from .evolution import (DerivativeLadder, SourceModel, derivative_ladder,
                         evolve, step)
 from .field import (ScalarField, VectorField, a_norm, gradient, inner_product,
-                    l2_norm, project_parallel, random_field, weighted_norm)
+                    l2_norm, random_field, weighted_norm)
 from .grid import VelocityGrid
 from .kernel import (KernelParams, LandauCoefficients, QuadratureSpec,
                      build_coefficients, compute_abar_field,

@@ -14,6 +14,7 @@ from .errors import ConfigError
 from .evolution import LADDER_KMAX_CAP
 from .grid import VelocityGrid
 from .kernel import KernelParams, QuadratureSpec
+from .verify import MIN_ENSEMBLE
 
 ALL_SUITES = ("kernel", "coefficients", "convolution", "inequalities",
               "energy", "smoothing")
@@ -162,8 +163,8 @@ def validate_config(cfg):
         raise ConfigError(f"unknown source.profile {cfg.source_profile!r}")
     if not cfg.source_width > 0:
         raise ConfigError(f"source.width must be positive, got {cfg.source_width}")
-    if cfg.verify_ensemble_size < 64:
-        raise ConfigError("verify.ensemble_size must be >= 64")
+    if cfg.verify_ensemble_size < MIN_ENSEMBLE:
+        raise ConfigError(f"verify.ensemble_size must be >= {MIN_ENSEMBLE}")
     for s in cfg.verify_suites:
         if s not in ALL_SUITES:
             raise ConfigError(f"unknown suite {s!r}; choose from {ALL_SUITES}")

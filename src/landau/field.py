@@ -131,35 +131,33 @@ def divergence(V):
     return ScalarField(g, out)
 
 
-def project_parallel(G):
-    """Split G into components parallel and perpendicular to v at each node.
+def form_energy(f, weight, potential, grad=None):
+    """(M grad f, grad f) + (w f, f) for a matrix field M (`weight`) and a node
+    weight w (`potential`); `grad` is the gradient of f, when the caller
+    already holds it."""
+    G = gradient(f) if grad is None else grad
+    total = np.sum(weight.quadratic_form(G)) + np.sum(potential * f.values * f.values)
+    return float(total) * f.grid.cell_volume
 
-    (P_v G)_j = (G . v) v_j / |v|^2.  The split is exact: parallel + perp
-    reconstructs G, and perp . v vanishes to round-off.
-    """
-    grid = G.grid
-    ex, ey, ez = grid.unit_vectors
-    dot = G.comps[0] * ex + G.comps[1] * ey + G.comps[2] * ez
-    par = np.empty_like(G.comps)
-    par[0] = dot * ex
-    par[1] = dot * ey
-    par[2] = dot * ez
-    return VectorField(grid, par), VectorField(grid, G.comps - par)
+
+def form_operator(f, weight, potential, grad=None):
+    """-div(M grad f) + w f, the self-adjoint operator of `form_energy`
+    (`divergence` is the negative adjoint of `gradient`)."""
+    out = -divergence(weight.apply(gradient(f) if grad is None else grad)).values
+    out += potential * f.values
+    return ScalarField(f.grid, out)
 
 
 def a_norm_sq(f, coeffs, grad=None):
-    """Square of the anisotropic energy norm.
+    """Square of the anisotropic energy norm,
 
     ||f||_A^2 = sum_{jk} int ( abar_jk d_j f d_k f + (1/4) abar_jk v_j v_k f^2 ) dv,
-    with the centered gradient (`grad`, when the caller already holds it)
-    and the precomputed zeroth-order weight c1 = (1/4) abar_jk v_j v_k.
+
+    the form (abar, c1) with the precomputed c1 = (1/4) abar_jk v_j v_k.
     """
     if coeffs.grid != f.grid:
         raise GridMismatchError("coefficients live on a different grid")
-    G = gradient(f) if grad is None else grad
-    quad = coeffs.abar.quadratic_form(G)
-    total = np.sum(quad) + np.sum(coeffs.c1 * f.values * f.values)
-    return float(total) * f.grid.cell_volume
+    return form_energy(f, coeffs.abar, coeffs.c1, grad)
 
 
 def a_norm(f, coeffs):

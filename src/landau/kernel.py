@@ -5,18 +5,19 @@ The interaction kernel is
     a_jk(v) = (delta_jk |v|^2 - v_j v_k) |v|^gamma,   -3 < gamma < 0,
 
 a positive semidefinite projection off the v direction scaled by |v|^{gamma+2}.
-The smoothed diffusion matrix abar = a * mu (Gaussian-weighted convolution) is
-reduced per node to its two rotation-invariant radial profiles (eigenvalue
-along v and transverse to it).  With the polar axis along v, the azimuthal
-and the polar integrals are both in closed form; only the radial integral,
-with its r^{gamma+4} endpoint singularity, is a Gauss-Legendre rule, checked
-by doubling its order.  The c2 cross-check convolves the separable fields
-v_k mu on the pad-2 lattice, whose transforms are outer products of 1-d
-transforms.
+The smoothed diffusion matrix abar = a * mu (Gaussian-weighted convolution)
+is stored as its two radial profiles, the eigenvalue l_par along v and the
+double eigenvalue l_perp across it (`UniaxialField`).  With the polar axis
+along v, the azimuthal and the polar integrals are both in closed form; only
+the radial integral, with its r^{gamma+4} endpoint singularity, is a
+Gauss-Legendre rule, checked by doubling its order.  c1 and c2 follow from
+l_par alone, as abar v = l_par v.  The c2 cross-check convolves the separable
+fields v_k mu on the pad-2 lattice, whose transforms are outer products of
+1-d transforms.  The kernel tables' origin cell is the exact cell average.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
 
 import numpy as np
@@ -25,7 +26,7 @@ from .errors import CrossCheckError, QuadratureError
 from .field import ScalarField, VectorField, inner_product, l2_norm
 from .grid import AXIS_OF_COMPONENT, VelocityGrid
 
-# position of a_jk among the six stored components (xx, yy, zz, xy, xz, yz)
+# position of a_jk among the six a-tables (xx, yy, zz, xy, xz, yz)
 _SYM_INDEX = {(0, 0): 0, (1, 1): 1, (2, 2): 2,
               (0, 1): 3, (1, 0): 3, (0, 2): 4, (2, 0): 4, (1, 2): 5, (2, 1): 5}
 
@@ -169,56 +170,57 @@ def project_off_invariants(f, params):
 
 
 # ---------------------------------------------------------------------------
-# symmetric matrix field
+# uniaxial matrix field
 # ---------------------------------------------------------------------------
 
 @dataclass
-class SymMatrixField:
-    """Symmetric 3x3 matrix sampled on the grid; six component arrays
-    (xx, yy, zz, xy, xz, yz), units of |v|^{gamma+2}."""
+class UniaxialField:
+    """Symmetric 3x3 matrix field M = across I + (along - across) vhat vhat^T:
+    eigenvalue `along` on v, double eigenvalue `across` on its orthogonal
+    plane.  Abar is (l_par, l_perp); the coercivity split form weights the
+    gradient by (<v>^g, <v>^{g+2}).  `excess` = along - across and the unit
+    vectors vhat are taken once, on the constructing thread."""
 
     grid: VelocityGrid
-    comps: np.ndarray  # shape (6, N, N, N)
+    along: np.ndarray
+    across: np.ndarray
+    excess: np.ndarray = dataclass_field(init=False, repr=False)
+    vhat: tuple = dataclass_field(init=False, repr=False)
 
-    def component(self, j, k):
-        return self.comps[_SYM_INDEX[(j, k)]]
+    def __post_init__(self):
+        self.excess = self.along - self.across
+        self.vhat = self.grid.unit_vectors
 
     def apply(self, V):
-        """Matrix-vector product (A V)_j = sum_k A_jk V_k at every node."""
-        out = np.empty_like(V.comps)
+        """(M V)_j = across V_j + (along - across)(vhat . V) vhat_j."""
+        t = _dot(self.vhat, V.comps)
+        t *= self.excess
+        out = self.across * V.comps
         for j in range(3):
-            acc = self.component(j, 0) * V.comps[0]
-            acc += self.component(j, 1) * V.comps[1]
-            acc += self.component(j, 2) * V.comps[2]
-            out[j] = acc
+            out[j] += t * self.vhat[j]
         return VectorField(self.grid, out)
 
     def quadratic_form(self, V):
-        """sum_jk A_jk V_j V_k at every node."""
-        xx, yy, zz, xy, xz, yz = self.comps
-        gx, gy, gz = V.comps
-        return (
-            xx * gx * gx + yy * gy * gy + zz * gz * gz
-            + 2.0 * (xy * gx * gy + xz * gx * gz + yz * gy * gz)
-        )
-
-    def as_matrices(self):
-        """Dense (N^3, 3, 3) view for eigenvalue work."""
-        n3 = self.grid.N ** 3
-        m = np.empty((n3, 3, 3))
-        flat = self.comps.reshape(6, n3)
-        m[:, 0, 0], m[:, 1, 1], m[:, 2, 2] = flat[0], flat[1], flat[2]
-        m[:, 0, 1] = m[:, 1, 0] = flat[3]
-        m[:, 0, 2] = m[:, 2, 0] = flat[4]
-        m[:, 1, 2] = m[:, 2, 1] = flat[5]
-        return m
+        """V . M V = across |V|^2 + (along - across)(vhat . V)^2 at every node."""
+        form = self.across * _dot(V.comps, V.comps)
+        dot = _dot(self.vhat, V.comps)
+        dot *= dot
+        form += self.excess * dot
+        return form
 
     def min_eigenvalue_ratio(self):
-        """min eigenvalue over the grid, normalized by the local trace."""
-        eig = np.linalg.eigvalsh(self.as_matrices())
-        trace = self.comps[0] + self.comps[1] + self.comps[2]
-        scale = np.maximum(trace.reshape(-1), 1e-300)
-        return float(np.min(eig[:, 0] / scale))
+        """min(along, across) over the grid, normalized by the local trace
+        along + 2 across."""
+        trace = np.maximum(self.along + 2.0 * self.across, 1e-300)
+        return float(np.min(np.minimum(self.along, self.across) / trace))
+
+
+def _dot(a, b):
+    """Node-wise a . b of two 3-vectors of arrays, into a new array."""
+    out = a[0] * b[0]
+    out += a[1] * b[1]
+    out += a[2] * b[2]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -330,26 +332,14 @@ def compute_abar_field(grid, params, quad=QuadratureSpec()):
     """Smoothed diffusion matrix abar(v) = (a * mu)(v) on the grid.
 
     Isotropy of both factors reduces the grid evaluation to the radial
-    profiles at the distinct node radii; the field is reassembled as
-    l_par P_v + l_perp (I - P_v), symmetric positive semidefinite by
-    construction.
+    profiles at the distinct node radii: abar is the uniaxial field
+    (l_par, l_perp), l_par P_v + l_perp (I - P_v).
     """
     r_flat = grid.radius.reshape(-1)
     uniq, inverse = np.unique(r_flat, return_inverse=True)
     l_par_u, l_perp_u = abar_profiles_at(uniq, params, quad)
-    l_par = l_par_u[inverse].reshape(grid.shape)
-    l_perp = l_perp_u[inverse].reshape(grid.shape)
-
-    ex, ey, ez = grid.unit_vectors
-    diff = l_par - l_perp
-    comps = np.empty((6,) + grid.shape)
-    comps[0] = l_perp + diff * ex * ex
-    comps[1] = l_perp + diff * ey * ey
-    comps[2] = l_perp + diff * ez * ez
-    comps[3] = diff * ex * ey
-    comps[4] = diff * ex * ez
-    comps[5] = diff * ey * ez
-    return SymMatrixField(grid, comps)
+    return UniaxialField(grid, l_par_u[inverse].reshape(grid.shape),
+                         l_perp_u[inverse].reshape(grid.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -357,20 +347,18 @@ def compute_abar_field(grid, params, quad=QuadratureSpec()):
 # ---------------------------------------------------------------------------
 
 def compute_scalar_weights(abar, grid):
-    """Zeroth-order weights of the diffusion operator.
+    """Zeroth-order weights of the diffusion operator; abar v = l_par v, so
 
-    c1 = (1/4) sum_jk abar_jk v_j v_k  (nonnegative quadratic form)
-    c2 = (1/2) sum_j d_j (sum_k abar_jk v_k)  by centered differences
-         (second-order one-sided stencils on the box faces; the field
-         abar.v does not decay, so periodic wrap would be wrong here).
+    c1 = (1/4) sum_jk abar_jk v_j v_k = (1/4) |v|^2 l_par  (nonnegative)
+    c2 = (1/2) sum_j d_j (sum_k abar_jk v_k) = (1/2) div(l_par v)  by centered
+         differences (second-order one-sided stencils on the box faces; l_par v
+         does not decay, so periodic wrap would be wrong here).
     """
-    vx, vy, vz = grid.coords
-    V = VectorField(grid, np.stack([np.asarray(vx), np.asarray(vy), np.asarray(vz)]))
-    c1 = 0.25 * abar.quadratic_form(V)
-    W = abar.apply(V)
+    c1 = 0.25 * grid.radius_sq * abar.along
     c2 = np.zeros(grid.shape)
     for j in range(3):
-        c2 += np.gradient(W.comps[j], grid.h, axis=AXIS_OF_COMPONENT[j], edge_order=2)
+        c2 += np.gradient(abar.along * grid.component(j), grid.h,
+                          axis=AXIS_OF_COMPONENT[j], edge_order=2)
     return c1, 0.5 * c2
 
 
@@ -407,19 +395,25 @@ def crosscheck_c2(c2, grid, params, b_padded):
 # kernel tables for FFT convolution
 # ---------------------------------------------------------------------------
 
-def cell_average_radial_power(exponent, h, subcells=64):
-    """Mean of |u|^p over the cube of side h centered at the origin.
+def cell_average_radial_power(exponent, h):
+    """Mean of |u|^p, p > -3, over the cube of side h centered at the origin.
 
-    Midpoint rule on a subcells^3 refinement; the integrand is integrable
-    for p > -3 and the cell is symmetric, so the midpoint estimate is
-    stable and avoids the undefined point sample at u = 0.
+    The cube is 48 congruent simplices 0 <= u_1 <= u_2 <= u_3 <= h/2 (up
+    to signs and order); with u = r (s t, s, 1) the radial integral is in
+    closed form and leaves
+
+        48 2^{-(p+3)} / (p+3) h^p int_0^1 int_0^1 s (1+s^2+s^2 t^2)^{p/2} ds dt,
+
+    whose integrand is smooth: a 16 x 16 Gauss-Legendre rule agrees with
+    64 x 64 to 8e-16 at p = -2.9.
     """
-    q = (np.arange(subcells) + 0.5) / subcells - 0.5  # offsets in units of h
-    qx = q[None, None, :]
-    qy = q[None, :, None]
-    qz = q[:, None, None]
-    r2 = (qx * qx + qy * qy) + qz * qz
-    return float(np.mean(r2 ** (0.5 * exponent))) * h ** exponent
+    x, w = np.polynomial.legendre.leggauss(16)
+    s, w = 0.5 * (x + 1.0), 0.5 * w
+    ss = s[:, None] * s[:, None]
+    integrand = s[:, None] * (1.0 + ss + ss * (s * s)[None, :]) ** (0.5 * exponent)
+    integral = float(w @ integrand @ w)
+    p3 = exponent + 3.0
+    return 48.0 * 2.0 ** -p3 / p3 * integral * h ** exponent
 
 
 def _lattice_powers(grid, exponent, pad):
@@ -519,7 +513,7 @@ class LandauCoefficients:
     grid: VelocityGrid
     params: KernelParams
     quad: QuadratureSpec
-    abar: SymMatrixField
+    abar: UniaxialField
     c1: np.ndarray
     c2: np.ndarray
     tables: KernelTables
@@ -528,6 +522,14 @@ class LandauCoefficients:
     @cached_property
     def mu_half(self):
         return sqrt_maxwellian_field(self.grid, self.params)
+
+    @cached_property
+    def split_weight(self):
+        """Gradient weight of the coercivity split form: <v>^g along v and
+        <v>^{g+2} across it."""
+        g = self.params.gamma
+        return UniaxialField(self.grid, self.grid.bracket_weight(g),
+                             self.grid.bracket_weight(g + 2.0))
 
     @cached_property
     def c1_minus_c2(self):

@@ -30,7 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import EigenvalueError, GridMismatchError
-from .field import ScalarField, divergence, gradient, wrapped_difference
+from .field import ScalarField, form_operator, wrapped_difference
 from .grid import AXIS_OF_COMPONENT
 from .kernel import _SYM_INDEX, LandauCoefficients
 
@@ -93,10 +93,7 @@ def apply_L1(f, coeffs: LandauCoefficients, grad=None):
     `grad` is the gradient of f, when the caller already holds it."""
     if f.grid != coeffs.grid:
         raise GridMismatchError("field grid does not match coefficient grid")
-    flux = coeffs.abar.apply(gradient(f) if grad is None else grad)
-    out = -divergence(flux).values
-    out += coeffs.c1_minus_c2 * f.values
-    return ScalarField(f.grid, out)
+    return form_operator(f, coeffs.abar, coeffs.c1_minus_c2, grad)
 
 
 def apply_L2(f, engine: ConvolutionEngine, coeffs: LandauCoefficients):

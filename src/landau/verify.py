@@ -18,9 +18,8 @@ import numpy as np
 
 from .errors import DegenerateRatioError, FitDegenerateError
 from .evolution import RUNG_PANELS, SEGMENT_SAMPLES
-from .field import (ScalarField, VectorField, a_norm, a_norm_sq, divergence,
-                    gradient, inner_product, l2_norm, project_parallel,
-                    random_field, weighted_norm)
+from .field import (ScalarField, a_norm, a_norm_sq, form_energy, form_operator,
+                    gradient, inner_product, l2_norm, random_field, weighted_norm)
 from .kernel import (c2_tolerance, kernel_first_derivatives, kernel_matrix_batch,
                      kernel_second_derivatives, tabulate_radial_kernel)
 from .operator import ConvolutionEngine, apply_L1, apply_L2
@@ -179,7 +178,12 @@ def check_coefficient_bounds(coeffs, fingerprint="", sample_count=400, seed=77):
 
     k_first = 0.0
     k_second = 0.0
-    for comp in coeffs.abar.comps:
+    abar = coeffs.abar
+    for j, k in ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)):
+        # abar_jk = l_perp delta_jk + (l_par - l_perp) vhat_j vhat_k
+        comp = abar.excess * abar.vhat[j] * abar.vhat[k]
+        if j == k:
+            comp += abar.across
         firsts = [np.gradient(comp, h, axis=ax, edge_order=2) for ax in range(3)]
         for d in firsts:
             k_first = max(k_first, float(np.max(np.abs(d[interior]) / wgt[interior])))
@@ -224,7 +228,7 @@ def check_coefficient_bounds(coeffs, fingerprint="", sample_count=400, seed=77):
     rep.add_check("kernel_alpha2_finite", r2, math.inf, math.isfinite(r2))
     rep.add_check("divergence_field_decay_finite", div_ratio, math.inf,
                   math.isfinite(div_ratio))
-    psd = coeffs.abar.min_eigenvalue_ratio()
+    psd = abar.min_eigenvalue_ratio()
     rep.add_check("abar_psd", psd, -1e-10, psd >= -1e-10)
     rep.add_check("c1_nonnegative", float(coeffs.c1.min()), -1e-14,
                   float(coeffs.c1.min()) >= -1e-14)
@@ -345,6 +349,7 @@ def member_pass(ctx, ensemble):
     coeffs = ctx.coeffs
     g = coeffs.params.gamma
     partners = _pairing(len(ensemble))
+    coeffs.split_weight  # built once, here, not lazily in each thread
 
     def scalars(i):
         f = ensemble[i]
@@ -371,16 +376,10 @@ def member_pass(ctx, ensemble):
 
 def _split_energy(f, coeffs, grad=None):
     """Denominator of the coercivity quotient: the projection-split
-    weighted Sobolev form <v>^g |P grad f|^2 + <v>^{g+2}(|(I-P) grad f|^2 + f^2)."""
-    grid = f.grid
-    g = coeffs.params.gamma
-    w_par = grid.bracket_weight(g)
-    w_perp = grid.bracket_weight(g + 2.0)
-    par, perp = project_parallel(gradient(f) if grad is None else grad)
-    par_sq = np.sum(par.comps * par.comps, axis=0)
-    perp_sq = np.sum(perp.comps * perp.comps, axis=0)
-    dens = w_par * par_sq + w_perp * (perp_sq + f.values * f.values)
-    return float(np.sum(dens)) * grid.cell_volume
+    weighted Sobolev form <v>^g |P grad f|^2 + <v>^{g+2}(|(I-P) grad f|^2 + f^2),
+    P = vhat vhat^T, i.e. the form (split weight, <v>^{g+2})."""
+    split = coeffs.split_weight
+    return form_energy(f, split, split.across, grad)
 
 
 def _quotient(num, den):
@@ -396,18 +395,13 @@ def coercivity_quotient(f, coeffs, grad=None):
 
 def _split_energy_operator(f, coeffs, grad):
     """Self-adjoint operator of the split form, for descent gradients."""
-    grid = f.grid
-    g = coeffs.params.gamma
-    w_par = grid.bracket_weight(g)
-    w_perp = grid.bracket_weight(g + 2.0)
-    par, perp = project_parallel(grad)
-    flux = VectorField(grid, w_par * par.comps + w_perp * perp.comps)
-    return ScalarField(grid, -divergence(flux).values + w_perp * f.values)
+    split = coeffs.split_weight
+    return form_operator(f, split, split.across, grad)
 
 
 def _a_form_operator(f, coeffs, grad):
     """Self-adjoint operator of the energy form: -div(Abar grad f) + c1 f."""
-    return apply_L1(f, coeffs, grad=grad) + ScalarField(f.grid, coeffs.c2 * f.values)
+    return form_operator(f, coeffs.abar, coeffs.c1, grad)
 
 
 def estimate_coercivity(coeffs, members, descent_steps=50, fingerprint=""):

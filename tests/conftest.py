@@ -76,3 +76,19 @@ def gaussian_field(grid, width=1.0):
     from landau.field import ScalarField
 
     return ScalarField(grid, np.exp(-grid.radius_sq / (2.0 * width * width)))
+
+
+def abar_matrix(abar):
+    """abar as a (3, 3, N, N, N) array, assembled from its two profiles as
+    abar_jk = l_perp delta_jk + (l_par - l_perp) vhat_j vhat_k with vhat
+    taken here from the node coordinates: the six-component field the
+    operators once stored, kept as an oracle for `UniaxialField`."""
+    grid = abar.grid
+    vhat = [np.asarray(c) / grid.radius for c in grid.coords]
+    diff = abar.along - abar.across
+    m = np.empty((3, 3) + grid.shape)
+    for j in range(3):
+        for k in range(3):
+            m[j, k] = diff * vhat[j] * vhat[k]
+        m[j, j] += abar.across
+    return m

@@ -7,10 +7,10 @@ from hypothesis import given, settings, strategies as st
 from landau.errors import GridMismatchError
 from landau.field import (ScalarField, VectorField, a_norm, a_norm_sq,
                           divergence, gradient, inner_product, l2_norm,
-                          project_parallel, random_field, weighted_norm,
-                          wrapped_difference, zeros)
+                          random_field, weighted_norm, wrapped_difference,
+                          zeros)
 from landau.grid import VelocityGrid
-from tests.conftest import gaussian_field
+from tests.conftest import abar_matrix, gaussian_field
 
 
 def test_grid_basics():
@@ -140,31 +140,6 @@ def test_summation_by_parts_property(n, seed):
     assert abs(lhs - rhs) <= 1e-13 * scale * grid.cell_volume
 
 
-def test_projection_split(small_grid):
-    G = gradient(random_field(small_grid, 7, bandlimit=5))
-    par, perp = project_parallel(G)
-    # exact reconstruction
-    assert np.allclose(par.comps + perp.comps, G.comps, atol=1e-15)
-    # perp orthogonal to v at every node
-    vx, vy, vz = small_grid.coords
-    dot = perp.comps[0] * vx + perp.comps[1] * vy + perp.comps[2] * vz
-    scale = np.sqrt(np.sum(G.comps ** 2, axis=0)) * small_grid.radius + 1e-300
-    assert float(np.max(np.abs(dot) / scale)) <= 1e-12
-    # idempotence
-    par2, _ = project_parallel(par)
-    assert np.allclose(par2.comps, par.comps, atol=1e-13)
-
-
-def test_projection_examples(small_grid):
-    # radial field projects to itself
-    vx, vy, vz = (np.asarray(c) for c in small_grid.coords)
-    from landau.field import VectorField
-    V = VectorField(small_grid, np.stack([vx, vy, vz]))
-    par, perp = project_parallel(V)
-    assert np.allclose(par.comps, V.comps, rtol=1e-12)
-    assert np.max(np.abs(perp.comps)) <= 1e-12 * small_grid.R
-
-
 def test_inner_product_and_symmetry(small_grid):
     f = random_field(small_grid, 8, bandlimit=5)
     assert inner_product(f, f) == pytest.approx(weighted_norm(f, 2, 0.0) ** 2,
@@ -225,11 +200,12 @@ def test_a_norm_properties(small_grid, small_coeffs):
 
 @pytest.mark.parametrize("seed", [30, 31])
 def test_a_norm_assembly_consistency(small_grid, small_coeffs, seed):
-    # component-array assembly vs per-node matrices agree to round-off
+    # the two-profile form vs per-node matrices assembled from the
+    # components agree to round-off
     f = random_field(small_grid, seed, bandlimit=5)
     G = gradient(f)
     direct = a_norm_sq(f, small_coeffs)
-    mats = small_coeffs.abar.as_matrices()
+    mats = abar_matrix(small_coeffs.abar).reshape(3, 3, -1).transpose(2, 0, 1)
     gvecs = G.comps.reshape(3, -1).T
     quad = np.einsum("nij,ni,nj->n", mats, gvecs, gvecs, optimize=False)
     alt = (float(np.sum(quad))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from landau.errors import QuadratureError
+from landau.field import VectorField
 from landau.grid import VelocityGrid
 from landau.kernel import (KernelParams, QuadratureSpec, _radial_rule,
                            abar_profiles_at, c2_by_convolution,
@@ -13,6 +14,7 @@ from landau.kernel import (KernelParams, QuadratureSpec, _radial_rule,
                            polar_integrals, tabulate_divergence_kernels,
                            tabulate_fft_kernels)
 from landau.operator import ConvolutionEngine
+from tests.conftest import abar_matrix
 
 
 def test_gamma_range_enforced():
@@ -222,14 +224,15 @@ def test_abar_field_psd_and_eigen_scaling(small_grid, params, small_coeffs):
     abar = small_coeffs.abar
     assert abar.min_eigenvalue_ratio() >= -1e-10
 
-    # parallel eigenvalue ~ <v>^g, transverse ~ <v>^{g+2} on the outer shell
+    # parallel eigenvalue ~ <v>^g, transverse ~ <v>^{g+2} on the outer
+    # shell, read through the form on v and on v x e_z (cell centering
+    # keeps v off the z axis)
     r = small_grid.radius
-    ex, ey, ez = small_grid.unit_vectors
-    vhat = np.stack([np.asarray(ex), np.asarray(ey), np.asarray(ez)])
-    from landau.field import VectorField
+    vx, vy, vz = (np.asarray(c) for c in small_grid.coords)
+    vhat = np.stack([vx, vy, vz]) / r
     l_par = abar.quadratic_form(VectorField(small_grid, vhat))
-    trace = abar.comps[0] + abar.comps[1] + abar.comps[2]
-    l_perp = 0.5 * (trace - l_par)
+    across = np.stack([vy, -vx, np.zeros_like(vz)]) / np.hypot(vx, vy)
+    l_perp = abar.quadratic_form(VectorField(small_grid, across))
     shell = r >= 0.75 * small_grid.R
     par_ratio = l_par[shell] / (1.0 + r[shell] ** 2) ** (params.gamma / 2.0)
     perp_ratio = l_perp[shell] / (1.0 + r[shell] ** 2) ** ((params.gamma + 2.0) / 2.0)
@@ -241,8 +244,8 @@ def test_abar_rotation_equivariance(params):
     # under the 90-degree rotation R about z, abar(Rv) = R abar(v) R^T;
     # the grid maps onto itself, so this is an exact array identity
     grid = VelocityGrid(R=6.0, N=16)
-    abar = compute_abar_field(grid, params)
-    xx, yy, zz, xy, xz, yz = abar.comps
+    m = abar_matrix(compute_abar_field(grid, params))
+    xx, yy, zz, xy, xz, yz = m[0, 0], m[1, 1], m[2, 2], m[0, 1], m[0, 2], m[1, 2]
 
     def at_rotated(comp):
         # value at Rv = (-v_y, v_x, v_z) for the node at (v_x, v_y, v_z)
@@ -258,7 +261,6 @@ def test_scalar_weights(small_grid, small_coeffs):
     c1, c2 = small_coeffs.c1, small_coeffs.c2
     assert c1.min() >= 0.0
     # c1 = (1/4) l_par |v|^2 <= (1/4) l_par |v|^2 with equality by construction
-    from landau.field import VectorField
     ex, ey, ez = small_grid.unit_vectors
     vhat = np.stack([np.asarray(ex), np.asarray(ey), np.asarray(ez)])
     l_par = small_coeffs.abar.quadratic_form(VectorField(small_grid, vhat))
@@ -274,17 +276,30 @@ def test_scalar_weights(small_grid, small_coeffs):
     assert np.isfinite(np.max(np.abs(2.0 * c2) / wgt))
 
 
+def _midpoint_cell_average(p, h, subcells):
+    """Mean of |u|^p over the origin cube of side h by the midpoint rule
+    on subcells^3 subcubes."""
+    q = (np.arange(subcells) + 0.5) / subcells - 0.5
+    r2 = q[:, None, None] ** 2 + q[None, :, None] ** 2 + q[None, None, :] ** 2
+    return float(np.mean(r2 ** (0.5 * p))) * h ** p
+
+
 def test_cell_average_radial_power_subgrid_oracle():
-    # 64^3-subcell midpoint oracle for the trace of the zero-shift entry
     h = 0.5
-    got = cell_average_radial_power(-1.0 + 2.0, h, subcells=64)
-    q = (np.arange(64) + 0.5) / 64 - 0.5
-    qx, qy, qz = np.meshgrid(q, q, q, indexing="ij")
-    oracle = float(np.mean(np.sqrt(qx**2 + qy**2 + qz**2))) * h
-    assert got == pytest.approx(oracle, rel=1e-12)
-    # refinement stability of the cell average
-    finer = cell_average_radial_power(1.0, h, subcells=128)
-    assert got == pytest.approx(finer, rel=2e-4)
+    # exact means: 1 at p = 0 and, at p = 2, 3 (h^2 / 12) = h^2 / 4
+    assert cell_average_radial_power(0.0, h) == pytest.approx(1.0, rel=1e-14)
+    assert cell_average_radial_power(2.0, h) == pytest.approx(h * h / 4.0,
+                                                              rel=1e-14)
+    # at p = 1 the midpoint rule converges to it, at second order, as its
+    # subcells double
+    exact = cell_average_radial_power(1.0, h)
+    errs = [abs(_midpoint_cell_average(1.0, h, n) - exact) / exact
+            for n in (8, 16, 32)]
+    assert errs[0] > errs[1] > errs[2] and errs[1] / errs[2] >= 3.0
+    assert errs[2] <= 5e-4
+    # the former 64^3 midpoint rule misses the strongly singular mean
+    exact = cell_average_radial_power(-2.5, h)
+    assert abs(_midpoint_cell_average(-2.5, h, 64) - exact) > 0.1 * exact
 
 
 def test_fft_tables_zero_shift(small_grid, params):
@@ -336,3 +351,43 @@ def test_kernel_derivative_tensors_match_finite_differences():
             fd2 = (kernel_first_derivatives(v + em, gamma)[0][l]
                    - kernel_first_derivatives(v - em, gamma)[0][l]) / (2 * h)
             assert np.allclose(d2[m, l], fd2, atol=1e-6)
+
+
+def _six_component_products(m, V):
+    """M V and V . M V by the six-component products (xx, yy, zz, xy, xz,
+    yz) of an assembled matrix field m, term by term as they were stored."""
+    xx, yy, zz = m[0, 0], m[1, 1], m[2, 2]
+    xy, xz, yz = m[0, 1], m[0, 2], m[1, 2]
+    gx, gy, gz = V
+    applied = np.stack([xx * gx + xy * gy + xz * gz,
+                        xy * gx + yy * gy + yz * gz,
+                        xz * gx + yz * gy + zz * gz])
+    form = (xx * gx * gx + yy * gy * gy + zz * gz * gz
+            + 2.0 * (xy * gx * gy + xz * gx * gz + yz * gy * gz))
+    return applied, form
+
+
+@pytest.mark.parametrize("coeffs_name", ["small_coeffs", "medium_coeffs"])
+def test_uniaxial_field_matches_assembled_products(coeffs_name, request):
+    # abar's two-profile apply and quadratic form against the products of
+    # its assembled components, on random vector fields at N = 16 and 24
+    abar = request.getfixturevalue(coeffs_name).abar
+    rng = np.random.default_rng(3)
+    for _ in range(2):
+        V = rng.standard_normal((3,) + abar.grid.shape)
+        applied, form = _six_component_products(abar_matrix(abar), V)
+        got = abar.apply(VectorField(abar.grid, V)).comps
+        assert np.max(np.abs(got - applied)) <= 1e-14 * np.max(np.abs(applied))
+        got = abar.quadratic_form(VectorField(abar.grid, V))
+        assert np.max(np.abs(got - form)) <= 1e-14 * np.max(np.abs(form))
+
+
+def test_abar_profiles_on_the_grid(small_grid, params, quad, small_coeffs):
+    # along and across are l_par and l_perp at each node's radius (the
+    # radial rule ends at the largest radius asked for plus 8, so a subset
+    # of the radii agrees to quadrature accuracy, not bit for bit)
+    abar = small_coeffs.abar
+    r = small_grid.radius.reshape(-1)[:50]
+    l_par, l_perp = abar_profiles_at(r, params, quad)
+    assert np.allclose(abar.along.reshape(-1)[:50], l_par, rtol=1e-10, atol=0)
+    assert np.allclose(abar.across.reshape(-1)[:50], l_perp, rtol=1e-10, atol=0)

@@ -17,7 +17,7 @@ from landau.kernel import (build_coefficients,
 from landau.operator import (ConvolutionEngine, apply_L, apply_L1, apply_L2,
                              arnoldi_spectral_radius, make_context)
 from tests.collision_oracle import apply_Q
-from tests.conftest import gaussian_field
+from tests.conftest import abar_matrix, gaussian_field
 
 
 def test_engine_delta_identity(small_grid, small_ctx):
@@ -137,16 +137,17 @@ def test_L1_analytic_expansion(params, quad):
             for k, ck in enumerate((vx, vy, vz)):
                 hess[(j, k)] = (cj * ck / w2 ** 2 - (1.0 if j == k else 0.0) / w2) * f.values
         expect = (coeffs.c1 - coeffs.c2) * f.values
+        abar = abar_matrix(coeffs.abar)
         for j in range(3):
             for k in range(3):
-                expect -= coeffs.abar.component(j, k) * hess[(j, k)]
+                expect -= abar[j, k] * hess[(j, k)]
         # divergence of abar rows by centered differences (exact field is
         # unavailable; use a fine-stencil estimate on the same grid)
         from landau.grid import AXIS_OF_COMPONENT
         for k in range(3):
             div_k = np.zeros(g.shape)
             for j in range(3):
-                div_k += np.gradient(coeffs.abar.component(j, k), g.h,
+                div_k += np.gradient(abar[j, k], g.h,
                                      axis=AXIS_OF_COMPONENT[j], edge_order=2)
             expect -= div_k * grad_exact[k]
         mask = g.radius <= 4.0

@@ -12,8 +12,9 @@ from landau.config import parse_config_text
 from landau.errors import DegenerateRatioError, FitDegenerateError
 from landau.evolution import (SEGMENT_SAMPLES, DerivativeLadder, SourceModel,
                               derivative_ladder, evolve)
-from landau.field import (a_norm_sq, gradient, inner_product, l2_norm,
-                          random_field, weighted_norm, zeros)
+from landau.field import (VectorField, a_norm_sq, divergence, gradient,
+                          inner_product, l2_norm, random_field, weighted_norm,
+                          zeros)
 from landau.operator import apply_L1, apply_L2
 from landau.persist import report_to_dict
 from landau.verify import (check_coefficient_bounds, check_convolution_bound,
@@ -24,9 +25,9 @@ from landau.verify import (check_coefficient_bounds, check_convolution_bound,
                            recheck_bilinear, smoothing_fit, smoothing_report)
 from landau import kernel, suites, verify
 from landau.grid import VelocityGrid
-from landau.kernel import KernelParams
+from landau.kernel import KernelParams, UniaxialField
 from landau.suites import RunResources, run_suite
-from tests.conftest import gaussian_field
+from tests.conftest import abar_matrix, gaussian_field
 
 
 @pytest.fixture(scope="module")
@@ -120,6 +121,60 @@ def test_coercivity_report_fails_on_nonpositive_descent_iterate(
     assert not rep.passed
 
 
+def _split_form_by_projector(f, grad, gamma):
+    """The split form and its operator from the explicit projector
+    P_v G = (G . vhat) vhat, with the weights <v>^g on P_v G and <v>^{g+2}
+    on (I - P_v) G and on f."""
+    grid = f.grid
+    vhat = np.stack([np.asarray(c) for c in grid.coords]) / grid.radius
+    par = np.sum(grad.comps * vhat, axis=0) * vhat
+    perp = grad.comps - par
+    w_par = (1.0 + grid.radius_sq) ** (0.5 * gamma)
+    w_perp = (1.0 + grid.radius_sq) ** (0.5 * gamma + 1.0)
+    dens = (w_par * np.sum(par * par, axis=0)
+            + w_perp * (np.sum(perp * perp, axis=0) + f.values ** 2))
+    flux = VectorField(grid, w_par * par + w_perp * perp)
+    op = -divergence(flux).values + w_perp * f.values
+    return float(np.sum(dens)) * grid.cell_volume, op
+
+
+@pytest.mark.parametrize("seed", [7, 8])
+def test_split_form_matches_projector_formulas(small_coeffs, seed):
+    f = random_field(small_coeffs.grid, seed, bandlimit=5)
+    grad = gradient(f)
+    energy, op = _split_form_by_projector(f, grad, small_coeffs.params.gamma)
+    assert verify._split_energy(f, small_coeffs) == pytest.approx(energy,
+                                                                  rel=1e-14)
+    got = verify._split_energy_operator(f, small_coeffs, grad).values
+    assert np.max(np.abs(got - op)) <= 1e-14 * np.max(np.abs(op))
+
+
+def test_a_form_operator_matches_assembled_abar(small_coeffs):
+    # -div(abar grad f) + c1 f with abar assembled component by component
+    f = random_field(small_coeffs.grid, 9, bandlimit=5)
+    grad = gradient(f)
+    flux = np.einsum("jk...,k...->j...", abar_matrix(small_coeffs.abar),
+                     grad.comps)
+    want = (-divergence(VectorField(f.grid, flux)).values
+            + small_coeffs.c1 * f.values)
+    got = verify._a_form_operator(f, small_coeffs, grad).values
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("profile", ["along", "across"])
+def test_coefficient_suite_catches_negative_abar_profile(small_coeffs, profile):
+    # one negative node of either profile fails abar_psd
+    abar = small_coeffs.abar
+    along, across = abar.along.copy(), abar.across.copy()
+    bad = {"along": along, "across": across}[profile]
+    bad.reshape(-1)[17] *= -1.0
+    coeffs = dataclasses.replace(
+        small_coeffs, abar=UniaxialField(abar.grid, along, across))
+    rep = check_coefficient_bounds(coeffs)
+    assert [c.id for c in rep.checks if not c.verdict] == ["abar_psd"]
+    assert rep.checks[[c.id for c in rep.checks].index("abar_psd")].value < 0
+
+
 def test_coercivity_quotient_radial_probe(small_grid, small_coeffs):
     # radial fields make the parallel projection carry the whole gradient
     f = gaussian_field(small_grid, width=1.2)
@@ -177,7 +232,7 @@ def test_member_pass_matches_public_functions(small_ctx, ensemble, members):
 
 def test_member_pass_one_gradient_per_member(small_ctx, ensemble, monkeypatch):
     # the pass takes one gradient per member and none for its partners
-    from landau import field, operator
+    from landau import field
     calls = []
     gradient_of = field.gradient
 
@@ -185,7 +240,7 @@ def test_member_pass_one_gradient_per_member(small_ctx, ensemble, monkeypatch):
         calls.append(id(f))
         return gradient_of(f)
 
-    for module in (field, operator, verify):
+    for module in (field, verify):
         monkeypatch.setattr(module, "gradient", counted)
     member_pass(small_ctx, ensemble)
     assert len(calls) == len(ensemble)
@@ -215,7 +270,7 @@ def test_coercivity_descent_one_gradient_per_iterate(small_coeffs, members,
                                                      monkeypatch):
     # the descent takes one gradient per iterate it evaluates and hands it
     # to every form of that iterate
-    from landau import field, operator
+    from landau import field
     calls = {"gradient": 0, "quotient": 0}
 
     def counted(key, fn):
@@ -225,7 +280,7 @@ def test_coercivity_descent_one_gradient_per_iterate(small_coeffs, members,
         return wrapper
 
     grad = counted("gradient", field.gradient)
-    for module in (field, operator, verify):
+    for module in (field, verify):
         monkeypatch.setattr(module, "gradient", grad)
     monkeypatch.setattr(verify, "coercivity_quotient",
                         counted("quotient", verify.coercivity_quotient))
