@@ -2,14 +2,14 @@
 
     landau <cmd> --config <path> [--suite <name>] [--out <dir>]
 
-Commands: coeffs (build + self-check), evolve (snapshots + energy CSV),
-ladder (ladder CSVs at the configured times), verify (JSON report per
-suite), report (merged markdown summary of the reports in the out dir).
+Commands: verify (a JSON report per suite; when the energy or smoothing
+suite ran, also the trajectory it read: energy.csv, snapshot_t<t>.fld and
+ladder_t<t>.csv at the configured times), report (merged markdown summary
+of the reports in the out dir).
 Exit codes: 0 ok, 2 config error, 3 numerical failure, 4 suite failure,
 5 report refused: a report_*.json in the out dir was written under another
 config fingerprint (stale reports are never merged).
-Commands write only into the out dir; each builds the coefficients it
-needs afresh.
+Commands write only into the out dir and build the coefficients afresh.
 """
 
 import argparse
@@ -18,8 +18,8 @@ import json
 import os
 import sys
 
-from . import persist, verify
-from .config import fingerprint, load_config
+from . import persist
+from .config import load_config
 from .errors import ConfigError, LandauError
 from .suites import RunResources, run_suites
 
@@ -35,8 +35,7 @@ def _build_parser():
         prog="landau",
         description="numerical laboratory for the linearized Landau collision "
                     "operator with soft potentials")
-    p.add_argument("command",
-                   choices=("coeffs", "evolve", "ladder", "verify", "report"))
+    p.add_argument("command", choices=("verify", "report"))
     p.add_argument("--config", required=True, help="path to a run config file")
     p.add_argument("--suite", default=None,
                    help="run a single verification suite (verify command)")
@@ -55,42 +54,28 @@ def _prepare(args):
     return cfg, RunResources(cfg, log=print), out_dir
 
 
-def cmd_coeffs(args):
-    cfg, res, out_dir = _prepare(args)
-    coeffs = res.coeffs
-    rep = verify.check_coefficient_bounds(coeffs, res.fingerprint)
-    path = os.path.join(out_dir, "coeffs_selfcheck.json")
-    persist.write_report_json(rep, path, _timestamp())
-    print(f"coefficient self-check written to {path}")
-    return EXIT_OK if rep.passed else EXIT_SUITE
-
-
-def cmd_evolve(args):
-    cfg, res, out_dir = _prepare(args)
-    result = res.trajectory
+def _write_trajectory(res, out_dir):
+    """The energy log, snapshots and ladders the energy and smoothing
+    suites read; each snapshot header names the segment ending at it."""
+    traj = res.trajectory
     persist.write_energy_csv(os.path.join(out_dir, "energy.csv"),
-                             result.energy_log, res.fingerprint)
-    for t, snap in sorted(result.snapshots.items()):
-        path = os.path.join(out_dir, f"snapshot_t{t:g}.fld")
-        persist.save_field_snapshot(path, snap, cfg.gamma,
-                                    result.snapshot_steps[t], t)
-    print(f"energy log and {len(result.snapshots)} snapshots written to {out_dir}")
-    return EXIT_OK
-
-
-def cmd_ladder(args):
-    cfg, res, out_dir = _prepare(args)
+                             traj.energy_log, res.fingerprint)
+    for t, snap in sorted(traj.snapshots.items()):
+        persist.save_field_snapshot(os.path.join(out_dir, f"snapshot_t{t:g}.fld"),
+                                    snap, res.cfg.gamma, traj.snapshot_steps[t], t)
     for ladder in res.ladders:
-        path = os.path.join(out_dir, f"ladder_t{ladder.t:g}.csv")
-        persist.write_ladder_csv(path, ladder, res.fingerprint)
-    print(f"{len(res.ladders)} ladder CSVs written to {out_dir}")
-    return EXIT_OK
+        persist.write_ladder_csv(os.path.join(out_dir, f"ladder_t{ladder.t:g}.csv"),
+                                 ladder, res.fingerprint)
+    print(f"energy log, {len(traj.snapshots)} snapshots and {len(res.ladders)} "
+          f"ladder CSVs written to {out_dir}")
 
 
 def cmd_verify(args):
     cfg, res, out_dir = _prepare(args)
     names = (args.suite,) if args.suite else cfg.verify_suites
     reports = run_suites(names, res)
+    if {"energy", "smoothing"} & set(names):
+        _write_trajectory(res, out_dir)
     all_ok = True
     for rep in reports:
         path = os.path.join(out_dir, f"report_{rep.suite}.json")
@@ -147,9 +132,6 @@ def cmd_report(args):
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     handler = {
-        "coeffs": cmd_coeffs,
-        "evolve": cmd_evolve,
-        "ladder": cmd_ladder,
         "verify": cmd_verify,
         "report": cmd_report,
     }[args.command]

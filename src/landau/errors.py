@@ -32,7 +32,8 @@ class EigenvalueError(LandauError):
 
 
 class InstabilityError(LandauError):
-    """Time step outside the stability region of the integrator."""
+    """The Chebyshev propagation interval does not contain the measured
+    spectrum of the propagated system, so the series would grow."""
 
 
 class LadderOverflowError(LandauError):
@@ -51,6 +52,6 @@ class FitDegenerateError(LandauError):
     """Factorial fit received a vanishing ladder entry (exact-solution case)."""
 
 
-class CacheFormatError(LandauError):
+class SnapshotFormatError(LandauError):
     """A field snapshot file is malformed: wrong magic, or a size other
     than the one its header implies."""

@@ -166,15 +166,12 @@ def a_norm(f, coeffs):
 
 def envelope_boundary_ratio(f):
     """max |f| on the outermost cell shell relative to max |f| overall."""
-    vals = np.abs(f.values)
-    peak = float(vals.max())
+    v = f.values
+    peak = max(float(v.max()), -float(v.min()))
     if peak == 0.0:
         return 0.0
-    shell = np.zeros(f.grid.shape, dtype=bool)
-    shell[0, :, :] = shell[-1, :, :] = True
-    shell[:, 0, :] = shell[:, -1, :] = True
-    shell[:, :, 0] = shell[:, :, -1] = True
-    return float(vals[shell].max()) / peak
+    faces = (v[0], v[-1], v[:, 0], v[:, -1], v[:, :, 0], v[:, :, -1])
+    return max(float(np.abs(face).max()) for face in faces) / peak
 
 
 def random_field(grid, seed, bandlimit=8, envelope_width=1.25, spectral_decay=0.0):

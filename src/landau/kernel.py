@@ -162,9 +162,11 @@ def collision_invariant_basis(grid, params):
     return basis
 
 
-def project_off_invariants(f, params):
-    """Remove the collision-invariant components; preserves roughness."""
-    for b in collision_invariant_basis(f.grid, params):
+def project_off_invariants(f, params, basis=None):
+    """Remove the collision-invariant components; preserves roughness.
+    `basis` is `collision_invariant_basis(f.grid, params)` if the caller
+    has built it already."""
+    for b in basis or collision_invariant_basis(f.grid, params):
         f = f - inner_product(f, b) * b
     return f
 

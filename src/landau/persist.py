@@ -17,7 +17,7 @@ import struct
 
 import numpy as np
 
-from .errors import CacheFormatError
+from .errors import SnapshotFormatError
 from .field import ScalarField
 from .grid import VelocityGrid
 
@@ -54,23 +54,23 @@ def save_field_snapshot(path, f, gamma, step_index, time):
 def load_field_snapshot(path):
     """Return (field, gamma, step_index, time); a file whose magic is wrong,
     whose size is not the one its header implies or whose header names a
-    grid VelocityGrid refuses raises CacheFormatError."""
+    grid VelocityGrid refuses raises SnapshotFormatError."""
     with open(path, "rb") as fh:
         data = fh.read()
     start = len(FIELD_MAGIC) + FIELD_HEADER.size
     if data[:len(FIELD_MAGIC)] != FIELD_MAGIC:
-        raise CacheFormatError(f"bad magic in {path}")
+        raise SnapshotFormatError(f"bad magic in {path}")
     if len(data) < start:
-        raise CacheFormatError(f"truncated header in {path}")
+        raise SnapshotFormatError(f"truncated header in {path}")
     n, r, gamma, step_index, time = FIELD_HEADER.unpack_from(data, len(FIELD_MAGIC))
     if len(data) != start + 8 * n ** 3:
-        raise CacheFormatError(f"{path} holds {len(data)} bytes; its header "
-                               f"implies {start + 8 * n ** 3}")
+        raise SnapshotFormatError(f"{path} holds {len(data)} bytes; its header "
+                                  f"implies {start + 8 * n ** 3}")
     try:
         grid = VelocityGrid(R=r, N=n)
     except ValueError as exc:
-        raise CacheFormatError(f"{path} names a grid this package refuses: "
-                               f"{exc}") from exc
+        raise SnapshotFormatError(f"{path} names a grid this package refuses: "
+                                  f"{exc}") from exc
     values = np.frombuffer(data, dtype="<f8", offset=start).reshape(grid.shape)
     return ScalarField(grid, values.copy()), gamma, step_index, time
 

@@ -17,17 +17,15 @@ from functools import cached_property
 import numpy as np
 
 from . import verify
-from .config import fingerprint
+from .config import fingerprint, validate_config
 from .errors import ConfigError
 from .evolution import (SourceModel, derivative_ladder, evolve,
                         measure_source_bound)
 from .field import ScalarField, envelope_boundary_ratio, l2_norm, random_field
 from .grid import VelocityGrid
 from .kernel import (KernelParams, QuadratureSpec, build_coefficients,
-                     project_off_invariants)
+                     collision_invariant_basis, project_off_invariants)
 from .operator import make_context
-
-ENVELOPE_SHELL_LIMIT = 1e-8
 
 
 class RunResources:
@@ -36,7 +34,7 @@ class RunResources:
     bench/ still passes it, and it goes with the next benchmark change."""
 
     def __init__(self, cfg, cache_dir=None, log=print):
-        self.cfg = cfg
+        self.cfg = validate_config(cfg)
         self.log = log or (lambda *_: None)
         self.fingerprint = fingerprint(cfg)
         self.grid = VelocityGrid(R=cfg.grid_R, N=cfg.grid_N)
@@ -60,22 +58,25 @@ class RunResources:
         cfg = self.cfg
         return verify.make_ensemble(
             self.grid, cfg.verify_ensemble_size,
-            cfg.verify_seed + (1000 if fresh else 0),
-            min(cfg.f0_bandlimit, self.grid.N // 2 - 1), cfg.f0_envelope_width)
+            cfg.verify_seed + (1000 if fresh else 0), cfg.f0_bandlimit,
+            cfg.f0_envelope_width)
 
     @cached_property
     def _datum(self):
         cfg = self.cfg
-        bandlimit = min(cfg.f0_bandlimit, self.grid.N // 2 - 1)
-        f0 = random_field(self.grid, cfg.verify_seed, bandlimit,
+        f0 = random_field(self.grid, cfg.verify_seed, cfg.f0_bandlimit,
                           cfg.f0_envelope_width, cfg.f0_spectral_decay)
-        f0 = project_off_invariants(f0, self.params)
-        f0 = cfg.f0_scale * ((1.0 / l2_norm(f0)) * f0)
+        basis = collision_invariant_basis(self.grid, self.params)
+        f0 = project_off_invariants(f0, self.params, basis)
+        # the invariants themselves reach the outer shell; a datum that
+        # reaches it further than they do is cut off by the box
+        floor = max(envelope_boundary_ratio(b) for b in basis)
+        del basis
         ratio = envelope_boundary_ratio(f0)
-        if ratio > ENVELOPE_SHELL_LIMIT:
+        if ratio > floor:
             self.log(f"warning: initial datum boundary shell ratio {ratio:.2e} "
-                     f"exceeds {ENVELOPE_SHELL_LIMIT:.0e}")
-        return f0
+                     f"exceeds the collision invariants' {floor:.2e}")
+        return cfg.f0_scale * ((1.0 / l2_norm(f0)) * f0)
 
     def initial_datum(self):
         """The rough random datum, projected off the collision invariants

@@ -213,14 +213,19 @@ def test_criterion_8_determinism(tmp_path):
         # fails identically
         rc = cli.main(["verify", "--config", str(cfg_path), "--out", out])
         assert rc in (0, 4)
-    identical = True
-    compared = 0
-    for name in sorted(os.listdir(outs[0])):
-        if not name.endswith(".json"):
-            continue
-        compared += 1
-        a = persist.strip_meta(os.path.join(outs[0], name))
-        b = persist.strip_meta(os.path.join(outs[1], name))
-        identical = identical and (a == b)
-    ok = identical and compared >= 6
-    assert _report(8, ok, f"{compared} reports byte-identical across reruns")
+    names = sorted(os.listdir(outs[0]))
+    assert names == sorted(os.listdir(outs[1]))
+    reports = [n for n in names if n.endswith(".json")]
+    data = [n for n in names if not n.endswith(".json")]
+    identical = all(persist.strip_meta(os.path.join(outs[0], n))
+                    == persist.strip_meta(os.path.join(outs[1], n))
+                    for n in reports)
+    # the trajectory files carry no meta block: compared byte for byte
+    for n in data:
+        with open(os.path.join(outs[0], n), "rb") as a, \
+                open(os.path.join(outs[1], n), "rb") as b:
+            identical = identical and a.read() == b.read()
+    # energy.csv and two snapshots and ladders, one per configured time
+    ok = identical and len(reports) >= 6 and len(data) == 5
+    assert _report(8, ok, f"{len(reports)} reports and {len(data)} data files "
+                          f"byte-identical across reruns")

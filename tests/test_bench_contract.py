@@ -8,17 +8,17 @@ import os
 
 import numpy as np
 
-from landau import evolution, kernel
-from landau.config import load_config, validate_config
+from landau import cli, evolution, kernel
+from landau.config import canonical_text, load_config, validate_config
 from landau.field import random_field
 from landau.suites import RunResources
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def _load_tracer():
+def _load_bench(name):
     spec = importlib.util.spec_from_file_location(
-        "bench_tracer", os.path.join(REPO, "bench", "tracer.py"))
+        f"bench_{name}", os.path.join(REPO, "bench", f"{name}.py"))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -28,7 +28,7 @@ def test_benchmark_names_resolve(tmp_path):
     from landau import operator
 
     original = kernel.tabulate_fft_kernels
-    tracer = _load_tracer().Tracer().install()  # resolves every traced name
+    tracer = _load_bench("tracer").Tracer().install()  # resolves every traced name
     try:
         cfg = validate_config(dataclasses.replace(
             load_config(os.path.join(REPO, "configs", "reference.cfg")),
@@ -60,3 +60,22 @@ def test_benchmark_names_resolve(tmp_path):
     assert calls["evolution.step"] == traj.state.step_index
     assert calls["operator.fft_forward"] >= 4
     assert os.listdir(cache) == []  # every build is cold; nothing is written
+
+
+def test_benchmark_writes_the_files_verify_writes(tmp_path):
+    # bench/README.md: a round "writes the outputs the CLI writes"
+    workload = _load_bench("workload")
+    suites = workload.WORKLOADS["analyticity-n24"]["suites"]
+    cfg = validate_config(dataclasses.replace(
+        load_config(os.path.join(REPO, "configs", "reference.cfg")),
+        grid_N=16, f0_bandlimit=5, verify_suites=suites))
+    bench_out, cli_out = tmp_path / "bench", tmp_path / "cli"
+    workload.solve(RunResources(cfg, log=None), str(bench_out), workload.Ops())
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(canonical_text(cfg))
+    # the file names are pinned here, not the verdicts at N=16
+    assert cli.main(["verify", "--config", str(cfg_path),
+                     "--out", str(cli_out)]) in (0, 4)
+    names = sorted(os.listdir(bench_out))
+    assert names == sorted(os.listdir(cli_out))
+    assert "energy.csv" in names and "report_smoothing.json" in names

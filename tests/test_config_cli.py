@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from landau import cli, kernel
 from landau.config import (_SCHEMA, canonical_text, fingerprint, load_config,
                            parse_config_text, validate_config, RunConfig)
-from landau.errors import CacheFormatError, ConfigError
+from landau.errors import SnapshotFormatError, ConfigError
 from landau import persist
 from landau.field import ScalarField
 from landau.grid import VelocityGrid
@@ -152,7 +152,7 @@ def test_field_snapshot_wrong_size_refused(tmp_path):
     data = path.read_bytes()
     for bad in (data + b"j" * 17, data[:-8]):
         path.write_bytes(bad)
-        with pytest.raises(CacheFormatError, match="header implies"):
+        with pytest.raises(SnapshotFormatError, match="header implies"):
             persist.load_field_snapshot(str(path))
 
 
@@ -162,7 +162,7 @@ def test_field_snapshot_unsupported_grid_refused(tmp_path):
     for n, r in ((8, 6.0), (17, 6.0), (16, 0.0), (16, math.nan)):
         header = persist.FIELD_HEADER.pack(n, r, -1.0, 7, 0.25)
         path.write_bytes(persist.FIELD_MAGIC + header + bytes(8 * n ** 3))
-        with pytest.raises(CacheFormatError, match="grid this package refuses"):
+        with pytest.raises(SnapshotFormatError, match="grid this package refuses"):
             persist.load_field_snapshot(str(path))
 
 
@@ -195,7 +195,7 @@ def test_field_snapshot_format_property(tmp_path_factory, n, r, gamma, step, t,
     suffix = data.draw(st.binary(min_size=1, max_size=64), label="suffix")
     for bad in (whole[:cut], whole + suffix):
         path.write_bytes(bad)
-        with pytest.raises(CacheFormatError):
+        with pytest.raises(SnapshotFormatError):
             persist.load_field_snapshot(str(path))
 
 
@@ -230,8 +230,9 @@ def test_cli_verify_and_exit_codes(small_run_config, capsys):
     cfg_path, out_dir = small_run_config
     rc = cli.main(["verify", "--config", cfg_path])
     assert rc == 0
-    for suite in ("kernel", "coefficients"):
-        assert os.path.exists(os.path.join(out_dir, f"report_{suite}.json"))
+    # neither suite reads the trajectory, so none is written
+    assert sorted(os.listdir(out_dir)) == ["report_coefficients.json",
+                                           "report_kernel.json"]
     with open(os.path.join(out_dir, "report_kernel.json")) as fh:
         doc = json.load(fh)
     assert doc["suite"] == "kernel"
@@ -285,17 +286,16 @@ def test_cli_c2_failing_crosscheck_exit_code(small_run_config, monkeypatch,
         return c1, -c2
 
     monkeypatch.setattr(kernel, "compute_scalar_weights", negated_c2)
-    for command in ("coeffs", "evolve", "ladder", "verify"):
-        assert cli.main([command, "--config", cfg_path]) == 3
-        assert "c2 routes disagree" in capsys.readouterr().err
+    assert cli.main(["verify", "--config", cfg_path]) == 3
+    assert "c2 routes disagree" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("line", ["grid.R = inf", "time.T = inf",
                                   "source.amplitude = nan", "f0.scale = inf"])
 def test_cli_non_finite_config_exit_code(small_run_config, capsys, line):
-    # before, grid.R = inf crashed `coeffs` in the eigensolver, time.T = inf
-    # crashed `evolve` with OverflowError, and a nan amplitude or an inf
-    # scale wrote NaN/inf output with exit code 0
+    # before, grid.R = inf crashed the coefficient build in the eigensolver,
+    # time.T = inf crashed the propagation with OverflowError, and a nan
+    # amplitude or an inf scale wrote NaN/inf output with exit code 0
     cfg_path, out_dir = small_run_config
     key = line.split(" = ")[0]
     with open(cfg_path) as fh:
@@ -303,7 +303,7 @@ def test_cli_non_finite_config_exit_code(small_run_config, capsys, line):
                  if not ln.startswith(key + " ")]
     with open(cfg_path, "w") as fh:
         fh.write("\n".join(lines + [line, ""]))
-    for command in ("coeffs", "evolve", "ladder", "verify", "report"):
+    for command in ("verify", "report"):
         assert cli.main([command, "--config", cfg_path]) == 2
         err = capsys.readouterr().err
         assert f"line {len(lines) + 1}:" in err and "not finite" in err
@@ -312,15 +312,15 @@ def test_cli_non_finite_config_exit_code(small_run_config, capsys, line):
 
 @pytest.mark.parametrize("width", ["0", "-1.5"])
 def test_cli_source_width_exit_code(small_run_config, capsys, width):
-    # before, a zero width ended `evolve` in a ZeroDivisionError traceback
-    # and a negative one acted as its absolute value
+    # before, a zero width ended the propagation in a ZeroDivisionError
+    # traceback and a negative one acted as its absolute value
     cfg_path, out_dir = small_run_config
     with open(cfg_path) as fh:
         lines = [ln for ln in fh.read().splitlines()
                  if not ln.startswith("source.width ")]
     with open(cfg_path, "w") as fh:
         fh.write("\n".join(lines + [f"source.width = {width}", ""]))
-    for command in ("coeffs", "evolve", "ladder", "verify", "report"):
+    for command in ("verify", "report"):
         assert cli.main([command, "--config", cfg_path]) == 2
         assert "source.width must be positive" in capsys.readouterr().err
     assert not os.path.exists(out_dir)
@@ -331,19 +331,17 @@ def test_cli_missing_config_exit_code(tmp_path):
     assert rc == 2
 
 
-def test_cli_evolve_then_ladder(small_run_config, tmp_path, monkeypatch):
+def test_cli_verify_writes_trajectory(small_run_config, tmp_path, monkeypatch):
     cfg_path, out_dir = small_run_config
-    # no command writes outside its out dir; LANDAU_CACHE is not read
+    # no run writes outside its out dir; LANDAU_CACHE is not read
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("LANDAU_CACHE", str(tmp_path / "env-cache"))
-    assert cli.main(["evolve", "--config", cfg_path]) == 0
-    assert os.path.exists(os.path.join(out_dir, "energy.csv"))
-    assert os.path.exists(os.path.join(out_dir, "snapshot_t0.25.fld"))
-
-    assert cli.main(["ladder", "--config", cfg_path]) == 0
+    assert cli.main(["verify", "--config", cfg_path, "--suite", "energy"]) == 0
     assert sorted(os.listdir(tmp_path)) == ["out", "run.cfg"]
+    assert sorted(os.listdir(out_dir)) == [
+        "energy.csv", "ladder_t0.125.csv", "ladder_t0.25.csv",
+        "report_energy.json", "snapshot_t0.125.fld", "snapshot_t0.25.fld"]
     ladder_path = os.path.join(out_dir, "ladder_t0.25.csv")
-    assert os.path.exists(ladder_path)
     with open(ladder_path) as fh:
         lines = fh.read().splitlines()
     assert lines[1] == "k,norm_l2,norm_a,a_k,a_k_root"
@@ -356,7 +354,7 @@ def test_cli_evolve_then_ladder(small_run_config, tmp_path, monkeypatch):
 
 def test_cli_energy_csv_header(small_run_config):
     cfg_path, out_dir = small_run_config
-    assert cli.main(["evolve", "--config", cfg_path]) == 0
+    assert cli.main(["verify", "--config", cfg_path, "--suite", "energy"]) == 0
     with open(os.path.join(out_dir, "energy.csv")) as fh:
         lines = fh.read().splitlines()
     assert lines[1] == "t,l2sq,asq,gf,lff"
@@ -367,7 +365,7 @@ def test_cli_snapshot_headers_carry_own_segment(small_run_config):
     # each snapshot records the index of the segment that ends at its time,
     # the last one the trajectory's segment count
     cfg_path, out_dir = small_run_config
-    assert cli.main(["evolve", "--config", cfg_path]) == 0
+    assert cli.main(["verify", "--config", cfg_path, "--suite", "energy"]) == 0
     headers = [persist.load_field_snapshot(os.path.join(out_dir, f"snapshot_t{t:g}.fld"))
                for t in (0.125, 0.25)]
     assert [h[3] for h in headers] == [0.125, 0.25]
@@ -376,6 +374,21 @@ def test_cli_snapshot_headers_carry_own_segment(small_run_config):
     traj = RunResources(load_config(cfg_path), log=None).trajectory
     assert steps[1] == traj.state.step_index
     assert steps == [traj.snapshot_steps[0.125], traj.snapshot_steps[0.25]]
+
+
+def test_cli_commands_are_verify_and_report(small_run_config, capsys):
+    # one verify run writes what the removed coeffs, evolve and ladder wrote
+    cfg_path, out_dir = small_run_config
+    for command in ("coeffs", "evolve", "ladder"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--config", cfg_path])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    assert "{verify,report}" in capsys.readouterr().out
+    assert not os.path.exists(out_dir)
 
 
 def test_cli_report_summary(small_run_config):

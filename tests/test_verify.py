@@ -8,8 +8,8 @@ import weakref
 import numpy as np
 import pytest
 
-from landau.config import parse_config_text
-from landau.errors import DegenerateRatioError, FitDegenerateError
+from landau.config import load_config, parse_config_text
+from landau.errors import ConfigError, DegenerateRatioError, FitDegenerateError
 from landau.evolution import (SEGMENT_SAMPLES, DerivativeLadder, SourceModel,
                               derivative_ladder, evolve)
 from landau.field import (VectorField, a_norm_sq, divergence, gradient,
@@ -364,6 +364,9 @@ def test_energy_suite(small_grid, small_ctx):
     assert residuals[0] > residuals[1] > residuals[2] > 0.0
 
 
+REFERENCE_CFG = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "configs", "reference.cfg")
+
 ENERGY_CFG = """
 grid.R = 8.0
 grid.N = 16
@@ -380,13 +383,14 @@ verify.ensemble_size = 64
 
 def test_energy_suite_dt_rho_check(monkeypatch):
     # one propagation gives the trajectory and the rungs: one random field
-    # and one boundary-shell warning per energy run, and the first octave
-    # of the log has dt*rho(L) in (0.5, 1]
+    # and one boundary-shell warning per energy run (the wide envelope
+    # reaches the shell), and the first octave of the log has dt*rho(L) in
+    # (0.5, 1]
     draws, logged = [], []
     monkeypatch.setattr(suites, "random_field",
                         lambda *a: draws.append(a) or random_field(*a))
-    monkeypatch.setattr(suites, "ENVELOPE_SHELL_LIMIT", 0.0)
-    res = RunResources(parse_config_text(ENERGY_CFG), log=logged.append)
+    wide = ENERGY_CFG.replace("f0.envelope_width = 1.0", "f0.envelope_width = 2.0")
+    res = RunResources(parse_config_text(wide), log=logged.append)
     [rep] = run_suite("energy", res)
     assert all(c.verdict for c in rep.checks), rep.checks
     assert len(draws) == 1
@@ -402,6 +406,28 @@ def test_energy_suite_dt_rho_check(monkeypatch):
     assert len(log) == 1 + SEGMENT_SAMPLES * segments
     assert sum(line.startswith("evolve: segment") for line in logged) == segments
     assert 0.5 < log[SEGMENT_SAMPLES, 0] * rho <= 1.0
+
+
+@pytest.mark.parametrize("N", [24, 32])
+def test_boundary_shell_warning_against_invariants(N):
+    # the collision invariants reach the outer shell (ratio 9.0e-6 at
+    # N=24, 6.2e-6 at 32); the reference datum stays below them and logs
+    # nothing, a datum under a width-2 envelope reaches past them and warns
+    for width, warnings in ((1.25, 0), (2.0, 1)):
+        cfg = dataclasses.replace(load_config(REFERENCE_CFG), grid_N=N,
+                                  f0_envelope_width=width)
+        logged = []
+        RunResources(cfg, log=logged.append).initial_datum()
+        assert sum("boundary shell" in line for line in logged) == warnings
+
+
+def test_run_resources_validate_their_config():
+    # a config built by replace skips load_config; the resources refuse it
+    # rather than draw a datum of another bandlimit than it names
+    ref = load_config(REFERENCE_CFG)
+    assert ref.f0_bandlimit == 10
+    with pytest.raises(ConfigError, match="bandlimit"):
+        RunResources(dataclasses.replace(ref, grid_N=16), log=None)
 
 
 def test_run_resources_tabulate_each_pad_once(monkeypatch):
