@@ -56,6 +56,9 @@ CHEBYSHEV_TOL = 1e-15
 # product, (SEGMENT_SAMPLES x 8) @ (8 x N^3); a product with this few terms
 # gives the same bytes for any BLAS thread count
 ACCUMULATED_TERMS = 8
+# depth and sample count on [0, T] of the forcing bound A_g
+SOURCE_BOUND_KMAX = 8
+SOURCE_BOUND_SAMPLES = 65
 
 
 @dataclass
@@ -85,12 +88,12 @@ def source_eval(model, m, t):
     return model.tau_derivative(m, t) * model.phi
 
 
-def measure_source_bound(model, T, kmax=8, samples=65):
-    """A_g = sup_{k<=kmax, t<=T} (t^k ||d_t^k g|| / k!)^{1/(k+1)}."""
+def measure_source_bound(model, T):
+    """A_g = sup_{k<=SOURCE_BOUND_KMAX, t<=T} (t^k ||d_t^k g|| / k!)^{1/(k+1)}."""
     phi_norm = l2_norm(model.phi)
-    ts = np.linspace(0.0, T, samples)
+    ts = np.linspace(0.0, T, SOURCE_BOUND_SAMPLES)
     best = 0.0
-    for k in range(kmax + 1):
+    for k in range(SOURCE_BOUND_KMAX + 1):
         fk = math.factorial(k)
         for t in ts:
             val = (t ** k) * abs(model.tau_derivative(k, t)) * phi_norm / fk

@@ -509,8 +509,8 @@ def tabulate_radial_kernel(grid, exponent, pad=1):
 
 @dataclass
 class LandauCoefficients:
-    """Everything the operators need: abar, the scalar weights and the
-    convolution kernel tables, all on one grid."""
+    """abar and the scalar weights, on one grid; the operators' kernel
+    tables are tabulated and transformed by `operator.make_context`."""
 
     grid: VelocityGrid
     params: KernelParams
@@ -518,7 +518,6 @@ class LandauCoefficients:
     abar: UniaxialField
     c1: np.ndarray
     c2: np.ndarray
-    tables: KernelTables
     c2_crosscheck: float = math.nan
 
     @cached_property
@@ -550,7 +549,6 @@ def build_coefficients(grid, params, quad=QuadratureSpec()):
     convolution route; a disagreement raises CrossCheckError."""
     abar = compute_abar_field(grid, params, quad)
     c1, c2 = compute_scalar_weights(abar, grid)
-    tables = tabulate_fft_kernels(grid, params, pad=1)
     rel = crosscheck_c2(c2, grid, params,
                         tabulate_divergence_kernels(grid, params, pad=2))
     tol = c2_tolerance(grid, quad)
@@ -558,4 +556,4 @@ def build_coefficients(grid, params, quad=QuadratureSpec()):
         raise CrossCheckError(
             f"c2 routes disagree: relative L2 difference {rel:.3e} > {tol:.3e}"
         )
-    return LandauCoefficients(grid, params, quad, abar, c1, c2, tables, rel)
+    return LandauCoefficients(grid, params, quad, abar, c1, c2, rel)

@@ -32,7 +32,7 @@ import numpy as np
 from .errors import EigenvalueError, GridMismatchError
 from .field import ScalarField, form_operator, wrapped_difference
 from .grid import AXIS_OF_COMPONENT
-from .kernel import _SYM_INDEX, LandauCoefficients
+from .kernel import _SYM_INDEX, LandauCoefficients, tabulate_fft_kernels
 
 
 class ConvolutionEngine:
@@ -234,6 +234,7 @@ def arnoldi_spectral_radius(matvec, v0, tol=ARNOLDI_TOL):
 
 
 def make_context(coeffs: LandauCoefficients) -> OperatorContext:
-    tables = coeffs.tables
-    engine = ConvolutionEngine(coeffs.grid, tables.comps, tables.pad)
-    return OperatorContext(engine, coeffs)
+    """The operators' engine; the pad-1 kernel tables live only until it
+    has transformed them."""
+    tables = tabulate_fft_kernels(coeffs.grid, coeffs.params).comps
+    return OperatorContext(ConvolutionEngine(coeffs.grid, tables), coeffs)

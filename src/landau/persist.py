@@ -10,8 +10,8 @@ it only when complete.
 """
 
 import contextlib
+import dataclasses
 import json
-import math
 import os
 import struct
 
@@ -79,38 +79,15 @@ def load_field_snapshot(path):
 # reports and CSV
 # ---------------------------------------------------------------------------
 
-def _json_number(x):
-    # JSON has no Infinity/NaN; unbounded tolerances become null
-    return float(x) if x is not None and math.isfinite(x) else None
-
-
-def report_to_dict(report):
-    return {
-        "suite": report.suite,
-        "config_fingerprint": report.config_fingerprint,
-        "checks": [
-            {"id": c.id, "value": _json_number(c.value), "tol": _json_number(c.tol),
-             "verdict": "pass" if c.verdict else "fail"}
-            for c in report.checks
-        ],
-        "constants": [
-            {
-                "name": k.name,
-                "value": _json_number(k.value),
-                "ensemble_size": k.ensemble_size,
-                "grid_params": k.grid_params,
-                "stability": _json_number(k.stability)
-                if k.stability is not None else None,
-            }
-            for k in report.constants
-        ],
-    }
-
-
 def write_report_json(report, path, timestamp=None):
-    """Serialize a report; the volatile timestamp lives in a separate
-    `meta` block so byte comparison of the payload stays meaningful."""
-    doc = report_to_dict(report)
+    """Serialize a report as its records, every non-finite float as null
+    (JSON has neither Infinity nor NaN); the volatile timestamp lives in a
+    separate `meta` block so byte comparison of the payload stays
+    meaningful."""
+    # json writes non-finite floats as the tokens NaN and Infinity, which
+    # read back through parse_constant; finite ones round-trip exactly
+    doc = json.loads(json.dumps(dataclasses.asdict(report)),
+                     parse_constant=lambda _: None)
     doc["meta"] = {"created": timestamp or ""}
     with _replacing(path) as fh:
         json.dump(doc, fh, indent=2)

@@ -135,39 +135,45 @@ class RunResources:
 # ---------------------------------------------------------------------------
 
 def run_suite(name, res: RunResources):
+    """The reports of suite `name`, each stamped with the run's config
+    fingerprint and each constant with the run's grid."""
+    reports = _suite_reports(name, res)
+    for rep in reports:
+        rep.config_fingerprint = res.fingerprint
+        for const in rep.constants:
+            const["grid_params"] = {"N": res.grid.N, "R": res.grid.R}
+    return reports
+
+
+def _suite_reports(name, res):
     if name == "kernel":
-        return [verify.check_kernel_identities(
-            res.params, seed=res.cfg.verify_seed, fingerprint=res.fingerprint)]
+        return [verify.check_kernel_identities(res.params, seed=res.cfg.verify_seed)]
     if name == "coefficients":
-        return [verify.check_coefficient_bounds(res.coeffs, res.fingerprint)]
+        return [verify.check_coefficient_bounds(res.coeffs)]
     if name == "convolution":
-        return [verify.check_convolution_bound(
-            res.grid, res.params, fingerprint=res.fingerprint)]
+        return [verify.check_convolution_bound(res.grid, res.params)]
     if name == "inequalities":
         members = verify.member_pass(res.ctx, res.ensemble())
         reports = [
-            verify.estimate_coercivity(res.coeffs, members, fingerprint=res.fingerprint),
-            verify.estimate_bilinear_constants(members, res.fingerprint),
-            verify.check_l3_embedding(members, res.coeffs, res.fingerprint),
+            verify.estimate_coercivity(res.coeffs, members),
+            verify.estimate_bilinear_constants(members),
+            verify.check_l3_embedding(members, res.coeffs),
         ]
-        consts = {c.name: c.value for rep in reports for c in rep.constants}
+        consts = {c["name"]: c["value"] for rep in reports for c in rep.constants}
         del members  # frees the first ensemble before the fresh one is drawn
         fresh = verify.member_pass(res.ctx, res.ensemble(fresh=True))
-        reports.append(verify.recheck_bilinear(fresh, consts, fingerprint=res.fingerprint))
+        reports.append(verify.recheck_bilinear(fresh, consts))
         return reports
     if name == "energy":
-        traj = res.trajectory
-        rep = verify.check_energy(traj, res.ladders, res.fingerprint)
-        a_g = measure_source_bound(res.source_model(), res.cfg.time_T, kmax=8)
+        rep = verify.check_energy(res.trajectory, res.ladders)
+        a_g = measure_source_bound(res.source_model(), res.cfg.time_T)
         rep.add_check("A_g_finite", a_g, math.inf, math.isfinite(a_g))
-        rep.add_constant("A_g", a_g, 1, res.grid)
-        rep.add_constant("spectral_radius", res.ctx.spectral_radius, 0, res.grid)
-        rep.add_constant("spectrum_lower_edge", res.ctx.spectrum_lower_edge, 0,
-                         res.grid)
+        rep.add_constant("A_g", a_g, 1)
+        rep.add_constant("spectral_radius", res.ctx.spectral_radius, 0)
+        rep.add_constant("spectrum_lower_edge", res.ctx.spectrum_lower_edge, 0)
         return [rep]
     if name == "smoothing":
-        rep, _ = verify.smoothing_report(res.ladders, res.grid, res.fingerprint)
-        return [rep]
+        return [verify.smoothing_report(res.ladders)]
     raise ConfigError(f"unknown suite {name!r}")
 
 

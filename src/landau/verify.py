@@ -12,7 +12,6 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
-from typing import Optional
 
 import numpy as np
 
@@ -21,12 +20,24 @@ from .evolution import RUNG_PANELS, SEGMENT_SAMPLES
 from .field import (ScalarField, a_norm, a_norm_sq, form_energy, form_operator,
                     gradient, inner_product, l2_norm, random_field, weighted_norm)
 from .kernel import (c2_tolerance, kernel_first_derivatives, kernel_matrix_batch,
-                     kernel_second_derivatives, tabulate_radial_kernel)
+                     kernel_second_derivatives, tabulate_divergence_kernels,
+                     tabulate_radial_kernel)
 from .operator import ConvolutionEngine, apply_L1, apply_L2
 
 MIN_ENSEMBLE = 64
 EPS1 = 0.25
 EPS2 = 0.25
+# random points of the kernel identity suite, and of the coefficient suite's
+# decay and b-table scans with the seed it draws them from
+KERNEL_SAMPLES = 1000
+COEFFICIENT_SAMPLES = 400
+COEFFICIENT_SEED = 77
+# rates delta of the convolution suite's densities e^{-delta |v|^2}
+CONVOLUTION_DELTAS = (0.5, 1.0)
+# projected gradient steps that tighten the coercivity constant
+DESCENT_STEPS = 50
+# multiplicative slack the fresh ensemble's maxima must stay within
+RECHECK_SLACK = 1.1
 # largest relative gap between the energy log's L f, taken from the
 # propagator's recurrence, and L applied directly (reference.cfg: 2.3e-15 at
 # N=24, 4.8e-11 at N=64; a propagator that drops L2: 0.78 at N=16)
@@ -34,45 +45,31 @@ LF_GAP_TOL = 1e-10
 
 
 @dataclass
-class CheckRecord:
-    id: str
-    value: float
-    tol: float
-    verdict: bool
-
-
-@dataclass
-class ConstantEstimate:
-    """A measured constant with its provenance.
-
-    stability is the relative change under N -> refinement when a second
-    grid has been run; None until then."""
-
-    name: str
-    value: float
-    ensemble_size: int
-    grid_params: dict
-    stability: Optional[float] = None
-
-
-@dataclass
 class VerificationReport:
+    """A suite's checks and measured constants, held as the records its
+    JSON report is written as: checks {"id", "value", "tol", "verdict":
+    "pass" | "fail"}, constants {"name", "value", "ensemble_size",
+    "grid_params", "stability"}.  `suites.run_suite` stamps the config
+    fingerprint and each constant's grid_params; stability, the relative
+    change under grid refinement, stays None until a second grid is run."""
+
     suite: str
-    config_fingerprint: str
+    config_fingerprint: str = ""
     checks: list = dataclass_field(default_factory=list)
     constants: list = dataclass_field(default_factory=list)
 
     @property
     def passed(self):
-        return all(c.verdict for c in self.checks)
+        return all(c["verdict"] == "pass" for c in self.checks)
 
     def add_check(self, check_id, value, tol, verdict):
-        self.checks.append(CheckRecord(check_id, float(value), float(tol), bool(verdict)))
+        self.checks.append({"id": check_id, "value": float(value), "tol": float(tol),
+                            "verdict": "pass" if verdict else "fail"})
 
-    def add_constant(self, name, value, ensemble_size, grid, stability=None):
-        self.constants.append(ConstantEstimate(
-            name, float(value), int(ensemble_size),
-            {"N": grid.N, "R": grid.R}, stability))
+    def add_constant(self, name, value, ensemble_size):
+        self.constants.append({"name": name, "value": float(value),
+                               "ensemble_size": int(ensemble_size),
+                               "grid_params": None, "stability": None})
 
 
 # ---------------------------------------------------------------------------
@@ -118,15 +115,13 @@ def make_ensemble(grid, count, seed, bandlimit=8, envelope_width=1.25):
 # kernel identity suite
 # ---------------------------------------------------------------------------
 
-def check_kernel_identities(params, sample_count=1000, seed=1234, fingerprint=""):
+def check_kernel_identities(params, seed=1234):
     """Null identities of the kernel, and the row divergence
     b_j = sum_k d_k a_jk of the analytic first derivatives against its
     closed form -2 |v|^gamma v at v and at -v, at scale-relative tolerance
-    1e-12 over random points."""
-    if sample_count < 100:
-        raise ValueError("sample_count must be >= 100")
+    1e-12 over KERNEL_SAMPLES random points."""
     rng = np.random.default_rng(seed)
-    pts = rng.uniform(-5.0, 5.0, size=(sample_count, 3))
+    pts = rng.uniform(-5.0, 5.0, size=(KERNEL_SAMPLES, 3))
     radii = np.linalg.norm(pts, axis=1)
     pts = pts[radii > 0.2]
     radii = radii[radii > 0.2]
@@ -149,7 +144,7 @@ def check_kernel_identities(params, sample_count=1000, seed=1234, fingerprint=""
     div_rel = div_error(1.0)
     odd_rel = div_error(-1.0)
 
-    rep = VerificationReport("kernel", fingerprint)
+    rep = VerificationReport("kernel")
     tol = 1e-12
     rep.add_check("quadratic_null", quad_rel, tol, quad_rel <= tol)
     rep.add_check("row_null", row_rel, tol, row_rel <= tol)
@@ -162,7 +157,7 @@ def check_kernel_identities(params, sample_count=1000, seed=1234, fingerprint=""
 # coefficient bound suite
 # ---------------------------------------------------------------------------
 
-def check_coefficient_bounds(coeffs, fingerprint="", sample_count=400, seed=77):
+def check_coefficient_bounds(coeffs):
     """Decay bounds for abar derivatives (finite differences, |beta| <= 2),
     the analytic kernel derivatives (|alpha| <= 2) and the divergence field,
     and the pad-1 divergence tables b_j against the trace of the analytic
@@ -194,8 +189,8 @@ def check_coefficient_bounds(coeffs, fingerprint="", sample_count=400, seed=77):
                 k_second = max(k_second, float(
                     np.max(np.abs(dd[interior]) / (wgt[interior] * fact))))
 
-    rng = np.random.default_rng(seed)
-    pts = rng.uniform(-6.0, 6.0, size=(sample_count, 3))
+    rng = np.random.default_rng(COEFFICIENT_SEED)
+    pts = rng.uniform(-6.0, 6.0, size=(COEFFICIENT_SAMPLES, 3))
     radii = np.linalg.norm(pts, axis=1)
     keep = radii > 0.3
     pts, radii = pts[keep], radii[keep]
@@ -208,19 +203,21 @@ def check_coefficient_bounds(coeffs, fingerprint="", sample_count=400, seed=77):
 
     div_ratio = float(np.max(np.abs(2.0 * coeffs.c2) / wgt))
 
-    # the pad-1 b tables against sum_k d_k a_jk at seeded nonzero shifts
-    m = coeffs.tables.M
+    # the operator's pad-1 b tables against sum_k d_k a_jk at seeded
+    # nonzero shifts
+    b_comps = tabulate_divergence_kernels(grid, coeffs.params, pad=1)
+    m = grid.N
     offs = np.fft.fftfreq(m) * m * h
-    flat = rng.integers(1, m ** 3, size=sample_count)
+    flat = rng.integers(1, m ** 3, size=COEFFICIENT_SAMPLES)
     iz, iy, ix = np.unravel_index(flat, (m, m, m))
     shifts = np.stack([offs[ix], offs[iy], offs[iz]], axis=-1)
     trace = np.einsum("pkjk->pj", kernel_first_derivatives(shifts, g))
-    table = coeffs.tables.b_comps.reshape(3, -1)[:, flat].T
+    table = b_comps.reshape(3, -1)[:, flat].T
     scale = 2.0 * np.linalg.norm(shifts, axis=-1) ** (g + 1.0)
     b_err = float(np.max(np.abs(table - trace) / scale[:, None]))
 
     k_coef = max(k_first, k_second, div_ratio)
-    rep = VerificationReport("coefficients", fingerprint)
+    rep = VerificationReport("coefficients")
     rep.add_check("abar_first_derivative_finite", k_first, math.inf, math.isfinite(k_first))
     rep.add_check("abar_second_derivative_finite", k_second, math.inf, math.isfinite(k_second))
     rep.add_check("kernel_alpha0_unit_bound", r0, 1.0 + 1e-12, r0 <= 1.0 + 1e-12)
@@ -237,7 +234,7 @@ def check_coefficient_bounds(coeffs, fingerprint="", sample_count=400, seed=77):
                   not math.isnan(coeffs.c2_crosscheck)
                   and coeffs.c2_crosscheck <= c2_tol)
     rep.add_check("b_table_vs_kernel_derivatives", b_err, 1e-12, b_err <= 1e-12)
-    rep.add_constant("K_coef", k_coef, 0, grid)
+    rep.add_constant("K_coef", k_coef, 0)
     return rep
 
 
@@ -245,7 +242,7 @@ def check_coefficient_bounds(coeffs, fingerprint="", sample_count=400, seed=77):
 # convolution bound suite
 # ---------------------------------------------------------------------------
 
-def check_convolution_bound(grid, params, deltas=(0.5, 1.0), fingerprint=""):
+def check_convolution_bound(grid, params):
     """Gaussian-weighted singular convolution stays below <v>^gamma.
 
     Convolves with the radial kernel |u|^gamma on the pad-2 (linear)
@@ -259,9 +256,9 @@ def check_convolution_bound(grid, params, deltas=(0.5, 1.0), fingerprint=""):
     shell_edge = (radius >= grid.R - 1.25) & (radius <= grid.R - 0.75)
     origin_cell = radius <= 1.5 * grid.h
 
-    rep = VerificationReport("convolution", fingerprint)
+    rep = VerificationReport("convolution")
     k_conv = 0.0
-    for delta in deltas:
+    for delta in CONVOLUTION_DELTAS:
         # the density e^{-delta |v|^2} is a product of 1-d factors
         density = np.exp(-delta * grid.axis ** 2)
         conv = engine.inverse(engine.hats * engine.forward_separable([density] * 3))
@@ -278,7 +275,7 @@ def check_convolution_bound(grid, params, deltas=(0.5, 1.0), fingerprint=""):
         rep.add_check(f"edge_limit_delta_{delta:g}", edge_rel, 0.05, edge_rel <= 0.05)
         rep.add_check(f"origin_positive_delta_{delta:g}", origin_val, 0.0,
                       origin_val > 0.0)
-    rep.add_constant("K_conv", k_conv, 0, grid)
+    rep.add_constant("K_conv", k_conv, 0)
     return rep
 
 
@@ -404,7 +401,7 @@ def _a_form_operator(f, coeffs, grad):
     return form_operator(f, coeffs.abar, coeffs.c1, grad)
 
 
-def estimate_coercivity(coeffs, members, descent_steps=50, fingerprint=""):
+def estimate_coercivity(coeffs, members):
     """Smallest quotient ||f||_A^2 / split-form over the member pass, then
     tightened by projected gradient descent from the worst member; each
     iterate's gradient is taken once."""
@@ -415,7 +412,7 @@ def estimate_coercivity(coeffs, members, descent_steps=50, fingerprint=""):
     f = _normalized(members.ensemble[worst].copy())
     grad = gradient(f)
     r = coercivity_quotient(f, coeffs, grad)
-    for _ in range(descent_steps):
+    for _ in range(DESCENT_STEPS):
         num_op = _a_form_operator(f, coeffs, grad)
         den_op = _split_energy_operator(f, coeffs, grad)
         den = _split_energy(f, coeffs, grad)
@@ -436,12 +433,12 @@ def estimate_coercivity(coeffs, members, descent_steps=50, fingerprint=""):
             break
 
     c1_value = min(sample_min, r)
-    rep = VerificationReport("coercivity", fingerprint)
+    rep = VerificationReport("coercivity")
     rep.add_check("all_quotients_positive", min(quotients), 0.0, min(quotients) > 0.0)
     rep.add_check("C1_positive", c1_value, 0.0,
                   math.isfinite(c1_value) and c1_value > 0.0)
-    rep.add_constant("C1", c1_value, len(quotients), coeffs.grid)
-    rep.add_constant("C1_sample_min", sample_min, len(quotients), coeffs.grid)
+    rep.add_constant("C1", c1_value, len(quotients))
+    rep.add_constant("C1_sample_min", sample_min, len(quotients))
     return rep
 
 
@@ -470,10 +467,9 @@ def _pair_ratio_maxima(members):
     return worst
 
 
-def estimate_bilinear_constants(members, fingerprint=""):
+def estimate_bilinear_constants(members):
     """Empirical maxima of the boundedness ratios of L1 and L2, the
     quarter-slack companion constants, and the gradient-form ratio."""
-    grid = members.ensemble[0].grid
     n = len(members.ensemble)
     worst = _pair_ratio_maxima(members)
     kgrad = worst["K_gradform"]
@@ -485,26 +481,26 @@ def estimate_bilinear_constants(members, fingerprint=""):
         c_eps1 = max(c_eps1, ((1.0 - EPS1) * a2 - l1ff) / s2)
         c_eps2 = max(c_eps2, (abs(l2ff) - EPS2 * a2) / s2)
 
-    rep = VerificationReport("bilinear", fingerprint)
+    rep = VerificationReport("bilinear")
     for name in ("C2", "C3", "C4"):
         val = worst[name]
         rep.add_check(f"{name}_finite", val, math.inf, math.isfinite(val) and val > 0)
-        rep.add_constant(name, val, n, grid)
+        rep.add_constant(name, val, n)
     rep.add_check("gradform_cauchy_schwarz", kgrad, 1.0 + 1e-9, kgrad <= 1.0 + 1e-9)
-    rep.add_constant("C3_one_sided", worst["C3_one_sided"], n, grid)
-    rep.add_constant("C_eps1", c_eps1, n, grid)
-    rep.add_constant("C_eps2", c_eps2, n, grid)
-    rep.add_constant("K_gradform", kgrad, n, grid)
+    rep.add_constant("C3_one_sided", worst["C3_one_sided"], n)
+    rep.add_constant("C_eps1", c_eps1, n)
+    rep.add_constant("C_eps2", c_eps2, n)
+    rep.add_constant("K_gradform", kgrad, n)
     return rep
 
 
-def recheck_bilinear(members, constants, slack=1.1, fingerprint=""):
+def recheck_bilinear(members, constants):
     """Certify measured maxima on the member pass of a fresh ensemble with
-    multiplicative slack."""
-    rep = VerificationReport("bilinear_recheck", fingerprint)
+    multiplicative slack RECHECK_SLACK."""
+    rep = VerificationReport("bilinear_recheck")
     worst = _pair_ratio_maxima(members)
     for name in ("C2", "C3", "C4"):
-        bound = slack * constants[name]
+        bound = RECHECK_SLACK * constants[name]
         rep.add_check(f"{name}_fresh_within_slack", worst[name], bound,
                       worst[name] <= bound)
 
@@ -513,14 +509,14 @@ def recheck_bilinear(members, constants, slack=1.1, fingerprint=""):
     margin = math.inf
     for an, s, l1ff in zip(members.a_norm, members.s, members.l1ff):
         lhs = (1.0 - EPS1) * an ** 2
-        rhs = l1ff + slack * constants["C_eps1"] * s ** 2
+        rhs = l1ff + RECHECK_SLACK * constants["C_eps1"] * s ** 2
         margin = min(margin, rhs - lhs)
     rep.add_check("eps1_inequality_fresh_margin", margin, 0.0,
                   margin >= -1e-10 * max(1.0, abs(margin)))
     return rep
 
 
-def check_l3_embedding(members, coeffs, fingerprint=""):
+def check_l3_embedding(members, coeffs):
     """K_L3 = max ||f||_{3, g/2} / ||f||_A over the member pass."""
     g = coeffs.params.gamma
     worst = 0.0
@@ -530,11 +526,11 @@ def check_l3_embedding(members, coeffs, fingerprint=""):
         worst = max(worst, s3 / an)
     gauss = _normalized(ScalarField(coeffs.grid, np.exp(-coeffs.grid.radius_sq / 2.0)))
     gauss_ratio = weighted_norm(gauss, 3, 0.5 * g) / a_norm(gauss, coeffs)
-    rep = VerificationReport("l3_embedding", fingerprint)
+    rep = VerificationReport("l3_embedding")
     rep.add_check("K_L3_finite", worst, math.inf, math.isfinite(worst) and worst > 0)
     rep.add_check("gaussian_probe_ratio", gauss_ratio, math.inf,
                   math.isfinite(gauss_ratio))
-    rep.add_constant("K_L3", worst, len(members.ensemble), coeffs.grid)
+    rep.add_constant("K_L3", worst, len(members.ensemble))
     return rep
 
 
@@ -575,7 +571,7 @@ def energy_identity_convergence(result):
     return residuals, slope
 
 
-def check_energy(result, ladders, fingerprint=""):
+def check_energy(result, ladders):
     """C5 from the trajectory log, C6 the depth-1 ladder envelope, plus the
     energy-identity residual on the full log, its dt-slope over the rungs
     and the gap between the log's L f and L applied directly (`lf_gap` of
@@ -590,8 +586,7 @@ def check_energy(result, ladders, fingerprint=""):
     c6 = ladder_envelope(ladders, 1) if ladders else math.nan
 
     residuals, slope = energy_identity_convergence(result)
-    grid = result.state.f.grid
-    rep = VerificationReport("energy", fingerprint)
+    rep = VerificationReport("energy")
     rep.add_check("C5_finite", c5, math.inf, math.isfinite(c5))
     rep.add_check("C6_finite", c6, math.inf, math.isfinite(c6))
     rep.add_check("energy_identity_residual", residuals[-1], math.inf,
@@ -599,8 +594,8 @@ def check_energy(result, ladders, fingerprint=""):
     rep.add_check("residual_dt_slope", slope, 0.5, abs(slope - 4.0) <= 0.5)
     rep.add_check("energy_log_lf_gap", result.lf_gap, LF_GAP_TOL,
                   result.lf_gap <= LF_GAP_TOL)
-    rep.add_constant("C5", c5, 1, grid)
-    rep.add_constant("C6", c6, 1, grid)
+    rep.add_constant("C5", c5, 1)
+    rep.add_constant("C6", c6, 1)
     return rep
 
 
@@ -614,7 +609,6 @@ class SmoothingFit:
     B: float
     max_positive_residual: float
     root_variation: float
-    points: list  # (t, k, a_k)
 
 
 def ladder_envelope(ladders, k):
@@ -638,7 +632,7 @@ def smoothing_fit(ladders):
     sampled times."""
     if len(ladders) < 1:
         raise ValueError("need at least one ladder")
-    xs, ys, points = [], [], []
+    xs, ys = [], []
     for lad in ladders:
         for k, ak in enumerate(lad.a_k):
             if ak <= 0.0:
@@ -648,7 +642,6 @@ def smoothing_fit(ladders):
                     f"a_{k} vanished at t={lad.t} (exact-solution special case)")
             xs.append(k + 1.0)
             ys.append(math.log(ak))
-            points.append((lad.t, k, float(ak)))
     xs = np.array(xs)
     ys = np.array(ys)
     log_c = float(np.sum(xs * ys) / np.sum(xs * xs))
@@ -665,18 +658,18 @@ def smoothing_fit(ladders):
         for lad_b, root_b in zip(ladders, roots):
             if abs(lad_b.t - 2.0 * lad_a.t) < 1e-9:
                 variation = max(variation, abs(root_b - root_a) / root_a)
-    return SmoothingFit(math.exp(log_c), b, max_pos, variation, points)
+    return SmoothingFit(math.exp(log_c), b, max_pos, variation)
 
 
-def smoothing_report(ladders, grid, fingerprint=""):
+def smoothing_report(ladders):
     fit = smoothing_fit(ladders)
-    rep = VerificationReport("smoothing", fingerprint)
+    rep = VerificationReport("smoothing")
     rep.add_check("fit_max_positive_residual", fit.max_positive_residual, 0.5,
                   fit.max_positive_residual <= 0.5)
     rep.add_check("root_variation_under_time_doubling", fit.root_variation, 0.25,
                   fit.root_variation <= 0.25)
     rep.add_check("C_positive_finite", fit.C, math.inf,
                   math.isfinite(fit.C) and fit.C > 0)
-    rep.add_constant("C", fit.C, len(ladders), grid)
-    rep.add_constant("B", fit.B, len(ladders), grid)
-    return rep, fit
+    rep.add_constant("C", fit.C, len(ladders))
+    rep.add_constant("B", fit.B, len(ladders))
+    return rep

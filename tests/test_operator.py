@@ -13,6 +13,7 @@ from landau.field import (ScalarField, a_norm_sq, gradient, inner_product,
 from landau.grid import VelocityGrid
 from landau.kernel import (build_coefficients,
                            maxwellian_field, sqrt_maxwellian_field,
+                           tabulate_divergence_kernels, tabulate_fft_kernels,
                            tabulate_radial_kernel)
 from landau.operator import (ConvolutionEngine, apply_L, apply_L1, apply_L2,
                              arnoldi_spectral_radius, make_context)
@@ -25,7 +26,7 @@ def test_engine_delta_identity(small_grid, small_ctx):
     # all 12 slots (b_j, a_j0, a_j1, a_j2) of the nine distinct spectra:
     # b_j is spectrum j, a_jk spectrum 3 + _SYM_INDEX[(j, k)]
     eng = small_ctx.engine
-    tables = small_ctx.coeffs.tables
+    tables = tabulate_fft_kernels(small_grid, small_ctx.coeffs.params)
     assert eng.hats.shape[0] == 9
     pos = (3, 11, 6)
     delta = np.zeros(small_grid.shape)
@@ -79,7 +80,8 @@ def test_convolve_grid_mismatch(small_grid, small_ctx, small_coeffs):
         apply_L2(other, small_ctx.engine, small_coeffs)
     # tables must live on the lattice of the grid and pad
     with pytest.raises(ValueError):
-        ConvolutionEngine(small_grid, small_coeffs.tables.b_comps, pad=2)
+        ConvolutionEngine(small_grid, tabulate_divergence_kernels(
+            small_grid, small_coeffs.params), pad=2)
 
 
 def test_convolution_gaussian_weight_bound(small_grid, params):
