@@ -12,8 +12,8 @@ along v, the azimuthal and the polar integrals are both in closed form; only
 the radial integral, with its r^{gamma+4} endpoint singularity, is a
 Gauss-Legendre rule, checked by doubling its order.  c1 and c2 follow from
 l_par alone, as abar v = l_par v.  The c2 cross-check convolves the separable
-fields v_k mu on the pad-2 lattice, whose transforms are outer products of
-1-d transforms.  The kernel tables' origin cell is the exact cell average.
+fields v_k mu with the pad-2 b tables by three 1-d Toeplitz passes, without
+wrap or spectra.  The kernel tables' origin cell is the exact cell average.
 """
 
 import math
@@ -262,6 +262,7 @@ _SERIES_DEN = np.array([(2 * m + 1) * (2 * m + 3) * math.factorial(2 * m)
                         for m in range(9)], dtype=float)
 _SERIES_PAR = 4.0 / _SERIES_DEN
 _SERIES_PERP = 4.0 * np.arange(1.0, 10.0) / _SERIES_DEN
+_ABAR_BLOCK = 256  # radii per block of `_abar_profiles`
 
 
 def polar_integrals(s, r):
@@ -290,9 +291,11 @@ def polar_integrals(s, r):
     par = 4.0 * inv * inv * q
     perp = 2.0 * inv * (sinh - q * inv)
     if np.any(small):
+        # the series only where it is used; asarray makes 0-d results writable
+        par, perp, a = np.asarray(par), np.asarray(perp), np.asarray(a)[small]
         a2, polyval = a * a, np.polynomial.polynomial.polyval
-        par = np.where(small, np.exp(-a) * polyval(a2, _SERIES_PAR), par)
-        perp = np.where(small, np.exp(-a) * polyval(a2, _SERIES_PERP), perp)
+        par[small] = np.exp(-a) * polyval(a2, _SERIES_PAR)
+        perp[small] = np.exp(-a) * polyval(a2, _SERIES_PERP)
     return near * par, near * perp
 
 
@@ -306,12 +309,15 @@ def _abar_profiles(s_values, params, radial_order, r_max):
         l_par(s)  = 2 pi C_mu int r^{g+4} e^{-(s^2+r^2)/2} int (1-t^2)   e^{s r t} dt dr
         l_perp(s) = 2 pi C_mu int r^{g+4} e^{-(s^2+r^2)/2} int (1+t^2)/2 e^{s r t} dt dr
 
-    for the radial rule.
+    for the radial rule, _ABAR_BLOCK radii at a time to bound temporaries.
     """
     r, wr = _radial_rule(r_max, radial_order)
     radial_factor = wr * r ** (params.gamma + 4.0)
     pref = 2.0 * math.pi * params.mu_prefactor
-    par, perp = polar_integrals(s_values[:, None], r[None, :])
+    par, perp = np.empty((2, s_values.size, r.size))
+    for lo in range(0, s_values.size, _ABAR_BLOCK):
+        rows = slice(lo, lo + _ABAR_BLOCK)
+        par[rows], perp[rows] = polar_integrals(s_values[rows, None], r[None, :])
     return pref * (par @ radial_factor), pref * (perp @ radial_factor)
 
 
@@ -364,30 +370,37 @@ def compute_scalar_weights(abar, grid):
     return c1, 0.5 * c2
 
 
-def c2_by_convolution(grid, params, b_padded):
-    """The convolution route to c2, (1/2) sum_k (sum_j d_j a_jk) * (v_k mu),
-    evaluated without wrap on the pad-2 divergence tables `b_padded`
-    (tabulate_divergence_kernels).  v_k mu is a product of 1-d factors, so
-    its transforms are outer products (ConvolutionEngine.forward_separable),
-    and the three products are summed before one inverse transform."""
-    from .operator import ConvolutionEngine  # local import avoids a cycle
+def convolve_separable(grid, table, factors):
+    """h^3 sum_i' table[i - i'] rho[i'] on the grid, for a pad-2 table (FFT
+    layout, M = 2N) and rho = factors[0][iz] factors[1][iy] factors[2][ix]:
+    x, then y, then z, each a product with the M x N Toeplitz matrix
+    W[(i - i') mod M, i] = f[i'].  On M = 2N the shifts i - i' never wrap,
+    so this is the zero-padded FFT's sum without its spectra."""
+    n, m = grid.N, table.shape[-1]
+    i = np.arange(n)
+    wz, wy, wx = (np.zeros((m, n)) for _ in range(3))
+    for w, f in zip((wz, wy, wx), factors):
+        w[(i[None, :] - i[:, None]) % m, i[None, :]] = f[:, None]
+    return grid.cell_volume * np.tensordot(wz.T, np.matmul(wy.T, table @ wx), 1)
 
-    engine = ConvolutionEngine(grid, b_padded, pad=2)
+
+def c2_by_convolution(grid, params):
+    """The convolution route to c2, (1/2) sum_k (sum_j d_j a_jk) * (v_k mu),
+    unwrapped: each v_k mu is a product of 1-d factors (convolve_separable),
+    and the pad-2 b_k tables are formed one at a time."""
     gauss = np.exp(-0.5 * grid.axis ** 2)
-    products = engine.hats             # this engine's own: overwritten here
-    for k in range(3):
+    c2 = np.zeros(grid.shape)
+    for k, b in enumerate(divergence_kernels(grid, params, pad=2)):
         factors = [gauss, gauss, gauss]
         factors[AXIS_OF_COMPONENT[k]] = grid.axis * gauss
-        products[k] *= engine.forward_separable(factors)
-    products[0] += products[1]
-    products[0] += products[2]
-    return (0.5 * params.mu_prefactor) * engine.inverse(products[0])
+        c2 += convolve_separable(grid, b, factors)
+        del b  # free before the next table is formed
+    return (0.5 * params.mu_prefactor) * c2
 
 
-def crosscheck_c2(c2, grid, params, b_padded):
-    """Relative L^2 agreement of c2 with the convolution route
-    (`c2_by_convolution`) on the pad-2 divergence tables `b_padded`."""
-    c2_conv = c2_by_convolution(grid, params, b_padded)
+def crosscheck_c2(c2, grid, params):
+    """Relative L^2 difference of c2 and its convolution route."""
+    c2_conv = c2_by_convolution(grid, params)
     num = math.sqrt(float(np.sum((c2_conv - c2) ** 2)))
     den = math.sqrt(float(np.sum(c2 ** 2)))
     return num / max(den, 1e-300)
@@ -418,9 +431,10 @@ def cell_average_radial_power(exponent, h):
     return 48.0 * 2.0 ** -p3 / p3 * integral * h ** exponent
 
 
-def _lattice_powers(grid, exponent, pad):
-    """Shift coordinates (ux, uy, uz), |u|^2 and |u|^exponent in FFT layout;
-    the zero-shift entry of both is 1, for the caller to rewrite."""
+def _lattice_squares(grid, pad):
+    """Shift coordinates (ux, uy, uz) and |u|^2 in FFT layout; the
+    zero-shift entry of |u|^2 is 1, so that every power of it is 1 there,
+    for the caller to rewrite."""
     if pad not in (1, 2):
         raise ValueError(f"pad must be 1 or 2, got {pad}")
     m = pad * grid.N
@@ -430,7 +444,7 @@ def _lattice_powers(grid, exponent, pad):
     uz = offs[:, None, None]
     n2 = (ux * ux + uy * uy) + uz * uz
     n2[0, 0, 0] = 1.0
-    return (ux, uy, uz), n2, n2 ** (0.5 * exponent)
+    return (ux, uy, uz), n2
 
 
 @dataclass
@@ -444,11 +458,7 @@ class KernelTables:
     grid: VelocityGrid
     params: KernelParams
     pad: int
-    comps: np.ndarray            # (9, M, M, M)
-
-    @property
-    def M(self):
-        return self.pad * self.grid.N
+    comps: np.ndarray            # (9, M, M, M), M = pad * N
 
     @property
     def b_comps(self):
@@ -459,25 +469,33 @@ class KernelTables:
         return self.comps[3:]
 
 
-def tabulate_divergence_kernels(grid, params, pad=1, out=None):
-    """b_j(u) = sum_k d_k a_jk(u) = -2 |u|^gamma u_j on the shift lattice,
-    shape (3, M, M, M), written into `out` when given; odd kernel,
-    symmetric cell: zero-shift entry 0."""
-    coords, _, ng = _lattice_powers(grid, params.gamma, pad)
-    bcomps = np.empty((3,) + ng.shape) if out is None else out
+def divergence_kernels(grid, params, pad=1):
+    """Yield b_x, b_y, b_z, b_j(u) = sum_k d_k a_jk(u) = -2 |u|^gamma u_j on
+    the shift lattice, one (M, M, M) table at a time from one |u|^gamma
+    table; odd kernel, symmetric cell: zero-shift entry 0."""
+    coords, ng = _lattice_squares(grid, pad)
+    np.power(ng, 0.5 * params.gamma, out=ng)
     ng *= -2.0
-    for j, uj in enumerate(coords):
-        np.multiply(ng, uj, out=bcomps[j])
-    bcomps[:, 0, 0, 0] = 0.0
-    return bcomps
+    for uj in coords:
+        b = ng * uj
+        b[0, 0, 0] = 0.0
+        yield b
+        del b  # hold no table while the next one is formed
+
+
+def tabulate_divergence_kernels(grid, params, pad=1):
+    """The b_j of `divergence_kernels` stacked, shape (3, M, M, M)."""
+    return np.stack(tuple(divergence_kernels(grid, params, pad)))
 
 
 def tabulate_fft_kernels(grid, params, pad=1):
     """Tabulate b_j(u) = sum_k d_k a_jk(u) and a_jk(u) on the shift lattice."""
     m = pad * grid.N
     tables = np.empty((9, m, m, m))
-    tabulate_divergence_kernels(grid, params, pad, out=tables[:3])
-    (ux, uy, uz), n2, ng = _lattice_powers(grid, params.gamma, pad)
+    for j, b in enumerate(divergence_kernels(grid, params, pad)):
+        tables[j] = b
+    (ux, uy, uz), n2 = _lattice_squares(grid, pad)
+    ng = n2 ** (0.5 * params.gamma)
     ngp2 = ng * n2
 
     comps = tables[3:]
@@ -498,7 +516,8 @@ def tabulate_fft_kernels(grid, params, pad=1):
 
 def tabulate_radial_kernel(grid, exponent, pad=1):
     """Scalar radial kernel |u|^exponent on the shift lattice (FFT layout)."""
-    _, _, table = _lattice_powers(grid, exponent, pad)
+    _, table = _lattice_squares(grid, pad)
+    np.power(table, 0.5 * exponent, out=table)
     table[0, 0, 0] = cell_average_radial_power(exponent, grid.h)
     return table
 
@@ -549,8 +568,7 @@ def build_coefficients(grid, params, quad=QuadratureSpec()):
     convolution route; a disagreement raises CrossCheckError."""
     abar = compute_abar_field(grid, params, quad)
     c1, c2 = compute_scalar_weights(abar, grid)
-    rel = crosscheck_c2(c2, grid, params,
-                        tabulate_divergence_kernels(grid, params, pad=2))
+    rel = crosscheck_c2(c2, grid, params)
     tol = c2_tolerance(grid, quad)
     if rel > tol:
         raise CrossCheckError(

@@ -19,9 +19,8 @@ b_j and a_jk = a_kj (KernelTables.comps).  X_j contracts b_j, a_j0, a_j1
 and a_j2 against the transforms of (rho, v_x rho, v_y rho, v_z rho),
 rho = mu^{1/2} f, in the spectral form
 of Pareschi, Russo & Toscani, J. Comput. Phys. 165 (2000).  Convolutions run
-over the periodic shift lattice; fields are
-expected to carry a decaying envelope (pad=2 tables give true linear
-convolution for validation runs).
+over the periodic shift lattice; fields are expected to carry a decaying
+envelope.  The validation runs' unwrapped sums are kernel.convolve_separable.
 """
 
 from dataclasses import dataclass
@@ -36,52 +35,34 @@ from .kernel import _SYM_INDEX, LandauCoefficients, tabulate_fft_kernels
 
 
 class ConvolutionEngine:
-    """FFT convolution against a stack of kernel tables.
+    """Periodic FFT convolution against a stack of kernel tables.
 
-    `tables` has shape (..., M, M, M) with M = pad * N, in FFT layout on
-    the shift lattice; `hats` holds their transforms over the last three
-    axes.  The operators use the nine tables of KernelTables.comps.
-    Applying the engine to a discrete delta of mass h^-3 reproduces each
-    table exactly up to transform round-off.
-    """
+    `tables` has shape (..., N, N, N), in FFT layout on the shift lattice
+    of the grid; `hats` holds their transforms over the last three axes.
+    The operators use the nine tables of KernelTables.comps.  Applying the
+    engine to a discrete delta of mass h^-3 reproduces each table exactly
+    up to transform round-off."""
 
-    def __init__(self, grid, tables, pad=1):
+    def __init__(self, grid, tables):
         self.grid = grid
-        self.pad = pad
-        self.M = pad * grid.N
-        if tables.shape[-3:] != (self.M,) * 3:
+        if tables.shape[-3:] != grid.shape:
             raise ValueError(f"kernel tables of shape {tables.shape} do not "
-                             f"end in the pad-{pad} lattice ({self.M},) * 3")
+                             f"end in the grid's lattice {grid.shape}")
         # one table at a time: a batched rfftn holds two more transforms of
         # the whole stack at once (same bytes either way)
-        m = self.M
-        self.hats = np.empty(tables.shape[:-3] + (m, m, m // 2 + 1), complex)
+        n = grid.N
+        self.hats = np.empty(tables.shape[:-3] + (n, n, n // 2 + 1), complex)
         for idx in np.ndindex(tables.shape[:-3]):
             self.hats[idx] = np.fft.rfftn(tables[idx])
 
     def forward(self, values):
-        """rfft of an N^3 array embedded in the (possibly padded) lattice."""
-        n, m = self.grid.N, self.M
-        if m == n:
-            return np.fft.rfftn(values)
-        padded = np.zeros((m, m, m))
-        padded[:n, :n, :n] = values
-        return np.fft.rfftn(padded)
-
-    def forward_separable(self, factors):
-        """`forward` of the N^3 array factors[0][iz] factors[1][iy]
-        factors[2][ix], as the outer product of the factors' zero-padded
-        1-d transforms: no N^3 or M^3 field in velocity space is formed."""
-        m = self.M
-        fz, fy = (np.fft.fft(f, m) for f in factors[:2])
-        fx = np.fft.rfft(factors[2], m)
-        return (fz[:, None, None] * fy[None, :, None]) * fx[None, None, :]
+        """rfft of an N^3 array."""
+        return np.fft.rfftn(values)
 
     def inverse(self, hat):
-        """Inverse transform, cropped to the grid and scaled by h^3."""
-        n, m = self.grid.N, self.M
-        out = np.fft.irfftn(hat, s=(m, m, m), axes=(0, 1, 2))
-        return out[:n, :n, :n] * self.grid.cell_volume
+        """Inverse transform, scaled by h^3."""
+        return self.grid.cell_volume * np.fft.irfftn(
+            hat, s=self.grid.shape, axes=(0, 1, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -19,10 +19,10 @@ from .errors import DegenerateRatioError, FitDegenerateError
 from .evolution import RUNG_PANELS, SEGMENT_SAMPLES
 from .field import (ScalarField, a_norm, a_norm_sq, form_energy, form_operator,
                     gradient, inner_product, l2_norm, random_field, weighted_norm)
-from .kernel import (c2_tolerance, kernel_first_derivatives, kernel_matrix_batch,
-                     kernel_second_derivatives, tabulate_divergence_kernels,
-                     tabulate_radial_kernel)
-from .operator import ConvolutionEngine, apply_L1, apply_L2
+from .kernel import (c2_tolerance, convolve_separable, kernel_first_derivatives,
+                     kernel_matrix_batch, kernel_second_derivatives,
+                     tabulate_divergence_kernels, tabulate_radial_kernel)
+from .operator import apply_L1, apply_L2
 
 MIN_ENSEMBLE = 64
 EPS1 = 0.25
@@ -245,11 +245,11 @@ def check_coefficient_bounds(coeffs):
 def check_convolution_bound(grid, params):
     """Gaussian-weighted singular convolution stays below <v>^gamma.
 
-    Convolves with the radial kernel |u|^gamma on the pad-2 (linear)
-    lattice; the ratio must be finite, flat beyond |v| = 4 and close to the
-    dominated limit (pi/delta)^{3/2} near the box edge."""
-    engine = ConvolutionEngine(
-        grid, tabulate_radial_kernel(grid, params.gamma, pad=2), pad=2)
+    Convolves with the radial kernel |u|^gamma tabulated on the pad-2
+    lattice, without wrap (convolve_separable); the ratio must be finite,
+    flat beyond |v| = 4 and close to the dominated limit (pi/delta)^{3/2}
+    near the box edge."""
+    table = tabulate_radial_kernel(grid, params.gamma, pad=2)
     wgt = grid.bracket_weight(params.gamma)
     radius = grid.radius
     shell_far = (radius >= 4.0) & (radius <= grid.R - 0.5)
@@ -261,7 +261,7 @@ def check_convolution_bound(grid, params):
     for delta in CONVOLUTION_DELTAS:
         # the density e^{-delta |v|^2} is a product of 1-d factors
         density = np.exp(-delta * grid.axis ** 2)
-        conv = engine.inverse(engine.hats * engine.forward_separable([density] * 3))
+        conv = convolve_separable(grid, table, [density] * 3)
         ratio = conv / wgt
         k_conv = max(k_conv, float(np.max(ratio)))
         spread = float((ratio[shell_far].max() - ratio[shell_far].min())

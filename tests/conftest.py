@@ -92,3 +92,20 @@ def abar_matrix(abar):
             m[j, k] = diff * vhat[j] * vhat[k]
         m[j, j] += abar.across
     return m
+
+
+def padded_fft_convolution(grid, table, rho):
+    """h^3 sum_i' table[i - i'] rho[i'] for a pad-2 table (FFT layout,
+    M = 2N) and an N^3 density rho, by zero-padded transforms: the oracle
+    of `kernel.convolve_separable`."""
+    n, m = grid.N, table.shape[-1]
+    padded = np.zeros(table.shape)
+    padded[:n, :n, :n] = rho
+    out = np.fft.irfftn(np.fft.rfftn(table) * np.fft.rfftn(padded),
+                        s=(m, m, m), axes=(0, 1, 2))
+    return out[:n, :n, :n] * grid.cell_volume
+
+
+def separable_density(factors):
+    """factors[0][iz] factors[1][iy] factors[2][ix] as an N^3 array."""
+    return factors[0][:, None, None] * factors[1][None, :, None] * factors[2]

@@ -52,7 +52,7 @@ def test_benchmark_names_resolve(tmp_path):
     assert calls["kernel.build"] == 1
     assert calls["kernel.tables"] == 2  # pad 1 in make_context, then pad 2
     assert calls["kernel.crosscheck"] == 1
-    assert calls["operator.engine_init"] == 2  # cross-check and context
+    assert calls["operator.engine_init"] == 1  # the context's only
     # the direct call, then one per application of L (spectral radius, steps)
     assert calls["operator.apply_L2"] == 1 + calls["operator.apply_L"]
     assert calls["evolution.evolve"] == 1

@@ -3,18 +3,19 @@ import math
 import numpy as np
 import pytest
 
+from landau import kernel
 from landau.errors import QuadratureError
 from landau.field import VectorField
-from landau.grid import VelocityGrid
+from landau.grid import AXIS_OF_COMPONENT, VelocityGrid
 from landau.kernel import (KernelParams, QuadratureSpec, _radial_rule,
                            abar_profiles_at, c2_by_convolution,
                            cell_average_radial_power, compute_abar_field,
-                           compute_scalar_weights, kernel_first_derivatives,
-                           kernel_matrix_batch, maxwellian_field,
-                           polar_integrals, tabulate_divergence_kernels,
-                           tabulate_fft_kernels)
-from landau.operator import ConvolutionEngine
-from tests.conftest import abar_matrix
+                           compute_scalar_weights, convolve_separable,
+                           kernel_first_derivatives, kernel_matrix_batch,
+                           maxwellian_field, polar_integrals,
+                           tabulate_divergence_kernels, tabulate_fft_kernels,
+                           tabulate_radial_kernel)
+from tests.conftest import abar_matrix, padded_fft_convolution, separable_density
 
 
 def test_gamma_range_enforced():
@@ -207,16 +208,46 @@ def test_abar_profiles_match_product_rule(gamma):
         assert np.max(np.abs(g - w) / w) <= 1e-12
 
 
-def test_c2_one_inverse_matches_three_inverse_route(small_grid, params):
-    # the separable transforms summed before one inverse, against three
-    # zero-padded forward transforms of v_k mu and three inverses
-    b_padded = tabulate_divergence_kernels(small_grid, params, pad=2)
-    got = c2_by_convolution(small_grid, params, b_padded)
-    engine = ConvolutionEngine(small_grid, b_padded, pad=2)
-    mu = maxwellian_field(small_grid, params).values
-    want = 0.5 * sum(
-        engine.inverse(engine.hats[k] * engine.forward(
-            np.asarray(small_grid.component(k)) * mu)) for k in range(3))
+def test_abar_profiles_blocks_leave_the_bytes(monkeypatch):
+    # the quadrature taken in blocks of radii gives the bytes of one
+    # evaluation over all of them; the radii span the series switch
+    s = np.linspace(0.0, 8.0 * math.sqrt(3.0), 600)
+    args = (s, KernelParams(-1.0), 32, s.max() + 8.0)
+    blocked = kernel._abar_profiles(*args)
+    monkeypatch.setattr(kernel, "_ABAR_BLOCK", s.size)
+    for got, want in zip(blocked, kernel._abar_profiles(*args)):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("kind", ["b_x", "radial"])
+def test_convolve_separable_matches_padded_fft(small_grid, params, kind):
+    # three 1-d Toeplitz passes against zero-padded 3-d transforms, on the
+    # odd b_x table and on the even radial kernel, three distinct factors
+    if kind == "b_x":
+        table = tabulate_divergence_kernels(small_grid, params, pad=2)[0]
+    else:
+        table = tabulate_radial_kernel(small_grid, params.gamma, pad=2)
+    ax = small_grid.axis
+    factors = [np.exp(-0.3 * ax * ax), ax * np.exp(-0.5 * ax * ax),
+               np.cos(ax) * np.exp(-0.2 * ax * ax)]
+    got = convolve_separable(small_grid, table, factors)
+    want = padded_fft_convolution(small_grid, table, separable_density(factors))
+    assert got.shape == small_grid.shape
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_c2_by_convolution_matches_padded_fft(small_grid, params):
+    # (1/2) sum_k b_k * (v_k mu), each term by zero-padded transforms of
+    # the pad-2 b_k table and of v_k mu
+    got = c2_by_convolution(small_grid, params)
+    b = tabulate_divergence_kernels(small_grid, params, pad=2)
+    gauss = np.exp(-0.5 * small_grid.axis ** 2)
+    want = np.zeros(small_grid.shape)
+    for k in range(3):
+        factors = [gauss, gauss, gauss]
+        factors[AXIS_OF_COMPONENT[k]] = small_grid.axis * gauss
+        want += padded_fft_convolution(small_grid, b[k], separable_density(factors))
+    want *= 0.5 * params.mu_prefactor
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
@@ -313,7 +344,7 @@ def test_fft_tables_zero_shift(small_grid, params):
     # off-origin samples match the pointwise kernel
     u = np.array([2.0 * small_grid.h, small_grid.h, -small_grid.h])
     a = kernel_matrix_batch(u, params.gamma)
-    iz, iy, ix = (int(round(c / small_grid.h)) % tables.M for c in (u[2], u[1], u[0]))
+    iz, iy, ix = (int(round(c / small_grid.h)) % small_grid.N for c in (u[2], u[1], u[0]))
     assert tables.a_comps[3, iz, iy, ix] == pytest.approx(a[0, 1], rel=1e-13)
     assert tables.a_comps[0, iz, iy, ix] == pytest.approx(a[0, 0], rel=1e-13)
 

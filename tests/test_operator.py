@@ -18,7 +18,7 @@ from landau.kernel import (build_coefficients,
 from landau.operator import (ConvolutionEngine, apply_L, apply_L1, apply_L2,
                              arnoldi_spectral_radius, make_context)
 from tests.collision_oracle import apply_Q
-from tests.conftest import abar_matrix, gaussian_field
+from tests.conftest import SMALL_R, abar_matrix, gaussian_field, padded_fft_convolution
 
 
 def test_engine_delta_identity(small_grid, small_ctx):
@@ -33,7 +33,7 @@ def test_engine_delta_identity(small_grid, small_ctx):
     delta[pos] = 1.0 / small_grid.cell_volume
     delta_hat = eng.forward(delta)
     idx = np.indices(small_grid.shape)
-    shifted = tuple((idx[d] - pos[d]) % eng.M for d in range(3))
+    shifted = tuple((idx[d] - pos[d]) % small_grid.N for d in range(3))
     sym = [[0, 3, 4], [3, 1, 5], [4, 5, 2]]  # xx, yy, zz, xy, xz, yz
     for j in range(3):
         for slot in range(4):
@@ -43,22 +43,6 @@ def test_engine_delta_identity(small_grid, small_ctx):
             out = eng.inverse(eng.hats[spectrum] * delta_hat)
             expected = table[shifted]
             assert np.max(np.abs(out - expected)) <= 1e-12 * np.max(np.abs(expected))
-
-
-@pytest.mark.parametrize("pad", [1, 2])
-def test_forward_separable_matches_forward(small_grid, params, pad):
-    # the outer product of 1-d transforms against the transform of the
-    # N^3 product field, each factor on its own axis
-    eng = ConvolutionEngine(
-        small_grid, tabulate_radial_kernel(small_grid, params.gamma, pad), pad)
-    ax = small_grid.axis
-    factors = [np.exp(-0.3 * ax * ax), ax * np.exp(-0.5 * ax * ax),
-               np.cos(ax) * np.exp(-0.2 * ax * ax)]
-    field = factors[0][:, None, None] * factors[1][None, :, None] * factors[2]
-    want = eng.forward(field)
-    got = eng.forward_separable(factors)
-    assert got.shape == want.shape
-    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_convolve_linearity(small_grid, small_ctx):
@@ -78,19 +62,19 @@ def test_convolve_grid_mismatch(small_grid, small_ctx, small_coeffs):
     other = zeros(VelocityGrid(R=5.0, N=16))
     with pytest.raises(GridMismatchError):
         apply_L2(other, small_ctx.engine, small_coeffs)
-    # tables must live on the lattice of the grid and pad
+    # tables must live on the lattice of the engine's grid
     with pytest.raises(ValueError):
         ConvolutionEngine(small_grid, tabulate_divergence_kernels(
-            small_grid, small_coeffs.params), pad=2)
+            VelocityGrid(R=SMALL_R, N=12), small_coeffs.params))
 
 
 def test_convolution_gaussian_weight_bound(small_grid, params):
-    # int |v-w|^gamma e^{-delta |w|^2} dw stays below a multiple of <v>^gamma
-    eng = ConvolutionEngine(
-        small_grid, tabulate_radial_kernel(small_grid, params.gamma, pad=2), pad=2)
+    # int |v-w|^gamma e^{-delta |w|^2} dw stays below a multiple of <v>^gamma,
+    # by zero-padded transforms of the pad-2 radial kernel
+    table = tabulate_radial_kernel(small_grid, params.gamma, pad=2)
     for delta in (0.5, 1.0):
         density = np.exp(-delta * small_grid.radius_sq)
-        ratio = eng.inverse(eng.hats * eng.forward(density)) / \
+        ratio = padded_fft_convolution(small_grid, table, density) / \
             small_grid.bracket_weight(params.gamma)
         assert np.isfinite(ratio).all()
         limit = (math.pi / delta) ** 1.5

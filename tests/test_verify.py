@@ -439,12 +439,12 @@ def test_run_resources_validate_their_config():
 
 
 def test_run_resources_tabulate_each_pad_once(monkeypatch):
-    # the build tabulates the c2 cross-check's pad-2 b tables and
-    # make_context the operator's full pad-1 tables, each once, and the
-    # full tables are gone once transformed; the coefficient suite samples
-    # the pad-1 b tables alone, the convolution suite builds its own
-    # radial kernel
-    pads = {"tabulate_fft_kernels": [], "tabulate_divergence_kernels": []}
+    # the build forms the c2 cross-check's pad-2 b tables and make_context
+    # the operator's full pad-1 tables, each once, and the full tables are
+    # gone once transformed; the coefficient suite samples the pad-1 b
+    # tables alone, the convolution suite builds its own radial kernel
+    pads = {"tabulate_fft_kernels": [], "tabulate_divergence_kernels": [],
+            "divergence_kernels": []}
     full = []
 
     def counting(fn_name):
@@ -468,13 +468,15 @@ def test_run_resources_tabulate_each_pad_once(monkeypatch):
     res = RunResources(parse_config_text(ENERGY_CFG), log=None)
     assert res.ctx.engine.hats.shape[0] == 9
     assert pads == {"tabulate_fft_kernels": [1],
-                    "tabulate_divergence_kernels": [2, 1]}
+                    "tabulate_divergence_kernels": [],
+                    "divergence_kernels": [2, 1]}
     gc.collect()
     assert len(full) == 1 and full[0]() is None
     for suite in ("coefficients", "convolution"):
         run_suite(suite, res)
     assert pads == {"tabulate_fft_kernels": [1],
-                    "tabulate_divergence_kernels": [2, 1, 1]}
+                    "tabulate_divergence_kernels": [1],
+                    "divergence_kernels": [2, 1, 1]}
 
 
 def test_run_suite_stamps_fingerprint_and_grid():
