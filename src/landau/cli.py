@@ -6,9 +6,9 @@ Commands: verify (a JSON report per suite; when the energy or smoothing
 suite ran, also the trajectory it read: energy.csv, snapshot_t<t>.fld and
 ladder_t<t>.csv at the configured times), report (merged markdown summary
 of the reports in the out dir).
-Exit codes: 0 ok, 2 config error, 3 numerical failure, 4 suite failure,
-5 report refused: a report_*.json in the out dir was written under another
-config fingerprint (stale reports are never merged).
+Exit codes: 0 ok, 2 bad config or out dir, 3 numerical failure, 4 suite
+failure, 5 report refused: a report_*.json in the out dir is unreadable or
+was written under another config fingerprint (such reports are never merged).
 Commands write only into the out dir and build the coefficients afresh.
 """
 
@@ -50,7 +50,10 @@ def _timestamp():
 def _prepare(args):
     cfg = load_config(args.config)
     out_dir = args.out or cfg.io_out_dir
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make out dir {out_dir!r}: {exc}") from None
     return cfg, RunResources(cfg, log=print), out_dir
 
 
@@ -93,17 +96,21 @@ def cmd_report(args):
     for name in sorted(os.listdir(out_dir)):
         if not (name.startswith("report_") and name.endswith(".json")):
             continue
-        with open(os.path.join(out_dir, name)) as fh:
-            doc = json.load(fh)
-        if doc.get("config_fingerprint") != res.fingerprint:
-            print(f"stale report {name}: fingerprint {doc.get('config_fingerprint')!r}"
+        try:
+            with open(os.path.join(out_dir, name), encoding="utf-8") as fh:
+                doc = json.load(fh)
+            suite, stamp = doc["suite"], doc.get("config_fingerprint")
+            rows += [(suite, c["id"], c["value"], c["verdict"])
+                     for c in doc.get("checks", [])]
+            constants += [(suite, k["name"], k["value"], k.get("stability"))
+                          for k in doc.get("constants", [])]
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            print(f"unreadable report {name}: {exc!r}", file=sys.stderr)
+            return EXIT_STALE_REPORT
+        if stamp != res.fingerprint:
+            print(f"stale report {name}: fingerprint {stamp!r}"
                   f" is not the config's {res.fingerprint!r}", file=sys.stderr)
             return EXIT_STALE_REPORT
-        for c in doc.get("checks", []):
-            rows.append((doc["suite"], c["id"], c["value"], c["verdict"]))
-        for k in doc.get("constants", []):
-            constants.append((doc["suite"], k["name"], k["value"],
-                              k.get("stability")))
     lines = ["# verification summary", "",
              f"config fingerprint: `{res.fingerprint}`", ""]
     def fmt(x):
@@ -131,10 +138,7 @@ def cmd_report(args):
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
-    handler = {
-        "verify": cmd_verify,
-        "report": cmd_report,
-    }[args.command]
+    handler = {"verify": cmd_verify, "report": cmd_report}[args.command]
     try:
         return handler(args)
     except ConfigError as exc:

@@ -123,9 +123,9 @@ def parse_config_text(text):
 
 def load_config(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}")
     return parse_config_text(text)
 
@@ -163,6 +163,8 @@ def validate_config(cfg):
         raise ConfigError(f"unknown source.profile {cfg.source_profile!r}")
     if not cfg.source_width > 0:
         raise ConfigError(f"source.width must be positive, got {cfg.source_width}")
+    if cfg.verify_seed < 0:
+        raise ConfigError(f"verify.seed must be >= 0, got {cfg.verify_seed}")
     if cfg.verify_ensemble_size < MIN_ENSEMBLE:
         raise ConfigError(f"verify.ensemble_size must be >= {MIN_ENSEMBLE}")
     for s in cfg.verify_suites:

@@ -5,7 +5,8 @@ arrays), which is deterministic run to run for a fixed shape, so reports and
 CSV outputs are reproducible bit for bit under a fixed seed.
 
 Differences wrap periodically; admissible fields carry a decaying envelope
-that keeps the wrap error below quadrature tolerance.
+that keeps the wrap error below quadrature tolerance.  `EnergyForm` is the
+quadratic form (M grad f, grad f) + (w f, f) with its operator.
 """
 
 import math
@@ -131,33 +132,36 @@ def divergence(V):
     return ScalarField(g, out)
 
 
-def form_energy(f, weight, potential, grad=None):
-    """(M grad f, grad f) + (w f, f) for a matrix field M (`weight`) and a node
-    weight w (`potential`); `grad` is the gradient of f, when the caller
-    already holds it."""
-    G = gradient(f) if grad is None else grad
-    total = np.sum(weight.quadratic_form(G)) + np.sum(potential * f.values * f.values)
-    return float(total) * f.grid.cell_volume
+@dataclass(frozen=True, eq=False)
+class EnergyForm:
+    """(M grad f, grad f) + (w f, f) for a matrix field M (`weight`) and a
+    node weight w (`potential`); `grad` is the gradient of f, when the
+    caller already holds it."""
 
+    weight: object
+    potential: np.ndarray
 
-def form_operator(f, weight, potential, grad=None):
-    """-div(M grad f) + w f, the self-adjoint operator of `form_energy`
-    (`divergence` is the negative adjoint of `gradient`)."""
-    out = -divergence(weight.apply(gradient(f) if grad is None else grad)).values
-    out += potential * f.values
-    return ScalarField(f.grid, out)
+    def energy(self, f, grad=None):
+        G = gradient(f) if grad is None else grad
+        total = (np.sum(self.weight.quadratic_form(G))
+                 + np.sum(self.potential * f.values * f.values))
+        return float(total) * f.grid.cell_volume
+
+    def apply(self, f, grad=None):
+        """-div(M grad f) + w f, the self-adjoint operator of `energy`."""
+        out = -divergence(self.weight.apply(gradient(f) if grad is None else grad)).values
+        out += self.potential * f.values
+        return ScalarField(f.grid, out)
 
 
 def a_norm_sq(f, coeffs, grad=None):
-    """Square of the anisotropic energy norm,
+    """Square of the anisotropic energy norm, the coefficient set's `a_form`,
 
-    ||f||_A^2 = sum_{jk} int ( abar_jk d_j f d_k f + (1/4) abar_jk v_j v_k f^2 ) dv,
-
-    the form (abar, c1) with the precomputed c1 = (1/4) abar_jk v_j v_k.
+    ||f||_A^2 = sum_{jk} int ( abar_jk d_j f d_k f + (1/4) abar_jk v_j v_k f^2 ) dv.
     """
     if coeffs.grid != f.grid:
         raise GridMismatchError("coefficients live on a different grid")
-    return form_energy(f, coeffs.abar, coeffs.c1, grad)
+    return coeffs.a_form.energy(f, grad)
 
 
 def a_norm(f, coeffs):

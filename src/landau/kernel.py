@@ -14,6 +14,7 @@ Gauss-Legendre rule, checked by doubling its order.  c1 and c2 follow from
 l_par alone, as abar v = l_par v.  The c2 cross-check convolves the separable
 fields v_k mu with the pad-2 b tables by three 1-d Toeplitz passes, without
 wrap or spectra.  The kernel tables' origin cell is the exact cell average.
+The coefficient set names the forms of the estimates and builds the invariants.
 """
 
 import math
@@ -23,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import CrossCheckError, QuadratureError
-from .field import ScalarField, VectorField, inner_product, l2_norm
+from .field import EnergyForm, ScalarField, VectorField, inner_product, l2_norm
 from .grid import AXIS_OF_COMPONENT, VelocityGrid
 
 # position of a_jk among the six a-tables (xx, yy, zz, xy, xz, yz)
@@ -142,31 +143,9 @@ def sqrt_maxwellian_field(grid, params):
     )
 
 
-def collision_invariant_basis(grid, params):
-    """Orthonormal discrete span of the collision invariants
-    mu^{1/2} (1, v, |v|^2): the null directions of the linearized operator.
-
-    Components along these directions neither decay nor grow under the
-    free flow, so reference experiments usually remove them from data and
-    forcing."""
-    mh = sqrt_maxwellian_field(grid, params).values
-    candidates = [mh]
-    candidates += [np.asarray(grid.component(j)) * mh for j in range(3)]
-    candidates.append(grid.radius_sq * mh)
-    basis = []
-    for c in candidates:
-        f = ScalarField(grid, c.copy())
-        for b in basis:
-            f = f - inner_product(f, b) * b
-        basis.append((1.0 / l2_norm(f)) * f)
-    return basis
-
-
-def project_off_invariants(f, params, basis=None):
-    """Remove the collision-invariant components; preserves roughness.
-    `basis` is `collision_invariant_basis(f.grid, params)` if the caller
-    has built it already."""
-    for b in basis or collision_invariant_basis(f.grid, params):
+def project_off_invariants(f, basis):
+    """f less its components along the orthonormal `basis`."""
+    for b in basis:
         f = f - inner_product(f, b) * b
     return f
 
@@ -528,8 +507,8 @@ def tabulate_radial_kernel(grid, exponent, pad=1):
 
 @dataclass
 class LandauCoefficients:
-    """abar and the scalar weights, on one grid; the operators' kernel
-    tables are tabulated and transformed by `operator.make_context`."""
+    """abar, the scalar weights and the forms built from them, on one grid;
+    the kernel tables are tabulated by `operator.make_context`."""
 
     grid: VelocityGrid
     params: KernelParams
@@ -544,17 +523,36 @@ class LandauCoefficients:
         return sqrt_maxwellian_field(self.grid, self.params)
 
     @cached_property
-    def split_weight(self):
-        """Gradient weight of the coercivity split form: <v>^g along v and
-        <v>^{g+2} across it."""
-        g = self.params.gamma
-        return UniaxialField(self.grid, self.grid.bracket_weight(g),
-                             self.grid.bracket_weight(g + 2.0))
+    def a_form(self):
+        """The energy norm ||f||_A^2 = (abar grad f, grad f) + (c1 f, f)."""
+        return EnergyForm(self.abar, self.c1)
 
     @cached_property
-    def c1_minus_c2(self):
-        """c1 - c2, the zeroth-order weight of L1, formed once."""
-        return self.c1 - self.c2
+    def l1_form(self):
+        """L1 = -div(abar grad) + (c1 - c2)."""
+        return EnergyForm(self.abar, self.c1 - self.c2)
+
+    @cached_property
+    def split_form(self):
+        """The coercivity split form: <v>^g along v, <v>^{g+2} across it and
+        on f."""
+        g = self.params.gamma
+        weight = UniaxialField(self.grid, self.grid.bracket_weight(g),
+                               self.grid.bracket_weight(g + 2.0))
+        return EnergyForm(weight, weight.across)
+
+    @property
+    def invariants(self):
+        """Orthonormal basis of the invariants mu^{1/2} (1, v, |v|^2), the
+        null space of L; built on each read, so only its reader holds it."""
+        grid, mh = self.grid, self.mu_half.values
+        basis = []
+        for c in (mh, *(np.asarray(v) * mh for v in grid.coords), grid.radius_sq * mh):
+            f = ScalarField(grid, c)
+            for b in basis:
+                f = f - inner_product(f, b) * b
+            basis.append((1.0 / l2_norm(f)) * f)
+        return tuple(basis)
 
 
 def c2_tolerance(grid, quad):

@@ -24,7 +24,7 @@ from .evolution import (SourceModel, derivative_ladder, evolve,
 from .field import ScalarField, envelope_boundary_ratio, l2_norm, random_field
 from .grid import VelocityGrid
 from .kernel import (KernelParams, QuadratureSpec, build_coefficients,
-                     collision_invariant_basis, project_off_invariants)
+                     project_off_invariants)
 from .operator import make_context
 
 
@@ -62,57 +62,54 @@ class RunResources:
             cfg.f0_envelope_width)
 
     @cached_property
-    def _datum(self):
-        cfg = self.cfg
-        f0 = random_field(self.grid, cfg.verify_seed, cfg.f0_bandlimit,
+    def _inputs(self):
+        """The datum and the forcing, projected off one collision-invariant
+        basis that is dropped once they are built, before any propagation."""
+        cfg, grid = self.cfg, self.grid
+        basis = self.coeffs.invariants
+        f0 = random_field(grid, cfg.verify_seed, cfg.f0_bandlimit,
                           cfg.f0_envelope_width, cfg.f0_spectral_decay)
-        basis = collision_invariant_basis(self.grid, self.params)
-        f0 = project_off_invariants(f0, self.params, basis)
+        f0 = project_off_invariants(f0, basis)
         # the invariants themselves reach the outer shell; a datum that
         # reaches it further than they do is cut off by the box
         floor = max(envelope_boundary_ratio(b) for b in basis)
-        del basis
         ratio = envelope_boundary_ratio(f0)
         if ratio > floor:
             self.log(f"warning: initial datum boundary shell ratio {ratio:.2e} "
                      f"exceeds the collision invariants' {floor:.2e}")
-        return cfg.f0_scale * ((1.0 / l2_norm(f0)) * f0)
+        datum = cfg.f0_scale * ((1.0 / l2_norm(f0)) * f0)
+        if cfg.source_amplitude == 0.0:
+            return datum, SourceModel.zero(grid)
+
+        def prepared(vals):
+            f = ScalarField(grid, vals)
+            f = project_off_invariants((1.0 / l2_norm(f)) * f, basis)
+            return (1.0 / l2_norm(f)) * f
+
+        phi = prepared(np.exp(-grid.radius_sq / (2.0 * cfg.source_width ** 2)))
+        if cfg.source_profile == "blend":
+            vx = np.asarray(grid.component(0))
+            vy = np.asarray(grid.component(1))
+            k0 = cfg.source_wavenumber
+            width = min(cfg.source_width, 1.3)
+            packet = (np.cos(k0 * vx) * np.cos(k0 * vy)
+                      * np.exp(-grid.radius_sq / (2.0 * width ** 2)))
+            # unit parts mixed after projection, then renormalized
+            mix = phi + cfg.source_blend_ratio * prepared(packet)
+            phi = (1.0 / l2_norm(mix)) * mix
+        return datum, SourceModel(phi, rate=cfg.source_tau_rate,
+                                  amplitude=cfg.source_amplitude)
 
     def initial_datum(self):
         """The rough random datum, projected off the collision invariants
         and scaled to norm f0.scale; drawn once per resources."""
-        return self._datum
-
-    @cached_property
-    def _source(self):
-        cfg = self.cfg
-        if cfg.source_amplitude == 0.0:
-            return SourceModel.zero(self.grid)
-
-        def prepared(vals):
-            f = ScalarField(self.grid, vals)
-            f = project_off_invariants((1.0 / l2_norm(f)) * f, self.params)
-            return (1.0 / l2_norm(f)) * f
-
-        phi = prepared(np.exp(-self.grid.radius_sq / (2.0 * cfg.source_width ** 2)))
-        if cfg.source_profile == "blend":
-            vx = np.asarray(self.grid.component(0))
-            vy = np.asarray(self.grid.component(1))
-            k0 = cfg.source_wavenumber
-            width = min(cfg.source_width, 1.3)
-            packet = (np.cos(k0 * vx) * np.cos(k0 * vy)
-                      * np.exp(-self.grid.radius_sq / (2.0 * width ** 2)))
-            # unit parts mixed after projection, then renormalized
-            mix = phi + cfg.source_blend_ratio * prepared(packet)
-            phi = (1.0 / l2_norm(mix)) * mix
-        return SourceModel(phi, rate=cfg.source_tau_rate,
-                           amplitude=cfg.source_amplitude)
+        return self._inputs[0]
 
     def source_model(self):
         """The forcing amplitude e^{-rate t} phi, with phi a unit Gaussian
         or blend projected off the collision invariants; built once per
         resources."""
-        return self._source
+        return self._inputs[1]
 
     @cached_property
     def trajectory(self):

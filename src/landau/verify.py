@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import DegenerateRatioError, FitDegenerateError
 from .evolution import RUNG_PANELS, SEGMENT_SAMPLES
-from .field import (ScalarField, a_norm, a_norm_sq, form_energy, form_operator,
-                    gradient, inner_product, l2_norm, random_field, weighted_norm)
+from .field import (ScalarField, a_norm, a_norm_sq, gradient, inner_product,
+                    l2_norm, random_field, weighted_norm)
 from .kernel import (c2_tolerance, convolve_separable, kernel_first_derivatives,
                      kernel_matrix_batch, kernel_second_derivatives,
                      tabulate_divergence_kernels, tabulate_radial_kernel)
@@ -346,21 +346,23 @@ def member_pass(ctx, ensemble):
     coeffs = ctx.coeffs
     g = coeffs.params.gamma
     partners = _pairing(len(ensemble))
-    coeffs.split_weight  # built once, here, not lazily in each thread
+    # the three forms, built once here, not lazily in each thread
+    coeffs.a_form
+    l1_potential, split = coeffs.l1_form.potential, coeffs.split_form
 
     def scalars(i):
         f = ensemble[i]
         grad = gradient(f)
         l1 = apply_L1(f, coeffs, grad=grad)
         l2 = apply_L2(f, ctx.engine, coeffs)
-        potential = ScalarField(f.grid, coeffs.c1_minus_c2 * f.values)
+        potential = ScalarField(f.grid, l1_potential * f.values)
         pairs = []
         for j in partners[i]:
             l1_j = inner_product(l1, ensemble[j])
             pairs.append((l1_j, inner_product(l2, ensemble[j]),
                           l1_j - inner_product(potential, ensemble[j])))
         return (a_norm_sq(f, coeffs, grad), weighted_norm(f, 2, 0.5 * g),
-                weighted_norm(f, 3, 0.5 * g), _split_energy(f, coeffs, grad),
+                weighted_norm(f, 3, 0.5 * g), split.energy(f, grad),
                 *zip(*pairs))
 
     rows = map_on_cores(scalars, range(len(ensemble)))
@@ -371,14 +373,6 @@ def member_pass(ctx, ensemble):
 # coercivity
 # ---------------------------------------------------------------------------
 
-def _split_energy(f, coeffs, grad=None):
-    """Denominator of the coercivity quotient: the projection-split
-    weighted Sobolev form <v>^g |P grad f|^2 + <v>^{g+2}(|(I-P) grad f|^2 + f^2),
-    P = vhat vhat^T, i.e. the form (split weight, <v>^{g+2})."""
-    split = coeffs.split_weight
-    return form_energy(f, split, split.across, grad)
-
-
 def _quotient(num, den):
     if den < 1e-14:
         raise DegenerateRatioError("split-energy denominator below 1e-14")
@@ -387,18 +381,7 @@ def _quotient(num, den):
 
 def coercivity_quotient(f, coeffs, grad=None):
     grad = gradient(f) if grad is None else grad
-    return _quotient(a_norm_sq(f, coeffs, grad), _split_energy(f, coeffs, grad))
-
-
-def _split_energy_operator(f, coeffs, grad):
-    """Self-adjoint operator of the split form, for descent gradients."""
-    split = coeffs.split_weight
-    return form_operator(f, split, split.across, grad)
-
-
-def _a_form_operator(f, coeffs, grad):
-    """Self-adjoint operator of the energy form: -div(Abar grad f) + c1 f."""
-    return form_operator(f, coeffs.abar, coeffs.c1, grad)
+    return _quotient(a_norm_sq(f, coeffs, grad), coeffs.split_form.energy(f, grad))
 
 
 def estimate_coercivity(coeffs, members):
@@ -413,9 +396,9 @@ def estimate_coercivity(coeffs, members):
     grad = gradient(f)
     r = coercivity_quotient(f, coeffs, grad)
     for _ in range(DESCENT_STEPS):
-        num_op = _a_form_operator(f, coeffs, grad)
-        den_op = _split_energy_operator(f, coeffs, grad)
-        den = _split_energy(f, coeffs, grad)
+        num_op = coeffs.a_form.apply(f, grad)
+        den_op = coeffs.split_form.apply(f, grad)
+        den = coeffs.split_form.energy(f, grad)
         grad_dir = (2.0 / den) * (num_op - r * den_op)
         gn = l2_norm(grad_dir)
         if gn < 1e-14:

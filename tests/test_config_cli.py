@@ -331,6 +331,39 @@ def test_cli_missing_config_exit_code(tmp_path):
     assert rc == 2
 
 
+def test_cli_negative_seed_exit_code(small_run_config, capsys):
+    # before, numpy refused the seed with a ValueError traceback as soon as
+    # the kernel suite drew its points
+    cfg_path, out_dir = small_run_config
+    with open(cfg_path) as fh:
+        text = fh.read().replace("verify.seed = 42", "verify.seed = -3")
+    with open(cfg_path, "w") as fh:
+        fh.write(text)
+    for command in ("verify", "report"):
+        assert cli.main([command, "--config", cfg_path]) == 2
+        assert "verify.seed must be >= 0" in capsys.readouterr().err
+    assert not os.path.exists(out_dir)
+
+
+def test_cli_non_utf8_config_exit_code(tmp_path, capsys):
+    # before, UnicodeDecodeError escaped load_config as a traceback
+    bad = tmp_path / "latin1.cfg"
+    bad.write_bytes(MINIMAL.encode() + "# r\xe9f\xe9rence\n".encode("latin-1"))
+    assert cli.main(["verify", "--config", str(bad)]) == 2
+    assert "cannot read config" in capsys.readouterr().err
+
+
+def test_cli_out_dir_is_a_file_exit_code(small_run_config, tmp_path, capsys):
+    # before, FileExistsError escaped the out dir's creation as a traceback
+    cfg_path, _ = small_run_config
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    for out in (taken, taken / "sub"):
+        assert cli.main(["verify", "--config", cfg_path, "--out", str(out)]) == 2
+        assert "cannot make out dir" in capsys.readouterr().err
+    assert taken.read_text() == "not a directory\n"
+
+
 def test_cli_verify_writes_trajectory(small_run_config, tmp_path, monkeypatch):
     cfg_path, out_dir = small_run_config
     # no run writes outside its out dir; LANDAU_CACHE is not read
@@ -415,6 +448,30 @@ def test_cli_report_refuses_mixed_fingerprints(small_run_config, capsys):
     assert "report_other.json" in capsys.readouterr().err
     assert not os.path.exists(os.path.join(out_dir, "summary.md"))
     os.remove(os.path.join(out_dir, "report_other.json"))
+    assert cli.main(["report", "--config", cfg_path]) == 0
+
+
+def test_cli_report_refuses_unreadable_reports(small_run_config, capsys):
+    # before, a truncated report died on JSONDecodeError and one without a
+    # suite on KeyError, both as tracebacks
+    cfg_path, out_dir = small_run_config
+    assert cli.main(["verify", "--config", cfg_path, "--suite", "kernel"]) == 0
+    with open(os.path.join(out_dir, "report_kernel.json")) as fh:
+        text = fh.read()
+    doc = json.loads(text)
+    del doc["suite"]
+    for bad in (text[:100], json.dumps(doc), "[]"):
+        with open(os.path.join(out_dir, "report_other.json"), "w") as fh:
+            fh.write(bad)
+        assert cli.main(["report", "--config", cfg_path]) == cli.EXIT_STALE_REPORT
+        assert "unreadable report report_other.json" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(out_dir, "summary.md"))
+    os.remove(os.path.join(out_dir, "report_other.json"))
+    # a directory named like a report cannot be opened as one
+    os.mkdir(os.path.join(out_dir, "report_other.json"))
+    assert cli.main(["report", "--config", cfg_path]) == cli.EXIT_STALE_REPORT
+    assert "unreadable report report_other.json" in capsys.readouterr().err
+    os.rmdir(os.path.join(out_dir, "report_other.json"))
     assert cli.main(["report", "--config", cfg_path]) == 0
 
 

@@ -13,7 +13,7 @@ from landau.config import load_config, parse_config_text
 from landau.errors import ConfigError, DegenerateRatioError, FitDegenerateError
 from landau.evolution import (SEGMENT_SAMPLES, DerivativeLadder, SourceModel,
                               derivative_ladder, evolve)
-from landau.field import (VectorField, a_norm_sq, divergence, gradient,
+from landau.field import (EnergyForm, VectorField, a_norm_sq, divergence, gradient,
                           inner_product, l2_norm, random_field, weighted_norm,
                           zeros)
 from landau.operator import apply_L1, apply_L2
@@ -149,9 +149,9 @@ def test_split_form_matches_projector_formulas(small_coeffs, seed):
     f = random_field(small_coeffs.grid, seed, bandlimit=5)
     grad = gradient(f)
     energy, op = _split_form_by_projector(f, grad, small_coeffs.params.gamma)
-    assert verify._split_energy(f, small_coeffs) == pytest.approx(energy,
-                                                                  rel=1e-14)
-    got = verify._split_energy_operator(f, small_coeffs, grad).values
+    split = small_coeffs.split_form
+    assert split.energy(f) == pytest.approx(energy, rel=1e-14)
+    got = split.apply(f, grad).values
     assert np.max(np.abs(got - op)) <= 1e-14 * np.max(np.abs(op))
 
 
@@ -163,7 +163,7 @@ def test_a_form_operator_matches_assembled_abar(small_coeffs):
                      grad.comps)
     want = (-divergence(VectorField(f.grid, flux)).values
             + small_coeffs.c1 * f.values)
-    got = verify._a_form_operator(f, small_coeffs, grad).values
+    got = small_coeffs.a_form.apply(f, grad).values
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
@@ -225,7 +225,7 @@ def test_member_pass_matches_public_functions(small_ctx, ensemble, members):
         assert members.a_sq[i] == a_norm_sq(f, coeffs)
         assert members.s[i] == weighted_norm(f, 2, 0.5 * g)
         assert members.s3[i] == weighted_norm(f, 3, 0.5 * g)
-        assert members.den[i] == verify._split_energy(f, coeffs)
+        assert members.den[i] == coeffs.split_form.energy(f)
         assert members.l1ff[i] == inner_product(l1, f)
         assert members.l2ff[i] == inner_product(l2, f)
         flux = coeffs.abar.apply(gradient(f))
@@ -304,10 +304,12 @@ def test_coercivity_descent_equals_fresh_gradients(small_coeffs, members,
     shared = estimate_coercivity(small_coeffs, members)
     consts = {c["name"]: c["value"] for c in shared.constants}
     assert consts["C1"] < consts["C1_sample_min"]  # the descent moved
-    for name in ("_a_form_operator", "_split_energy_operator",
-                 "_split_energy", "coercivity_quotient"):
-        monkeypatch.setattr(verify, name, lambda f, coeffs, grad=None,
-                            fn=getattr(verify, name): fn(f, coeffs, gradient(f)))
+    for name in ("energy", "apply"):
+        monkeypatch.setattr(EnergyForm, name, lambda form, f, grad=None,
+                            fn=getattr(EnergyForm, name): fn(form, f, gradient(f)))
+    monkeypatch.setattr(verify, "coercivity_quotient",
+                        lambda f, coeffs, grad=None, fn=verify.coercivity_quotient:
+                        fn(f, coeffs, gradient(f)))
     fresh = estimate_coercivity(small_coeffs, members)
     assert fresh == shared
 
@@ -427,6 +429,36 @@ def test_boundary_shell_warning_against_invariants(N):
         logged = []
         RunResources(cfg, log=logged.append).initial_datum()
         assert sum("boundary shell" in line for line in logged) == warnings
+
+
+def test_run_resources_build_the_invariants_once(monkeypatch):
+    # the datum and both parts of the blend forcing are projected off one
+    # basis: Gram-Schmidt normalizes its five vectors once per resources,
+    # nothing keeps the basis once they are built, and what it projected
+    # is orthogonal to it
+    cfg = dataclasses.replace(load_config(REFERENCE_CFG), grid_N=16,
+                              f0_bandlimit=5)
+    assert cfg.source_profile == "blend"
+    norms, used = [], []
+    monkeypatch.setattr(kernel, "l2_norm",
+                        lambda f: norms.append(f) or l2_norm(f))
+    project = suites.project_off_invariants
+    monkeypatch.setattr(suites, "project_off_invariants", lambda f, basis: (
+        used.extend(weakref.ref(b) for b in basis) or project(f, basis)))
+    res = RunResources(cfg, log=None)
+    fields = (res.initial_datum(), res.source_model().phi)
+    assert len(norms) == 5
+    assert len(used) == 3 * 5
+    gc.collect()
+    assert all(ref() is None for ref in used)
+    basis = res.coeffs.invariants
+    assert len(basis) == 5
+    for f in fields:
+        for b in basis:
+            assert abs(inner_product(f, b)) <= 1e-13 * l2_norm(f)
+    for i, b in enumerate(basis):
+        for j, c in enumerate(basis):
+            assert inner_product(b, c) == pytest.approx(float(i == j), abs=1e-13)
 
 
 def test_run_resources_validate_their_config():
