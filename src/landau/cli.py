@@ -6,10 +6,11 @@ Commands: verify (a JSON report per suite; when the energy or smoothing
 suite ran, also the trajectory it read: energy.csv, snapshot_t<t>.fld and
 ladder_t<t>.csv at the configured times), report (merged markdown summary
 of the reports in the out dir).
-Exit codes: 0 ok, 2 bad config or out dir, 3 numerical failure, 4 suite
-failure, 5 report refused: a report_*.json in the out dir is unreadable or
-was written under another config fingerprint (such reports are never merged).
-Commands write only into the out dir and build the coefficients afresh.
+Exit codes: 0 ok, 2 bad config or out dir (verify cannot make it, report
+finds none), 3 numerical failure, 4 suite failure, 5 report refused: a
+report_*.json in the out dir is unreadable or was written under another
+config fingerprint (such reports are never merged).  Commands write only
+into the out dir; verify makes it and builds the coefficients afresh.
 """
 
 import argparse
@@ -19,7 +20,7 @@ import os
 import sys
 
 from . import persist
-from .config import load_config
+from .config import fingerprint, load_config
 from .errors import ConfigError, LandauError
 from .suites import RunResources, run_suites
 
@@ -47,16 +48,6 @@ def _timestamp():
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
-def _prepare(args):
-    cfg = load_config(args.config)
-    out_dir = args.out or cfg.io_out_dir
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot make out dir {out_dir!r}: {exc}") from None
-    return cfg, RunResources(cfg, log=print), out_dir
-
-
 def _write_trajectory(res, out_dir):
     """The energy log, snapshots and ladders the energy and smoothing
     suites read; each snapshot header names the segment ending at it."""
@@ -74,7 +65,13 @@ def _write_trajectory(res, out_dir):
 
 
 def cmd_verify(args):
-    cfg, res, out_dir = _prepare(args)
+    cfg = load_config(args.config)
+    out_dir = args.out or cfg.io_out_dir
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make out dir {out_dir!r}: {exc}") from None
+    res = RunResources(cfg, log=print)
     names = (args.suite,) if args.suite else cfg.verify_suites
     reports = run_suites(names, res)
     if {"energy", "smoothing"} & set(names):
@@ -90,7 +87,11 @@ def cmd_verify(args):
 
 
 def cmd_report(args):
-    cfg, res, out_dir = _prepare(args)
+    cfg = load_config(args.config)
+    out_dir = args.out or cfg.io_out_dir
+    if not os.path.isdir(out_dir):
+        raise ConfigError(f"no out dir {out_dir!r} to report on")
+    expected = fingerprint(cfg)
     rows = []
     constants = []
     for name in sorted(os.listdir(out_dir)):
@@ -107,12 +108,12 @@ def cmd_report(args):
         except (OSError, ValueError, KeyError, TypeError) as exc:
             print(f"unreadable report {name}: {exc!r}", file=sys.stderr)
             return EXIT_STALE_REPORT
-        if stamp != res.fingerprint:
+        if stamp != expected:
             print(f"stale report {name}: fingerprint {stamp!r}"
-                  f" is not the config's {res.fingerprint!r}", file=sys.stderr)
+                  f" is not the config's {expected!r}", file=sys.stderr)
             return EXIT_STALE_REPORT
     lines = ["# verification summary", "",
-             f"config fingerprint: `{res.fingerprint}`", ""]
+             f"config fingerprint: `{expected}`", ""]
     def fmt(x):
         return f"{x:.6g}" if isinstance(x, (int, float)) else "-"
 

@@ -77,6 +77,14 @@ def l2_norm(f):
     return math.sqrt(max(inner_product(f, f), 0.0))
 
 
+def normalized(f):
+    """f / ||f||; a norm below 1e-14 raises DegenerateRatioError."""
+    n = l2_norm(f)
+    if n < 1e-14:
+        raise DegenerateRatioError("field of vanishing norm")
+    return (1.0 / n) * f
+
+
 def weighted_norm(f, p, ell=0.0):
     """Discrete ||<v>^ell f||_{L^p} over the grid, p in {2, 3}, by the
     cell quadrature (sum <v>^{p ell} |f|^p h^3)^{1/p}."""

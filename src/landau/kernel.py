@@ -5,18 +5,21 @@ The interaction kernel is
     a_jk(v) = (delta_jk |v|^2 - v_j v_k) |v|^gamma,   -3 < gamma < 0,
 
 a positive semidefinite projection off the v direction scaled by |v|^{gamma+2}.
-The smoothed diffusion matrix abar = a * mu (Gaussian-weighted convolution)
-is stored as its two radial profiles, the eigenvalue l_par along v and the
-double eigenvalue l_perp across it (`UniaxialField`).  With the polar axis
-along v, the azimuthal and the polar integrals are both in closed form; only
-the radial integral, with its r^{gamma+4} endpoint singularity, is a
-Gauss-Legendre rule, checked by doubling its order.  c1 and c2 follow from
-l_par alone, as abar v = l_par v.  The c2 cross-check convolves the separable
-fields v_k mu with the pad-2 b tables by three 1-d Toeplitz passes, without
-wrap or spectra.  The kernel tables' origin cell is the exact cell average.
-The coefficient set names the forms of the estimates and builds the invariants.
+`kernel_entries` writes it once, for the operator's tables and the checked
+batch form; its derivatives follow by the product rule on a = |v|^gamma P.
+The smoothed diffusion matrix abar = a * mu is stored as its two radial
+profiles, the eigenvalue l_par along v and the double eigenvalue l_perp
+across it (`UniaxialField`).  With the polar axis along v, the azimuthal and
+the polar integrals are both in closed form; only the radial integral, with
+its r^{gamma+4} endpoint singularity, is a Gauss-Legendre rule, checked by
+doubling its order.  c1 and c2 follow from l_par alone, as abar v = l_par v.
+The c2 cross-check convolves the separable fields v_k mu with the pad-2 b
+tables by three 1-d Toeplitz passes, without wrap or spectra.  The kernel
+tables' origin cell is the exact cell average.  The coefficient set names
+the forms of the estimates and builds the invariants.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
@@ -24,12 +27,13 @@ from functools import cached_property
 import numpy as np
 
 from .errors import CrossCheckError, QuadratureError
-from .field import EnergyForm, ScalarField, VectorField, inner_product, l2_norm
+from .field import EnergyForm, ScalarField, VectorField, inner_product, normalized
 from .grid import AXIS_OF_COMPONENT, VelocityGrid
 
-# position of a_jk among the six a-tables (xx, yy, zz, xy, xz, yz)
-_SYM_INDEX = {(0, 0): 0, (1, 1): 1, (2, 2): 2,
-              (0, 1): 3, (1, 0): 3, (0, 2): 4, (2, 0): 4, (1, 2): 5, (2, 1): 5}
+# the six distinct a_jk in the order of the a-tables (xx, yy, zz, xy, xz,
+# yz), and the position of a_jk and a_kj among them
+_PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
+_SYM_INDEX = {pair: i for i, (j, k) in enumerate(_PAIRS) for pair in ((j, k), (k, j))}
 
 
 @dataclass(frozen=True)
@@ -75,62 +79,64 @@ class QuadratureSpec:
 # kernel evaluation
 # ---------------------------------------------------------------------------
 
+def kernel_entries(u, gamma):
+    """Yield the six distinct a_jk(u) = |u|^gamma (delta_jk |u|^2 - u_j u_k)
+    in the order of _PAIRS, one array at a time, from broadcastable
+    coordinates u = (u_x, u_y, u_z).  The operator's a-tables and
+    `kernel_matrix_batch` are both filled from here."""
+    ux, uy, uz = u
+    n2 = (ux * ux + uy * uy) + uz * uz
+    ng = n2 ** (0.5 * gamma)
+    ngp2 = ng * n2
+    for j, k in _PAIRS:
+        yield ngp2 - ng * u[j] * u[j] if j == k else -ng * u[j] * u[k]
+
+
 def kernel_matrix_batch(points, gamma):
     """a_jk at an array of points, shape (..., 3) -> (..., 3, 3)."""
     pts = np.asarray(points, dtype=float)
-    n2 = np.sum(pts * pts, axis=-1)
-    ng = n2 ** (0.5 * gamma)
-    out = -ng[..., None, None] * (pts[..., :, None] * pts[..., None, :])
-    idx = np.arange(3)
-    out[..., idx, idx] += (ng * n2)[..., None]
+    out = np.empty(pts.shape + (3,))
+    for (j, k), a in zip(_PAIRS, kernel_entries(np.moveaxis(pts, -1, 0), gamma)):
+        out[..., j, k] = out[..., k, j] = a
     return out
+
+
+# d_m d_l P_jk indexed [m, l, j, k], constant as P = |v|^2 I - v v^T is
+# quadratic, so that d_l P = v_m d_m d_l P
+_EYE = np.eye(3)
+_P_SECOND = (2.0 * np.einsum("ml,jk->mljk", _EYE, _EYE)
+             - np.einsum("jl,km->mljk", _EYE, _EYE)
+             - np.einsum("jm,kl->mljk", _EYE, _EYE))
+
+
+def _product_factors(points, gamma):
+    """v, |v|^2, and the factors of a = w P with their first derivatives:
+    w = |v|^gamma, w_l, P = a at gamma = 0 and P_l indexed [..., l, j, k]."""
+    v = np.asarray(points, dtype=float)
+    n2 = np.sum(v * v, axis=-1)
+    w1 = (gamma * n2 ** (0.5 * gamma - 1.0))[..., None] * v
+    return (v, n2, n2 ** (0.5 * gamma), w1, kernel_matrix_batch(v, 0.0),
+            np.tensordot(v, _P_SECOND, axes=1))
 
 
 def kernel_first_derivatives(points, gamma):
-    """d_l a_jk at points (..., 3) -> (..., 3, 3, 3) indexed [l, j, k]."""
-    pts = np.asarray(points, dtype=float)
-    n2 = np.sum(pts * pts, axis=-1)
-    ng = n2 ** (0.5 * gamma)
-    ngm2 = n2 ** (0.5 * gamma - 1.0)
-    eye = np.eye(3)
-    vl = pts[..., :, None, None]
-    vj = pts[..., None, :, None]
-    vk = pts[..., None, None, :]
-    t1 = (gamma + 2.0) * ng[..., None, None, None] * eye[None, :, :] * vl
-    t2 = -ng[..., None, None, None] * (
-        eye[:, :, None][None] * vk + eye[:, None, :][None] * vj
-    )
-    t3 = -gamma * ngm2[..., None, None, None] * vj * vk * vl
-    return t1 + t2 + t3
+    """d_l a_jk at points (..., 3) -> (..., 3, 3, 3) indexed [l, j, k], by the
+    product rule on a = w P: d_l a = w_l P + w P_l."""
+    _, _, w, w1, p, p1 = _product_factors(points, gamma)
+    return w1[..., :, None, None] * p[..., None, :, :] + w[..., None, None, None] * p1
 
 
 def kernel_second_derivatives(points, gamma):
-    """d_m d_l a_jk at points (..., 3) -> (..., 3, 3, 3, 3) indexed [m, l, j, k]."""
-    pts = np.asarray(points, dtype=float)
-    n2 = np.sum(pts * pts, axis=-1)
-    ng = n2 ** (0.5 * gamma)
-    ngm2 = n2 ** (0.5 * gamma - 1.0)
-    ngm4 = n2 ** (0.5 * gamma - 2.0)
-    eye = np.eye(3)
-    v = pts
-    sh = pts.shape[:-1]
-    out = np.zeros(sh + (3, 3, 3, 3))
-    for m in range(3):
-        for l in range(3):
-            for j in range(3):
-                for k in range(3):
-                    t = (gamma + 2.0) * eye[j, k] * (
-                        gamma * ngm2 * v[..., m] * v[..., l] + ng * eye[l, m]
-                    )
-                    t -= (eye[j, l] * eye[k, m] + eye[k, l] * eye[j, m]) * ng
-                    t -= gamma * ngm2 * (eye[j, l] * v[..., k] + eye[k, l] * v[..., j]) * v[..., m]
-                    t -= gamma * (
-                        (eye[j, m] * v[..., k] + eye[k, m] * v[..., j]) * v[..., l] * ngm2
-                        + v[..., j] * v[..., k]
-                        * ((gamma - 2.0) * ngm4 * v[..., m] * v[..., l] + ngm2 * eye[l, m])
-                    )
-                    out[..., m, l, j, k] = t
-    return out
+    """d_m d_l a_jk at points (..., 3) -> (..., 3, 3, 3, 3) indexed [m, l, j, k],
+    by the product rule: d_m d_l a = w_lm P + w_l P_m + w_m P_l + w P_lm."""
+    v, n2, w, w1, p, p1 = _product_factors(points, gamma)
+    w2 = ((gamma * (gamma - 2.0) * n2 ** (0.5 * gamma - 2.0))[..., None, None]
+          * (v[..., :, None] * v[..., None, :])
+          + (gamma * n2 ** (0.5 * gamma - 1.0))[..., None, None] * _EYE)
+    cross = w1[..., :, None, None, None] * p1[..., None, :, :, :]  # w_m P_l
+    return (w2[..., :, :, None, None] * p[..., None, None, :, :]
+            + cross + np.swapaxes(cross, -4, -3)
+            + w[..., None, None, None, None] * _P_SECOND)
 
 
 def maxwellian_field(grid, params):
@@ -471,25 +477,18 @@ def tabulate_fft_kernels(grid, params, pad=1):
     """Tabulate b_j(u) = sum_k d_k a_jk(u) and a_jk(u) on the shift lattice."""
     m = pad * grid.N
     tables = np.empty((9, m, m, m))
-    for j, b in enumerate(divergence_kernels(grid, params, pad)):
-        tables[j] = b
-    (ux, uy, uz), n2 = _lattice_squares(grid, pad)
-    ng = n2 ** (0.5 * params.gamma)
-    ngp2 = ng * n2
-
-    comps = tables[3:]
-    comps[0] = ngp2 - ng * ux * ux
-    comps[1] = ngp2 - ng * uy * uy
-    comps[2] = ngp2 - ng * uz * uz
-    comps[3] = -ng * ux * uy
-    comps[4] = -ng * ux * uz
-    comps[5] = -ng * uy * uz
+    # next(), not enumerate, whose cached result holds each table while the
+    # next is formed; the zero shift of a_jk is 0/0 here and rewritten below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        comps = itertools.chain(divergence_kernels(grid, params, pad), kernel_entries(
+            _lattice_squares(grid, pad)[0], params.gamma))
+        for table in tables:
+            table[...] = next(comps)
     # zero-shift regularization: cell average of the radial factor; the
     # direction average of (I - uhat uhat^T) over the symmetric cell is (2/3) I
     avg = cell_average_radial_power(params.gamma + 2.0, grid.h)
-    comps[:3, 0, 0, 0] = (2.0 / 3.0) * avg
-    comps[3:, 0, 0, 0] = 0.0
-
+    tables[3:6, 0, 0, 0] = (2.0 / 3.0) * avg
+    tables[6:, 0, 0, 0] = 0.0
     return KernelTables(grid, params, pad, tables)
 
 
@@ -548,10 +547,8 @@ class LandauCoefficients:
         grid, mh = self.grid, self.mu_half.values
         basis = []
         for c in (mh, *(np.asarray(v) * mh for v in grid.coords), grid.radius_sq * mh):
-            f = ScalarField(grid, c)
-            for b in basis:
-                f = f - inner_product(f, b) * b
-            basis.append((1.0 / l2_norm(f)) * f)
+            f = project_off_invariants(ScalarField(grid, c), basis)
+            basis.append(normalized(f))
         return tuple(basis)
 
 

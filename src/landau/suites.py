@@ -21,7 +21,7 @@ from .config import fingerprint, validate_config
 from .errors import ConfigError
 from .evolution import (SourceModel, derivative_ladder, evolve,
                         measure_source_bound)
-from .field import ScalarField, envelope_boundary_ratio, l2_norm, random_field
+from .field import ScalarField, envelope_boundary_ratio, normalized, random_field
 from .grid import VelocityGrid
 from .kernel import (KernelParams, QuadratureSpec, build_coefficients,
                      project_off_invariants)
@@ -77,14 +77,13 @@ class RunResources:
         if ratio > floor:
             self.log(f"warning: initial datum boundary shell ratio {ratio:.2e} "
                      f"exceeds the collision invariants' {floor:.2e}")
-        datum = cfg.f0_scale * ((1.0 / l2_norm(f0)) * f0)
+        datum = cfg.f0_scale * normalized(f0)
         if cfg.source_amplitude == 0.0:
             return datum, SourceModel.zero(grid)
 
         def prepared(vals):
-            f = ScalarField(grid, vals)
-            f = project_off_invariants((1.0 / l2_norm(f)) * f, basis)
-            return (1.0 / l2_norm(f)) * f
+            unit = normalized(ScalarField(grid, vals))
+            return normalized(project_off_invariants(unit, basis))
 
         phi = prepared(np.exp(-grid.radius_sq / (2.0 * cfg.source_width ** 2)))
         if cfg.source_profile == "blend":
@@ -96,7 +95,7 @@ class RunResources:
                       * np.exp(-grid.radius_sq / (2.0 * width ** 2)))
             # unit parts mixed after projection, then renormalized
             mix = phi + cfg.source_blend_ratio * prepared(packet)
-            phi = (1.0 / l2_norm(mix)) * mix
+            phi = normalized(mix)
         return datum, SourceModel(phi, rate=cfg.source_tau_rate,
                                   amplitude=cfg.source_amplitude)
 

@@ -18,10 +18,11 @@ import numpy as np
 from .errors import DegenerateRatioError, FitDegenerateError
 from .evolution import RUNG_PANELS, SEGMENT_SAMPLES
 from .field import (ScalarField, a_norm, a_norm_sq, gradient, inner_product,
-                    l2_norm, random_field, weighted_norm)
-from .kernel import (c2_tolerance, convolve_separable, kernel_first_derivatives,
-                     kernel_matrix_batch, kernel_second_derivatives,
-                     tabulate_divergence_kernels, tabulate_radial_kernel)
+                    l2_norm, normalized, random_field, weighted_norm)
+from .kernel import (_PAIRS, _lattice_squares, c2_tolerance, convolve_separable,
+                     kernel_first_derivatives, kernel_matrix_batch,
+                     kernel_second_derivatives, tabulate_divergence_kernels,
+                     tabulate_radial_kernel)
 from .operator import apply_L1, apply_L2
 
 MIN_ENSEMBLE = 64
@@ -76,13 +77,6 @@ class VerificationReport:
 # ensembles
 # ---------------------------------------------------------------------------
 
-def _normalized(field):
-    n = l2_norm(field)
-    if n < 1e-14:
-        raise DegenerateRatioError("probe collapsed to zero")
-    return (1.0 / n) * field
-
-
 def deterministic_probes(grid):
     """Radial Gaussians plus oscillatory packets at several radii."""
     probes = []
@@ -91,12 +85,12 @@ def deterministic_probes(grid):
     vy = np.asarray(grid.component(1))
     vz = np.asarray(grid.component(2))
     for w in (1.0, 2.0):
-        probes.append(_normalized(ScalarField(grid, np.exp(-r2 / (2.0 * w * w)))))
+        probes.append(normalized(ScalarField(grid, np.exp(-r2 / (2.0 * w * w)))))
     for (cx, cy, cz), k in (((0.0, 0.0, 0.0), 2.0), ((2.0, 0.0, 0.0), 3.0),
                             ((0.0, 3.0, 0.0), 5.0), ((3.0, 3.0, 0.0), 4.0)):
         bump = np.exp(-((vx - cx) ** 2 + (vy - cy) ** 2 + (vz - cz) ** 2) / 2.0)
-        probes.append(_normalized(ScalarField(grid, np.cos(k * vx) * bump)))
-        probes.append(_normalized(ScalarField(grid, np.sin(k * (vx + vy) / math.sqrt(2.0)) * bump)))
+        probes.append(normalized(ScalarField(grid, np.cos(k * vx) * bump)))
+        probes.append(normalized(ScalarField(grid, np.sin(k * (vx + vy) / math.sqrt(2.0)) * bump)))
     return probes
 
 
@@ -174,7 +168,7 @@ def check_coefficient_bounds(coeffs):
     k_first = 0.0
     k_second = 0.0
     abar = coeffs.abar
-    for j, k in ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)):
+    for j, k in _PAIRS:
         # abar_jk = l_perp delta_jk + (l_par - l_perp) vhat_j vhat_k
         comp = abar.excess * abar.vhat[j] * abar.vhat[k]
         if j == k:
@@ -207,10 +201,10 @@ def check_coefficient_bounds(coeffs):
     # nonzero shifts
     b_comps = tabulate_divergence_kernels(grid, coeffs.params, pad=1)
     m = grid.N
-    offs = np.fft.fftfreq(m) * m * h
     flat = rng.integers(1, m ** 3, size=COEFFICIENT_SAMPLES)
     iz, iy, ix = np.unravel_index(flat, (m, m, m))
-    shifts = np.stack([offs[ix], offs[iy], offs[iz]], axis=-1)
+    ux, uy, uz = (c.reshape(-1) for c in _lattice_squares(grid, 1)[0])
+    shifts = np.stack([ux[ix], uy[iy], uz[iz]], axis=-1)
     trace = np.einsum("pkjk->pj", kernel_first_derivatives(shifts, g))
     table = b_comps.reshape(3, -1)[:, flat].T
     scale = 2.0 * np.linalg.norm(shifts, axis=-1) ** (g + 1.0)
@@ -392,7 +386,7 @@ def estimate_coercivity(coeffs, members):
     worst = int(np.argmin(quotients))
     sample_min = float(quotients[worst])
 
-    f = _normalized(members.ensemble[worst].copy())
+    f = normalized(members.ensemble[worst].copy())
     grad = gradient(f)
     r = coercivity_quotient(f, coeffs, grad)
     for _ in range(DESCENT_STEPS):
@@ -405,7 +399,7 @@ def estimate_coercivity(coeffs, members):
             break
         eta = 0.1 * l2_norm(f) / gn
         for _ in range(6):
-            trial = _normalized(f - eta * grad_dir)
+            trial = normalized(f - eta * grad_dir)
             trial_grad = gradient(trial)
             r_trial = coercivity_quotient(trial, coeffs, trial_grad)
             if r_trial < r:
@@ -507,7 +501,7 @@ def check_l3_embedding(members, coeffs):
         if an < 1e-14:
             raise DegenerateRatioError("vanishing A-norm in embedding ensemble")
         worst = max(worst, s3 / an)
-    gauss = _normalized(ScalarField(coeffs.grid, np.exp(-coeffs.grid.radius_sq / 2.0)))
+    gauss = normalized(ScalarField(coeffs.grid, np.exp(-coeffs.grid.radius_sq / 2.0)))
     gauss_ratio = weighted_norm(gauss, 3, 0.5 * g) / a_norm(gauss, coeffs)
     rep = VerificationReport("l3_embedding")
     rep.add_check("K_L3_finite", worst, math.inf, math.isfinite(worst) and worst > 0)

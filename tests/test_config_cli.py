@@ -364,6 +364,28 @@ def test_cli_out_dir_is_a_file_exit_code(small_run_config, tmp_path, capsys):
     assert taken.read_text() == "not a directory\n"
 
 
+def test_cli_report_missing_out_dir_exit_code(small_run_config, capsys):
+    # before, report made a mistyped out dir and wrote a summary.md with no
+    # rows into it, exit 0
+    cfg_path, out_dir = small_run_config
+    missing = os.path.join(out_dir, "typo")
+    assert cli.main(["report", "--config", cfg_path, "--out", missing]) == 2
+    assert missing in capsys.readouterr().err
+    assert not os.path.exists(out_dir)
+
+
+def test_cli_vanishing_forcing_exit_code(small_run_config, capsys):
+    # a source width far below the cell leaves the Gaussian zero at every
+    # node; before, normalizing it ended in a ZeroDivisionError traceback
+    cfg_path, _ = small_run_config
+    with open(cfg_path) as fh:
+        text = fh.read().replace("source.width = 1.5", "source.width = 0.01")
+    with open(cfg_path, "w") as fh:
+        fh.write(text)
+    assert cli.main(["verify", "--config", cfg_path, "--suite", "energy"]) == 3
+    assert "DegenerateRatioError" in capsys.readouterr().err
+
+
 def test_cli_verify_writes_trajectory(small_run_config, tmp_path, monkeypatch):
     cfg_path, out_dir = small_run_config
     # no run writes outside its out dir; LANDAU_CACHE is not read

@@ -349,6 +349,22 @@ def test_fft_tables_zero_shift(small_grid, params):
     assert tables.a_comps[0, iz, iy, ix] == pytest.approx(a[0, 0], rel=1e-13)
 
 
+@pytest.mark.parametrize("pad", [1, 2])
+@pytest.mark.parametrize("gamma", [-1.0, -2.9])
+def test_fft_tables_are_the_batch_kernel_bit_for_bit(gamma, pad):
+    # the a-tables and kernel_matrix_batch evaluate one formula, so every
+    # nonzero shift of the lattice holds the batch value to the last bit
+    grid = VelocityGrid(R=8.0, N=16)
+    a = tabulate_fft_kernels(grid, KernelParams(gamma), pad).a_comps
+    m = pad * grid.N
+    offs = np.fft.fftfreq(m) * m * grid.h
+    uz, uy, ux = np.meshgrid(offs, offs, offs, indexing="ij")
+    pts = np.stack([ux, uy, uz], axis=-1).reshape(-1, 3)[1:]
+    batch = kernel_matrix_batch(pts, gamma)
+    for (j, k), i in kernel._SYM_INDEX.items():
+        assert np.array_equal(a[i].reshape(-1)[1:], batch[:, j, k])
+
+
 def test_batch_matches_pointwise(params):
     # against |v|^{gamma+2} (I - vhat vhat^T), point by point
     rng = np.random.default_rng(11)
@@ -365,23 +381,24 @@ def test_batch_matches_pointwise(params):
 def test_kernel_derivative_tensors_match_finite_differences():
     from landau.kernel import kernel_second_derivatives
 
-    gamma = -1.5
-    v = np.array([[1.1, -0.6, 0.9]])
     h = 1e-5
-    d1 = kernel_first_derivatives(v, gamma)[0]  # [l, j, k]
-    d2 = kernel_second_derivatives(v, gamma)[0]  # [m, l, j, k]
-    for l in range(3):
-        e = np.zeros(3)
-        e[l] = h
-        fd = (kernel_matrix_batch(v + e, gamma)[0]
-              - kernel_matrix_batch(v - e, gamma)[0]) / (2 * h)
-        assert np.allclose(d1[l], fd, atol=1e-8)
-        for m in range(3):
-            em = np.zeros(3)
-            em[m] = h
-            fd2 = (kernel_first_derivatives(v + em, gamma)[0][l]
-                   - kernel_first_derivatives(v - em, gamma)[0][l]) / (2 * h)
-            assert np.allclose(d2[m, l], fd2, atol=1e-6)
+    for gamma in (-0.5, -1.5, -2.9):
+        for point in ((1.1, -0.6, 0.9), (0.0, 0.0, 1.3)):  # generic, on axis
+            v = np.array([point])
+            d1 = kernel_first_derivatives(v, gamma)[0]  # [l, j, k]
+            d2 = kernel_second_derivatives(v, gamma)[0]  # [m, l, j, k]
+            for l in range(3):
+                e = np.zeros(3)
+                e[l] = h
+                fd = (kernel_matrix_batch(v + e, gamma)[0]
+                      - kernel_matrix_batch(v - e, gamma)[0]) / (2 * h)
+                assert np.allclose(d1[l], fd, atol=1e-8)
+                for m in range(3):
+                    em = np.zeros(3)
+                    em[m] = h
+                    fd2 = (kernel_first_derivatives(v + em, gamma)[0][l]
+                           - kernel_first_derivatives(v - em, gamma)[0][l]) / (2 * h)
+                    assert np.allclose(d2[m, l], fd2, atol=1e-6)
 
 
 def _six_component_products(m, V):

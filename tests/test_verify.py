@@ -73,6 +73,23 @@ def test_kernel_identity_suite_catches_wrong_derivatives(params, monkeypatch):
     assert failed == {"divergence_closed_form", "divergence_odd"}
 
 
+def test_kernel_identity_suite_reads_the_table_formula(params, monkeypatch):
+    # the a_jk that fill the operator's tables are the ones the null
+    # identities check, and the derivatives are taken from them: a sign
+    # error in a_xy there fails all four checks
+    entries = kernel.kernel_entries
+    xy = kernel._SYM_INDEX[(0, 1)]
+    monkeypatch.setattr(kernel, "kernel_entries", lambda u, g: (
+        -a if i == xy else a for i, a in enumerate(entries(u, g))))
+    table = kernel.tabulate_fft_kernels(VelocityGrid(R=8.0, N=16), params)
+    # a_xy = -|u|^gamma u_x u_y < 0 at u = (h, h, h): the flip reaches the table
+    assert table.a_comps[xy, 1, 1, 1] > 0.0
+    rep = check_kernel_identities(params, seed=5)
+    failed = {c["id"] for c in rep.checks if c["verdict"] == "fail"}
+    assert failed == {"quadratic_null", "row_null", "divergence_closed_form",
+                      "divergence_odd"}
+
+
 def test_coefficient_bounds_suite(small_coeffs):
     rep = check_coefficient_bounds(small_coeffs)
     assert rep.passed
@@ -440,8 +457,9 @@ def test_run_resources_build_the_invariants_once(monkeypatch):
                               f0_bandlimit=5)
     assert cfg.source_profile == "blend"
     norms, used = [], []
-    monkeypatch.setattr(kernel, "l2_norm",
-                        lambda f: norms.append(f) or l2_norm(f))
+    normalize = kernel.normalized
+    monkeypatch.setattr(kernel, "normalized",
+                        lambda f: norms.append(f) or normalize(f))
     project = suites.project_off_invariants
     monkeypatch.setattr(suites, "project_off_invariants", lambda f, basis: (
         used.extend(weakref.ref(b) for b in basis) or project(f, basis)))
