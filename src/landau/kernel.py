@@ -13,9 +13,11 @@ across it (`UniaxialField`).  With the polar axis along v, the azimuthal and
 the polar integrals are both in closed form; only the radial integral, with
 its r^{gamma+4} endpoint singularity, is a Gauss-Legendre rule, checked by
 doubling its order.  c1 and c2 follow from l_par alone, as abar v = l_par v.
-The c2 cross-check convolves the separable fields v_k mu with the pad-2 b
-tables by three 1-d Toeplitz passes, without wrap or spectra.  The kernel
-tables' origin cell is the exact cell average.  The coefficient set names
+The c2 cross-check convolves the separable fields v_k mu with the pad-2
+kernel b_k = -2 |u|^gamma u_k by 1-d Toeplitz passes, without wrap or
+spectra, and forms |u|^gamma a block of z-planes at a time, never as a
+(2N)^3 table (`radial_power_convolutions`).  The kernel tables' origin cell
+is the exact cell average.  The coefficient set names
 the forms of the estimates and builds the invariants.
 """
 
@@ -355,32 +357,21 @@ def compute_scalar_weights(abar, grid):
     return c1, 0.5 * c2
 
 
-def convolve_separable(grid, table, factors):
-    """h^3 sum_i' table[i - i'] rho[i'] on the grid, for a pad-2 table (FFT
-    layout, M = 2N) and rho = factors[0][iz] factors[1][iy] factors[2][ix]:
-    x, then y, then z, each a product with the M x N Toeplitz matrix
-    W[(i - i') mod M, i] = f[i'].  On M = 2N the shifts i - i' never wrap,
-    so this is the zero-padded FFT's sum without its spectra."""
-    n, m = grid.N, table.shape[-1]
-    i = np.arange(n)
-    wz, wy, wx = (np.zeros((m, n)) for _ in range(3))
-    for w, f in zip((wz, wy, wx), factors):
-        w[(i[None, :] - i[:, None]) % m, i[None, :]] = f[:, None]
-    return grid.cell_volume * np.tensordot(wz.T, np.matmul(wy.T, table @ wx), 1)
-
-
 def c2_by_convolution(grid, params):
-    """The convolution route to c2, (1/2) sum_k (sum_j d_j a_jk) * (v_k mu),
-    unwrapped: each v_k mu is a product of 1-d factors (convolve_separable),
-    and the pad-2 b_k tables are formed one at a time."""
+    """The convolution route to c2, (1/2) sum_k (sum_j d_j a_jk) * (v_k mu)
+    = -mu_prefactor sum_k (|u|^gamma u_k) * (v_k e^{-|v|^2/2}), unwrapped,
+    with no b table: each term reads |u|^gamma from
+    `radial_power_convolutions`, with u_k folded into axis k's matrix.
+    The y and z terms share the Gaussian's x pass, and the x and y terms,
+    whose z factor is the Gaussian, share one z contraction."""
     gauss = np.exp(-0.5 * grid.axis ** 2)
-    c2 = np.zeros(grid.shape)
-    for k, b in enumerate(divergence_kernels(grid, params, pad=2)):
-        factors = [gauss, gauss, gauss]
-        factors[AXIS_OF_COMPONENT[k]] = grid.axis * gauss
-        c2 += convolve_separable(grid, b, factors)
-        del b  # free before the next table is formed
-    return (0.5 * params.mu_prefactor) * c2
+    w = toeplitz_factor(grid, gauss)
+    wu = _lattice_offsets(grid, 2)[:, None] * toeplitz_factor(grid, grid.axis * gauss)
+    xy_terms, z_term = radial_power_convolutions(
+        grid, params.gamma, [(w, [(w, wu), (wu, w)]), (wu, [(w, w)])])
+    xy_terms += z_term
+    xy_terms *= -params.mu_prefactor
+    return xy_terms
 
 
 def crosscheck_c2(c2, grid, params):
@@ -416,20 +407,83 @@ def cell_average_radial_power(exponent, h):
     return 48.0 * 2.0 ** -p3 / p3 * integral * h ** exponent
 
 
-def _lattice_squares(grid, pad):
-    """Shift coordinates (ux, uy, uz) and |u|^2 in FFT layout; the
-    zero-shift entry of |u|^2 is 1, so that every power of it is 1 there,
-    for the caller to rewrite."""
+def _lattice_offsets(grid, pad):
+    """The 1-d shifts 0, h, ..., -h of the lattice of M = pad N points, in
+    FFT layout."""
     if pad not in (1, 2):
         raise ValueError(f"pad must be 1 or 2, got {pad}")
     m = pad * grid.N
-    offs = np.fft.fftfreq(m) * m * grid.h  # 0, h, ..., -h ordering
+    return np.fft.fftfreq(m) * m * grid.h
+
+
+def _lattice_squares(grid, pad, planes=slice(None)):
+    """Shift coordinates (ux, uy, uz) and |u|^2 in FFT layout, on the
+    z-planes `planes` (a slice, all of them by default); the zero-shift
+    entry of |u|^2 is 1, so that every power of it is 1 there, for the
+    caller to rewrite."""
+    offs = _lattice_offsets(grid, pad)
     ux = offs[None, None, :]
     uy = offs[None, :, None]
-    uz = offs[:, None, None]
+    uz = offs[planes, None, None]
     n2 = (ux * ux + uy * uy) + uz * uz
-    n2[0, 0, 0] = 1.0
+    if not planes.start:
+        n2[0, 0, 0] = 1.0
     return (ux, uy, uz), n2
+
+
+# kernel values per block of `radial_power_convolutions` (512 kB): its peak
+# is then the 2N x N x N partial sums of its groups, not a (2N)^3 table
+_STREAM_ELEMENTS = 1 << 16
+
+
+def toeplitz_factor(grid, f):
+    """The M x N Toeplitz matrix W[(i - i') mod M, i] = f[i'] of a 1-d
+    factor f on the pad-2 lattice (M = 2N): a product with it sums over i'
+    along one axis.  On M = 2N the shifts i - i' never wrap."""
+    n = grid.N
+    i = np.arange(n)
+    w = np.zeros((2 * n, n))
+    w[(i[None, :] - i[:, None]) % (2 * n), i[None, :]] = f[:, None]
+    return w
+
+
+def radial_power_convolutions(grid, exponent, groups):
+    """Unwrapped sums of the pad-2 kernel K = |u|^exponent against
+    separable factors, without a (2N)^3 table: K is formed _STREAM_ELEMENTS
+    at a time, a block of z-planes from `_lattice_squares` with the origin
+    cell's exact average, and each block is contracted with the M x N
+    matrices in x, then in y.  `groups` holds pairs (wz, terms), terms a
+    sequence of (wy, wx); each group gives
+
+        h^3 sum_terms sum_s K[s] wz[s_z, i_z] wy[s_y, i_y] wx[s_x, i_x],
+
+    its terms summed before the one z contraction at the end.  With
+    `toeplitz_factor` matrices this is the convolution of K with the
+    density wz wy wx; a matrix scaled row by row by the lattice offsets,
+    u(s) W[s, i], folds a factor u_k of the kernel into axis k.  Terms
+    that pass the same wx object share its x pass."""
+    n, m = grid.N, 2 * grid.N
+    xs = {id(wx): wx for _, terms in groups for _, wx in terms}
+    partial = [np.zeros((m, n, n)) for _ in groups]
+    planes = max(1, _STREAM_ELEMENTS // (m * m))
+    for z0 in range(0, m, planes):
+        _, k = _lattice_squares(grid, 2, slice(z0, z0 + planes))
+        np.power(k, 0.5 * exponent, out=k)
+        if z0 == 0:
+            k[0, 0, 0] = cell_average_radial_power(exponent, grid.h)
+        x_pass = {key: k @ wx for key, wx in xs.items()}
+        del k  # no block outlives its passes
+        for (_, terms), p in zip(groups, partial):
+            for wy, wx in terms:
+                p[z0:z0 + planes] += np.matmul(wy.T, x_pass[id(wx)])
+        del x_pass
+    out = []
+    for wz, _ in groups:
+        # each partial sum is freed once contracted
+        conv = np.tensordot(wz.T, partial.pop(0), 1)
+        conv *= grid.cell_volume
+        out.append(conv)
+    return out
 
 
 @dataclass
@@ -468,11 +522,6 @@ def divergence_kernels(grid, params, pad=1):
         del b  # hold no table while the next one is formed
 
 
-def tabulate_divergence_kernels(grid, params, pad=1):
-    """The b_j of `divergence_kernels` stacked, shape (3, M, M, M)."""
-    return np.stack(tuple(divergence_kernels(grid, params, pad)))
-
-
 def tabulate_fft_kernels(grid, params, pad=1):
     """Tabulate b_j(u) = sum_k d_k a_jk(u) and a_jk(u) on the shift lattice."""
     m = pad * grid.N
@@ -490,14 +539,6 @@ def tabulate_fft_kernels(grid, params, pad=1):
     tables[3:6, 0, 0, 0] = (2.0 / 3.0) * avg
     tables[6:, 0, 0, 0] = 0.0
     return KernelTables(grid, params, pad, tables)
-
-
-def tabulate_radial_kernel(grid, exponent, pad=1):
-    """Scalar radial kernel |u|^exponent on the shift lattice (FFT layout)."""
-    _, table = _lattice_squares(grid, pad)
-    np.power(table, 0.5 * exponent, out=table)
-    table[0, 0, 0] = cell_average_radial_power(exponent, grid.h)
-    return table
 
 
 # ---------------------------------------------------------------------------

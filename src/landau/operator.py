@@ -20,7 +20,8 @@ and a_j2 against the transforms of (rho, v_x rho, v_y rho, v_z rho),
 rho = mu^{1/2} f, in the spectral form
 of Pareschi, Russo & Toscani, J. Comput. Phys. 165 (2000).  Convolutions run
 over the periodic shift lattice; fields are expected to carry a decaying
-envelope.  The validation runs' unwrapped sums are kernel.convolve_separable.
+envelope.  The validation runs' unwrapped sums, which form no pad-2 table,
+are kernel.radial_power_convolutions.
 """
 
 from dataclasses import dataclass

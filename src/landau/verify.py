@@ -19,10 +19,10 @@ from .errors import DegenerateRatioError, FitDegenerateError
 from .evolution import RUNG_PANELS, SEGMENT_SAMPLES
 from .field import (ScalarField, a_norm, a_norm_sq, gradient, inner_product,
                     l2_norm, normalized, random_field, weighted_norm)
-from .kernel import (_PAIRS, _lattice_squares, c2_tolerance, convolve_separable,
+from .kernel import (_PAIRS, _lattice_offsets, c2_tolerance, divergence_kernels,
                      kernel_first_derivatives, kernel_matrix_batch,
-                     kernel_second_derivatives, tabulate_divergence_kernels,
-                     tabulate_radial_kernel)
+                     kernel_second_derivatives, radial_power_convolutions,
+                     toeplitz_factor)
 from .operator import apply_L1, apply_L2
 
 MIN_ENSEMBLE = 64
@@ -110,10 +110,15 @@ def make_ensemble(grid, count, seed, bandlimit=8, envelope_width=1.25):
 # ---------------------------------------------------------------------------
 
 def check_kernel_identities(params, seed=1234):
-    """Null identities of the kernel, and the row divergence
-    b_j = sum_k d_k a_jk of the analytic first derivatives against its
-    closed form -2 |v|^gamma v at v and at -v, at scale-relative tolerance
-    1e-12 over KERNEL_SAMPLES random points."""
+    """Null identities of the kernel, the row divergence b_j = sum_k d_k a_jk
+    of the analytic first derivatives against its closed form
+    -2 |v|^gamma v at v and at -v, and Euler's identities of the
+    derivative tensors, sum_l v_l d_l a = (gamma + 2) a and
+    sum_m v_m d_m d_l a = (gamma + 1) d_l a (a is homogeneous of degree
+    gamma + 2), at scale-relative tolerance 1e-12 over KERNEL_SAMPLES
+    random points.  The trace in the divergence checks drops the
+    d_l |v|^gamma term, as (|v|^2 I - v v^T) v = 0; Euler's identities
+    read every term of both tensors."""
     rng = np.random.default_rng(seed)
     pts = rng.uniform(-5.0, 5.0, size=(KERNEL_SAMPLES, 3))
     radii = np.linalg.norm(pts, axis=1)
@@ -138,12 +143,22 @@ def check_kernel_identities(params, seed=1234):
     div_rel = div_error(1.0)
     odd_rel = div_error(-1.0)
 
+    first = kernel_first_derivatives(pts, g)
+    euler1 = np.einsum("pl,pljk->pjk", pts, first) - (g + 2.0) * a
+    first_rel = float(np.max(np.abs(euler1) / radii[:, None, None] ** (g + 2.0)))
+    euler2 = (np.einsum("pm,pmljk->pljk", pts, kernel_second_derivatives(pts, g))
+              - (g + 1.0) * first)
+    second_rel = float(np.max(np.abs(euler2)
+                              / radii[:, None, None, None] ** (g + 1.0)))
+
     rep = VerificationReport("kernel")
     tol = 1e-12
     rep.add_check("quadratic_null", quad_rel, tol, quad_rel <= tol)
     rep.add_check("row_null", row_rel, tol, row_rel <= tol)
     rep.add_check("divergence_closed_form", div_rel, tol, div_rel <= tol)
     rep.add_check("divergence_odd", odd_rel, tol, odd_rel <= tol)
+    rep.add_check("first_derivative_homogeneity", first_rel, tol, first_rel <= tol)
+    rep.add_check("second_derivative_homogeneity", second_rel, tol, second_rel <= tol)
     return rep
 
 
@@ -165,6 +180,15 @@ def check_coefficient_bounds(coeffs):
     wgt = grid.bracket_weight(g + 1.0)
     interior = (slice(2, -2),) * 3
 
+    # wgt, and sqrt(2) wgt for the pure second derivatives, on the interior
+    w_mixed = wgt[interior]
+    w_pure = w_mixed * math.sqrt(2.0)
+    scan = np.empty(w_mixed.shape)
+
+    def scan_max(d, w):
+        """max |d| / w over the interior, through the one buffer `scan`."""
+        return float(np.max(np.divide(np.abs(d[interior], out=scan), w, out=scan)))
+
     k_first = 0.0
     k_second = 0.0
     abar = coeffs.abar
@@ -173,15 +197,15 @@ def check_coefficient_bounds(coeffs):
         comp = abar.excess * abar.vhat[j] * abar.vhat[k]
         if j == k:
             comp += abar.across
-        firsts = [np.gradient(comp, h, axis=ax, edge_order=2) for ax in range(3)]
-        for d in firsts:
-            k_first = max(k_first, float(np.max(np.abs(d[interior]) / wgt[interior])))
-        for ax_i, d in enumerate(firsts):
+        for ax_i in range(3):
+            d = np.gradient(comp, h, axis=ax_i, edge_order=2)
+            k_first = max(k_first, scan_max(d, w_mixed))
             for ax_j in range(ax_i, 3):
-                dd = np.gradient(d, h, axis=ax_j, edge_order=2)
-                fact = math.sqrt(2.0) if ax_i == ax_j else 1.0
-                k_second = max(k_second, float(
-                    np.max(np.abs(dd[interior]) / (wgt[interior] * fact))))
+                k_second = max(k_second, scan_max(
+                    np.gradient(d, h, axis=ax_j, edge_order=2),
+                    w_pure if ax_i == ax_j else w_mixed))
+            del d
+        del comp  # each array is freed before the next is formed
 
     rng = np.random.default_rng(COEFFICIENT_SEED)
     pts = rng.uniform(-6.0, 6.0, size=(COEFFICIENT_SAMPLES, 3))
@@ -198,15 +222,16 @@ def check_coefficient_bounds(coeffs):
     div_ratio = float(np.max(np.abs(2.0 * coeffs.c2) / wgt))
 
     # the operator's pad-1 b tables against sum_k d_k a_jk at seeded
-    # nonzero shifts
-    b_comps = tabulate_divergence_kernels(grid, coeffs.params, pad=1)
+    # nonzero shifts, each table sampled as it is yielded; next(), so that
+    # none is held while the next one is formed
     m = grid.N
     flat = rng.integers(1, m ** 3, size=COEFFICIENT_SAMPLES)
     iz, iy, ix = np.unravel_index(flat, (m, m, m))
-    ux, uy, uz = (c.reshape(-1) for c in _lattice_squares(grid, 1)[0])
-    shifts = np.stack([ux[ix], uy[iy], uz[iz]], axis=-1)
+    offs = _lattice_offsets(grid, 1)
+    shifts = np.stack([offs[ix], offs[iy], offs[iz]], axis=-1)
     trace = np.einsum("pkjk->pj", kernel_first_derivatives(shifts, g))
-    table = b_comps.reshape(3, -1)[:, flat].T
+    b_tables = divergence_kernels(grid, coeffs.params, pad=1)
+    table = np.stack([next(b_tables).reshape(-1)[flat] for _ in range(3)], axis=-1)
     scale = 2.0 * np.linalg.norm(shifts, axis=-1) ** (g + 1.0)
     b_err = float(np.max(np.abs(table - trace) / scale[:, None]))
 
@@ -236,14 +261,23 @@ def check_coefficient_bounds(coeffs):
 # convolution bound suite
 # ---------------------------------------------------------------------------
 
+def gaussian_convolutions(grid, gamma):
+    """|u|^gamma * e^{-delta |v|^2} on the grid, one array per delta of
+    CONVOLUTION_DELTAS, unwrapped: each density is a product of 1-d
+    factors, and both are convolved from one stream of the pad-2 kernel
+    (`radial_power_convolutions`)."""
+    factors = [toeplitz_factor(grid, np.exp(-delta * grid.axis ** 2))
+               for delta in CONVOLUTION_DELTAS]
+    return radial_power_convolutions(grid, gamma, [(w, [(w, w)]) for w in factors])
+
+
 def check_convolution_bound(grid, params):
     """Gaussian-weighted singular convolution stays below <v>^gamma.
 
-    Convolves with the radial kernel |u|^gamma tabulated on the pad-2
-    lattice, without wrap (convolve_separable); the ratio must be finite,
-    flat beyond |v| = 4 and close to the dominated limit (pi/delta)^{3/2}
-    near the box edge."""
-    table = tabulate_radial_kernel(grid, params.gamma, pad=2)
+    Convolves the kernel |u|^gamma on the pad-2 lattice, without wrap,
+    with e^{-delta |v|^2} for each delta (`gaussian_convolutions`); the
+    ratio must be finite, flat beyond |v| = 4 and close to the dominated
+    limit (pi/delta)^{3/2} near the box edge."""
     wgt = grid.bracket_weight(params.gamma)
     radius = grid.radius
     shell_far = (radius >= 4.0) & (radius <= grid.R - 0.5)
@@ -252,11 +286,8 @@ def check_convolution_bound(grid, params):
 
     rep = VerificationReport("convolution")
     k_conv = 0.0
-    for delta in CONVOLUTION_DELTAS:
-        # the density e^{-delta |v|^2} is a product of 1-d factors
-        density = np.exp(-delta * grid.axis ** 2)
-        conv = convolve_separable(grid, table, [density] * 3)
-        ratio = conv / wgt
+    for delta, ratio in zip(CONVOLUTION_DELTAS, gaussian_convolutions(grid, params.gamma)):
+        ratio /= wgt  # the convolution over <v>^gamma, in place
         k_conv = max(k_conv, float(np.max(ratio)))
         spread = float((ratio[shell_far].max() - ratio[shell_far].min())
                        / ratio[shell_far].mean())

@@ -5,7 +5,9 @@ import pytest
 
 from landau.field import zeros
 from landau.grid import VelocityGrid
-from landau.kernel import KernelParams, QuadratureSpec, build_coefficients
+from landau.kernel import (KernelParams, QuadratureSpec, _lattice_squares,
+                           build_coefficients, cell_average_radial_power,
+                           divergence_kernels)
 from landau.operator import make_context
 
 # small shared configuration used by most operator-level tests
@@ -94,10 +96,25 @@ def abar_matrix(abar):
     return m
 
 
+def divergence_tables(grid, params, pad=1):
+    """The b_j of `kernel.divergence_kernels` as one (3, M, M, M) stack."""
+    return np.stack(tuple(divergence_kernels(grid, params, pad)))
+
+
+def radial_kernel_table(grid, exponent, pad=1):
+    """The whole table of |u|^exponent on the shift lattice (FFT layout),
+    the origin cell its exact average: what
+    `kernel.radial_power_convolutions` forms a block at a time."""
+    _, table = _lattice_squares(grid, pad)
+    np.power(table, 0.5 * exponent, out=table)
+    table[0, 0, 0] = cell_average_radial_power(exponent, grid.h)
+    return table
+
+
 def padded_fft_convolution(grid, table, rho):
     """h^3 sum_i' table[i - i'] rho[i'] for a pad-2 table (FFT layout,
     M = 2N) and an N^3 density rho, by zero-padded transforms: the oracle
-    of `kernel.convolve_separable`."""
+    of `kernel.radial_power_convolutions`."""
     n, m = grid.N, table.shape[-1]
     padded = np.zeros(table.shape)
     padded[:n, :n, :n] = rho

@@ -382,9 +382,10 @@ def test_instability_guard(small_grid, small_ctx):
     assert all(np.isfinite(f.values).all() for f in samples)
 
 
-# rho, the lower edge, the energy log and the snapshots of a short run, and
-# the c2 convolution route, at N=24, R=8, where OpenBLAS splits a dot
-# product of N^3 terms and the route's Toeplitz products over threads
+# rho, the lower edge, the energy log and the snapshots of a short run, the
+# c2 convolution route and the convolution suite's two convolutions, at
+# N=24, R=8, where OpenBLAS splits a dot product of N^3 terms and the
+# routes' Toeplitz products over threads
 BLAS_THREADS_RUN = """
 import hashlib
 import numpy as np
@@ -394,6 +395,7 @@ from landau.grid import VelocityGrid
 from landau.kernel import (KernelParams, QuadratureSpec, build_coefficients,
                            c2_by_convolution)
 from landau.operator import make_context
+from landau.verify import gaussian_convolutions
 
 grid = VelocityGrid(R=8.0, N=24)
 ctx = make_context(build_coefficients(grid, KernelParams(-1.0), QuadratureSpec()))
@@ -406,6 +408,8 @@ print(hashlib.sha256(res.energy_log.tobytes()).hexdigest())
 for t, f in sorted(res.snapshots.items()):
     print(t, hashlib.sha256(f.values.tobytes()).hexdigest())
 print(hashlib.sha256(c2_by_convolution(grid, KernelParams(-1.0)).tobytes()).hexdigest())
+for conv in gaussian_convolutions(grid, -1.0):
+    print(hashlib.sha256(conv.tobytes()).hexdigest())
 """
 
 
@@ -418,5 +422,5 @@ def test_outputs_independent_of_blas_threads():
                              capture_output=True, text=True, timeout=300)
         assert run.returncode == 0, run.stderr
         outputs.append(run.stdout)
-    assert len(outputs[0].splitlines()) == 5
+    assert len(outputs[0].splitlines()) == 7
     assert outputs[0] == outputs[1]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,15 +8,16 @@ from landau import kernel
 from landau.errors import QuadratureError
 from landau.field import VectorField
 from landau.grid import AXIS_OF_COMPONENT, VelocityGrid
-from landau.kernel import (KernelParams, QuadratureSpec, _radial_rule,
-                           abar_profiles_at, c2_by_convolution,
+from landau.kernel import (KernelParams, QuadratureSpec, _lattice_offsets,
+                           _radial_rule, abar_profiles_at, c2_by_convolution,
                            cell_average_radial_power, compute_abar_field,
-                           compute_scalar_weights, convolve_separable,
-                           kernel_first_derivatives, kernel_matrix_batch,
-                           maxwellian_field, polar_integrals,
-                           tabulate_divergence_kernels, tabulate_fft_kernels,
-                           tabulate_radial_kernel)
-from tests.conftest import abar_matrix, padded_fft_convolution, separable_density
+                           compute_scalar_weights, kernel_first_derivatives,
+                           kernel_matrix_batch, maxwellian_field, polar_integrals,
+                           radial_power_convolutions, tabulate_fft_kernels,
+                           toeplitz_factor)
+from landau.verify import check_convolution_bound
+from tests.conftest import (abar_matrix, divergence_tables, padded_fft_convolution,
+                            radial_kernel_table, separable_density)
 
 
 def test_gamma_range_enforced():
@@ -219,28 +221,43 @@ def test_abar_profiles_blocks_leave_the_bytes(monkeypatch):
         assert np.array_equal(got, want)
 
 
+def _block_sizes(grid):
+    """Kernel elements per block of `radial_power_convolutions`: 3 z-planes
+    of the pad-2 lattice, so that the last block is short, and its own."""
+    return 3 * (2 * grid.N) ** 2, kernel._STREAM_ELEMENTS
+
+
 @pytest.mark.parametrize("kind", ["b_x", "radial"])
-def test_convolve_separable_matches_padded_fft(small_grid, params, kind):
-    # three 1-d Toeplitz passes against zero-padded 3-d transforms, on the
-    # odd b_x table and on the even radial kernel, three distinct factors
-    if kind == "b_x":
-        table = tabulate_divergence_kernels(small_grid, params, pad=2)[0]
-    else:
-        table = tabulate_radial_kernel(small_grid, params.gamma, pad=2)
+def test_radial_power_convolutions_match_padded_fft(small_grid, params, kind,
+                                                    monkeypatch):
+    # the streamed kernel's Toeplitz passes against zero-padded transforms
+    # of the whole pad-2 table, three distinct factors: on the odd
+    # b_x = -2 |u|^gamma u_x, with -2 u_x folded into the x matrix, and on
+    # the even radial kernel; in blocks of 3 z-planes (the last one short)
+    # and in the default blocks
     ax = small_grid.axis
     factors = [np.exp(-0.3 * ax * ax), ax * np.exp(-0.5 * ax * ax),
                np.cos(ax) * np.exp(-0.2 * ax * ax)]
-    got = convolve_separable(small_grid, table, factors)
+    wz, wy, wx = (toeplitz_factor(small_grid, f) for f in factors)
+    if kind == "b_x":
+        table = divergence_tables(small_grid, params, pad=2)[0]
+        wx = -2.0 * _lattice_offsets(small_grid, 2)[:, None] * wx
+    else:
+        table = radial_kernel_table(small_grid, params.gamma, pad=2)
     want = padded_fft_convolution(small_grid, table, separable_density(factors))
-    assert got.shape == small_grid.shape
-    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    for elements in _block_sizes(small_grid):
+        monkeypatch.setattr(kernel, "_STREAM_ELEMENTS", elements)
+        (got,) = radial_power_convolutions(small_grid, params.gamma,
+                                           [(wz, [(wy, wx)])])
+        assert got.shape == small_grid.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
-def test_c2_by_convolution_matches_padded_fft(small_grid, params):
+def test_c2_by_convolution_matches_padded_fft(small_grid, params, monkeypatch):
     # (1/2) sum_k b_k * (v_k mu), each term by zero-padded transforms of
-    # the pad-2 b_k table and of v_k mu
-    got = c2_by_convolution(small_grid, params)
-    b = tabulate_divergence_kernels(small_grid, params, pad=2)
+    # the pad-2 b_k table and of v_k mu; in blocks of 3 z-planes and in
+    # the default blocks
+    b = divergence_tables(small_grid, params, pad=2)
     gauss = np.exp(-0.5 * small_grid.axis ** 2)
     want = np.zeros(small_grid.shape)
     for k in range(3):
@@ -248,7 +265,28 @@ def test_c2_by_convolution_matches_padded_fft(small_grid, params):
         factors[AXIS_OF_COMPONENT[k]] = small_grid.axis * gauss
         want += padded_fft_convolution(small_grid, b[k], separable_density(factors))
     want *= 0.5 * params.mu_prefactor
-    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    for elements in _block_sizes(small_grid):
+        monkeypatch.setattr(kernel, "_STREAM_ELEMENTS", elements)
+        got = c2_by_convolution(small_grid, params)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_pad2_routes_peak_below_one_pad2_table(params):
+    # the c2 route and the convolution suite each allocate less at their
+    # peak than one (2N)^3 float64 table, on a grid whose node arrays the
+    # run has already built (N=48: 0.66 and 0.70 of it; forming the pad-2
+    # tables, 3.2 and 2.2)
+    grid = VelocityGrid(R=8.0, N=48)
+    grid.radius, grid.bracket_weight(params.gamma)
+    table_bytes = 8 * (2 * grid.N) ** 3
+    for route in (c2_by_convolution, check_convolution_bound):
+        tracemalloc.start()
+        try:
+            route(grid, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < table_bytes, (route.__name__, peak / table_bytes)
 
 
 def test_abar_field_psd_and_eigen_scaling(small_grid, params, small_coeffs):

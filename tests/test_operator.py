@@ -13,12 +13,12 @@ from landau.field import (ScalarField, a_norm_sq, gradient, inner_product,
 from landau.grid import VelocityGrid
 from landau.kernel import (build_coefficients,
                            maxwellian_field, sqrt_maxwellian_field,
-                           tabulate_divergence_kernels, tabulate_fft_kernels,
-                           tabulate_radial_kernel)
+                           tabulate_fft_kernels)
 from landau.operator import (ConvolutionEngine, apply_L, apply_L1, apply_L2,
                              arnoldi_spectral_radius, make_context)
 from tests.collision_oracle import apply_Q
-from tests.conftest import SMALL_R, abar_matrix, gaussian_field, padded_fft_convolution
+from tests.conftest import (SMALL_R, abar_matrix, divergence_tables, gaussian_field,
+                            padded_fft_convolution, radial_kernel_table)
 
 
 def test_engine_delta_identity(small_grid, small_ctx):
@@ -63,15 +63,15 @@ def test_convolve_grid_mismatch(small_grid, small_ctx, small_coeffs):
     with pytest.raises(GridMismatchError):
         apply_L2(other, small_ctx.engine, small_coeffs)
     # tables must live on the lattice of the engine's grid
-    with pytest.raises(ValueError):
-        ConvolutionEngine(small_grid, tabulate_divergence_kernels(
-            VelocityGrid(R=SMALL_R, N=12), small_coeffs.params))
+    with pytest.raises(ValueError, match="do not end in the grid's lattice"):
+        ConvolutionEngine(small_grid, divergence_tables(
+            VelocityGrid(R=SMALL_R, N=18), small_coeffs.params))
 
 
 def test_convolution_gaussian_weight_bound(small_grid, params):
     # int |v-w|^gamma e^{-delta |w|^2} dw stays below a multiple of <v>^gamma,
     # by zero-padded transforms of the pad-2 radial kernel
-    table = tabulate_radial_kernel(small_grid, params.gamma, pad=2)
+    table = radial_kernel_table(small_grid, params.gamma, pad=2)
     for delta in (0.5, 1.0):
         density = np.exp(-delta * small_grid.radius_sq)
         ratio = padded_fft_convolution(small_grid, table, density) / \

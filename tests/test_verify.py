@@ -70,13 +70,48 @@ def test_kernel_identity_suite_catches_wrong_derivatives(params, monkeypatch):
                         lambda pts, g: (1.0 + 1e-9) * exact(pts, g))
     rep = check_kernel_identities(params, seed=5)
     failed = {c["id"] for c in rep.checks if c["verdict"] == "fail"}
-    assert failed == {"divergence_closed_form", "divergence_odd"}
+    assert failed == {"divergence_closed_form", "divergence_odd",
+                      "first_derivative_homogeneity"}
+
+
+def _half_radial_term(pts, g):
+    """d_l a with its w_l P term halved (w = |v|^g, P = a at g = 0), a term
+    that the trace sum_k d_k a_jk drops, as P v = 0."""
+    _, _, _, w1, p, _ = kernel._product_factors(pts, g)
+    return (kernel.kernel_first_derivatives(pts, g)
+            - 0.5 * w1[..., :, None, None] * p[..., None, :, :])
+
+
+def _doubled_cross_term(pts, g):
+    """d_m d_l a with 2 w_m P_l in place of w_l P_m + w_m P_l."""
+    _, _, _, w1, _, p1 = kernel._product_factors(pts, g)
+    cross = w1[..., :, None, None, None] * p1[..., None, :, :, :]
+    return (kernel.kernel_second_derivatives(pts, g)
+            + cross - np.swapaxes(cross, -4, -3))
+
+
+@pytest.mark.parametrize("name, mutant, failing", [
+    ("kernel_first_derivatives", _half_radial_term,
+     {"first_derivative_homogeneity", "second_derivative_homogeneity"}),
+    ("kernel_second_derivatives", _doubled_cross_term,
+     {"second_derivative_homogeneity"}),
+], ids=["half_w_l_P", "doubled_cross_term"])
+def test_kernel_identity_suite_reads_every_derivative_term(name, mutant, failing,
+                                                           monkeypatch):
+    # Euler's identities fail on a derivative tensor with one product-rule
+    # term wrong, where the divergence checks pass (gamma = -2.9: 1.45 and
+    # 2.75 for the halved w_l P, 2.89 for the doubled cross term)
+    monkeypatch.setattr(verify, name, mutant)
+    rep = check_kernel_identities(KernelParams(-2.9), seed=5)
+    failed = {c["id"]: c["value"] for c in rep.checks if c["verdict"] == "fail"}
+    assert set(failed) == failing
+    assert min(failed.values()) > 1.0
 
 
 def test_kernel_identity_suite_reads_the_table_formula(params, monkeypatch):
     # the a_jk that fill the operator's tables are the ones the null
     # identities check, and the derivatives are taken from them: a sign
-    # error in a_xy there fails all four checks
+    # error in a_xy there fails all six checks
     entries = kernel.kernel_entries
     xy = kernel._SYM_INDEX[(0, 1)]
     monkeypatch.setattr(kernel, "kernel_entries", lambda u, g: (
@@ -87,7 +122,8 @@ def test_kernel_identity_suite_reads_the_table_formula(params, monkeypatch):
     rep = check_kernel_identities(params, seed=5)
     failed = {c["id"] for c in rep.checks if c["verdict"] == "fail"}
     assert failed == {"quadratic_null", "row_null", "divergence_closed_form",
-                      "divergence_odd"}
+                      "divergence_odd", "first_derivative_homogeneity",
+                      "second_derivative_homogeneity"}
 
 
 def test_coefficient_bounds_suite(small_coeffs):
@@ -98,15 +134,15 @@ def test_coefficient_bounds_suite(small_coeffs):
 
 
 def test_coefficient_suite_catches_b_table_error(small_coeffs, monkeypatch):
-    # a 1e-9 relative error in the tabulated b_y fails the b-table check alone
-    exact = verify.tabulate_divergence_kernels
+    # a 1e-9 relative error in the b_y table that the suite samples, as
+    # divergence_kernels yields it, fails the b-table check alone
+    exact = verify.divergence_kernels
 
     def perturbed(grid, params, pad=1):
-        comps = exact(grid, params, pad)
-        comps[1] *= 1.0 + 1e-9                 # b_y
-        return comps
+        for j, b in enumerate(exact(grid, params, pad)):
+            yield b * (1.0 + 1e-9) if j == 1 else b
 
-    monkeypatch.setattr(verify, "tabulate_divergence_kernels", perturbed)
+    monkeypatch.setattr(verify, "divergence_kernels", perturbed)
     rep = check_coefficient_bounds(small_coeffs)
     assert [c["id"] for c in rep.checks if c["verdict"] == "fail"] == [
         "b_table_vs_kernel_derivatives"]
@@ -489,12 +525,11 @@ def test_run_resources_validate_their_config():
 
 
 def test_run_resources_tabulate_each_pad_once(monkeypatch):
-    # the build forms the c2 cross-check's pad-2 b tables and make_context
-    # the operator's full pad-1 tables, each once, and the full tables are
-    # gone once transformed; the coefficient suite samples the pad-1 b
-    # tables alone, the convolution suite builds its own radial kernel
-    pads = {"tabulate_fft_kernels": [], "tabulate_divergence_kernels": [],
-            "divergence_kernels": []}
+    # make_context forms the operator's full pad-1 tables once, and they are
+    # gone once transformed; the build forms no pad-2 b table, as the c2
+    # cross-check streams |u|^gamma; the coefficient suite samples the pad-1
+    # b tables alone, and the convolution suite forms none
+    pads = {"tabulate_fft_kernels": [], "divergence_kernels": []}
     full = []
 
     def counting(fn_name):
@@ -517,16 +552,12 @@ def test_run_resources_tabulate_each_pad_once(monkeypatch):
                 monkeypatch.setattr(module, fn_name, counted)
     res = RunResources(parse_config_text(ENERGY_CFG), log=None)
     assert res.ctx.engine.hats.shape[0] == 9
-    assert pads == {"tabulate_fft_kernels": [1],
-                    "tabulate_divergence_kernels": [],
-                    "divergence_kernels": [2, 1]}
+    assert pads == {"tabulate_fft_kernels": [1], "divergence_kernels": [1]}
     gc.collect()
     assert len(full) == 1 and full[0]() is None
     for suite in ("coefficients", "convolution"):
         run_suite(suite, res)
-    assert pads == {"tabulate_fft_kernels": [1],
-                    "tabulate_divergence_kernels": [1],
-                    "divergence_kernels": [2, 1, 1]}
+    assert pads == {"tabulate_fft_kernels": [1], "divergence_kernels": [1, 1]}
 
 
 def test_run_suite_stamps_fingerprint_and_grid():
