@@ -2,8 +2,8 @@
 soft potentials (-3 < gamma < 0) on a truncated velocity grid."""
 
 from .config import RunConfig, load_config
-from .evolution import (DerivativeLadder, SourceModel, derivative_ladder,
-                        evolve, step)
+from .evolution import (DerivativeLadder, PropagatedSystem, SourceModel,
+                        derivative_ladder, evolve, step)
 from .field import (ScalarField, VectorField, a_norm, gradient, inner_product,
                     l2_norm, random_field, weighted_norm)
 from .grid import VelocityGrid

@@ -1,31 +1,25 @@
 """Time integration of d_t f + L f = g and the exact derivative ladder.
 
-Two rules keep the factorial-scale quantities trustworthy:
+The forcing is separable, g(t, v) = tau(t) phi(v), and its amplitude
+tau(t) = amplitude e^{-rate t} solves tau' = -rate tau, so y = (f, tau)
+obeys one linear system y' = -G y with G(f, tau) = (L f - tau phi,
+rate tau), whose spectrum is that of L and rate.  `PropagatedSystem` is
+the one place that writes G.  The ladder's time derivatives d_t^m f are
+the f-rows of (-G)^m y, exact: finite differences of trajectories would
+destroy the k! scaling.
 
-* the forcing is separable, g(t, v) = amplitude e^{-rate t} phi(v), with
-  every time derivative available in closed form, and
-* time derivatives of the solution are obtained by the exact operator
-  recursion  d_t^m f = -L d_t^{m-1} f + d_t^{m-1} g,  never by finite
-  differencing of trajectories, which would destroy the k! scaling.
-
-The forcing's amplitude tau(t) = amplitude e^{-rate t} solves
-tau' = -rate tau, so y = (f, tau) obeys one linear system y' = -G y with
-G(f, tau) = (L f - tau phi, rate tau), whose spectrum is that of L and
-rate.  `evolve` applies the exact propagator e^{-s G} through its
-Chebyshev expansion on an interval [lo, hi] that contains that spectrum
-(Tal-Ezer & Kosloff, J. Chem. Phys. 81, 1984; augmenting the system with
-the forcing follows Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011), so
-no step size and no stability region enter.  The time axis is cut into
-octave segments [0, T/2^K], ..., [T/2, T] with K = ceil(log2(rho(L) T)),
-plus every requested time as an edge; one `step` propagates one segment
-and its SEGMENT_SAMPLES uniform sample times by a single three-term
-recurrence, and returns f and L f at those times.  The samples form the
-energy log, whose nested subsamples are the energy-identity rungs; the
-log's (Lf, f) comes from the recurrence's own applications of L, and
-`evolve` checks it against L applied directly to the last sample of each
-segment.  `evolve` propagates on the interval that `spectral_interval`
-builds from the measured spectral radius and lower edge of L; `step`
-refuses, before it applies L, an interval that does not contain them.
+`evolve` applies the exact propagator e^{-s G} through its Chebyshev
+expansion on an interval [lo, hi] that contains that spectrum (Tal-Ezer &
+Kosloff, J. Chem. Phys. 81, 1984; augmenting the system with the forcing
+follows Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011), so no step size
+and no stability region enter.  The time axis is cut into octave segments
+[0, T/2^K], ..., [T/2, T] with K = ceil(log2(rho(L) T)), plus every
+requested time as an edge; one `step` propagates one segment and its
+SEGMENT_SAMPLES uniform sample times by a single three-term recurrence,
+and returns f and L f at those times.  The samples form the energy log,
+whose nested subsamples are the energy-identity rungs; the log's (Lf, f)
+comes from the recurrence's own applications of L, and `evolve` checks it
+against L applied directly to the last sample of each segment.
 """
 
 import math
@@ -75,17 +69,8 @@ class SourceModel:
         return cls(zeros(grid), amplitude=0.0)
 
     def tau_derivative(self, m, t):
-        """m-th time derivative of amplitude e^{-rate t} at time t."""
-        if m < 0:
-            raise ValueError("derivative order must be >= 0")
-        if self.amplitude == 0.0:
-            return 0.0  # +0.0, where 0.0 * (-rate) ** m gives -0.0 for odd m
+        """m-th time derivative of amplitude e^{-rate t} at time t, m >= 0."""
         return self.amplitude * (-self.rate) ** m * math.exp(-self.rate * t)
-
-
-def source_eval(model, m, t):
-    """d_t^m g(t) as a field: d_t^m (amplitude e^{-rate t}) phi."""
-    return model.tau_derivative(m, t) * model.phi
 
 
 def measure_source_bound(model, T):
@@ -108,7 +93,6 @@ def measure_source_bound(model, T):
 @dataclass
 class EvolutionState:
     f: ScalarField
-    t: float = 0.0
     step_index: int = 0
 
 
@@ -164,17 +148,26 @@ def chebyshev_coefficients(offsets, interval):
     return (signs[:, None] * bessel[:degree + 1]) * np.exp(-lo * offsets)
 
 
-def spectral_interval(ctx, model):
-    """The measured edges (lower, upper) of the spectrum of G, and the
-    propagation interval of `evolve`, which reaches (SPECTRUM_MARGIN - 1)
-    rho beyond the edges of L.
+class PropagatedSystem:
+    """The system y' = -G y of y = (f, tau), G(f, tau) = (L f - tau phi,
+    rate tau), for the operator context `ctx` and the forcing `model`."""
 
-    upper = max(rho(L), rate) and lower = min(lower edge of L, rate); the
-    lower edge rho - max |rho - lambda(L)| is at most min Re lambda(L)."""
-    rho, edge, rate = ctx.spectral_radius, ctx.spectrum_lower_edge, model.rate
-    margin = (SPECTRUM_MARGIN - 1.0) * rho
-    return ((min(edge, rate), max(rho, rate)),
-            (min(edge - margin, rate), max(rho + margin, rate)))
+    def __init__(self, ctx, model):
+        self.ctx, self.model, self.rate = ctx, model, model.rate
+
+    def apply(self, f, tau):
+        """L f and the f-row L f - tau phi of G(f, tau), for field values f."""
+        phi = self.model.phi
+        lf = self.ctx.apply(ScalarField(phi.grid, f)).values
+        return lf, lf - tau * phi.values
+
+    def spectrum(self, margin=0.0):
+        """(lower, upper) of G: rate and L's measured edges, each moved
+        margin * rho outwards; SPECTRUM_MARGIN - 1 gives `evolve`'s interval.
+        L's lower edge rho - max |rho - lambda| is at most min Re lambda."""
+        rho, edge = self.ctx.spectral_radius, self.ctx.spectrum_lower_edge
+        pad = margin * rho
+        return min(edge - pad, self.rate), max(rho + pad, self.rate)
 
 
 def segment_edges(T, rho, marks=()):
@@ -186,11 +179,12 @@ def segment_edges(T, rho, marks=()):
     return [0.0] + sorted(edges)
 
 
-def _log_row(f, lf, t, ctx, model):
+def _log_row(f, lf, t, system):
     """The energy-log row (t, ||f||^2, ||f||_A^2, (g, f), (Lf, f)), with
     `lf` = L f as the caller holds it."""
-    return (t, inner_product(f, f), a_norm(f, ctx.coeffs) ** 2,
-            inner_product(source_eval(model, 0, t), f), inner_product(lf, f))
+    g = system.model.tau_derivative(0, t) * system.model.phi
+    return (t, inner_product(f, f), a_norm(f, system.ctx.coeffs) ** 2,
+            inner_product(g, f), inner_product(lf, f))
 
 
 def step_buffers(n):
@@ -201,31 +195,30 @@ def step_buffers(n):
             np.empty((SEGMENT_SAMPLES, n)))
 
 
-def step(f, t0, t1, ctx, model, interval, buffers=None):
-    """Propagate f(t0) to the SEGMENT_SAMPLES uniform times of (t0, t1] by
-    one Chebyshev recurrence T_{k+1}(X) y = 2 X T_k(X) y - T_{k-1}(X) y,
-    X = (2 G - hi - lo) / (hi - lo), whose vectors serve every sample time.
-    Returns the fields f at those times, the last at t1, and L f at the
-    same times, sum_k c_k(s_i) L (T_k y)_f: every term's image under L is
-    the one the recurrence takes to build the next term, and the last
-    term's is one more, so L is applied len(chebyshev_coefficients) times.
+def step(f, t0, t1, system, interval, buffers=None):
+    """Propagate y = (f(t0), tau(t0)) to the SEGMENT_SAMPLES uniform times
+    of (t0, t1] by one Chebyshev recurrence T_{k+1}(X) y = 2 X T_k(X) y -
+    T_{k-1}(X) y, X = (2 G - hi - lo) / (hi - lo), G that of `system`, whose
+    vectors serve every sample time.  Returns the fields f at those times,
+    the last at t1, and L f at the same times, sum_k c_k(s_i) L (T_k y)_f:
+    `system.apply` gives each term's image under L with the f-row of G
+    that builds the next term, so L is applied once per term.
     Both sums run as one matrix product per ACCUMULATED_TERMS terms.  The
     returned fields are views of `buffers` (see `step_buffers`, allocated
     afresh when None), which the next step on the same buffers overwrites.
 
-    An interval [lo, hi] that does not contain the measured edges of the
-    spectrum of G (see `spectral_interval`) raises InstabilityError before
-    L is applied: outside [lo, hi] the series grows instead of decaying."""
-    (lower, upper), _ = spectral_interval(ctx, model)
+    An interval [lo, hi] that does not contain `system.spectrum()`, the
+    measured edges of the spectrum of G, raises InstabilityError before L
+    is applied: outside [lo, hi] the series grows instead of decaying."""
+    lower, upper = system.spectrum()
     lo, hi = interval
     if not (lo <= lower and upper <= hi and lo < hi and math.isfinite(hi - lo)):
         raise InstabilityError(
             f"interval [{lo:.6g}, {hi:.6g}] does not contain the measured "
             f"spectrum [{lower:.6g}, {upper:.6g}] of the propagated system")
     grid = f.grid
-    phi = model.phi.values
     scale, shift = 2.0 / (hi - lo), (hi + lo) / (hi - lo)
-    rate_x = scale * model.rate - shift
+    rate_x = scale * system.rate - shift
 
     offsets = (t1 - t0) * np.arange(1, SEGMENT_SAMPLES + 1) / SEGMENT_SAMPLES
     coef = chebyshev_coefficients(offsets, interval)
@@ -233,22 +226,22 @@ def step(f, t0, t1, ctx, model, interval, buffers=None):
     # samples[0] holds f, samples[1] L f; terms the same for the pending T_k y
     samples, terms, product = buffers or step_buffers(f.values.size)
     samples.fill(0.0)
-    prev, cur = None, (f.values, model.tau_derivative(0, t0))
+    prev, cur = None, (f.values, system.model.tau_derivative(0, t0))
     for k in range(degree + 1):
-        lf = ctx.apply(ScalarField(grid, cur[0])).values
+        lf, xf = system.apply(*cur)  # G's f-row, then X's: no third field lives on
         j = k % ACCUMULATED_TERMS
         terms[0, j], terms[1, j] = cur[0].ravel(), lf.ravel()
+        # formed after the last term too, unused, so G's f-row dies before the sums
+        xf = scale * xf - shift * cur[0]
+        xt = rate_x * cur[1]
+        if prev is not None:
+            xf, xt = 2.0 * xf - prev[0], 2.0 * xt - prev[1]
+        prev, cur = cur, (xf, xt)
         if j == ACCUMULATED_TERMS - 1 or k == degree:
             block = coef[k - j:k + 1].T
             for part in (0, 1):
                 np.matmul(block, terms[part, :j + 1], out=product)
                 samples[part] += product
-        if k < degree:
-            xf = scale * (lf - cur[1] * phi) - shift * cur[0]
-            xt = rate_x * cur[1]
-            if prev is not None:
-                xf, xt = 2.0 * xf - prev[0], 2.0 * xt - prev[1]
-            prev, cur = cur, (xf, xt)
     fields = samples.reshape((2, SEGMENT_SAMPLES) + grid.shape)
     return ([ScalarField(grid, v) for v in fields[0]],
             [ScalarField(grid, v) for v in fields[1]])
@@ -260,20 +253,22 @@ def _relative_gap(got, exact):
     return l2_norm(got - exact) / norm if norm > 0.0 else l2_norm(got)
 
 
-def evolve(f0, model, T, ctx, snapshot_times=(), log=None):
-    """Propagate f0 to time T on the interval of `spectral_interval`;
-    returns the energy log, with one row at 0 and SEGMENT_SAMPLES rows per
-    segment (see `segment_edges`), the fields at the snapshot times and at
-    T with the index of the segment that ends at each, and `lf_gap`.
+def evolve(f0, system, T, snapshot_times=(), log=None):
+    """Propagate f0 to time T under `system` on its interval
+    `system.spectrum(SPECTRUM_MARGIN - 1)`; returns the energy log, with one
+    row at 0 and SEGMENT_SAMPLES rows per segment (see `segment_edges`),
+    the fields at the snapshot times and at T with the index of the
+    segment that ends at each, and `lf_gap`.
 
     The log's (Lf, f) takes L f from `step`.  L is also applied directly
     to the last sample of every segment; `lf_gap` is the largest relative
     distance between the two, so a propagator that applies another
-    operator than ctx's cannot pass its own energy identity unnoticed.
-    `log`, when given, receives one progress line per segment."""
+    operator than the system's cannot pass its own energy identity
+    unnoticed.  `log`, when given, receives one progress line per segment."""
     if T <= 0:
         raise ValueError("horizon T must be positive")
-    lo, hi = spectral_interval(ctx, model)[1]
+    ctx = system.ctx
+    lo, hi = system.spectrum(SPECTRUM_MARGIN - 1.0)
     edges = segment_edges(T, ctx.spectral_radius, snapshot_times)
     # applications of L per segment: the series' terms but the last, one
     # for the last term and one for the direct check
@@ -281,17 +276,17 @@ def evolve(f0, model, T, ctx, snapshot_times=(), log=None):
              for t0, t1 in zip(edges[:-1], edges[1:])]
     planned = 1 + sum(costs)
 
-    f, rows = f0, [_log_row(f0, ctx.apply(f0), 0.0, ctx, model)]
+    f, rows = f0, [_log_row(f0, ctx.apply(f0), 0.0, system)]
     snapshots, snapshot_steps, gaps = {}, {}, []
     applied, started = 1, time.perf_counter()
     # one set of blocks for every segment: each segment's rows, last
     # sample and gap are taken before the next one overwrites them
     buffers = step_buffers(f0.values.size)
     for i, (t0, t1) in enumerate(zip(edges[:-1], edges[1:]), 1):
-        samples, lfs = step(f, t0, t1, ctx, model, (lo, hi), buffers)
+        samples, lfs = step(f, t0, t1, system, (lo, hi), buffers)
         times = [t0 + (t1 - t0) * j / SEGMENT_SAMPLES
                  for j in range(1, SEGMENT_SAMPLES)] + [t1]
-        rows += [_log_row(sample, lf, t, ctx, model)
+        rows += [_log_row(sample, lf, t, system)
                  for sample, lf, t in zip(samples, lfs, times)]
         f = samples[-1].copy()
         gaps.append(_relative_gap(lfs[-1], ctx.apply(f)))
@@ -303,7 +298,7 @@ def evolve(f0, model, T, ctx, snapshot_times=(), log=None):
             log(f"evolve: segment {i}/{len(costs)}, t = {t1:.4g}, "
                 f"||f|| = {math.sqrt(rows[-1][1]):.4g}, {applied} of {planned} "
                 f"applications of L, about {left:.1f} s left")
-    return EvolutionResult(EvolutionState(f, T, len(costs)), np.array(rows),
+    return EvolutionResult(EvolutionState(f, len(costs)), np.array(rows),
                            snapshots, snapshot_steps, float(np.max(gaps)))
 
 
@@ -315,7 +310,7 @@ def evolve(f0, model, T, ctx, snapshot_times=(), log=None):
 class DerivativeLadder:
     """Exact time derivatives of the solution at a fixed time t > 0.
 
-    entries[m] = d_t^m f(t) via the operator recursion; a_k is the
+    entries[m] = d_t^m f(t), the f-row of (-G)^m (f(t), tau(t)); a_k is the
     factorial-normalized magnitude t^k ||d_t^k f|| / k! whose boundedness
     in k expresses time analyticity."""
 
@@ -327,22 +322,23 @@ class DerivativeLadder:
     a_k_root: np.ndarray
 
 
-def derivative_ladder(f_t, t, kmax, model, ctx):
-    """Build d_t^m f for m = 0..kmax by  D^m = -L D^{m-1} + d_t^{m-1} g."""
+def derivative_ladder(f_t, t, kmax, system):
+    """d_t^m f(t), m = 0..kmax: the f-rows of (-G)^m (f(t), tau(t))."""
     if t <= 0:
         raise ValueError("ladder requires t > 0")
     if kmax > LADDER_KMAX_CAP:
         raise ValueError(f"kmax {kmax} above cap {LADDER_KMAX_CAP}")
 
-    entries = [f_t.copy()]
+    entries, tau = [f_t.copy()], system.model.tau_derivative(0, t)
     for m in range(1, kmax + 1):
-        nxt = source_eval(model, m - 1, t) - ctx.apply(entries[-1])
+        _, gf = system.apply(entries[-1].values, tau)
+        nxt, tau = ScalarField(f_t.grid, -gf), -system.rate * tau
         if not np.all(np.abs(nxt.values) < LADDER_OVERFLOW):
             raise LadderOverflowError(f"ladder overflow at depth {m}", depth=m)
         entries.append(nxt)
 
     norms_l2 = np.array([l2_norm(d) for d in entries])
-    norms_a = np.array([a_norm(d, ctx.coeffs) for d in entries])
+    norms_a = np.array([a_norm(d, system.ctx.coeffs) for d in entries])
     ks = np.arange(kmax + 1, dtype=float)
     facts = np.array([math.factorial(k) for k in range(kmax + 1)], dtype=float)
     a_k = t ** ks * norms_l2 / facts

@@ -19,8 +19,8 @@ import numpy as np
 from . import verify
 from .config import fingerprint, validate_config
 from .errors import ConfigError
-from .evolution import (SourceModel, derivative_ladder, evolve,
-                        measure_source_bound)
+from .evolution import (PropagatedSystem, SourceModel, derivative_ladder,
+                        evolve, measure_source_bound)
 from .field import ScalarField, envelope_boundary_ratio, normalized, random_field
 from .grid import VelocityGrid
 from .kernel import (KernelParams, QuadratureSpec, build_coefficients,
@@ -111,18 +111,22 @@ class RunResources:
         return self._inputs[1]
 
     @cached_property
+    def system(self):
+        """G of y = (f, tau), which the trajectory and the ladders read."""
+        return PropagatedSystem(self.ctx, self.source_model())
+
+    @cached_property
     def trajectory(self):
         cfg = self.cfg
         marks = tuple(sorted(set(cfg.time_snapshot_times)
                              | set(cfg.ladder_eval_times)))
-        return evolve(self.initial_datum(), self.source_model(), cfg.time_T,
-                      self.ctx, snapshot_times=marks, log=self.log)
+        return evolve(self.initial_datum(), self.system, cfg.time_T,
+                      snapshot_times=marks, log=self.log)
 
     @cached_property
     def ladders(self):
-        model = self.source_model()
         return [derivative_ladder(self.trajectory.snapshots[t], t,
-                                  self.cfg.ladder_kmax, model, self.ctx)
+                                  self.cfg.ladder_kmax, self.system)
                 for t in self.cfg.ladder_eval_times]
 
 

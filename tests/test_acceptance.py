@@ -15,7 +15,7 @@ import pytest
 
 from landau import cli, persist
 from landau.config import load_config
-from landau.evolution import derivative_ladder, evolve
+from landau.evolution import PropagatedSystem, derivative_ladder, evolve
 from landau.field import l2_norm
 from landau.kernel import maxwellian_field
 from landau.suites import RunResources, run_suite
@@ -155,10 +155,10 @@ def test_criterion_7_scalar_oracle(res32):
     model = res32.source_model()
     f0 = res32.initial_datum()
     times = cfg.ladder_eval_times
-    zero_ctx = ZeroOperator(res32.coeffs)
-    res = evolve(f0, model, cfg.time_T, zero_ctx, snapshot_times=times)
-    ladders = [derivative_ladder(res.snapshots[t], t, cfg.ladder_kmax,
-                                 model, zero_ctx) for t in times]
+    system = PropagatedSystem(ZeroOperator(res32.coeffs), model)
+    res = evolve(f0, system, cfg.time_T, snapshot_times=times)
+    ladders = [derivative_ladder(res.snapshots[t], t, cfg.ladder_kmax, system)
+               for t in times]
     fit = smoothing_fit(ladders)
 
     # scalar oracle: f(t) = f0 + amp (1 - e^{-t}) phi exactly, and

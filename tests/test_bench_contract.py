@@ -42,8 +42,8 @@ def test_benchmark_names_resolve(tmp_path):
         b_comps = kernel.tabulate_fft_kernels(res.grid, res.params, pad=2).b_comps
         # evolution.rk4_steps counts the spans of evolution.step, one per
         # propagated segment
-        traj = evolution.evolve(f, evolution.SourceModel.zero(res.grid), 0.05,
-                                res.ctx)
+        zero = evolution.SourceModel.zero(res.grid)
+        traj = evolution.evolve(f, evolution.PropagatedSystem(res.ctx, zero), 0.05)
     finally:
         tracer.uninstall()
     assert kernel.tabulate_fft_kernels is original

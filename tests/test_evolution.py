@@ -10,11 +10,11 @@ import pytest
 import landau
 from landau import evolution
 from landau.errors import InstabilityError, LadderOverflowError
-from landau.evolution import (SEGMENT_SAMPLES, SourceModel,
+from landau.evolution import (SEGMENT_SAMPLES, SPECTRUM_MARGIN,
+                              PropagatedSystem, SourceModel,
                               chebyshev_coefficients, derivative_ladder,
                               evolve, measure_source_bound, scaled_bessel_i,
-                              source_eval, spectral_interval, step,
-                              step_buffers)
+                              step, step_buffers)
 from landau.field import ScalarField, inner_product, l2_norm, random_field, zeros
 from landau.operator import apply_L1
 from landau.verify import check_energy
@@ -26,24 +26,20 @@ def unit_gaussian(grid, width=1.5):
     return (1.0 / l2_norm(f)) * f
 
 
-def test_source_eval_exp(small_grid):
-    phi = unit_gaussian(small_grid)
-    model = SourceModel(phi, rate=1.0)
-    # third derivative of e^{-t} at t=0 flips the sign
-    out = source_eval(model, 3, 0.0)
-    assert np.allclose(out.values, -phi.values, rtol=1e-14)
-
-
 def test_source_bound_finite(small_grid):
     model = SourceModel(unit_gaussian(small_grid), rate=1.0)
     a_g = measure_source_bound(model, T=2.0)
     assert 0.0 < a_g < 10.0
 
 
+def interval_of(system):
+    """The propagation interval `evolve` uses for `system`."""
+    return system.spectrum(SPECTRUM_MARGIN - 1.0)
+
+
 def test_step_zero_stays_zero(small_grid, small_ctx):
-    model = SourceModel.zero(small_grid)
-    interval = spectral_interval(small_ctx, model)[1]
-    samples, lfs = step(zeros(small_grid), 0.25, 0.35, small_ctx, model, interval)
+    system = PropagatedSystem(small_ctx, SourceModel.zero(small_grid))
+    samples, lfs = step(zeros(small_grid), 0.25, 0.35, system, interval_of(system))
     assert len(samples) == len(lfs) == SEGMENT_SAMPLES
     assert all(np.all(f.values == 0.0) for f in samples + lfs)
 
@@ -74,31 +70,34 @@ def test_chebyshev_series_reproduces_exponential():
 
 
 def test_step_without_operator_matches_quadrature(small_grid, small_zero_ctx):
-    # with L = 0 and g = amplitude e^{-t} phi the solution is
-    # f0 + amplitude (1 - e^{-t}) phi; the operator stand-in carries the
-    # measured edges 0 of L = 0
+    # with L = 0 and g = amplitude e^{-rate t} phi the solution is
+    # f0 + amplitude (1 - e^{-rate t}) / rate phi; the operator stand-in
+    # carries the measured edges 0 of L = 0, so G's tau row sets the top
+    # of the interval.  At rate 0.7, (-rate)^m is not exact.
     phi = unit_gaussian(small_grid)
-    model = SourceModel(phi, rate=1.0, amplitude=0.7)
     f0 = random_field(small_grid, 5, bandlimit=5, envelope_width=1.0)
-
-    def exact(t):
-        return f0.values + 0.7 * (1.0 - math.exp(-t)) * phi.values
-
     scale = float(np.max(np.abs(f0.values)))
-    interval = spectral_interval(small_zero_ctx, model)[1]
-    samples, _ = step(f0, 0.0, 0.4, small_zero_ctx, model, interval)
-    for i, f in enumerate(samples, 1):
-        err = np.max(np.abs(f.values - exact(0.4 * i / SEGMENT_SAMPLES)))
-        assert err <= 1e-12 * scale
-    res = evolve(f0, model, 2.0, small_zero_ctx, snapshot_times=(0.5, 1.0))
-    assert sorted(res.snapshots) == [0.5, 1.0, 2.0]
-    for t, f in res.snapshots.items():
-        assert np.max(np.abs(f.values - exact(t))) <= 1e-12 * scale
+    for rate in (1.0, 0.7):
+        system = PropagatedSystem(small_zero_ctx,
+                                  SourceModel(phi, rate=rate, amplitude=0.7))
+
+        def exact(t):
+            return f0.values + 0.7 * (1.0 - math.exp(-rate * t)) / rate * phi.values
+
+        assert interval_of(system) == (0.0, rate)
+        samples, _ = step(f0, 0.0, 0.4, system, interval_of(system))
+        for i, f in enumerate(samples, 1):
+            err = np.max(np.abs(f.values - exact(0.4 * i / SEGMENT_SAMPLES)))
+            assert err <= 1e-12 * scale
+        res = evolve(f0, system, 2.0, snapshot_times=(0.5, 1.0))
+        assert sorted(res.snapshots) == [0.5, 1.0, 2.0]
+        for t, f in res.snapshots.items():
+            assert np.max(np.abs(f.values - exact(t))) <= 1e-12 * scale
 
 
 def test_evolve_zero_data_zero_source(small_grid, small_ctx):
     model = SourceModel.zero(small_grid)
-    res = evolve(zeros(small_grid), model, 0.5, small_ctx)
+    res = evolve(zeros(small_grid), PropagatedSystem(small_ctx, model), 0.5)
     assert l2_norm(res.state.f) == 0.0
     assert res.energy_log[-1, 0] == 0.5
 
@@ -107,8 +106,8 @@ def test_evolve_snapshots_and_log(small_grid, small_ctx):
     f0 = random_field(small_grid, 42, bandlimit=5, envelope_width=1.0)
     model = SourceModel(unit_gaussian(small_grid), amplitude=0.5)
     lines = []
-    res = evolve(f0, model, 0.2, small_ctx, snapshot_times=(0.1, 0.2),
-                 log=lines.append)
+    res = evolve(f0, PropagatedSystem(small_ctx, model), 0.2,
+                 snapshot_times=(0.1, 0.2), log=lines.append)
     assert set(res.snapshots) == {0.1, 0.2}
     t = res.energy_log[:, 0]
     assert np.all(np.diff(t) > 0)
@@ -133,7 +132,7 @@ def test_default_step_from_spectral_radius(small_grid, small_ctx):
     model = SourceModel(unit_gaussian(small_grid), amplitude=0.5)
     rho = small_ctx.spectral_radius
     T = 0.25
-    res = evolve(f0, model, T, small_ctx, snapshot_times=(0.1,))
+    res = evolve(f0, PropagatedSystem(small_ctx, model), T, snapshot_times=(0.1,))
     octaves = math.ceil(math.log2(rho * T))
     assert res.state.step_index == octaves + 2
     t = res.energy_log[:, 0]
@@ -152,9 +151,10 @@ def test_default_step_accuracy(small_grid, small_ctx):
     f0 = random_field(small_grid, 7, bandlimit=5, envelope_width=1.0)
     model = SourceModel(unit_gaussian(small_grid), amplitude=0.5)
     t0, t1 = 0.1, 0.1 + 8.0 / small_ctx.spectral_radius
-    lo, hi = spectral_interval(small_ctx, model)[1]
-    measured, lfs = step(f0, t0, t1, small_ctx, model, (lo, hi))
-    wide, _ = step(f0, t0, t1, small_ctx, model, (lo - 5.0, 2.0 * hi))
+    system = PropagatedSystem(small_ctx, model)
+    lo, hi = interval_of(system)
+    measured, lfs = step(f0, t0, t1, system, (lo, hi))
+    wide, _ = step(f0, t0, t1, system, (lo - 5.0, 2.0 * hi))
     for f, g in zip(measured, wide):
         assert l2_norm(f - g) <= 1e-12 * l2_norm(g)
     # L f at each sample, summed from the recurrence's own applications of
@@ -167,15 +167,16 @@ def test_default_step_accuracy(small_grid, small_ctx):
 def test_step_on_reused_buffers_is_bit_identical(small_grid, small_ctx):
     # evolve hands every segment the same blocks: a step on blocks that
     # another step has filled gives the bytes of a step on fresh blocks
-    model = SourceModel(unit_gaussian(small_grid), amplitude=0.5)
-    interval = spectral_interval(small_ctx, model)[1]
+    system = PropagatedSystem(
+        small_ctx, SourceModel(unit_gaussian(small_grid), amplitude=0.5))
+    interval = interval_of(system)
     t0, t1 = 0.1, 0.1 + 8.0 / small_ctx.spectral_radius
     buffers = step_buffers(small_grid.N ** 3)
-    step(random_field(small_grid, 8, bandlimit=5), 0.0, 0.2, small_ctx, model,
-         interval, buffers)
+    step(random_field(small_grid, 8, bandlimit=5), 0.0, 0.2, system, interval,
+         buffers)
     f0 = random_field(small_grid, 7, bandlimit=5, envelope_width=1.0)
-    reused = step(f0, t0, t1, small_ctx, model, interval, buffers)
-    fresh = step(f0, t0, t1, small_ctx, model, interval)
+    reused = step(f0, t0, t1, system, interval, buffers)
+    fresh = step(f0, t0, t1, system, interval)
     for got, want in zip(reused, fresh):
         for g, w in zip(got, want):
             assert np.array_equal(g.values, w.values)
@@ -201,10 +202,9 @@ def test_propagator_top_ritz_vector(small_grid, small_ctx):
     theta, vec = theta[0], vec[:, 0]
     assert abs(theta.imag) <= 1e-12 * abs(theta)
     v = ScalarField(grid, (vec / vec[np.argmax(np.abs(vec))]).real.reshape(grid.shape))
-    model = SourceModel.zero(grid)
+    system = PropagatedSystem(small_ctx, SourceModel.zero(grid))
     span = 1.0 / small_ctx.spectral_radius
-    samples, lfs = step(v, 0.0, span, small_ctx, model,
-                        spectral_interval(small_ctx, model)[1])
+    samples, lfs = step(v, 0.0, span, system, interval_of(system))
     for i, (f, lf) in enumerate(zip(samples, lfs), 1):
         exact = math.exp(-theta.real * span * i / SEGMENT_SAMPLES) * v
         assert l2_norm(f - exact) <= 1e-10 * l2_norm(exact)
@@ -233,7 +233,8 @@ def test_evolve_counts_its_applications_of_L(small_grid, small_ctx):
     model = SourceModel(unit_gaussian(small_grid), amplitude=0.5)
     ctx = CountingContext(small_ctx)
     lines = []
-    evolve(f0, model, 0.5, ctx, snapshot_times=(0.25,), log=lines.append)
+    evolve(f0, PropagatedSystem(ctx, model), 0.5, snapshot_times=(0.25,),
+           log=lines.append)
     applied, planned = map(int, re.search(
         r"(\d+) of (\d+) applications of L", lines[-1]).groups())
     assert ctx.calls == applied == planned
@@ -244,7 +245,8 @@ def test_energy_log_lff_is_direct(small_grid, small_ctx):
     # applied to the snapshot itself
     f0 = random_field(small_grid, 42, bandlimit=5, envelope_width=1.0)
     model = SourceModel(unit_gaussian(small_grid), amplitude=0.5)
-    res = evolve(f0, model, 0.5, small_ctx, snapshot_times=(0.1, 0.25))
+    res = evolve(f0, PropagatedSystem(small_ctx, model), 0.5,
+                 snapshot_times=(0.1, 0.25))
     log = res.energy_log
     for t, f in res.snapshots.items():
         [row] = log[log[:, 0] == t]
@@ -259,58 +261,87 @@ def test_propagator_with_L1_fails_lf_gap(small_grid, small_ctx, monkeypatch):
     # the last sample of each segment catches it
     f0 = random_field(small_grid, 42, bandlimit=5, envelope_width=1.0)
     model = SourceModel(unit_gaussian(small_grid), amplitude=0.5)
+    system = PropagatedSystem(small_ctx, model)
 
     def checks(res):
         return {c["id"]: c for c in check_energy(res, []).checks}
 
-    true = checks(evolve(f0, model, 0.5, small_ctx))
+    true = checks(evolve(f0, system, 0.5))
     assert true["energy_log_lf_gap"]["verdict"] == "pass"
     assert abs(true["residual_dt_slope"]["value"] - 4.0) <= 0.5
 
     # propagates with L1 on the interval measured for L
     l1_only = CountingContext(small_ctx, lambda f: apply_L1(f, small_ctx.coeffs))
+    l1_system = PropagatedSystem(l1_only, model)
     original = evolution.step
     monkeypatch.setattr(evolution, "step",
-                        lambda f, t0, t1, ctx, *a: original(f, t0, t1, l1_only, *a))
-    wrong = checks(evolve(f0, model, 0.5, small_ctx))
+                        lambda f, t0, t1, _, *a: original(f, t0, t1, l1_system, *a))
+    wrong = checks(evolve(f0, system, 0.5))
     assert wrong["energy_log_lf_gap"]["verdict"] == "fail"
     assert wrong["energy_log_lf_gap"]["value"] > 0.1
+
+
+def test_propagator_and_ladder_share_G(small_grid, small_ctx, monkeypatch):
+    # one patch of G, dropping the forcing from PropagatedSystem.apply,
+    # reaches both the propagated snapshot and a ladder rung: each then
+    # equals its unforced counterpart
+    f0 = random_field(small_grid, 42, bandlimit=5, envelope_width=1.0)
+    forced = PropagatedSystem(
+        small_ctx, SourceModel(unit_gaussian(small_grid), amplitude=0.5))
+    unforced = PropagatedSystem(small_ctx, SourceModel.zero(small_grid))
+
+    def outputs(system):
+        snapshot = evolve(f0, system, 0.2, snapshot_times=(0.1,)).snapshots[0.1]
+        return snapshot.values, derivative_ladder(f0, 0.1, 2, system).entries[1].values
+
+    true, free = outputs(forced), outputs(unforced)
+    assert all(l2_norm(ScalarField(small_grid, a - b)) > 1e-3 * l2_norm(
+        ScalarField(small_grid, b)) for a, b in zip(true, free))
+    original = PropagatedSystem.apply
+    monkeypatch.setattr(PropagatedSystem, "apply",
+                        lambda self, f, tau: original(self, f, 0.0))
+    for got, want in zip(outputs(forced), free):
+        assert np.array_equal(got, want)
 
 
 def test_ladder_base_case(small_grid, small_ctx):
     # with g = 0, the first rung is -L f
     f = random_field(small_grid, 9, bandlimit=5, envelope_width=1.0)
     model = SourceModel.zero(small_grid)
-    lad = derivative_ladder(f, 1.0, 1, model, small_ctx)
+    lad = derivative_ladder(f, 1.0, 1, PropagatedSystem(small_ctx, model))
     lf = small_ctx.apply(f)
     assert np.allclose(lad.entries[1].values, -lf.values, rtol=1e-13)
     assert lad.norms_l2[1] == pytest.approx(l2_norm(lf), rel=1e-12)
 
 
 def test_ladder_closed_form_without_operator(small_grid, small_zero_ctx):
-    # with L = 0 the rungs are the source's time derivatives
+    # with L = 0 the rungs, which iterate G's tau row, are the source's
+    # time derivatives in closed form; at rate 0.7, (-rate)^m is not exact
     phi = unit_gaussian(small_grid)
-    model = SourceModel(phi, rate=1.0)
     f_t = 0.5 * phi
     t = 0.8
-    lad = derivative_ladder(f_t, t, 5, model, small_zero_ctx)
-    for m in range(1, 6):
-        expected = model.tau_derivative(m - 1, t) * phi.values
-        assert np.allclose(lad.entries[m].values, expected, rtol=1e-13)
-    # a_k matches the scalar closed form
-    for k in range(1, 6):
-        expected = t ** k * math.exp(-t) / math.factorial(k)
-        assert lad.a_k[k] == pytest.approx(expected, rel=1e-12)
+    for rate in (1.0, 0.7):
+        model = SourceModel(phi, rate=rate)
+        lad = derivative_ladder(f_t, t, 5, PropagatedSystem(small_zero_ctx, model))
+        for m in range(1, 6):
+            expected = model.tau_derivative(m - 1, t) * phi.values
+            assert np.allclose(lad.entries[m].values, expected, rtol=1e-13, atol=0.0)
+        # the third derivative of the forcing flips its sign
+        assert np.all(lad.entries[4].values * phi.values <= 0.0)
+        # a_k matches the scalar closed form
+        for k in range(1, 6):
+            expected = t ** k * rate ** (k - 1) * math.exp(-rate * t) / math.factorial(k)
+            assert lad.a_k[k] == pytest.approx(expected, rel=1e-12)
 
 
 def test_ladder_linearity(small_grid, small_ctx):
-    model = SourceModel.zero(small_grid)
+    system = PropagatedSystem(small_ctx, SourceModel.zero(small_grid))
     f1 = random_field(small_grid, 20, bandlimit=5, envelope_width=1.0)
     f2 = random_field(small_grid, 21, bandlimit=5, envelope_width=1.0)
     mix = 2.0 * f1 + (-3.0) * f2
-    lad_mix = derivative_ladder(mix, 1.0, 3, model, small_ctx)
-    lad1 = derivative_ladder(f1, 1.0, 3, model, small_ctx)
-    lad2 = derivative_ladder(f2, 1.0, 3, model, small_ctx)
+    lad_mix = derivative_ladder(mix, 1.0, 3, system)
+    lad1 = derivative_ladder(f1, 1.0, 3, system)
+    lad2 = derivative_ladder(f2, 1.0, 3, system)
     for m in range(4):
         combo = 2.0 * lad1.entries[m].values - 3.0 * lad2.entries[m].values
         scale = np.max(np.abs(combo)) + 1e-300
@@ -318,12 +349,12 @@ def test_ladder_linearity(small_grid, small_ctx):
 
 
 def test_ladder_requires_positive_time(small_grid, small_ctx):
-    model = SourceModel.zero(small_grid)
+    system = PropagatedSystem(small_ctx, SourceModel.zero(small_grid))
     f = random_field(small_grid, 22, bandlimit=5)
     with pytest.raises(ValueError):
-        derivative_ladder(f, 0.0, 2, model, small_ctx)
+        derivative_ladder(f, 0.0, 2, system)
     with pytest.raises(ValueError):
-        derivative_ladder(f, 1.0, 11, model, small_ctx)
+        derivative_ladder(f, 1.0, 11, system)
 
 
 def test_ladder_overflow_guard(small_grid):
@@ -337,21 +368,22 @@ def test_ladder_overflow_guard(small_grid):
     model = SourceModel.zero(small_grid)
     f = random_field(small_grid, 23, bandlimit=5)
     with pytest.raises(LadderOverflowError) as err:
-        derivative_ladder(f, 1.0, 4, model, Exploding())
+        derivative_ladder(f, 1.0, 4, PropagatedSystem(Exploding(), model))
     assert err.value.depth == 2
 
 
 def test_ladder_matches_time_differencing(small_grid, small_ctx):
     # (f(t+d) - f(t-d)) / 2d approaches the first rung as d shrinks
     f0 = random_field(small_grid, 30, bandlimit=4, envelope_width=1.0)
-    model = SourceModel(unit_gaussian(small_grid), amplitude=0.5)
+    system = PropagatedSystem(
+        small_ctx, SourceModel(unit_gaussian(small_grid), amplitude=0.5))
     t0 = 0.3
     deltas = (0.1, 0.05)
     errs = []
     for d in deltas:
         marks = (t0 - d, t0, t0 + d)
-        res = evolve(f0, model, t0 + d, small_ctx, snapshot_times=marks)
-        lad = derivative_ladder(res.snapshots[t0], t0, 1, model, small_ctx)
+        res = evolve(f0, system, t0 + d, snapshot_times=marks)
+        lad = derivative_ladder(res.snapshots[t0], t0, 1, system)
         fd = (res.snapshots[t0 + d].values - res.snapshots[t0 - d].values) / (2 * d)
         errs.append(float(np.max(np.abs(fd - lad.entries[1].values))))
     ratio = errs[0] / errs[1]
@@ -366,18 +398,22 @@ def test_instability_guard(small_grid, small_ctx):
     rho, edge = ctx.spectral_radius, ctx.spectrum_lower_edge
     assert edge < 0.0 < rho
     f0 = random_field(small_grid, 31, bandlimit=5)
-    model = SourceModel.zero(small_grid)
+    system = PropagatedSystem(ctx, SourceModel.zero(small_grid))
+    assert system.spectrum() == (edge, rho)
+    assert system.spectrum(0.02) == (edge - 0.02 * rho, rho + 0.02 * rho)
     for interval in ((edge, 0.99 * rho), (edge + 0.01, 1.02 * rho),
                      (0.0, 1.02 * rho), (edge, math.inf), (math.nan, rho),
                      (1.02 * rho, edge)):
         with pytest.raises(InstabilityError, match="does not contain"):
-            step(f0, 0.0, 0.1, ctx, model, interval)
+            step(f0, 0.0, 0.1, system, interval)
     # the forcing's rate is an eigenvalue of the propagated system too
-    fast = SourceModel(unit_gaussian(small_grid), rate=2.0 * rho)
+    fast = PropagatedSystem(
+        ctx, SourceModel(unit_gaussian(small_grid), rate=2.0 * rho))
+    assert fast.spectrum(0.02) == (edge - 0.02 * rho, 2.0 * rho)
     with pytest.raises(InstabilityError, match="does not contain"):
-        step(f0, 0.0, 0.1, ctx, fast, (edge, 1.02 * rho))
+        step(f0, 0.0, 0.1, fast, (edge, 1.02 * rho))
     assert ctx.calls == 0
-    samples, _ = step(f0, 0.0, 0.1, ctx, model, (edge, rho))
+    samples, _ = step(f0, 0.0, 0.1, system, (edge, rho))
     assert ctx.calls > 0
     assert all(np.isfinite(f.values).all() for f in samples)
 
@@ -389,7 +425,7 @@ def test_instability_guard(small_grid, small_ctx):
 BLAS_THREADS_RUN = """
 import hashlib
 import numpy as np
-from landau.evolution import SourceModel, evolve
+from landau.evolution import PropagatedSystem, SourceModel, evolve
 from landau.field import ScalarField, l2_norm, random_field
 from landau.grid import VelocityGrid
 from landau.kernel import (KernelParams, QuadratureSpec, build_coefficients,
@@ -402,7 +438,7 @@ ctx = make_context(build_coefficients(grid, KernelParams(-1.0), QuadratureSpec()
 phi = ScalarField(grid, np.exp(-grid.radius_sq / 2.0))
 model = SourceModel((1.0 / l2_norm(phi)) * phi, amplitude=0.5)
 f0 = random_field(grid, 42, bandlimit=8, envelope_width=1.25)
-res = evolve(f0, model, 0.1, ctx, snapshot_times=(0.05,))
+res = evolve(f0, PropagatedSystem(ctx, model), 0.1, snapshot_times=(0.05,))
 print(repr(ctx.spectral_radius), repr(ctx.spectrum_lower_edge))
 print(hashlib.sha256(res.energy_log.tobytes()).hexdigest())
 for t, f in sorted(res.snapshots.items()):

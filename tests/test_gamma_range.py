@@ -6,7 +6,8 @@ from the weakly to the strongly singular end."""
 import numpy as np
 import pytest
 
-from landau.evolution import SourceModel, derivative_ladder, evolve
+from landau.evolution import (PropagatedSystem, SourceModel, derivative_ladder,
+                              evolve)
 from landau.field import ScalarField, l2_norm, random_field
 from landau.grid import VelocityGrid
 from landau.kernel import KernelParams, QuadratureSpec, build_coefficients
@@ -27,9 +28,10 @@ def test_pipeline_across_gamma(gamma):
     phi = ScalarField(grid, np.exp(-grid.radius_sq / 2.0))
     phi = (1.0 / l2_norm(phi)) * phi
     model = SourceModel(phi, amplitude=0.5)
-    res = evolve(f0, model, 0.2, ctx, snapshot_times=(0.2,))
+    system = PropagatedSystem(ctx, model)
+    res = evolve(f0, system, 0.2, snapshot_times=(0.2,))
     assert np.isfinite(res.state.f.values).all()
 
-    lad = derivative_ladder(res.snapshots[0.2], 0.2, 3, model, ctx)
+    lad = derivative_ladder(res.snapshots[0.2], 0.2, 3, system)
     assert np.all(np.isfinite(lad.a_k))
     assert np.all(lad.a_k > 0)

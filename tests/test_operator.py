@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from landau import operator
 from landau.errors import EigenvalueError, GridMismatchError
-from landau.evolution import SourceModel, step
+from landau.evolution import PropagatedSystem, SourceModel, step
 from landau.field import (ScalarField, a_norm_sq, gradient, inner_product,
                           l2_norm, random_field, zeros)
 from landau.grid import VelocityGrid
@@ -303,7 +303,8 @@ def test_spectral_radius_brackets_chebyshev_interval(small_grid, small_ctx):
         # the true L, whose spectrum is taken to have been measured as [lo, hi]
         measured = SimpleNamespace(apply=small_ctx.apply, spectral_radius=hi,
                                    spectrum_lower_edge=lo)
-        samples, _ = step(f0, 0.0, span, measured, model, (lo, hi))
+        samples, _ = step(f0, 0.0, span, PropagatedSystem(measured, model),
+                          (lo, hi))
         return samples[-1]
 
     ref = end(2.0 * rho, edge - 1.0)

@@ -11,8 +11,8 @@ import pytest
 
 from landau.config import load_config, parse_config_text
 from landau.errors import ConfigError, DegenerateRatioError, FitDegenerateError
-from landau.evolution import (SEGMENT_SAMPLES, DerivativeLadder, SourceModel,
-                              derivative_ladder, evolve)
+from landau.evolution import (SEGMENT_SAMPLES, DerivativeLadder, PropagatedSystem,
+                              SourceModel, derivative_ladder, evolve)
 from landau.field import (EnergyForm, VectorField, a_norm_sq, divergence, gradient,
                           inner_product, l2_norm, random_field, weighted_norm,
                           zeros)
@@ -412,9 +412,9 @@ def _unit_gaussian(grid):
 def test_energy_suite(small_grid, small_ctx):
     f0 = random_field(small_grid, 42, bandlimit=5, envelope_width=1.0)
     model = SourceModel(_unit_gaussian(small_grid), amplitude=0.5)
-    res = evolve(f0, model, 0.5, small_ctx, snapshot_times=(0.25, 0.5))
-    lads = [derivative_ladder(res.snapshots[t], t, 2, model, small_ctx)
-            for t in (0.25, 0.5)]
+    system = PropagatedSystem(small_ctx, model)
+    res = evolve(f0, system, 0.5, snapshot_times=(0.25, 0.5))
+    lads = [derivative_ladder(res.snapshots[t], t, 2, system) for t in (0.25, 0.5)]
     rep = check_energy(res, lads)
     assert rep.passed, [c for c in rep.checks if c["verdict"] == "fail"]
     consts = {c["name"]: c["value"] for c in rep.constants}
@@ -611,7 +611,7 @@ def test_run_resources_without_cache_dir_writes_nothing(tmp_path, monkeypatch):
 
 def test_energy_zero_run(small_grid, small_ctx):
     model = SourceModel.zero(small_grid)
-    res = evolve(zeros(small_grid), model, 0.25, small_ctx)
+    res = evolve(zeros(small_grid), PropagatedSystem(small_ctx, model), 0.25)
     rep = check_energy(res, [])
     consts = {c["name"]: c["value"] for c in rep.constants}
     assert consts["C5"] == 0.0
@@ -634,9 +634,9 @@ def test_smoothing_fit_scalar_oracle(small_grid, small_zero_ctx):
     model = SourceModel(phi, rate=1.0)
     f0 = random_field(small_grid, 42, bandlimit=5, envelope_width=1.0)
     times = (0.5, 1.0, 2.0)
-    res = evolve(f0, model, 2.0, small_zero_ctx, snapshot_times=times)
-    ladders = [derivative_ladder(res.snapshots[t], t, 6, model, small_zero_ctx)
-               for t in times]
+    system = PropagatedSystem(small_zero_ctx, model)
+    res = evolve(f0, system, 2.0, snapshot_times=times)
+    ladders = [derivative_ladder(res.snapshots[t], t, 6, system) for t in times]
     fit = smoothing_fit(ladders)
 
     # independent scalar oracle: ||f(t)|| from the exact solution
@@ -657,8 +657,8 @@ def test_smoothing_fit_scalar_oracle(small_grid, small_zero_ctx):
 
 def test_smoothing_fit_degenerate(small_grid, small_zero_ctx):
     model = SourceModel.zero(small_grid)
-    lad = derivative_ladder(_unit_gaussian(small_grid), 1.0, 3, model,
-                            small_zero_ctx)
+    lad = derivative_ladder(_unit_gaussian(small_grid), 1.0, 3,
+                            PropagatedSystem(small_zero_ctx, model))
     # L = 0 and g = 0 make every rung above 0 vanish
     with pytest.raises(FitDegenerateError):
         smoothing_fit([lad])
@@ -667,9 +667,9 @@ def test_smoothing_fit_degenerate(small_grid, small_zero_ctx):
 def test_smoothing_report_checks(small_grid, small_ctx):
     f0 = random_field(small_grid, 42, bandlimit=5, envelope_width=1.0)
     model = SourceModel(_unit_gaussian(small_grid), amplitude=0.5)
-    res = evolve(f0, model, 1.0, small_ctx, snapshot_times=(0.5, 1.0))
-    lads = [derivative_ladder(res.snapshots[t], t, 4, model, small_ctx)
-            for t in (0.5, 1.0)]
+    system = PropagatedSystem(small_ctx, model)
+    res = evolve(f0, system, 1.0, snapshot_times=(0.5, 1.0))
+    lads = [derivative_ladder(res.snapshots[t], t, 4, system) for t in (0.5, 1.0)]
     rep = smoothing_report(lads)
     fit = smoothing_fit(lads)
     ids = {c["id"] for c in rep.checks}
