@@ -264,11 +264,18 @@ def evolve(f0, system, T, snapshot_times=(), log=None):
     to the last sample of every segment; `lf_gap` is the largest relative
     distance between the two, so a propagator that applies another
     operator than the system's cannot pass its own energy identity
-    unnoticed.  `log`, when given, receives one progress line per segment."""
+    unnoticed.  `log`, when given, receives one line with the measured
+    spectrum of L (`OperatorContext.spectrum`) and one progress line per
+    segment."""
     if T <= 0:
         raise ValueError("horizon T must be positive")
     ctx = system.ctx
     lo, hi = system.spectrum(SPECTRUM_MARGIN - 1.0)
+    if log is not None:
+        measured = ctx.spectrum
+        log(f"evolve: spectrum of L measured, rho = {measured.rho:.6g}, lower "
+            f"edge = {measured.edge:.6g}, by {measured.applications} "
+            f"applications of L in {measured.cycles} Arnoldi cycles")
     edges = segment_edges(T, ctx.spectral_radius, snapshot_times)
     # applications of L per segment: the series' terms but the last, one
     # for the last term and one for the direct check

@@ -26,6 +26,7 @@ are kernel.radial_power_convolutions.
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -120,53 +121,62 @@ class OperatorContext:
         return apply_L(f, self.engine, self.coeffs)
 
     @cached_property
-    def spectral_radius(self):
-        """rho(L) = max |lambda(L)|, measured on first use and then kept.
+    def spectrum(self):
+        """Both measured edges of the spectrum of L, from one Arnoldi run
+        (`arnoldi_edges`) on first use, and then kept.
 
-        The start vector is seeded white noise, so rho is bit-identical
-        from run to run.  A constant start vector is even in every
-        velocity component, L preserves that parity, and the iteration
-        then finds the top eigenvalue of the even subspace only (117.73
-        instead of 120.48 at N=32, R=8).
+        The start vector is seeded white noise, so the edges are
+        bit-identical from run to run.  A constant start vector is even in
+        every velocity component, L preserves that parity, and the
+        iteration then finds the spectrum of the even subspace only (117.73
+        instead of 120.48 for rho at N=32, R=8).
         """
-        return self._shifted_radius(0.0, ARNOLDI_TOL)
-
-    @cached_property
-    def spectrum_lower_edge(self):
-        """rho - max |rho - lambda(L)|, measured on first use and then kept:
-        it bounds min Re lambda(L) from below, and is negative because the
-        discrete L2 is not exactly self-adjoint (-0.36 at N=24, R=8).
-
-        Measured to LOWER_EDGE_TOL only.  The eigenvalues of L at the low
-        end cluster within a small fraction of rho, so there the Ritz
-        residual falls by about 8% per restart at N=48; the propagator
-        widens its interval by 2% of rho anyway (evolution.SPECTRUM_MARGIN).
-        The value is an estimate at that residual: within 0.002 of the
-        converged edge at N=24, but -0.056 at N=48, where 38 restarts reach
-        -0.0855 and still move, so at N >= 48 it understates how far the
-        spectrum reaches below zero."""
-        rho = self.spectral_radius
-        return rho - self._shifted_radius(rho, LOWER_EDGE_TOL)
-
-    def _shifted_radius(self, shift, tol):
-        """max |lambda(L) - shift|, by Arnoldi from seeded white noise."""
         grid = self.coeffs.grid
 
         def matvec(x):
-            lx = self.apply(ScalarField(grid, x.reshape(grid.shape))).values.ravel()
-            return lx - shift * x
+            return self.apply(ScalarField(grid, x.reshape(grid.shape))).values.ravel()
 
-        v0 = np.random.default_rng(0).standard_normal(grid.N ** 3)
-        return arnoldi_spectral_radius(matvec, v0, tol)
+        return arnoldi_edges(matvec, np.random.default_rng(0).standard_normal(grid.N ** 3))
+
+    @property
+    def spectral_radius(self):
+        """rho(L) = max |lambda(L)|, to ARNOLDI_TOL (see `spectrum`)."""
+        return self.spectrum.rho
+
+    @property
+    def spectrum_lower_edge(self):
+        """rho - max |rho - lambda(L)|, read from the same run as rho
+        (see `spectrum`): it bounds min Re lambda(L) from below, and is
+        negative because the discrete L2 is not exactly self-adjoint.
+
+        Measured to LOWER_EDGE_TOL only.  The eigenvalues of L at the low
+        end cluster within a small fraction of rho, so there the Ritz
+        residual falls slowly; the propagator widens its interval by 2% of
+        rho anyway (evolution.SPECTRUM_MARGIN).  The value is an estimate
+        at that residual: -0.358, -0.192, -0.060 and -0.031 at N = 24, 32,
+        48 and 64 (R=8), where the edge converged to 1e-6 reads -0.360 at
+        N=24 and -0.086 at N=48, so at N >= 48 it understates how far the
+        spectrum reaches below zero."""
+        return self.spectrum.edge
 
 
-# restarted Arnoldi for OperatorContext.spectral_radius: basis size, ARPACK
-# relative residual tolerance, restart budget
+# thick-restarted Arnoldi for OperatorContext.spectrum: basis size, ARPACK
+# relative residual tolerance of rho, restart budget
 ARNOLDI_KRYLOV_DIM = 20
 ARNOLDI_TOL = 1e-6
 ARNOLDI_MAX_RESTARTS = 50
-# relative Ritz residual at which OperatorContext.spectrum_lower_edge stops
+# relative Ritz residual at which the lower edge counts as measured
 LOWER_EDGE_TOL = 1e-3
+
+
+class SpectrumEdges(NamedTuple):
+    """rho = max |lambda|, edge = rho - max |rho - lambda|, and the
+    applications of the map and the Arnoldi cycles that measured them."""
+
+    rho: float
+    edge: float
+    applications: int
+    cycles: int
 
 
 def _norm(x):
@@ -174,30 +184,59 @@ def _norm(x):
     return float(np.sqrt(np.einsum("i,i->", x, x)))
 
 
-def arnoldi_spectral_radius(matvec, v0, tol=ARNOLDI_TOL):
-    """Largest |lambda| of a real linear map, by explicitly restarted Arnoldi.
+def _kept_ritz_vectors(theta, vecs, rho):
+    """Orthonormal basis Z of the span of the m/4 Ritz vectors nearest each
+    end of the spectrum, largest |theta| and largest |rho - theta|, with
+    their conjugate partners: the real and imaginary parts of one vector of
+    each pair, so Z spans an invariant subspace of the projected matrix."""
+    quarter = len(theta) // 4
+    kept = set()
+    for order in (np.argsort(-np.abs(theta)), np.argsort(-np.abs(rho - theta))):
+        kept.update(int(i) for i in order[:quarter])
+    cols = []
+    for i in sorted(kept):
+        if theta[i].imag == 0.0:
+            cols.append(vecs[:, i].real)
+        elif not any(theta[j] == np.conj(theta[i]) for j in kept if j < i):
+            cols += [vecs[:, i].real, vecs[:, i].imag]
+    return np.linalg.qr(np.array(cols).T)[0]
+
+
+def arnoldi_edges(matvec, v0):
+    """Both edges of the spectrum of a real linear map, rho = max |lambda|
+    and edge = rho - max |rho - lambda|, by one thick-restarted Arnoldi run.
 
     Arnoldi rather than Lanczos because the discrete L2 is not exactly
-    self-adjoint.  Each cycle builds an orthonormal Krylov basis of
+    self-adjoint.  One run serves both edges because K_m(A - rho I, v) =
+    K_m(A, v).  Each cycle fills an orthonormal Krylov basis of
     ARNOLDI_KRYLOV_DIM vectors (Gram-Schmidt with one reorthogonalization
-    pass) and takes the Ritz value theta of largest modulus of the
-    projected Hessenberg matrix.  It stops when the Ritz residual is at
-    most tol*|theta|, the convergence test of ARPACK (Lehoucq,
-    Sorensen & Yang, ARPACK Users' Guide, SIAM 1998), and otherwise
-    restarts from the real part of the Ritz vector.  Its projections, norms
-    and Ritz vector are numpy reductions (einsum, which never calls BLAS),
-    so their summation order, and with it rho, is the same for any BLAS
-    thread count.  Written with numpy alone: importing
-    scipy.sparse.linalg would add about 26 MB to the resident memory of
+    pass) and reads both edges off the Ritz values theta of the projected
+    matrix H.  It stops when the pair of largest |theta| has Ritz residual
+    at most ARNOLDI_TOL |theta| and the pair of largest |rho - theta| at
+    most LOWER_EDGE_TOL |rho - theta|, ARPACK's test (Lehoucq, Sorensen &
+    Yang, ARPACK Users' Guide, SIAM 1998) for each.  Otherwise it restarts
+    thick, Krylov-Schur fashion (Stewart, SIAM J. Matrix Anal. Appl. 23,
+    2001; Morgan, Math. Comp. 65, 1996): it keeps the span Z of the Ritz
+    vectors nearest either end (`_kept_ritz_vectors`), rotates the basis
+    to V Z, takes Z^T H Z with the residual row under it as the new
+    projected matrix, and continues from the old residual vector, so a
+    cycle after the first costs m - k applications for k kept vectors.
+    Projections, norms and the rotation are numpy reductions (einsum,
+    which never calls BLAS), so their summation order, and with it both
+    edges, is the same for any BLAS thread count.  Written with numpy
+    alone: importing scipy.linalg would add to the resident memory of
     every run.
     """
     m = ARNOLDI_KRYLOV_DIM
-    basis = np.empty((m + 1, v0.size))
+    n = v0.size
+    basis = np.empty((m + 1, n))
     basis[0] = v0 / _norm(v0)
-    for _ in range(ARNOLDI_MAX_RESTARTS):
-        hess = np.zeros((m + 1, m))
-        for j in range(m):
+    hess = np.zeros((m + 1, m))
+    kept, applications = 0, 0
+    for cycle in range(1, ARNOLDI_MAX_RESTARTS + 1):
+        for j in range(kept, m):
             w = matvec(basis[j])
+            applications += 1
             for _ in range(2):
                 c = np.einsum("ij,j->i", basis[:j + 1], w)
                 w -= np.einsum("i,ij->j", c, basis[:j + 1])
@@ -205,14 +244,29 @@ def arnoldi_spectral_radius(matvec, v0, tol=ARNOLDI_TOL):
             hess[j + 1, j] = _norm(w)
             basis[j + 1] = w / hess[j + 1, j]
         theta, vecs = np.linalg.eig(hess[:m])
-        k = int(np.argmax(np.abs(theta)))
-        if abs(hess[m, m - 1] * vecs[m - 1, k]) <= tol * abs(theta[k]):
-            return float(abs(theta[k]))
-        v = np.einsum("i,ij->j", vecs[:, k].real, basis[:m])
-        basis[0] = v / _norm(v)
+        residual = np.abs(hess[m] @ vecs)
+        top = int(np.argmax(np.abs(theta)))
+        rho = float(abs(theta[top]))
+        far = int(np.argmax(np.abs(rho - theta)))
+        reach = float(abs(rho - theta[far]))
+        if (residual[top] <= ARNOLDI_TOL * rho
+                and residual[far] <= LOWER_EDGE_TOL * reach):
+            return SpectrumEdges(rho, rho - reach, applications, cycles=cycle)
+        z = _kept_ritz_vectors(theta, vecs, rho)
+        kept = z.shape[1]
+        # basis[:kept] = Z^T basis[:m] in place, in m blocks of columns, so
+        # that no second (kept, n) array is held
+        width = -(-n // m)
+        for s in range(0, n, width):
+            basis[:kept, s:s + width] = np.einsum("ji,jc->ic", z, basis[:m, s:s + width])
+        basis[kept] = basis[m]
+        proj = np.zeros((m + 1, m))
+        proj[:kept, :kept] = z.T @ hess[:m] @ z
+        proj[kept, :kept] = hess[m] @ z
+        hess = proj
     raise EigenvalueError(
-        f"Arnoldi iteration for the spectral radius did not converge in "
-        f"{ARNOLDI_MAX_RESTARTS} restarts of {m} vectors")
+        f"Arnoldi iteration for the spectrum's edges did not converge in "
+        f"{ARNOLDI_MAX_RESTARTS} cycles of {m} vectors")
 
 
 def make_context(coeffs: LandauCoefficients) -> OperatorContext:

@@ -341,8 +341,8 @@ class MemberScalars:
     partners: list
     a_sq: list        # ||f||_A^2
     s: list           # ||f||_{2, g/2}
-    s3: list          # ||f||_{3, g/2}
-    den: list         # split-energy denominator
+    s3: list          # ||f||_{3, g/2}, None in a pass that is not `full`
+    den: list         # split-energy denominator, likewise
     l1_pair: list     # (L1 f, f_j) per partner j
     l2_pair: list     # (L2 f, f_j) per partner j
     grad_pair: list   # (Abar grad f, grad f_j) per partner j
@@ -362,12 +362,15 @@ class MemberScalars:
         return [row[0] for row in self.l2_pair]
 
 
-def member_pass(ctx, ensemble):
+def member_pass(ctx, ensemble, full=True):
     """One pass over the ensemble: per member one gradient, L1 f, L2 f and
     the weighted norms, reduced at once to scalars, so nothing N^3-sized
     outlives its member.  The gradient-form cross term of a pair is
     (L1 f, f_j) - ((c1 - c2) f, f_j), summation by parts with `divergence`
-    the negative adjoint of `gradient`, so no partner's gradient is taken."""
+    the negative adjoint of `gradient`, so no partner's gradient is taken.
+    Without `full` the pass skips ||f||_{3, g/2} and the split-energy
+    denominator, which only the coercivity and L3 estimates read, not
+    `recheck_bilinear`."""
     coeffs = ctx.coeffs
     g = coeffs.params.gamma
     partners = _pairing(len(ensemble))
@@ -387,8 +390,8 @@ def member_pass(ctx, ensemble):
             pairs.append((l1_j, inner_product(l2, ensemble[j]),
                           l1_j - inner_product(potential, ensemble[j])))
         return (a_norm_sq(f, coeffs, grad), weighted_norm(f, 2, 0.5 * g),
-                weighted_norm(f, 3, 0.5 * g), split.energy(f, grad),
-                *zip(*pairs))
+                weighted_norm(f, 3, 0.5 * g) if full else None,
+                split.energy(f, grad) if full else None, *zip(*pairs))
 
     rows = map_on_cores(scalars, range(len(ensemble)))
     return MemberScalars(ensemble, partners, *map(list, zip(*rows)))

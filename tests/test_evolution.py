@@ -118,8 +118,14 @@ def test_evolve_snapshots_and_log(small_grid, small_ctx):
     segments = res.state.step_index
     assert len(res.energy_log) == 1 + SEGMENT_SAMPLES * segments
     assert {0.1, 0.2} <= set(t)
-    # one progress line per segment, counting the applications of L
-    assert len(lines) == segments
+    # one line with the measured spectrum, then one progress line per
+    # segment, counting the applications of L
+    measured = small_ctx.spectrum
+    assert len(lines) == 1 + segments
+    assert lines[0] == (
+        f"evolve: spectrum of L measured, rho = {measured.rho:.6g}, lower "
+        f"edge = {measured.edge:.6g}, by {measured.applications} "
+        f"applications of L in {measured.cycles} Arnoldi cycles")
     assert lines[-1].startswith(f"evolve: segment {segments}/{segments}, t = 0.2")
     assert "applications of L" in lines[-1]
 
@@ -218,6 +224,7 @@ class CountingContext:
         self.coeffs = ctx.coeffs
         self.spectral_radius = ctx.spectral_radius
         self.spectrum_lower_edge = ctx.spectrum_lower_edge
+        self.spectrum = ctx.spectrum
         self._apply = apply or ctx.apply
         self.calls = 0
 

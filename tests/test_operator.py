@@ -15,7 +15,7 @@ from landau.kernel import (build_coefficients,
                            maxwellian_field, sqrt_maxwellian_field,
                            tabulate_fft_kernels)
 from landau.operator import (ConvolutionEngine, apply_L, apply_L1, apply_L2,
-                             arnoldi_spectral_radius, make_context)
+                             arnoldi_edges, make_context)
 from tests.collision_oracle import apply_Q
 from tests.conftest import (SMALL_R, abar_matrix, divergence_tables, gaussian_field,
                             padded_fft_convolution, radial_kernel_table)
@@ -268,18 +268,47 @@ def test_L2_matches_Q_route(params, quad):
 
 
 def test_arnoldi_matches_dense_eigenvalues(monkeypatch):
-    # a non-normal matrix with a dense real spectrum on [0, 10], like L's
+    # non-normal matrices with a dense spectrum on [low, 10], like L's: a
+    # real one, and one with 340 complex eigenvalues reaching below zero
     rng = np.random.default_rng(3)
     n = 400
-    a = (np.diag(np.linspace(0.0, 10.0, n))
-         + 0.05 * rng.standard_normal((n, n)) / np.sqrt(n))
-    exact = np.max(np.abs(np.linalg.eigvals(a)))
-    rho = arnoldi_spectral_radius(lambda x: a @ x, rng.standard_normal(n))
-    assert rho == pytest.approx(exact, rel=1e-6)
+    for low, noise in ((0.0, 0.05), (-1.0, 1.0)):
+        a = (np.diag(np.linspace(low, 10.0, n))
+             + noise * rng.standard_normal((n, n)) / np.sqrt(n))
+        lam = np.linalg.eigvals(a)
+        rho = np.max(np.abs(lam))
+        reach = np.max(np.abs(rho - lam))
+        measured = arnoldi_edges(lambda x: a @ x, rng.standard_normal(n))
+        assert measured.rho == pytest.approx(rho, rel=operator.ARNOLDI_TOL)
+        assert measured.edge == pytest.approx(
+            rho - reach, abs=operator.LOWER_EDGE_TOL * reach)
+        # a thick restart keeps k vectors and applies the map m - k times
+        # per later cycle, so the run costs fewer than m per cycle
+        assert (measured.applications
+                < operator.ARNOLDI_KRYLOV_DIM * measured.cycles)
     monkeypatch.setattr(operator, "ARNOLDI_KRYLOV_DIM", 4)
     monkeypatch.setattr(operator, "ARNOLDI_MAX_RESTARTS", 2)
     with pytest.raises(EigenvalueError):
-        arnoldi_spectral_radius(lambda x: a @ x, rng.standard_normal(n))
+        arnoldi_edges(lambda x: a @ x, rng.standard_normal(n))
+
+
+def test_one_arnoldi_run_measures_both_edges(small_coeffs):
+    # rho and the lower edge come from one run: reading the edge after rho
+    # applies L no more times
+    ctx = make_context(small_coeffs)
+    calls, apply = [], ctx.apply
+
+    def counted(f):
+        calls.append(1)
+        return apply(f)
+
+    ctx.apply = counted
+    rho = ctx.spectral_radius
+    first = len(calls)
+    edge = ctx.spectrum_lower_edge
+    assert edge < 0.0 < rho
+    assert first > 0
+    assert len(calls) == first == ctx.spectrum.applications
 
 
 def test_spectral_radius_bit_identical(small_coeffs):

@@ -289,6 +289,21 @@ def test_member_pass_matches_public_functions(small_ctx, ensemble, members):
             assert abs(members.grad_pair[i][c] - form) <= 1e-13 * a[i] * a[j]
 
 
+def test_recheck_pass_skips_unread_norms(small_ctx, ensemble, members):
+    # the pass without `full` leaves out ||f||_{3, g/2} and the split-energy
+    # denominator, and the recheck reads the same bytes from it
+    partial = member_pass(small_ctx, ensemble, full=False)
+    for fld in dataclasses.fields(members):
+        if fld.name in ("s3", "den"):
+            assert getattr(partial, fld.name) == [None] * len(ensemble)
+        elif fld.name != "ensemble":
+            assert getattr(partial, fld.name) == getattr(members, fld.name), fld.name
+    consts = {c["name"]: c["value"]
+              for c in estimate_bilinear_constants(members).constants}
+    assert (recheck_bilinear(partial, consts).checks
+            == recheck_bilinear(members, consts).checks)
+
+
 def test_member_pass_one_gradient_per_member(small_ctx, ensemble, monkeypatch):
     # the pass takes one gradient per member and none for its partners
     from landau import field
