@@ -80,7 +80,10 @@ def cmd_verify(args):
     for rep in reports:
         path = os.path.join(out_dir, f"report_{rep.suite}.json")
         persist.write_report_json(rep, path, _timestamp())
-        status = "pass" if rep.passed else "FAIL"
+        checks, constants = rep.failures
+        named = [f"{what} {', '.join(ids)}" for what, ids in (
+            ("failed checks", checks), ("non-finite constants", constants)) if ids]
+        status = "pass" if rep.passed else f"FAIL: {'; '.join(named)}"
         print(f"suite {rep.suite}: {status} ({path})")
         all_ok = all_ok and rep.passed
     return EXIT_OK if all_ok else EXIT_SUITE

@@ -77,13 +77,11 @@ def measure_source_bound(model, T):
     """A_g = sup_{k<=SOURCE_BOUND_KMAX, t<=T} (t^k ||d_t^k g|| / k!)^{1/(k+1)}."""
     phi_norm = l2_norm(model.phi)
     ts = np.linspace(0.0, T, SOURCE_BOUND_SAMPLES)
-    best = 0.0
-    for k in range(SOURCE_BOUND_KMAX + 1):
-        fk = math.factorial(k)
-        for t in ts:
-            val = (t ** k) * abs(model.tau_derivative(k, t)) * phi_norm / fk
-            best = max(best, val ** (1.0 / (k + 1)))
-    return best
+    # a numpy maximum, which keeps a NaN that Python's max would drop
+    return float(np.max([
+        ((t ** k) * abs(model.tau_derivative(k, t)) * phi_norm
+         / math.factorial(k)) ** (1.0 / (k + 1))
+        for k in range(SOURCE_BOUND_KMAX + 1) for t in ts]))
 
 
 # ---------------------------------------------------------------------------

@@ -606,7 +606,7 @@ def build_coefficients(grid, params, quad=QuadratureSpec()):
     c1, c2 = compute_scalar_weights(abar, grid)
     rel = crosscheck_c2(c2, grid, params)
     tol = c2_tolerance(grid, quad)
-    if rel > tol:
+    if not rel <= tol:  # a NaN route fails too
         raise CrossCheckError(
             f"c2 routes disagree: relative L2 difference {rel:.3e} > {tol:.3e}"
         )

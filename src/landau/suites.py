@@ -11,7 +11,6 @@ thread per core through `verify.map_on_cores`; each member owns the arrays
 it writes and results are reduced in a fixed order, so every output is the
 same bytes for any thread count."""
 
-import math
 from functools import cached_property
 
 import numpy as np
@@ -157,7 +156,7 @@ def _suite_reports(name, res):
         reports = [
             verify.estimate_coercivity(res.coeffs, members),
             verify.estimate_bilinear_constants(members),
-            verify.check_l3_embedding(members, res.coeffs),
+            verify.check_l3_embedding(members),
         ]
         consts = {c["name"]: c["value"] for rep in reports for c in rep.constants}
         del members  # frees the first ensemble before the fresh one is drawn
@@ -166,9 +165,7 @@ def _suite_reports(name, res):
         return reports
     if name == "energy":
         rep = verify.check_energy(res.trajectory, res.ladders)
-        a_g = measure_source_bound(res.source_model(), res.cfg.time_T)
-        rep.add_check("A_g_finite", a_g, math.inf, math.isfinite(a_g))
-        rep.add_constant("A_g", a_g, 1)
+        rep.add_constant("A_g", measure_source_bound(res.source_model(), res.cfg.time_T), 1)
         rep.add_constant("spectral_radius", res.ctx.spectral_radius, 0)
         rep.add_constant("spectrum_lower_edge", res.ctx.spectrum_lower_edge, 0)
         return [rep]

@@ -8,10 +8,10 @@ import os
 
 import numpy as np
 
-from landau import cli, evolution, kernel
+from landau import cli, evolution, kernel, persist
 from landau.config import canonical_text, load_config, validate_config
 from landau.field import random_field
-from landau.suites import RunResources
+from landau.suites import RunResources, run_suites
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -79,3 +79,24 @@ def test_benchmark_writes_the_files_verify_writes(tmp_path):
     names = sorted(os.listdir(bench_out))
     assert names == sorted(os.listdir(cli_out))
     assert "energy.csv" in names and "report_smoothing.json" in names
+
+
+def test_report_ids_the_benchmark_reads(tmp_path):
+    # bench/checks.py reads one check and five constants from the written
+    # reports, through its own readers; a renamed or deleted id fails here
+    checks = _load_bench("checks")
+    cfg = validate_config(dataclasses.replace(
+        load_config(os.path.join(REPO, "configs", "reference.cfg")),
+        grid_N=16, f0_bandlimit=5))
+    res = RunResources(cfg, log=None)
+    for rep in run_suites(("inequalities", "energy", "smoothing"), res):
+        persist.write_report_json(rep, str(tmp_path / f"report_{rep.suite}.json"), "")
+
+    def read(suite):
+        return checks.read_report(str(tmp_path / f"report_{suite}.json"))
+
+    read_ids = [checks.report_check_value(read("energy"), "residual_dt_slope"),
+                checks.report_constant(read("smoothing"), "C"),
+                checks.report_constant(read("coercivity"), "C1"),
+                *(checks.report_constant(read("bilinear"), n) for n in ("C2", "C3", "C4"))]
+    assert all(np.isfinite(read_ids))

@@ -290,6 +290,43 @@ def test_cli_c2_failing_crosscheck_exit_code(small_run_config, monkeypatch,
     assert "c2 routes disagree" in capsys.readouterr().err
 
 
+def test_cli_c2_nan_node_exit_code(small_run_config, monkeypatch, capsys):
+    # one NaN node makes the routes' relative difference NaN, which no
+    # tolerance admits; before, NaN > tol was False and the build passed
+    cfg_path, _ = small_run_config
+    weights = kernel.compute_scalar_weights
+
+    def nan_node(abar, grid):
+        c1, c2 = weights(abar, grid)
+        c2[8, 8, 8] = math.nan
+        return c1, c2
+
+    monkeypatch.setattr(kernel, "compute_scalar_weights", nan_node)
+    assert cli.main(["verify", "--config", cfg_path]) == 3
+    assert "relative L2 difference nan" in capsys.readouterr().err
+
+
+def test_cli_names_failed_checks_and_non_finite_constants(small_run_config,
+                                                          monkeypatch, capsys):
+    # a NaN node of abar's transverse eigenvalue: c2 reads only the
+    # longitudinal one, so the build passes, and the coefficient suite's
+    # positivity check and K_coef both read the NaN
+    cfg_path, _ = small_run_config
+    abar_field = kernel.compute_abar_field
+
+    def nan_node(grid, params, quad):
+        abar = abar_field(grid, params, quad)
+        abar.across[8, 8, 8] = math.nan
+        return kernel.UniaxialField(grid, abar.along, abar.across)
+
+    monkeypatch.setattr(kernel, "compute_abar_field", nan_node)
+    assert cli.main(["verify", "--config", cfg_path]) == 4
+    lines = capsys.readouterr().out.splitlines()
+    assert any(ln.startswith("suite kernel: pass") for ln in lines)
+    assert any(ln.startswith("suite coefficients: FAIL: failed checks abar_psd; "
+                             "non-finite constants K_coef (") for ln in lines)
+
+
 @pytest.mark.parametrize("line", ["grid.R = inf", "time.T = inf",
                                   "source.amplitude = nan", "f0.scale = inf"])
 def test_cli_non_finite_config_exit_code(small_run_config, capsys, line):

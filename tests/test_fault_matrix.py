@@ -1,0 +1,176 @@
+"""The fault matrix: what each fault of the product flips among the verdicts
+of a full run of configs/reference.cfg at N=24.
+
+Each fault is patched in with monkeypatch, and every configured suite then
+runs on fresh resources.  A row pins the ids of the failing checks and the
+names of the non-finite constants, which fail their report too, or else the
+error the run raises (exit 3 on the command line).  So a change that makes
+a fault invisible fails here.  A fault that no verdict sees stays as a row
+that passes; its comment names the ROADMAP item that should make it fail.
+Injecting faults to judge the checks is mutation analysis (DeMillo, Lipton
+& Sayward, IEEE Computer 11, 1978).
+"""
+
+import dataclasses
+import math
+import os
+
+import pytest
+
+from landau import evolution, kernel, operator, suites, verify
+from landau.config import load_config, validate_config
+from landau.errors import CrossCheckError, LadderOverflowError
+
+REFERENCE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "configs", "reference.cfg")
+NODE = (12, 12, 12)  # a node near the origin of the N=24 grid
+
+
+def l2_scaled(factor):
+    def patch(mp):
+        exact = operator.apply_L2
+
+        def scaled(f, engine, coeffs):
+            return factor * exact(f, engine, coeffs)
+
+        # L = L1 + L2 reads the operator module's name, the member pass its own
+        mp.setattr(operator, "apply_L2", scaled)
+        mp.setattr(verify, "apply_L2", scaled)
+    return patch
+
+
+def scalar_weights(c1_factor=1.0, c2_nan=False):
+    def patch(mp):
+        exact = kernel.compute_scalar_weights
+
+        def faulty(abar, grid):
+            c1, c2 = exact(abar, grid)
+            if c2_nan:
+                c2[NODE] = math.nan
+            return c1_factor * c1, c2
+
+        mp.setattr(kernel, "compute_scalar_weights", faulty)
+    return patch
+
+
+def chebyshev_cut(mp):
+    mp.setattr(evolution, "CHEBYSHEV_TOL", 1e-8)
+
+
+def ladder_forcing_negated(mp):
+    # the ladder's rungs read tau phi with the wrong sign; the trajectory
+    # keeps the right one
+    exact = suites.derivative_ladder
+
+    def faulty(f_t, t, kmax, system):
+        model = dataclasses.replace(system.model, amplitude=-system.model.amplitude)
+        return exact(f_t, t, kmax, evolution.PropagatedSystem(system.ctx, model))
+
+    mp.setattr(suites, "derivative_ladder", faulty)
+
+
+def recheck_understated(mp):
+    exact = verify.recheck_bilinear
+    mp.setattr(verify, "recheck_bilinear", lambda members, constants: exact(
+        members, {name: 0.8 * value for name, value in constants.items()}))
+
+
+def recheck_on_first_ensemble(mp):
+    # the fresh ensemble is drawn from the first one's seed
+    exact = suites.RunResources.ensemble
+    mp.setattr(suites.RunResources, "ensemble", lambda self, fresh=False: exact(self))
+
+
+def nan_member(mp):
+    # one node of member 5 of the verification ensemble, not of the fresh one
+    exact = verify.make_ensemble
+
+    def faulty(grid, count, seed, *args):
+        members = exact(grid, count, seed, *args)
+        if seed == 42:  # verify.seed of reference.cfg; the fresh one is 1042
+            members[5].values[NODE] = math.nan
+        return members
+
+    mp.setattr(verify, "make_ensemble", faulty)
+
+
+def nan_convolution_node(mp):
+    # a corner node of the delta = 0.5 convolution, outside every shell
+    # that a convolution check reads
+    exact = verify.gaussian_convolutions
+
+    def faulty(grid, gamma):
+        out = list(exact(grid, gamma))
+        out[0][0, 0, 0] = math.nan
+        return out
+
+    mp.setattr(verify, "gaussian_convolutions", faulty)
+
+
+def nan_ladder_entry(mp):
+    # the third rung the ladder builds gets a NaN node
+    exact = suites.derivative_ladder
+
+    class Faulty(evolution.PropagatedSystem):
+        rungs = 0
+
+        def apply(self, f, tau):
+            lf, gf = super().apply(f, tau)
+            Faulty.rungs += 1
+            if Faulty.rungs == 3:
+                gf[NODE] = math.nan
+            return lf, gf
+
+    mp.setattr(suites, "derivative_ladder", lambda f_t, t, kmax, system: exact(
+        f_t, t, kmax, Faulty(system.ctx, system.model)))
+
+
+BILINEAR = {"C2_finite", "C3_finite", "C4_finite", "gradform_cauchy_schwarz",
+            "K_L3_finite"}
+RECHECK = {"C2_fresh_within_slack", "C3_fresh_within_slack",
+           "C4_fresh_within_slack", "eps1_inequality_fresh_margin"}
+SMOOTHING = {"fit_max_positive_residual", "root_variation_under_time_doubling"}
+
+MATRIX = [
+    pytest.param(None, set(), set(), id="none"),
+    pytest.param(l2_scaled(0.0), {"C3_finite", "C4_finite",
+                                  "fit_max_positive_residual"}, set(), id="L2x0"),
+    pytest.param(l2_scaled(-1.0), {"fit_max_positive_residual"}, set(), id="L2x-1"),
+    # blind: item 3, the invariants and the exact spectrum of L
+    pytest.param(l2_scaled(1.1), set(), set(), id="L2x1.1"),
+    # blind: item 3, once item 4's differences stop hiding it
+    pytest.param(scalar_weights(c1_factor=1.05), set(), set(), id="c1x1.05"),
+    # blind: item 1, the ladder at T against its last segment in two halves
+    pytest.param(chebyshev_cut, set(), set(), id="chebyshev-cut-1e-8"),
+    pytest.param(ladder_forcing_negated, SMOOTHING, set(), id="ladder-forcing-sign"),
+    pytest.param(recheck_understated, RECHECK, set(), id="recheck-constants-x0.8"),
+    # blind: item 6; the maxima are probe pairs, the same in both ensembles
+    pytest.param(recheck_on_first_ensemble, set(), set(), id="recheck-on-first-ensemble"),
+    pytest.param(nan_member, BILINEAR | RECHECK | {"all_quotients_positive", "C1_positive"},
+                 {"C1", "C1_sample_min", "C2", "C3", "C3_one_sided", "C4",
+                  "C_eps1", "C_eps2", "K_gradform", "K_L3"}, id="nan-member"),
+    pytest.param(nan_convolution_node, set(), {"K_conv"}, id="nan-convolution-node"),
+    pytest.param(scalar_weights(c2_nan=True), CrossCheckError, None, id="nan-c2-node"),
+    pytest.param(nan_ladder_entry, LadderOverflowError, None, id="nan-ladder-entry"),
+]
+
+
+@pytest.fixture(scope="module")
+def reference_n24():
+    return validate_config(dataclasses.replace(load_config(REFERENCE), grid_N=24))
+
+
+@pytest.mark.parametrize("fault, failing, non_finite", MATRIX)
+def test_fault_matrix(reference_n24, monkeypatch, fault, failing, non_finite):
+    if fault is not None:
+        fault(monkeypatch)
+    res = suites.RunResources(reference_n24, log=None)
+    if isinstance(failing, type):
+        with pytest.raises(failing):
+            suites.run_suites(reference_n24.verify_suites, res)
+        return
+    reports = suites.run_suites(reference_n24.verify_suites, res)
+    checks = {cid for rep in reports for cid in rep.failures[0]}
+    constants = {name for rep in reports for name in rep.failures[1]}
+    assert (checks, constants) == (failing, non_finite)
+    assert all(rep.passed for rep in reports) == (not failing and not non_finite)

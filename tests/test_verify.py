@@ -412,8 +412,8 @@ def test_inequalities_suite_frees_each_ensemble(monkeypatch):
     assert len(drawn) == 2 * 74 and all(ref() is None for ref in drawn)
 
 
-def test_l3_embedding(small_coeffs, members):
-    rep = check_l3_embedding(members, small_coeffs)
+def test_l3_embedding(members):
+    rep = check_l3_embedding(members)
     assert rep.passed
     k = {c["name"]: c["value"] for c in rep.constants}["K_L3"]
     assert math.isfinite(k) and k > 0
@@ -438,7 +438,7 @@ def test_energy_suite(small_grid, small_ctx):
     residuals, slope = energy_identity_convergence(res)
     checks = {c["id"]: c["value"] for c in rep.checks}
     assert checks["residual_dt_slope"] == slope
-    assert checks["energy_identity_residual"] == residuals[-1]
+    assert consts["energy_identity_residual"] == residuals[-1]
     assert residuals[0] > residuals[1] > residuals[2] > 0.0
 
 
@@ -587,7 +587,7 @@ def test_run_suite_stamps_fingerprint_and_grid():
                 assert const["grid_params"] == {"N": 16, "R": 8.0}
                 stamped += 1
     # K_coef; coercivity, bilinear and l3_embedding; energy
-    assert stamped == 1 + (2 + 7 + 1) + 5
+    assert stamped == 1 + (2 + 7 + 1) + 6
     assert verify.check_kernel_identities(res.params).config_fingerprint == ""
 
 
@@ -615,6 +615,35 @@ def test_report_json_is_the_record(tmp_path):
                                          "grid_params", "stability"]
     assert [c["verdict"] for c in doc["checks"]] == ["pass", "fail"]
     assert not rep.passed
+
+
+def test_report_fails_on_every_non_finite_value():
+    # a check whose value is not finite fails whatever its verdict, and a
+    # report fails while it holds a non-finite constant
+    rep = verify.VerificationReport("demo")
+    rep.add_check("bounded", 0.5, 1.0, True)
+    rep.add_constant("K", 2.0, 0)
+    assert rep.passed and rep.failures == ([], [])
+    for value in (math.nan, math.inf, -math.inf):
+        rep.add_check("unbounded", value, math.inf, True)
+        assert rep.checks[-1]["verdict"] == "fail"
+    rep.checks = rep.checks[:1]
+    rep.add_constant("K_nan", math.nan, 0)
+    rep.add_constant("K_inf", -math.inf, 0)
+    assert not rep.passed
+    assert rep.failures == ([], ["K_nan", "K_inf"])
+
+
+def test_nan_reaches_the_constant(small_coeffs, small_grid):
+    # the maxima that form K_coef and B keep a NaN in their last term,
+    # which Python's max drops when it is not the first argument
+    c2 = small_coeffs.c2.copy()
+    c2[4, 4, 4] = math.nan  # the divergence field's ratio is K_coef's last
+    rep = check_coefficient_bounds(dataclasses.replace(small_coeffs, c2=c2))
+    assert rep.failures == ([], ["K_coef"])
+    lads = [_scalar_ladder(small_grid, t, 2, 1.0, 1.0) for t in (0.5, 1.0, 2.0)]
+    lads[-1].norms_a[2] = math.nan  # in B's last envelope, k = 2, only
+    assert smoothing_report(lads).failures[1] == ["B"]
 
 
 def test_run_resources_without_cache_dir_writes_nothing(tmp_path, monkeypatch):
