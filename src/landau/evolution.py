@@ -153,10 +153,13 @@ class PropagatedSystem:
     def __init__(self, ctx, model):
         self.ctx, self.model, self.rate = ctx, model, model.rate
 
-    def apply(self, f, tau):
-        """L f and the f-row L f - tau phi of G(f, tau), for field values f."""
+    def apply(self, f, tau, lf=None):
+        """L f and the f-row L f - tau phi of G(f, tau), for field values f;
+        `lf`, the values of L f when the caller already holds them, spares
+        the application of L."""
         phi = self.model.phi
-        lf = self.ctx.apply(ScalarField(phi.grid, f)).values
+        if lf is None:
+            lf = self.ctx.apply(ScalarField(phi.grid, f)).values
         return lf, lf - tau * phi.values
 
     def spectrum(self, margin=0.0):
@@ -193,14 +196,15 @@ def step_buffers(n):
             np.empty((SEGMENT_SAMPLES, n)))
 
 
-def step(f, t0, t1, system, interval, buffers=None):
+def step(f, t0, t1, system, interval, buffers=None, lf0=None):
     """Propagate y = (f(t0), tau(t0)) to the SEGMENT_SAMPLES uniform times
     of (t0, t1] by one Chebyshev recurrence T_{k+1}(X) y = 2 X T_k(X) y -
     T_{k-1}(X) y, X = (2 G - hi - lo) / (hi - lo), G that of `system`, whose
     vectors serve every sample time.  Returns the fields f at those times,
     the last at t1, and L f at the same times, sum_k c_k(s_i) L (T_k y)_f:
     `system.apply` gives each term's image under L with the f-row of G
-    that builds the next term, so L is applied once per term.
+    that builds the next term, so L is applied once per term, and not to
+    the first term, f itself, when the caller hands L f in as `lf0`.
     Both sums run as one matrix product per ACCUMULATED_TERMS terms.  The
     returned fields are views of `buffers` (see `step_buffers`, allocated
     afresh when None), which the next step on the same buffers overwrites.
@@ -225,8 +229,10 @@ def step(f, t0, t1, system, interval, buffers=None):
     samples, terms, product = buffers or step_buffers(f.values.size)
     samples.fill(0.0)
     prev, cur = None, (f.values, system.model.tau_derivative(0, t0))
+    image = None if lf0 is None else lf0.values  # L of the first term, if held
     for k in range(degree + 1):
-        lf, xf = system.apply(*cur)  # G's f-row, then X's: no third field lives on
+        lf, xf = system.apply(*cur, lf=image)  # G's f-row, then X's: no third field lives on
+        image = None
         j = k % ACCUMULATED_TERMS
         terms[0, j], terms[1, j] = cur[0].ravel(), lf.ravel()
         # formed after the last term too, unused, so G's f-row dies before the sums
@@ -262,7 +268,9 @@ def evolve(f0, system, T, snapshot_times=(), log=None):
     to the last sample of every segment; `lf_gap` is the largest relative
     distance between the two, so a propagator that applies another
     operator than the system's cannot pass its own energy identity
-    unnoticed.  `log`, when given, receives one line with the measured
+    unnoticed.  That direct image, and L f0 of the first log row, is the
+    first term's image in the next `step`, so L is applied once to each
+    field.  `log`, when given, receives one line with the measured
     spectrum of L (`OperatorContext.spectrum`) and one progress line per
     segment."""
     if T <= 0:
@@ -275,26 +283,28 @@ def evolve(f0, system, T, snapshot_times=(), log=None):
             f"edge = {measured.edge:.6g}, by {measured.applications} "
             f"applications of L in {measured.cycles} Arnoldi cycles")
     edges = segment_edges(T, ctx.spectral_radius, snapshot_times)
-    # applications of L per segment: the series' terms but the last, one
-    # for the last term and one for the direct check
-    costs = [len(chebyshev_coefficients([t1 - t0], (lo, hi))) + 1
+    # applications of L per segment: the series' terms but the first,
+    # whose image the caller holds, and one for the direct check
+    costs = [len(chebyshev_coefficients([t1 - t0], (lo, hi)))
              for t0, t1 in zip(edges[:-1], edges[1:])]
     planned = 1 + sum(costs)
 
-    f, rows = f0, [_log_row(f0, ctx.apply(f0), 0.0, system)]
+    f, lf = f0, ctx.apply(f0)
+    rows = [_log_row(f0, lf, 0.0, system)]
     snapshots, snapshot_steps, gaps = {}, {}, []
     applied, started = 1, time.perf_counter()
     # one set of blocks for every segment: each segment's rows, last
     # sample and gap are taken before the next one overwrites them
     buffers = step_buffers(f0.values.size)
     for i, (t0, t1) in enumerate(zip(edges[:-1], edges[1:]), 1):
-        samples, lfs = step(f, t0, t1, system, (lo, hi), buffers)
+        samples, lfs = step(f, t0, t1, system, (lo, hi), buffers, lf)
         times = [t0 + (t1 - t0) * j / SEGMENT_SAMPLES
                  for j in range(1, SEGMENT_SAMPLES)] + [t1]
         rows += [_log_row(sample, lf, t, system)
                  for sample, lf, t in zip(samples, lfs, times)]
         f = samples[-1].copy()
-        gaps.append(_relative_gap(lfs[-1], ctx.apply(f)))
+        lf = ctx.apply(f)
+        gaps.append(_relative_gap(lfs[-1], lf))
         if t1 in snapshot_times or t1 == T:
             snapshots[t1], snapshot_steps[t1] = f, i
         applied += costs[i - 1]
@@ -338,8 +348,10 @@ def derivative_ladder(f_t, t, kmax, system):
     for m in range(1, kmax + 1):
         _, gf = system.apply(entries[-1].values, tau)
         nxt, tau = ScalarField(f_t.grid, -gf), -system.rate * tau
-        if not np.all(np.abs(nxt.values) < LADDER_OVERFLOW):
-            raise LadderOverflowError(f"ladder overflow at depth {m}", depth=m)
+        peak = np.max(np.abs(nxt.values))  # a NaN node gives a NaN peak
+        if not peak < LADDER_OVERFLOW:
+            fault = "overflow" if math.isfinite(peak) else "entry is not finite"
+            raise LadderOverflowError(f"ladder {fault} at depth {m}", depth=m)
         entries.append(nxt)
 
     norms_l2 = np.array([l2_norm(d) for d in entries])

@@ -186,36 +186,70 @@ def envelope_boundary_ratio(f):
     return max(float(np.abs(face).max()) for face in faces) / peak
 
 
-def random_field(grid, seed, bandlimit=8, envelope_width=1.25, spectral_decay=0.0):
-    """Deterministic rough test field: band-limited noise under a Gaussian envelope.
+def _band_modes(n, bandlimit):
+    """Indices of the modes |m| <= bandlimit along a full FFT axis of n."""
+    return np.r_[0:bandlimit + 1, n - bandlimit:n]
 
-    Draws a full low-frequency trigonometric mix from a seeded generator
-    (the draw count is independent of the band mask, so fields with the
-    same seed but different bandlimits stay comparable), optionally reddens
-    the spectrum by (1 + |m|^2)^{-decay/2}, applies the envelope
-    exp(-|v|^2 / (2 w^2)) and normalizes to unit L^2 norm.
-    """
+
+def band_spectrum(grid, seed, bandlimit=8, spectral_decay=0.0):
+    """The seeded spectrum of `random_field` on its band |m_i| <= bandlimit,
+    a complex (2b + 1, 2b + 1, b + 1) block for b = bandlimit, whatever N.
+
+    Draws a full low-frequency trigonometric mix of the grid's rfft shape
+    from a seeded generator (the draw count is independent of the band
+    mask, so fields with the same seed but different bandlimits stay
+    comparable), keeps its band and optionally reddens it by
+    (1 + |m|^2)^{-decay/2}."""
     if not 0 < bandlimit < grid.N // 2:
         raise ValueError(f"bandlimit must be in (0, N/2), got {bandlimit}")
     rng = np.random.default_rng(seed)
     n = grid.N
     spec = rng.standard_normal((n, n, n // 2 + 1)) + 1j * rng.standard_normal((n, n, n // 2 + 1))
-    k1 = np.abs(np.fft.fftfreq(n) * n)
-    kr = np.arange(n // 2 + 1)
-    mask = (
-        (k1[:, None, None] <= bandlimit)
-        & (k1[None, :, None] <= bandlimit)
-        & (kr[None, None, :] <= bandlimit)
-    )
+    modes = _band_modes(n, bandlimit)
+    block = spec[np.ix_(modes, modes, np.arange(bandlimit + 1))]
     if spectral_decay != 0.0:
+        k1 = np.abs(np.fft.fftfreq(n) * n)[modes]
+        kr = np.arange(bandlimit + 1)
         m2 = (k1[:, None, None] ** 2 + k1[None, :, None] ** 2
               + kr[None, None, :] ** 2)
-        spec = spec * (1.0 + m2) ** (-0.5 * spectral_decay)
-    spec = np.where(mask, spec, 0.0)
-    vals = np.fft.irfftn(spec, s=grid.shape, axes=(0, 1, 2))
-    if envelope_width > 0:
-        vals = vals * np.exp(-grid.radius_sq / (2.0 * envelope_width ** 2))
+        block *= (1.0 + m2) ** (-0.5 * spectral_decay)
+    return block
+
+
+def gaussian_envelope(grid, width):
+    """exp(-|v|^2 / (2 width^2)) at every node; None for width <= 0."""
+    return np.exp(-grid.radius_sq / (2.0 * width ** 2)) if width > 0 else None
+
+
+def synthesize(grid, block, envelope=None):
+    """The unit-norm field of a band block of `band_spectrum`, under
+    `envelope` (None: no envelope).
+
+    The inverse transform is pruned to the band: ifft along axis 0 on the
+    block's columns only, then along axis 1 on its planes, then irfft
+    along axis 2.  Each 1-d transform meets the same line as numpy's
+    irfftn of the zero-padded spectrum, whose other lines are zero, so the
+    field is the same bit for bit."""
+    n = grid.N
+    b = block.shape[-1] - 1
+    modes = _band_modes(n, b)
+    cols = np.zeros((n,) + block.shape[1:], complex)
+    cols[modes] = block
+    planes = np.zeros((n, n, b + 1), complex)
+    planes[:, modes] = np.fft.ifft(cols, axis=0)
+    vals = np.fft.irfft(np.fft.ifft(planes, axis=1, out=planes), n, axis=2)
+    if envelope is not None:
+        vals *= envelope
     nrm = math.sqrt(float(np.sum(vals * vals)) * grid.cell_volume)
     if nrm < 1e-14:
         raise DegenerateRatioError("random field collapsed to zero")
-    return ScalarField(grid, vals / nrm)
+    vals /= nrm
+    return ScalarField(grid, vals)
+
+
+def random_field(grid, seed, bandlimit=8, envelope_width=1.25, spectral_decay=0.0):
+    """Deterministic rough test field: band-limited noise under a Gaussian
+    envelope, normalized to unit L^2 norm; `band_spectrum` draws it and
+    `synthesize` builds it."""
+    return synthesize(grid, band_spectrum(grid, seed, bandlimit, spectral_decay),
+                      gaussian_envelope(grid, envelope_width))

@@ -24,6 +24,7 @@ envelope.  The validation runs' unwrapped sums, which form no pad-2 table,
 are kernel.radial_power_convolutions.
 """
 
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -56,15 +57,35 @@ class ConvolutionEngine:
         self.hats = np.empty(tables.shape[:-3] + (n, n, n // 2 + 1), complex)
         for idx in np.ndindex(tables.shape[:-3]):
             self.hats[idx] = np.fft.rfftn(tables[idx])
+        self._local = threading.local()
 
-    def forward(self, values):
-        """rfft of an N^3 array."""
-        return np.fft.rfftn(values)
+    def forward(self, values, out=None):
+        """rfft of an N^3 array, into `out` when given."""
+        return np.fft.rfftn(values, out=out)
 
-    def inverse(self, hat):
-        """Inverse transform, scaled by h^3."""
-        return self.grid.cell_volume * np.fft.irfftn(
-            hat, s=self.grid.shape, axes=(0, 1, 2))
+    def inverse(self, hat, out=None):
+        """Inverse transform, scaled by h^3, into `out` when given: then it
+        runs in place through `hat`, which it overwrites.  The bytes are
+        those of irfftn, whose 1-d transforms it makes in the same order."""
+        if out is None:
+            hat, out = hat.copy(), np.empty(self.grid.shape)
+        for axis in (0, 1):
+            np.fft.ifft(hat, axis=axis, out=hat)
+        np.fft.irfft(hat, self.grid.N, axis=2, out=out)
+        out *= self.grid.cell_volume
+        return out
+
+    def workspace(self):
+        """The calling thread's buffers for `apply_L2`, made on its first
+        call and kept while the thread lives: two N^3 real arrays and six
+        transforms.  Each thread owns its own, so threaded member passes
+        share none."""
+        ws = getattr(self._local, "ws", None)
+        if ws is None:
+            n = self.grid.N
+            ws = self._local.ws = (np.empty((2,) + self.grid.shape),
+                                   np.empty((6, n, n, n // 2 + 1), complex))
+        return ws
 
 
 # ---------------------------------------------------------------------------
@@ -80,29 +101,38 @@ def apply_L1(f, coeffs: LandauCoefficients, grad=None):
 
 
 def apply_L2(f, engine: ConvolutionEngine, coeffs: LandauCoefficients):
-    """Nonlocal part via convolution against the Gaussian-weighted density."""
+    """Nonlocal part via convolution against the Gaussian-weighted density.
+    Every intermediate lives in the engine's workspace of the calling
+    thread (`ConvolutionEngine.workspace`); the result is the one array
+    allocated."""
     if f.grid != coeffs.grid or engine.grid != f.grid:
         raise GridMismatchError("field, engine and coefficients must share a grid")
     grid = f.grid
     mu_half = coeffs.mu_half.values
-    rho = mu_half * f.values
+    (rho, scratch), spectra = engine.workspace()
+    src, xhat, prod = spectra[:4], spectra[4], spectra[5]
+    np.multiply(mu_half, f.values, out=rho)
     # transforms of (rho, v_x rho, v_y rho, v_z rho), one call each: a
     # batched transform over the four is slower at N=48
-    src = [engine.forward(rho)]
-    src += [engine.forward(np.asarray(grid.component(k)) * rho) for k in range(3)]
+    engine.forward(rho, out=src[0])
+    for k in range(3):
+        engine.forward(np.multiply(grid.component(k), rho, out=scratch), out=src[k + 1])
 
     out = np.zeros(grid.shape)
-    diff = np.empty(grid.shape)
     inv2h = 1.0 / (2.0 * grid.h)
     hats = engine.hats
     for j in range(3):
-        xj_hat = hats[j] * src[0]
+        np.multiply(hats[j], src[0], out=xhat)
         for k in range(3):
-            xj_hat = xj_hat + hats[3 + _SYM_INDEX[(j, k)]] * src[k + 1]
-        xj = engine.inverse(xj_hat)
-        dxj = wrapped_difference(xj, AXIS_OF_COMPONENT[j], diff) * inv2h
-        out += dxj - np.asarray(grid.component(j)) * xj
-    return ScalarField(grid, mu_half * out)
+            xhat += np.multiply(hats[3 + _SYM_INDEX[(j, k)]], src[k + 1], out=prod)
+        # rho is spent: X_j takes its buffer, its difference the scratch one
+        xj = engine.inverse(xhat, out=rho)
+        dxj = wrapped_difference(xj, AXIS_OF_COMPONENT[j], scratch)
+        dxj *= inv2h
+        dxj -= np.multiply(grid.component(j), xj, out=xj)
+        out += dxj
+    out *= mu_half
+    return ScalarField(grid, out)
 
 
 def apply_L(f, engine, coeffs):

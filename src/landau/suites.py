@@ -6,10 +6,12 @@ are drawn for the one suite that reads them.
 
 The energy suite reads one propagation: the reference trajectory's graded
 energy log gives C5, and its nested subsamples are the energy-identity
-rungs.  The members of each ensemble in the inequalities suite run on one
-thread per core through `verify.map_on_cores`; each member owns the arrays
-it writes and results are reduced in a fixed order, so every output is the
-same bytes for any thread count."""
+rungs.  Each ensemble of the inequalities suite holds its random members
+as band spectra and builds a member's field when the member pass reads
+it; the pass walks one contiguous run of members per core
+(`verify.member_pass`).  Each member owns the arrays it writes and results
+are reduced in a fixed order, so every output is the same bytes for any
+thread count."""
 
 from functools import cached_property
 
@@ -51,9 +53,10 @@ class RunResources:
 
     def ensemble(self, fresh=False):
         """The verification ensemble, or with `fresh` the one drawn from
-        seed + 1000 that the bilinear recheck certifies against.  Drawn
-        anew on each call and not kept: its member pass is all that the
-        suite reads."""
+        seed + 1000 that the bilinear recheck certifies against, as a
+        `verify.Ensemble`: one band block per random member, whatever N,
+        and the probes' 10 N^3 values.  Drawn anew on each call and not
+        kept: its member pass is all that the suite reads."""
         cfg = self.cfg
         return verify.make_ensemble(
             self.grid, cfg.verify_ensemble_size,

@@ -9,7 +9,10 @@ and minimum that forms a constant or a check value is a numpy reduction,
 which keeps a NaN where Python's `max` and `min` would drop it.  Ensembles
 mix seeded band-limited random fields with deterministic adversarial
 probes (oscillatory packets at several radii, where the anisotropic
-weights differ most).
+weights differ most).  An `Ensemble` holds each random member as its band
+spectrum, a block whose size does not grow with N, and the member pass
+builds a member's field when it reads it; only the probes are held as
+fields.
 """
 
 import math
@@ -21,8 +24,10 @@ import numpy as np
 
 from .errors import DegenerateRatioError, FitDegenerateError
 from .evolution import RUNG_PANELS, SEGMENT_SAMPLES
-from .field import (ScalarField, a_norm_sq, gradient, inner_product,
-                    l2_norm, normalized, random_field, weighted_norm)
+from .field import (ScalarField, a_norm_sq, band_spectrum, gaussian_envelope,
+                    gradient, inner_product, l2_norm, normalized, synthesize,
+                    weighted_norm)
+from .grid import VelocityGrid
 from .kernel import (_PAIRS, _lattice_offsets, c2_tolerance, divergence_kernels,
                      kernel_first_derivatives, kernel_matrix_batch,
                      kernel_second_derivatives, radial_power_convolutions,
@@ -109,15 +114,39 @@ def deterministic_probes(grid):
     return probes
 
 
+@dataclass(eq=False)
+class Ensemble:
+    """The members an inequality estimate is measured over: the seeded
+    random members, held as their band spectra (`field.band_spectrum`),
+    then the deterministic probes, held as fields.  `ens[i]` builds random
+    member i from its block under the shared `envelope` (`field.synthesize`),
+    bit for bit random_field(grid, seed + i, bandlimit, envelope_width), and
+    returns a probe as held, so no caller may write into a member."""
+
+    grid: VelocityGrid
+    spectra: list
+    envelope: np.ndarray
+    probes: list
+
+    def __len__(self):
+        return len(self.spectra) + len(self.probes)
+
+    def __getitem__(self, i):
+        i = range(len(self))[i]  # IndexError past the end, which ends iteration
+        if i < len(self.spectra):
+            return synthesize(self.grid, self.spectra[i], self.envelope)
+        return self.probes[i - len(self.spectra)]
+
+
 def make_ensemble(grid, count, seed, bandlimit=8, envelope_width=1.25):
-    """count seeded random fields plus the deterministic probes."""
+    """count seeded random members, drawn from seeds seed, ..., seed +
+    count - 1, plus the deterministic probes, as an `Ensemble`."""
     if count < MIN_ENSEMBLE:
         raise ValueError(f"ensemble needs at least {MIN_ENSEMBLE} random members, got {count}")
-    members = map_on_cores(
-        lambda i: random_field(grid, seed + i, bandlimit, envelope_width),
-        range(count))
-    members.extend(deterministic_probes(grid))
-    return members
+    spectra = map_on_cores(lambda i: band_spectrum(grid, seed + i, bandlimit),
+                           range(count))
+    return Ensemble(grid, spectra, gaussian_envelope(grid, envelope_width),
+                    deterministic_probes(grid))
 
 
 # ---------------------------------------------------------------------------
@@ -307,18 +336,28 @@ def check_convolution_bound(grid, params):
 # one thread per core; member pass
 # ---------------------------------------------------------------------------
 
+def _cores():
+    """The number of cores this process may run on."""
+    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+
+
 def map_on_cores(fn, items):
     """[fn(x) for x in items], on one thread per core this process may run
     on, returned in the order of items; the first item whose call raised
-    raises here.  The only place that picks a thread count.  It maps
-    ensemble members and their random draws, whose work numpy does with the
-    GIL released in its transforms and ufunc loops.  Each call must own
-    every array it writes, so the results do not depend on the thread
-    count."""
-    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-             else os.cpu_count() or 1)
-    with ThreadPoolExecutor(cores) as pool:
+    raises here.  With `runs_on_cores` the only place that reads the
+    core count.  It maps ensemble members and their random draws, whose
+    work numpy does with the GIL released in its transforms and ufunc
+    loops.  Each call must own every array it writes, so the results do
+    not depend on the thread count."""
+    with ThreadPoolExecutor(_cores()) as pool:
         return list(pool.map(fn, items))
+
+
+def runs_on_cores(n):
+    """range(n) cut into one contiguous run per core, in order."""
+    k = min(_cores(), n)
+    return [range(n * r // k, n * (r + 1) // k) for r in range(k)]
 
 
 def _pairing(n):
@@ -336,7 +375,7 @@ class MemberScalars:
     per member; the pair entries follow the member's row of `_pairing`,
     which starts with the member itself."""
 
-    ensemble: list
+    ensemble: Ensemble
     partners: list
     a_sq: list        # ||f||_A^2
     s: list           # ||f||_{2, g/2}
@@ -376,30 +415,45 @@ def member_pass(ctx, ensemble, full=True):
     the negative adjoint of `gradient`, so no partner's gradient is taken.
     Without `full` the pass skips ||f||_{3, g/2} and the split-energy
     denominator, which only the coercivity and L3 estimates read, not
-    `recheck_bilinear`."""
+    `recheck_bilinear`.
+
+    Each thread walks one contiguous run of members (`runs_on_cores`) and
+    builds each field from the ensemble when it reads it: member i + 1,
+    the neighbour partner of member i, is the next member's field, built
+    once, and only the strided partner is built a second time."""
     coeffs = ctx.coeffs
     g = coeffs.params.gamma
-    partners = _pairing(len(ensemble))
+    n = len(ensemble)
+    partners = _pairing(n)
     # the three forms, built once here, not lazily in each thread
     coeffs.a_form
     l1_potential, split = coeffs.l1_form.potential, coeffs.split_form
 
-    def scalars(i):
-        f = ensemble[i]
+    def scalars(i, f, neighbour):
         grad = gradient(f)
         l1 = apply_L1(f, coeffs, grad=grad)
         l2 = apply_L2(f, ctx.engine, coeffs)
         potential = ScalarField(f.grid, l1_potential * f.values)
+        held = {i: f, (i + 1) % n: neighbour}
         pairs = []
         for j in partners[i]:
-            l1_j = inner_product(l1, ensemble[j])
-            pairs.append((l1_j, inner_product(l2, ensemble[j]),
-                          l1_j - inner_product(potential, ensemble[j])))
+            f_j = held[j] if j in held else ensemble[j]
+            l1_j = inner_product(l1, f_j)
+            pairs.append((l1_j, inner_product(l2, f_j),
+                          l1_j - inner_product(potential, f_j)))
         return (a_norm_sq(f, coeffs, grad), weighted_norm(f, 2, 0.5 * g),
                 weighted_norm(f, 3, 0.5 * g) if full else None,
                 split.energy(f, grad) if full else None, *zip(*pairs))
 
-    rows = map_on_cores(scalars, range(len(ensemble)))
+    def walk(run):
+        rows, f = [], ensemble[run[0]]
+        for i in run:
+            neighbour = ensemble[(i + 1) % n]
+            rows.append(scalars(i, f, neighbour))
+            f = neighbour
+        return rows
+
+    rows = [row for run in map_on_cores(walk, runs_on_cores(n)) for row in run]
     return MemberScalars(ensemble, partners, *map(list, zip(*rows)))
 
 
@@ -426,7 +480,7 @@ def estimate_coercivity(coeffs, members):
     worst = int(np.argmin(quotients))
     sample_min = float(quotients[worst])
 
-    f = normalized(members.ensemble[worst].copy())
+    f = normalized(members.ensemble[worst])
     grad = gradient(f)
     r = coercivity_quotient(f, coeffs, grad)
     for _ in range(DESCENT_STEPS):

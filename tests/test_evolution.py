@@ -247,6 +247,44 @@ def test_evolve_counts_its_applications_of_L(small_grid, small_ctx):
     assert ctx.calls == applied == planned
 
 
+def test_evolve_applies_L_once_per_field(small_grid, small_ctx):
+    # L f0 of the first log row and each segment's direct check serve as
+    # the image of the next segment's first term, so no field meets L
+    # twice: one application for f0 and, per segment, one per term of its
+    # series, which is what the progress log plans
+    f0 = random_field(small_grid, 42, bandlimit=5, envelope_width=1.0)
+    model = SourceModel(unit_gaussian(small_grid), amplitude=0.5)
+    seen = []
+    ctx = CountingContext(small_ctx, lambda f: seen.append(f.values.tobytes())
+                          or small_ctx.apply(f))
+    system = PropagatedSystem(ctx, model)
+    lines = []
+    evolve(f0, system, 0.5, snapshot_times=(0.25,), log=lines.append)
+    edges = evolution.segment_edges(0.5, ctx.spectral_radius, (0.25,))
+    terms = [len(chebyshev_coefficients([t1 - t0], interval_of(system)))
+             for t0, t1 in zip(edges[:-1], edges[1:])]
+    planned = int(re.search(r"of (\d+) applications of L", lines[-1]).group(1))
+    assert len(edges) > 3
+    assert len(seen) == len(set(seen)) == 1 + sum(terms) == planned
+
+
+def test_step_takes_the_first_image_it_is_handed(small_grid, small_ctx):
+    # a step handed L f applies L once less and gives the same bytes
+    system = PropagatedSystem(
+        small_ctx, SourceModel(unit_gaussian(small_grid), amplitude=0.5))
+    f0 = random_field(small_grid, 7, bandlimit=5, envelope_width=1.0)
+    counted = CountingContext(small_ctx)
+    counting = PropagatedSystem(counted, system.model)
+    interval = interval_of(system)
+    fresh = step(f0, 0.1, 0.2, counting, interval)
+    calls = counted.calls
+    handed = step(f0, 0.1, 0.2, counting, interval, lf0=small_ctx.apply(f0))
+    assert counted.calls == 2 * calls - 1
+    for got, want in zip(handed, fresh):
+        for g, w in zip(got, want):
+            assert np.array_equal(g.values, w.values)
+
+
 def test_energy_log_lff_is_direct(small_grid, small_ctx):
     # the log's (Lf, f), taken from the recurrence, is (Lf, f) with L
     # applied to the snapshot itself
@@ -306,7 +344,7 @@ def test_propagator_and_ladder_share_G(small_grid, small_ctx, monkeypatch):
         ScalarField(small_grid, b)) for a, b in zip(true, free))
     original = PropagatedSystem.apply
     monkeypatch.setattr(PropagatedSystem, "apply",
-                        lambda self, f, tau: original(self, f, 0.0))
+                        lambda self, f, tau, lf=None: original(self, f, 0.0, lf))
     for got, want in zip(outputs(forced), free):
         assert np.array_equal(got, want)
 
@@ -374,9 +412,28 @@ def test_ladder_overflow_guard(small_grid):
 
     model = SourceModel.zero(small_grid)
     f = random_field(small_grid, 23, bandlimit=5)
-    with pytest.raises(LadderOverflowError) as err:
+    with pytest.raises(LadderOverflowError, match="overflow at depth 2") as err:
         derivative_ladder(f, 1.0, 4, PropagatedSystem(Exploding(), model))
     assert err.value.depth == 2
+
+
+def test_ladder_names_a_non_finite_entry(small_grid, small_ctx):
+    # a NaN node in a rung, which no overflow made, raises the same error
+    # type with a message that says the entry is not finite
+    class Faulty:
+        coeffs = small_ctx.coeffs
+
+        def apply(self, f):
+            out = small_ctx.apply(f)
+            out.values[3, 4, 5] = math.nan
+            return out
+
+    model = SourceModel.zero(small_grid)
+    f = random_field(small_grid, 23, bandlimit=5)
+    with pytest.raises(LadderOverflowError,
+                       match="entry is not finite at depth 1") as err:
+        derivative_ladder(f, 1.0, 4, PropagatedSystem(Faulty(), model))
+    assert err.value.depth == 1
 
 
 def test_ladder_matches_time_differencing(small_grid, small_ctx):

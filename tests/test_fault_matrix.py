@@ -82,13 +82,21 @@ def recheck_on_first_ensemble(mp):
 
 
 def nan_member(mp):
-    # one node of member 5 of the verification ensemble, not of the fresh one
+    # one node of member 5 of the verification ensemble, not of the fresh
+    # one, in every field built of that member
     exact = verify.make_ensemble
+
+    class Faulty(verify.Ensemble):
+        def __getitem__(self, i):
+            f = super().__getitem__(i)
+            if range(len(self))[i] == 5:
+                f.values[NODE] = math.nan
+            return f
 
     def faulty(grid, count, seed, *args):
         members = exact(grid, count, seed, *args)
         if seed == 42:  # verify.seed of reference.cfg; the fresh one is 1042
-            members[5].values[NODE] = math.nan
+            members = Faulty(**vars(members))
         return members
 
     mp.setattr(verify, "make_ensemble", faulty)

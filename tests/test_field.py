@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from landau.errors import GridMismatchError
 from landau.field import (ScalarField, VectorField, a_norm, a_norm_sq,
-                          divergence, gradient, inner_product, l2_norm,
-                          random_field, weighted_norm, wrapped_difference,
-                          zeros)
+                          band_spectrum, divergence, gaussian_envelope,
+                          gradient, inner_product, l2_norm, random_field,
+                          synthesize, weighted_norm, wrapped_difference, zeros)
 from landau.grid import VelocityGrid
 from tests.conftest import abar_matrix, gaussian_field
 
@@ -174,6 +174,43 @@ def test_random_field_determinism(small_grid):
     assert not np.array_equal(f1.values, f3.values)
     # unit L2 normalization
     assert l2_norm(f1) == pytest.approx(1.0, abs=1e-12)
+
+
+def _full_spectrum_field(grid, seed, bandlimit, decay):
+    """The band-limited draw the long way: the whole seeded spectrum,
+    reddened, masked to the band and transformed by irfftn."""
+    n = grid.N
+    rng = np.random.default_rng(seed)
+    spec = (rng.standard_normal((n, n, n // 2 + 1))
+            + 1j * rng.standard_normal((n, n, n // 2 + 1)))
+    k1 = np.abs(np.fft.fftfreq(n) * n)
+    kr = np.arange(n // 2 + 1)
+    m2 = k1[:, None, None] ** 2 + k1[None, :, None] ** 2 + kr[None, None, :] ** 2
+    if decay != 0.0:
+        spec = spec * (1.0 + m2) ** (-0.5 * decay)
+    mask = ((k1[:, None, None] <= bandlimit) & (k1[None, :, None] <= bandlimit)
+            & (kr[None, None, :] <= bandlimit))
+    return np.fft.irfftn(np.where(mask, spec, 0.0), s=grid.shape, axes=(0, 1, 2))
+
+
+@pytest.mark.parametrize("n, bandlimit", [(16, 5), (16, 7), (24, 10)])
+@pytest.mark.parametrize("decay", [0.0, 2.0])
+def test_pruned_synthesis_is_irfftn(n, bandlimit, decay):
+    # the band block through the pruned inverse transform is irfftn of the
+    # zero-padded spectrum bit for bit, with and without the envelope
+    grid = VelocityGrid(R=8.0, N=n)
+    block = band_spectrum(grid, 11, bandlimit, decay)
+    assert block.shape == (2 * bandlimit + 1, 2 * bandlimit + 1, bandlimit + 1)
+    full = _full_spectrum_field(grid, 11, bandlimit, decay)
+    bare = synthesize(grid, block).values
+    assert np.array_equal(bare, full / math.sqrt(float(np.sum(full * full))
+                                                  * grid.cell_volume))
+    enveloped = full * np.exp(-grid.radius_sq / (2.0 * 1.25 ** 2))
+    want = enveloped / math.sqrt(float(np.sum(enveloped * enveloped))
+                                 * grid.cell_volume)
+    assert np.array_equal(synthesize(grid, block, gaussian_envelope(grid, 1.25)).values,
+                          want)
+    assert np.array_equal(random_field(grid, 11, bandlimit, 1.25, decay).values, want)
 
 
 def test_random_field_envelope_concentration():

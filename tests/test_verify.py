@@ -14,13 +14,13 @@ from landau.errors import ConfigError, DegenerateRatioError, FitDegenerateError
 from landau.evolution import (SEGMENT_SAMPLES, DerivativeLadder, PropagatedSystem,
                               SourceModel, derivative_ladder, evolve)
 from landau.field import (EnergyForm, VectorField, a_norm_sq, divergence, gradient,
-                          inner_product, l2_norm, random_field, weighted_norm,
-                          zeros)
-from landau.operator import apply_L1, apply_L2
+                          inner_product, l2_norm, random_field, synthesize,
+                          weighted_norm, zeros)
+from landau.operator import apply_L1, apply_L2, make_context
 from landau.persist import write_report_json
 from landau.verify import (check_coefficient_bounds, check_convolution_bound,
                            check_kernel_identities, check_l3_embedding,
-                           coercivity_quotient, energy_identity_convergence,
+                           coercivity_quotient, deterministic_probes, energy_identity_convergence,
                            check_energy, estimate_bilinear_constants,
                            estimate_coercivity, make_ensemble, member_pass,
                            recheck_bilinear, smoothing_fit, smoothing_report)
@@ -305,20 +305,24 @@ def test_recheck_pass_skips_unread_norms(small_ctx, ensemble, members):
 
 
 def test_member_pass_one_gradient_per_member(small_ctx, ensemble, monkeypatch):
-    # the pass takes one gradient per member and none for its partners
+    # the pass takes one gradient per member and none for its partners:
+    # the fields it takes gradients of are the members, each once (the
+    # members are built afresh on each read, so they are told apart by
+    # their bytes, which differ from member to member)
     from landau import field
     calls = []
     gradient_of = field.gradient
 
     def counted(f):
-        calls.append(id(f))
+        calls.append(f.values.tobytes())
         return gradient_of(f)
 
     for module in (field, verify):
         monkeypatch.setattr(module, "gradient", counted)
     member_pass(small_ctx, ensemble)
-    assert len(calls) == len(ensemble)
-    assert set(calls) == {id(f) for f in ensemble}
+    members = [f.values.tobytes() for f in ensemble]
+    assert len(set(members)) == len(ensemble)
+    assert sorted(calls) == sorted(members)
 
 
 def test_member_pass_under_thread_contention(small_ctx, members, monkeypatch):
@@ -394,22 +398,71 @@ def test_inequalities_suite_reports_identical():
 
 
 def test_inequalities_suite_frees_each_ensemble(monkeypatch):
-    # the first ensemble is gone before the fresh one is drawn, and
-    # neither outlives the suite
-    drawn = []
+    # the first ensemble, its probes and every member field built from it
+    # are gone before the fresh one is drawn, and nothing of either
+    # outlives the suite
+    drawn, built = [], []
 
     def tracked(*args, **kwargs):
         gc.collect()
-        assert all(ref() is None for ref in drawn)
-        fields = make_ensemble(*args, **kwargs)
-        drawn.extend(weakref.ref(f) for f in fields)
-        return fields
+        assert all(ref() is None for ref in drawn + built)
+        ens = make_ensemble(*args, **kwargs)
+        drawn.extend(weakref.ref(x) for x in [ens, *ens.probes])
+        return ens
+
+    def tracked_build(*args):
+        f = synthesize(*args)
+        built.append(weakref.ref(f))
+        return f
 
     monkeypatch.setattr(verify, "make_ensemble", tracked)
+    monkeypatch.setattr(verify, "synthesize", tracked_build)
     res = RunResources(parse_config_text(ENERGY_CFG), log=None)
     run_suite("inequalities", res)
     gc.collect()
-    assert len(drawn) == 2 * 74 and all(ref() is None for ref in drawn)
+    assert len(drawn) == 2 * 11 and len(built) >= 2 * 64
+    assert all(ref() is None for ref in drawn + built)
+
+
+def test_ensemble_members_are_the_random_fields(small_grid):
+    # member i of an ensemble is random_field(seed + i) bit for bit, the
+    # probes follow it, and the random members are held as band blocks
+    ens = make_ensemble(small_grid, 64, seed=42, bandlimit=5, envelope_width=1.0)
+    assert len(ens) == 64 + len(deterministic_probes(small_grid)) == 74
+    for i in range(64):
+        want = random_field(small_grid, 42 + i, bandlimit=5, envelope_width=1.0)
+        assert np.array_equal(ens[i].values, want.values)
+    for probe, want in zip([ens[i] for i in range(64, 74)],
+                           deterministic_probes(small_grid)):
+        assert np.array_equal(probe.values, want.values)
+    assert all(block.shape == (11, 11, 6) for block in ens.spectra)
+    assert np.array_equal(ens[-1].values, ens[73].values)
+    with pytest.raises(IndexError):
+        ens[74]
+    assert len(list(ens)) == 74
+
+
+def test_member_pass_memory_stays_below_a_held_ensemble(monkeypatch):
+    # at N=32 an ensemble held as fields is 74 N^3 doubles, 18.5 MiB; the
+    # streamed ensemble, its band blocks (5 MiB at bandlimit 10) and its
+    # member pass on one thread peak at 12.6 MiB, where the same pass over
+    # the fields held as a list peaked at 22.8 MiB
+    import tracemalloc
+
+    grid = VelocityGrid(R=8.0, N=32)
+    ctx = make_context(kernel.build_coefficients(
+        grid, KernelParams(-1.0), kernel.QuadratureSpec(32, 64, 1e-6)))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    # one pass first builds the forms and weights that every pass reads
+    member_pass(ctx, make_ensemble(grid, 64, seed=1, bandlimit=10))
+    tracemalloc.start()
+    try:
+        member_pass(ctx, make_ensemble(grid, 64, seed=42, bandlimit=10))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = 74 * grid.N ** 3 * 8
+    assert peak < 0.8 * held, peak / 2 ** 20
 
 
 def test_l3_embedding(members):
