@@ -210,45 +210,100 @@ def check_kernel_identities(params, seed=1234):
 # coefficient bound suite
 # ---------------------------------------------------------------------------
 
+# interior z-planes per slab of the K_coef derivative scan (16 planes of
+# 64^2 values are 512 kB)
+_SLAB_PLANES = 16
+
+
+def _shifted(box, axis, by):
+    """The box of slices `box` moved `by` nodes along `axis`."""
+    return tuple(slice(b.start + by, b.stop + by) if a == axis else b
+                 for a, b in enumerate(box))
+
+
+def abar_derivative_ratios(abar, wgt, h):
+    """The 54 decay ratios of K_coef, max |d^beta abar_jk| / w over the
+    interior nodes 2 .. N-3, 1 <= |beta| <= 2: per component in the order
+    of `_PAIRS`, d_i then d_i d_j for j >= i, over numpy axes i = 0, 1, 2;
+    w = wgt, and sqrt(2) wgt for a pure second derivative.
+
+    Each derivative is np.gradient's interior formula (x[i+1] - x[i-1]) /
+    (2 h), evaluated only on the nodes the scan reads, so the ratios are
+    np.gradient's bits and no edge stencil enters.  The interior z-planes
+    are cut into slabs of _SLAB_PLANES, each read with two ghost planes on
+    either side; each core walks one contiguous run of slabs
+    (`runs_on_cores`) through buffers made on the calling thread: a
+    component of abar, its first derivative, the second derivative or
+    scan, and the slab's sqrt(2) wgt.  Each ratio is the NaN-keeping numpy
+    max of its slab maxima."""
+    n = wgt.shape[0]
+    m = n - 4
+    slabs = [(z, min(z + _SLAB_PLANES, n - 2)) for z in range(2, n - 2, _SLAB_PLANES)]
+    runs = runs_on_cores(len(slabs))
+    top = slabs[0][1] - slabs[0][0]  # the tallest slab
+    buffers = [(np.empty((top + 4) * n * n), np.empty((top + 2) * (n - 2) ** 2),
+                np.empty(top * m * m), np.empty(top * m * m)) for _ in runs]
+
+    def slab_ratios(z0, z1, comp, first, second, w_pure):
+        s = z1 - z0
+        ghosted = slice(z0 - 2, z1 + 2)
+        comp = comp[:(s + 4) * n * n].reshape(s + 4, n, n)
+        second = second[:s * m * m].reshape(s, m, m)
+        w_mixed = wgt[z0:z1, 2:-2, 2:-2]
+        w_pure = np.multiply(w_mixed, math.sqrt(2.0),
+                             out=w_pure[:s * m * m].reshape(s, m, m))
+        inner = (slice(2, s + 2), slice(2, n - 2), slice(2, n - 2))  # of comp
+
+        def centered(x, box, axis, out):
+            np.subtract(x[_shifted(box, axis, 1)], x[_shifted(box, axis, -1)], out=out)
+            return np.divide(out, 2.0 * h, out=out)
+
+        def scan(d, w):
+            return np.max(np.divide(np.abs(d, out=second), w, out=second))
+
+        ratios = []
+        for j, k in _PAIRS:
+            # abar_jk = l_perp delta_jk + (l_par - l_perp) vhat_j vhat_k
+            np.multiply(abar.excess[ghosted], abar.vhat[j][ghosted], out=comp)
+            np.multiply(comp, abar.vhat[k][ghosted], out=comp)
+            if j == k:
+                np.add(comp, abar.across[ghosted], out=comp)
+            for ax_i in range(3):
+                # d_i where the scans of d_i and d_i d_j, j >= i, read it:
+                # the interior, one node wider along the axes >= i
+                box = tuple(slice(b.start - 1, b.stop + 1) if a >= ax_i else b
+                            for a, b in enumerate(inner))
+                shape = [b.stop - b.start for b in box]
+                d = centered(comp, box, ax_i, first[:math.prod(shape)].reshape(shape))
+                core = tuple(slice(1, e - 1) if a >= ax_i else slice(0, e)
+                             for a, e in enumerate(shape))  # the interior, of d
+                ratios.append(scan(d[core], w_mixed))
+                for ax_j in range(ax_i, 3):
+                    ratios.append(scan(centered(d, core, ax_j, second),
+                                       w_pure if ax_i == ax_j else w_mixed))
+        return ratios
+
+    def walk(run_buffers):
+        run, buf = run_buffers
+        return [slab_ratios(*slabs[i], *buf) for i in run]
+
+    rows = [row for run in map_on_cores(walk, zip(runs, buffers)) for row in run]
+    return np.max(rows, axis=0)
+
+
 def check_coefficient_bounds(coeffs):
     """The unit bound of the kernel, |a_jk(u)| <= |u|^{gamma+2}, and the
     pad-1 divergence tables b_j against the trace of the analytic first
     derivatives, scale-relative to 2 |u|^{gamma+1}, at 1e-12.  K_coef is
-    the largest decay ratio of the abar derivatives (finite differences,
-    |beta| <= 2, edge stencils excluded) and of the divergence field
-    against <v>^{gamma+1}."""
+    the largest decay ratio against <v>^{gamma+1} of the abar derivatives
+    (`abar_derivative_ratios`: centered differences, 1 <= |beta| <= 2,
+    edge stencils excluded) and of the divergence field 2 c2."""
     grid = coeffs.grid
     g = coeffs.params.gamma
-    h = grid.h
     wgt = grid.bracket_weight(g + 1.0)
-    interior = (slice(2, -2),) * 3
-
-    # wgt, and sqrt(2) wgt for the pure second derivatives, on the interior
-    w_mixed = wgt[interior]
-    w_pure = w_mixed * math.sqrt(2.0)
-    scan = np.empty(w_mixed.shape)
-
-    def scan_max(d, w):
-        """max |d| / w over the interior, through the one buffer `scan`."""
-        return float(np.max(np.divide(np.abs(d[interior], out=scan), w, out=scan)))
-
-    # the first and second derivative scans of each component of abar
-    ratios = []
     abar = coeffs.abar
-    for j, k in _PAIRS:
-        # abar_jk = l_perp delta_jk + (l_par - l_perp) vhat_j vhat_k
-        comp = abar.excess * abar.vhat[j] * abar.vhat[k]
-        if j == k:
-            comp += abar.across
-        for ax_i in range(3):
-            d = np.gradient(comp, h, axis=ax_i, edge_order=2)
-            ratios.append(scan_max(d, w_mixed))
-            for ax_j in range(ax_i, 3):
-                ratios.append(scan_max(np.gradient(d, h, axis=ax_j, edge_order=2),
-                                       w_pure if ax_i == ax_j else w_mixed))
-            del d
-        del comp  # each array is freed before the next is formed
-    ratios.append(float(np.max(np.abs(2.0 * coeffs.c2) / wgt)))
+    ratios = [*abar_derivative_ratios(abar, wgt, grid.h),
+              np.max(np.abs(2.0 * coeffs.c2) / wgt)]
 
     rng = np.random.default_rng(COEFFICIENT_SEED)
     pts = rng.uniform(-6.0, 6.0, size=(COEFFICIENT_SAMPLES, 3))

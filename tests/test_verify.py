@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import gc
 import json
 import math
@@ -28,6 +29,7 @@ from landau import kernel, suites, verify
 from landau.grid import VelocityGrid
 from landau.kernel import KernelParams, UniaxialField
 from landau.suites import RunResources, run_suite
+from tests import gradient_oracle
 from tests.conftest import abar_matrix, gaussian_field
 
 
@@ -232,6 +234,79 @@ def test_coefficient_suite_catches_negative_abar_profile(small_coeffs, profile):
     rep = check_coefficient_bounds(coeffs)
     assert [c["id"] for c in rep.checks if c["verdict"] == "fail"] == ["abar_psd"]
     assert rep.checks[[c["id"] for c in rep.checks].index("abar_psd")]["value"] < 0
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_abar(n, gamma):
+    """abar on the reference box (R = 8) at N nodes per axis."""
+    return kernel.compute_abar_field(VelocityGrid(R=8.0, N=n), KernelParams(gamma))
+
+
+def _on_cores(monkeypatch, cores):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)),
+                        raising=False)
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+@pytest.mark.parametrize("gamma", [-0.5, -1.0, -2.0, -2.9])
+@pytest.mark.parametrize("n", [16, 24, 48])
+def test_abar_derivative_ratios_match_gradient_oracle(n, gamma, cores, monkeypatch):
+    # the slab scan gives np.gradient's 54 ratios bit for bit: one short
+    # slab at N=16, a short last slab at N=24 and 48, on one core and on two
+    abar = _reference_abar(n, gamma)
+    grid = abar.grid
+    wgt = grid.bracket_weight(gamma + 1.0)
+    _on_cores(monkeypatch, cores)
+    got = verify.abar_derivative_ratios(abar, wgt, grid.h)
+    want = np.array(gradient_oracle.abar_derivative_ratios(abar, wgt, grid.h))
+    assert want.shape == (54,)
+    assert got.tobytes() == want.tobytes()
+
+
+def _seam_planes(n):
+    """The z-planes on either side of each seam between two scan slabs."""
+    seams = range(2 + verify._SLAB_PLANES, n - 2, verify._SLAB_PLANES)
+    return [z + side for z in seams for side in (-1, 0)]
+
+
+@pytest.fixture(scope="module")
+def coeffs_n48():
+    return kernel.build_coefficients(VelocityGrid(R=8.0, N=48), KernelParams(-1.0))
+
+
+@pytest.mark.parametrize("plane", [0, 1, 46, 47] + _seam_planes(48))
+def test_nan_in_abar_reaches_k_coef(coeffs_n48, plane, monkeypatch):
+    # a NaN in l_par on any z-plane, a ghost plane of the scan's first or
+    # last slab or a plane beside a seam between slabs, fails abar_psd and
+    # leaves K_coef NaN, on two cores
+    abar = coeffs_n48.abar
+    along = abar.along.copy()
+    along[plane, 24, 24] = math.nan
+    coeffs = dataclasses.replace(
+        coeffs_n48, abar=UniaxialField(abar.grid, along, abar.across))
+    _on_cores(monkeypatch, 2)
+    assert check_coefficient_bounds(coeffs).failures == (["abar_psd"], ["K_coef"])
+
+
+def test_abar_derivative_scan_memory(monkeypatch):
+    # at N=48 on two cores the slab scan allocates at most 3.5 N^3 doubles
+    # at its peak (3.0 measured); the full-grid np.gradient loop, 5.7
+    import tracemalloc
+
+    abar = _reference_abar(48, -1.0)
+    grid = abar.grid
+    wgt = grid.bracket_weight(0.0)
+    _on_cores(monkeypatch, 2)
+    bound = 3.5 * 8 * grid.N ** 3
+    peaks = []
+    for scan in (verify.abar_derivative_ratios, gradient_oracle.abar_derivative_ratios):
+        tracemalloc.start()
+        try:
+            scan(abar, wgt, grid.h)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < bound < peaks[1], [p / (8 * grid.N ** 3) for p in peaks]
 
 
 def test_coercivity_quotient_radial_probe(small_grid, small_coeffs):
