@@ -50,6 +50,11 @@ CHEBYSHEV_TOL = 1e-15
 # product, (SEGMENT_SAMPLES x 8) @ (8 x N^3); a product with this few terms
 # gives the same bytes for any BLAS thread count
 ACCUMULATED_TERMS = 8
+# columns per block of that product: a (16 x 8) @ (8 x 2048) product is
+# below OpenBLAS's threading threshold, so it runs on the calling thread and
+# wakes no worker to spin after it, and its (16 x 2048) result is all that
+# is allocated before it is added into the samples
+STEP_COLUMNS = 2048
 # depth and sample count on [0, T] of the forcing bound A_g
 SOURCE_BOUND_KMAX = 8
 SOURCE_BOUND_SAMPLES = 65
@@ -190,10 +195,9 @@ def _log_row(f, lf, t, system):
 
 def step_buffers(n):
     """The blocks `step` works in for fields of n values: the samples and
-    their L f, the pending terms and their L (T_k y), and one product."""
+    their L f, and the pending terms and their L (T_k y)."""
     return (np.empty((2, SEGMENT_SAMPLES, n)),
-            np.empty((2, ACCUMULATED_TERMS, n)),
-            np.empty((SEGMENT_SAMPLES, n)))
+            np.empty((2, ACCUMULATED_TERMS, n)))
 
 
 def step(f, t0, t1, system, interval, buffers=None, lf0=None):
@@ -205,7 +209,8 @@ def step(f, t0, t1, system, interval, buffers=None, lf0=None):
     `system.apply` gives each term's image under L with the f-row of G
     that builds the next term, so L is applied once per term, and not to
     the first term, f itself, when the caller hands L f in as `lf0`.
-    Both sums run as one matrix product per ACCUMULATED_TERMS terms.  The
+    Both sums run as one matrix product per ACCUMULATED_TERMS terms, in
+    blocks of STEP_COLUMNS columns added into the samples.  The
     returned fields are views of `buffers` (see `step_buffers`, allocated
     afresh when None), which the next step on the same buffers overwrites.
 
@@ -226,7 +231,7 @@ def step(f, t0, t1, system, interval, buffers=None, lf0=None):
     coef = chebyshev_coefficients(offsets, interval)
     degree = len(coef) - 1
     # samples[0] holds f, samples[1] L f; terms the same for the pending T_k y
-    samples, terms, product = buffers or step_buffers(f.values.size)
+    samples, terms = buffers or step_buffers(f.values.size)
     samples.fill(0.0)
     prev, cur = None, (f.values, system.model.tau_derivative(0, t0))
     image = None if lf0 is None else lf0.values  # L of the first term, if held
@@ -244,8 +249,9 @@ def step(f, t0, t1, system, interval, buffers=None, lf0=None):
         if j == ACCUMULATED_TERMS - 1 or k == degree:
             block = coef[k - j:k + 1].T
             for part in (0, 1):
-                np.matmul(block, terms[part, :j + 1], out=product)
-                samples[part] += product
+                for c in range(0, samples.shape[2], STEP_COLUMNS):
+                    cols = slice(c, c + STEP_COLUMNS)
+                    samples[part, :, cols] += block @ terms[part, :j + 1, cols]
     fields = samples.reshape((2, SEGMENT_SAMPLES) + grid.shape)
     return ([ScalarField(grid, v) for v in fields[0]],
             [ScalarField(grid, v) for v in fields[1]])

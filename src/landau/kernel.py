@@ -15,10 +15,12 @@ its r^{gamma+4} endpoint singularity, is a Gauss-Legendre rule, checked by
 doubling its order.  c1 and c2 follow from l_par alone, as abar v = l_par v.
 The c2 cross-check convolves the separable fields v_k mu with the pad-2
 kernel b_k = -2 |u|^gamma u_k by 1-d Toeplitz passes, without wrap or
-spectra, and forms |u|^gamma a block of z-planes at a time, never as a
-(2N)^3 table (`radial_power_convolutions`).  The kernel tables' origin cell
-is the exact cell average.  The coefficient set names
-the forms of the estimates and builds the invariants.
+spectra (`radial_power_convolutions`): |u|^gamma is even along every axis,
+so the factor matrices are folded onto the shifts 0 .. N and the kernel is
+formed there only, (N+1)^3 values a block of z-planes at a time, never as
+a (2N)^3 table.  The nine operator tables are formed one at a time
+(`KernelTableStream`), their origin cell the exact cell average.  The
+coefficient set names the forms of the estimates and builds the invariants.
 """
 
 import itertools
@@ -90,6 +92,7 @@ def kernel_entries(u, gamma):
     n2 = (ux * ux + uy * uy) + uz * uz
     ng = n2 ** (0.5 * gamma)
     ngp2 = ng * n2
+    del n2  # one table fewer while the entries are formed
     for j, k in _PAIRS:
         yield ngp2 - ng * u[j] * u[j] if j == k else -ng * u[j] * u[k]
 
@@ -416,12 +419,11 @@ def _lattice_offsets(grid, pad):
     return np.fft.fftfreq(m) * m * grid.h
 
 
-def _lattice_squares(grid, pad, planes=slice(None)):
-    """Shift coordinates (ux, uy, uz) and |u|^2 in FFT layout, on the
-    z-planes `planes` (a slice, all of them by default); the zero-shift
-    entry of |u|^2 is 1, so that every power of it is 1 there, for the
-    caller to rewrite."""
-    offs = _lattice_offsets(grid, pad)
+def _lattice_squares(offs, planes=slice(None)):
+    """Shift coordinates (ux, uy, uz) and |u|^2 on the lattice whose axes
+    hold the 1-d shifts `offs`, on the z-planes `planes` (a slice, all of
+    them by default); the zero-shift entry of |u|^2 is 1, so that every
+    power of it is 1 there, for the caller to rewrite."""
     ux = offs[None, None, :]
     uy = offs[None, :, None]
     uz = offs[planes, None, None]
@@ -432,7 +434,7 @@ def _lattice_squares(grid, pad, planes=slice(None)):
 
 
 # kernel values per block of `radial_power_convolutions` (512 kB): its peak
-# is then the 2N x N x N partial sums of its groups, not a (2N)^3 table
+# is then the (N+1) x N x N partial sums of its groups, not a table
 _STREAM_ELEMENTS = 1 << 16
 
 
@@ -447,40 +449,54 @@ def toeplitz_factor(grid, f):
     return w
 
 
+def _fold(w):
+    """Rows 0 .. M/2 of an M x N factor matrix, row s + row M - s for
+    0 < s < M/2: against a kernel even along its axis, K[s] = K[M - s],
+    the sum over the M shifts is the sum over the folded rows."""
+    n = w.shape[0] // 2
+    out = w[:n + 1].copy()
+    out[1:n] += w[:n:-1]
+    return out
+
+
 def radial_power_convolutions(grid, exponent, groups):
     """Unwrapped sums of the pad-2 kernel K = |u|^exponent against
-    separable factors, without a (2N)^3 table: K is formed _STREAM_ELEMENTS
-    at a time, a block of z-planes from `_lattice_squares` with the origin
-    cell's exact average, and each block is contracted with the M x N
-    matrices in x, then in y.  `groups` holds pairs (wz, terms), terms a
-    sequence of (wy, wx); each group gives
+    separable factors, without a (2N)^3 table.  `groups` holds pairs
+    (wz, terms), terms a sequence of (wy, wx) of M x N matrices; each
+    group gives
 
         h^3 sum_terms sum_s K[s] wz[s_z, i_z] wy[s_y, i_y] wx[s_x, i_x],
 
     its terms summed before the one z contraction at the end.  With
     `toeplitz_factor` matrices this is the convolution of K with the
     density wz wy wx; a matrix scaled row by row by the lattice offsets,
-    u(s) W[s, i], folds a factor u_k of the kernel into axis k.  Terms
-    that pass the same wx object share its x pass."""
-    n, m = grid.N, 2 * grid.N
-    xs = {id(wx): wx for _, terms in groups for _, wx in terms}
-    partial = [np.zeros((m, n, n)) for _ in groups]
-    planes = max(1, _STREAM_ELEMENTS // (m * m))
-    for z0 in range(0, m, planes):
-        _, k = _lattice_squares(grid, 2, slice(z0, z0 + planes))
+    u(s) W[s, i], folds a factor u_k of the kernel into axis k.  K is even
+    along every axis, so each matrix is folded once (`_fold`) and K is
+    formed on the shifts 0 .. N of each axis only, (N+1)^3 values, with
+    the origin cell's exact average: _STREAM_ELEMENTS at a time, a block of
+    z-planes, each contracted with the folded matrices in x, then in y.
+    Terms that pass the same wx object share its x pass."""
+    n = grid.N
+    folded = {id(w): _fold(w) for wz, terms in groups
+              for w in (wz, *itertools.chain.from_iterable(terms))}
+    offs = _lattice_offsets(grid, 2)[:n + 1]
+    partial = [np.zeros((n + 1, n, n)) for _ in groups]
+    planes = max(1, _STREAM_ELEMENTS // (n + 1) ** 2)
+    for z0 in range(0, n + 1, planes):
+        _, k = _lattice_squares(offs, slice(z0, z0 + planes))
         np.power(k, 0.5 * exponent, out=k)
         if z0 == 0:
             k[0, 0, 0] = cell_average_radial_power(exponent, grid.h)
-        x_pass = {key: k @ wx for key, wx in xs.items()}
+        x_pass = {id(wx): k @ folded[id(wx)] for _, terms in groups for _, wx in terms}
         del k  # no block outlives its passes
         for (_, terms), p in zip(groups, partial):
             for wy, wx in terms:
-                p[z0:z0 + planes] += np.matmul(wy.T, x_pass[id(wx)])
+                p[z0:z0 + planes] += np.matmul(folded[id(wy)].T, x_pass[id(wx)])
         del x_pass
     out = []
     for wz, _ in groups:
         # each partial sum is freed once contracted
-        conv = np.tensordot(wz.T, partial.pop(0), 1)
+        conv = np.tensordot(folded[id(wz)].T, partial.pop(0), 1)
         conv *= grid.cell_volume
         out.append(conv)
     return out
@@ -512,7 +528,7 @@ def divergence_kernels(grid, params, pad=1):
     """Yield b_x, b_y, b_z, b_j(u) = sum_k d_k a_jk(u) = -2 |u|^gamma u_j on
     the shift lattice, one (M, M, M) table at a time from one |u|^gamma
     table; odd kernel, symmetric cell: zero-shift entry 0."""
-    coords, ng = _lattice_squares(grid, pad)
+    coords, ng = _lattice_squares(_lattice_offsets(grid, pad))
     np.power(ng, 0.5 * params.gamma, out=ng)
     ng *= -2.0
     for uj in coords:
@@ -522,22 +538,48 @@ def divergence_kernels(grid, params, pad=1):
         del b  # hold no table while the next one is formed
 
 
+@dataclass(frozen=True)
+class KernelTableStream:
+    """The nine tables of `KernelTables.comps` on the shift lattice, in
+    their order, formed one at a time as they are read: b_j from
+    `divergence_kernels`, then a_jk from `kernel_entries`, whose zero
+    shift, 0/0 there, is rewritten to the cell average.  The stream holds
+    no table once its reader has taken the next one, so a reader that
+    keeps none holds one table at a time."""
+
+    grid: VelocityGrid
+    params: KernelParams
+    pad: int = 1
+
+    def __len__(self):
+        return 9
+
+    def __iter__(self):
+        yield from divergence_kernels(self.grid, self.params, self.pad)
+        # the direction average of (I - uhat uhat^T) over the symmetric
+        # cell is (2/3) I
+        avg = (2.0 / 3.0) * cell_average_radial_power(self.params.gamma + 2.0,
+                                                      self.grid.h)
+        entries = kernel_entries(
+            _lattice_squares(_lattice_offsets(self.grid, self.pad))[0], self.params.gamma)
+        for i in range(6):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                a = next(entries)
+            a[0, 0, 0] = avg if i < 3 else 0.0
+            yield a
+            del a  # hold no table while the next one is formed
+
+
 def tabulate_fft_kernels(grid, params, pad=1):
-    """Tabulate b_j(u) = sum_k d_k a_jk(u) and a_jk(u) on the shift lattice."""
+    """`KernelTableStream` stacked into one KernelTables."""
+    stream = KernelTableStream(grid, params, pad)
     m = pad * grid.N
-    tables = np.empty((9, m, m, m))
-    # next(), not enumerate, whose cached result holds each table while the
-    # next is formed; the zero shift of a_jk is 0/0 here and rewritten below
-    with np.errstate(divide="ignore", invalid="ignore"):
-        comps = itertools.chain(divergence_kernels(grid, params, pad), kernel_entries(
-            _lattice_squares(grid, pad)[0], params.gamma))
-        for table in tables:
-            table[...] = next(comps)
-    # zero-shift regularization: cell average of the radial factor; the
-    # direction average of (I - uhat uhat^T) over the symmetric cell is (2/3) I
-    avg = cell_average_radial_power(params.gamma + 2.0, grid.h)
-    tables[3:6, 0, 0, 0] = (2.0 / 3.0) * avg
-    tables[6:, 0, 0, 0] = 0.0
+    tables = np.empty((len(stream), m, m, m))
+    # next(), not zip, whose cached result holds each table while the
+    # next is formed
+    comps = iter(stream)
+    for table in tables:
+        table[...] = next(comps)
     return KernelTables(grid, params, pad, tables)
 
 

@@ -15,7 +15,8 @@ norm and (−div(Abar grad f), g) = (Abar grad f, grad g) holds to round-off.
 where the prefactor identity mu^{-1/2} d_j (mu X) = mu^{1/2} (d_j X - v_j X)
 is applied analytically, never by pointwise division, so nothing blows up at
 large |v|.  The kernels are transformed once: the nine distinct tables
-b_j and a_jk = a_kj (KernelTables.comps).  X_j contracts b_j, a_j0, a_j1
+b_j and a_jk = a_kj (KernelTables.comps), each as it is formed
+(kernel.KernelTableStream).  X_j contracts b_j, a_j0, a_j1
 and a_j2 against the transforms of (rho, v_x rho, v_y rho, v_z rho),
 rho = mu^{1/2} f, in the spectral form
 of Pareschi, Russo & Toscani, J. Comput. Phys. 165 (2000).  Convolutions run
@@ -34,29 +35,34 @@ import numpy as np
 from .errors import EigenvalueError, GridMismatchError
 from .field import ScalarField, wrapped_difference
 from .grid import AXIS_OF_COMPONENT
-from .kernel import _SYM_INDEX, LandauCoefficients, tabulate_fft_kernels
+from .kernel import _SYM_INDEX, KernelTableStream, LandauCoefficients
 
 
 class ConvolutionEngine:
-    """Periodic FFT convolution against a stack of kernel tables.
+    """Periodic FFT convolution against a sequence of kernel tables.
 
-    `tables` has shape (..., N, N, N), in FFT layout on the shift lattice
-    of the grid; `hats` holds their transforms over the last three axes.
+    `tables` is a sized iterable of (N, N, N) tables in FFT layout on the
+    shift lattice of the grid: a stacked array, or a `KernelTableStream`
+    that forms each table as it is read.  Each table is transformed into
+    its row of `hats` as it arrives, and the engine keeps none of them.
     The operators use the nine tables of KernelTables.comps.  Applying the
     engine to a discrete delta of mass h^-3 reproduces each table exactly
     up to transform round-off."""
 
     def __init__(self, grid, tables):
         self.grid = grid
-        if tables.shape[-3:] != grid.shape:
-            raise ValueError(f"kernel tables of shape {tables.shape} do not "
-                             f"end in the grid's lattice {grid.shape}")
-        # one table at a time: a batched rfftn holds two more transforms of
-        # the whole stack at once (same bytes either way)
         n = grid.N
-        self.hats = np.empty(tables.shape[:-3] + (n, n, n // 2 + 1), complex)
-        for idx in np.ndindex(tables.shape[:-3]):
-            self.hats[idx] = np.fft.rfftn(tables[idx])
+        self.hats = np.empty((len(tables), n, n, n // 2 + 1), complex)
+        # next(), not zip, whose cached result holds each table while the
+        # next is formed
+        tables = iter(tables)
+        for hat in self.hats:
+            table = next(tables)
+            if table.shape != grid.shape:
+                raise ValueError(f"kernel tables of shape {table.shape} do not "
+                                 f"end in the grid's lattice {grid.shape}")
+            np.fft.rfftn(table, out=hat)
+            del table
         self._local = threading.local()
 
     def forward(self, values, out=None):
@@ -300,7 +306,7 @@ def arnoldi_edges(matvec, v0):
 
 
 def make_context(coeffs: LandauCoefficients) -> OperatorContext:
-    """The operators' engine; the pad-1 kernel tables live only until it
-    has transformed them."""
-    tables = tabulate_fft_kernels(coeffs.grid, coeffs.params).comps
+    """The operators' engine, built from the pad-1 kernel tables one at a
+    time (`KernelTableStream`): each lives only until it is transformed."""
+    tables = KernelTableStream(coeffs.grid, coeffs.params)
     return OperatorContext(ConvolutionEngine(coeffs.grid, tables), coeffs)

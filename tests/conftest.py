@@ -5,9 +5,9 @@ import pytest
 
 from landau.field import zeros
 from landau.grid import VelocityGrid
-from landau.kernel import (KernelParams, QuadratureSpec, _lattice_squares,
-                           build_coefficients, cell_average_radial_power,
-                           divergence_kernels)
+from landau.kernel import (KernelParams, QuadratureSpec, _lattice_offsets,
+                           _lattice_squares, build_coefficients,
+                           cell_average_radial_power, divergence_kernels)
 from landau.operator import make_context
 
 # small shared configuration used by most operator-level tests
@@ -103,9 +103,11 @@ def divergence_tables(grid, params, pad=1):
 
 def radial_kernel_table(grid, exponent, pad=1):
     """The whole table of |u|^exponent on the shift lattice (FFT layout),
-    the origin cell its exact average: what
-    `kernel.radial_power_convolutions` forms a block at a time."""
-    _, table = _lattice_squares(grid, pad)
+    the origin cell its exact average: the oracle of
+    `kernel.radial_power_convolutions`, which forms only its shifts 0 .. N
+    of each axis, a block at a time, and folds the rest into its factor
+    matrices."""
+    _, table = _lattice_squares(_lattice_offsets(grid, pad))
     np.power(table, 0.5 * exponent, out=table)
     table[0, 0, 0] = cell_average_radial_power(exponent, grid.h)
     return table

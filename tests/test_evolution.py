@@ -3,6 +3,8 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,7 +18,9 @@ from landau.evolution import (SEGMENT_SAMPLES, SPECTRUM_MARGIN,
                               evolve, measure_source_bound, scaled_bessel_i,
                               step, step_buffers)
 from landau.field import ScalarField, inner_product, l2_norm, random_field, zeros
-from landau.operator import apply_L1
+from landau.grid import VelocityGrid
+from landau.kernel import KernelParams, QuadratureSpec, build_coefficients
+from landau.operator import apply_L1, make_context
 from landau.verify import check_energy
 from tests.conftest import gaussian_field
 
@@ -188,6 +192,30 @@ def test_step_on_reused_buffers_is_bit_identical(small_grid, small_ctx):
             assert np.array_equal(g.values, w.values)
     # the fields returned are views of the blocks
     assert np.shares_memory(reused[0][-1].values, buffers[0])
+
+
+def test_step_memory_holds_no_product_block():
+    # one step on fresh blocks at N=32 allocates its samples and terms
+    # (48 N^3 doubles) and temporaries of about 11 N^3 (59.0 measured); a
+    # (16, N^3) product block on top of them would pass 64 N^3 (75.0)
+    grid = VelocityGrid(R=6.0, N=32)
+    ctx = make_context(build_coefficients(grid, KernelParams(-1.0), QuadratureSpec()))
+    # measured edges stood in, so that no Arnoldi run is needed
+    stand_in = SimpleNamespace(coeffs=ctx.coeffs, apply=ctx.apply,
+                               spectral_radius=200.0, spectrum_lower_edge=-1.0)
+    system = PropagatedSystem(stand_in, SourceModel(unit_gaussian(grid), amplitude=0.5))
+    f0 = random_field(grid, 7, bandlimit=5, envelope_width=1.0)
+    ctx.apply(f0)  # the calling thread's L2 workspace, made once per thread
+    tracemalloc.start()
+    try:
+        samples, _ = step(f0, 0.0, 0.05, system, interval_of(system))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(chebyshev_coefficients([0.05], interval_of(system))) > 16
+    assert all(np.isfinite(f.values).all() for f in samples)
+    held = peak / (8 * grid.N ** 3)
+    assert held < 64.0, held
 
 
 def test_propagator_top_ritz_vector(small_grid, small_ctx):

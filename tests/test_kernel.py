@@ -223,8 +223,9 @@ def test_abar_profiles_blocks_leave_the_bytes(monkeypatch):
 
 def _block_sizes(grid):
     """Kernel elements per block of `radial_power_convolutions`: 3 z-planes
-    of the pad-2 lattice, so that the last block is short, and its own."""
-    return 3 * (2 * grid.N) ** 2, kernel._STREAM_ELEMENTS
+    of the folded kernel, (N+1)^2 values each, so that the last of its N+1
+    planes is in a short block, and its own."""
+    return 3 * (grid.N + 1) ** 2, kernel._STREAM_ELEMENTS
 
 
 @pytest.mark.parametrize("kind", ["b_x", "radial"])
@@ -250,6 +251,47 @@ def test_radial_power_convolutions_match_padded_fft(small_grid, params, kind,
         (got,) = radial_power_convolutions(small_grid, params.gamma,
                                            [(wz, [(wy, wx)])])
         assert got.shape == small_grid.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n", [16, 18])
+def test_radial_power_convolutions_need_no_parity(params, n, monkeypatch):
+    # the fold reads the kernel's symmetry alone: against densities with no
+    # parity along any axis (factors centred off the origin, one with an
+    # odd part), two groups, one of them with two terms, equal the
+    # zero-padded transforms of the whole pad-2 table; in blocks of 3
+    # planes the last block holds 2 of the N+1 planes at N=16 and 1 at N=18
+    grid = VelocityGrid(R=6.0, N=n)
+    ax = grid.axis
+    f = [np.exp(-0.3 * (ax - 0.7) ** 2), np.exp(-0.5 * (ax + 1.1) ** 2),
+         (1.0 + 0.4 * ax) * np.exp(-0.2 * (ax - 0.3) ** 2)]
+    w = [toeplitz_factor(grid, g) for g in f]
+    table = radial_kernel_table(grid, params.gamma, pad=2)
+    want = [padded_fft_convolution(grid, table, separable_density(f)),
+            padded_fft_convolution(grid, table, separable_density([f[1], f[0], f[2]]))
+            + padded_fft_convolution(grid, table, separable_density([f[1], f[2], f[0]]))]
+    for elements in _block_sizes(grid):
+        monkeypatch.setattr(kernel, "_STREAM_ELEMENTS", elements)
+        got = radial_power_convolutions(
+            grid, params.gamma, [(w[0], [(w[1], w[2])]),
+                                 (w[1], [(w[0], w[2]), (w[2], w[0])])])
+        for g, v in zip(got, want):
+            assert np.max(np.abs(g - v)) <= 1e-13 * np.max(np.abs(v))
+
+
+@pytest.mark.parametrize("n", [16, 18])
+def test_radial_power_convolutions_are_the_lattice_sum(params, n, monkeypatch):
+    # on general M x N matrices each group is h^3 sum_s K[s] wz wy wx over
+    # every shift of the whole pad-2 table; unlike a Toeplitz factor, whose
+    # row M/2 is zero, these carry every row into the fold
+    grid = VelocityGrid(R=6.0, N=n)
+    wz, wy, wx = np.random.default_rng(5).uniform(0.5, 1.5, (3, 2 * n, n))
+    table = radial_kernel_table(grid, params.gamma, pad=2)
+    want = grid.cell_volume * np.einsum("zyx,za,yb,xc->abc", table, wz, wy, wx,
+                                        optimize=True)
+    for elements in _block_sizes(grid):
+        monkeypatch.setattr(kernel, "_STREAM_ELEMENTS", elements)
+        (got,) = radial_power_convolutions(grid, params.gamma, [(wz, [(wy, wx)])])
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 

@@ -668,22 +668,20 @@ def test_run_resources_validate_their_config():
 
 
 def test_run_resources_tabulate_each_pad_once(monkeypatch):
-    # make_context forms the operator's full pad-1 tables once, and they are
-    # gone once transformed; the build forms no pad-2 b table, as the c2
-    # cross-check streams |u|^gamma; the coefficient suite samples the pad-1
-    # b tables alone, and the convolution suite forms none
+    # make_context streams the operator's nine pad-1 tables
+    # (kernel.KernelTableStream), stacks none of them, and each is gone
+    # once transformed; the build forms no pad-2 b table, as the c2
+    # cross-check streams |u|^gamma; the coefficient suite samples the
+    # pad-1 b tables alone, and the convolution suite forms none
     pads = {"tabulate_fft_kernels": [], "divergence_kernels": []}
-    full = []
+    streamed = []
 
     def counting(fn_name):
         original = getattr(kernel, fn_name)
 
         def counted(grid, params, pad=1, **kwargs):
             pads[fn_name].append(pad)
-            out = original(grid, params, pad=pad, **kwargs)
-            if fn_name == "tabulate_fft_kernels":
-                full.append(weakref.ref(out.comps))
-            return out
+            return original(grid, params, pad=pad, **kwargs)
         return original, counted
 
     # every module that imported a function by name calls the counter
@@ -693,14 +691,23 @@ def test_run_resources_tabulate_each_pad_once(monkeypatch):
             if (name.startswith("landau")
                     and getattr(module, fn_name, None) is original):
                 monkeypatch.setattr(module, fn_name, counted)
+    stream_iter = kernel.KernelTableStream.__iter__
+
+    def tracked(stream):
+        for table in stream_iter(stream):
+            streamed.append(weakref.ref(table))
+            yield table
+            del table
+
+    monkeypatch.setattr(kernel.KernelTableStream, "__iter__", tracked)
     res = RunResources(parse_config_text(ENERGY_CFG), log=None)
     assert res.ctx.engine.hats.shape[0] == 9
-    assert pads == {"tabulate_fft_kernels": [1], "divergence_kernels": [1]}
+    assert pads == {"tabulate_fft_kernels": [], "divergence_kernels": [1]}
     gc.collect()
-    assert len(full) == 1 and full[0]() is None
+    assert len(streamed) == 9 and all(ref() is None for ref in streamed)
     for suite in ("coefficients", "convolution"):
         run_suite(suite, res)
-    assert pads == {"tabulate_fft_kernels": [1], "divergence_kernels": [1, 1]}
+    assert pads == {"tabulate_fft_kernels": [], "divergence_kernels": [1, 1]}
 
 
 def test_run_suite_stamps_fingerprint_and_grid():
