@@ -171,7 +171,7 @@ class PropagatedSystem:
         """(lower, upper) of G: rate and L's measured edges, each moved
         margin * rho outwards; SPECTRUM_MARGIN - 1 gives `evolve`'s interval.
         L's lower edge rho - max |rho - lambda| is at most min Re lambda."""
-        rho, edge = self.ctx.spectral_radius, self.ctx.spectrum_lower_edge
+        rho, edge = self.ctx.spectrum.rho, self.ctx.spectrum.edge
         pad = margin * rho
         return min(edge - pad, self.rate), max(rho + pad, self.rate)
 
@@ -288,7 +288,7 @@ def evolve(f0, system, T, snapshot_times=(), log=None):
         log(f"evolve: spectrum of L measured, rho = {measured.rho:.6g}, lower "
             f"edge = {measured.edge:.6g}, by {measured.applications} "
             f"applications of L in {measured.cycles} Arnoldi cycles")
-    edges = segment_edges(T, ctx.spectral_radius, snapshot_times)
+    edges = segment_edges(T, ctx.spectrum.rho, snapshot_times)
     # applications of L per segment: the series' terms but the first,
     # whose image the caller holds, and one for the direct check
     costs = [len(chebyshev_coefficients([t1 - t0], (lo, hi)))

@@ -4,9 +4,11 @@ The interaction kernel is
 
     a_jk(v) = (delta_jk |v|^2 - v_j v_k) |v|^gamma,   -3 < gamma < 0,
 
-a positive semidefinite projection off the v direction scaled by |v|^{gamma+2}.
-`kernel_entries` writes it once, for the operator's tables and the checked
-batch form; its derivatives follow by the product rule on a = |v|^gamma P.
+a positive semidefinite projection off the v direction scaled by |v|^{gamma+2},
+with row divergence b_j = sum_k d_k a_jk = -2 |v|^gamma v_j.
+`kernel_entries` writes both once, from one |v|^gamma, for the operator's
+tables and the checked point forms; the derivatives follow by the product
+rule on a = |v|^gamma P.
 The smoothed diffusion matrix abar = a * mu is stored as its two radial
 profiles, the eigenvalue l_par along v and the double eigenvalue l_perp
 across it (`UniaxialField`).  With the polar axis along v, the azimuthal and
@@ -16,8 +18,8 @@ doubling its order.  c1 and c2 follow from l_par alone, as abar v = l_par v.
 The c2 cross-check convolves the separable fields v_k mu with the pad-2
 kernel b_k = -2 |u|^gamma u_k by 1-d Toeplitz passes, without wrap or
 spectra (`radial_power_convolutions`): |u|^gamma is even along every axis,
-so the factor matrices are folded onto the shifts 0 .. N and the kernel is
-formed there only, (N+1)^3 values a block of z-planes at a time, never as
+so the factor matrices are folded onto the shifts 0 .. N-1 and the kernel
+is formed there only, N^3 values a block of z-planes at a time, never as
 a (2N)^3 table.  The nine operator tables are formed one at a time
 (`KernelTableStream`), their origin cell the exact cell average.  The
 coefficient set names the forms of the estimates and builds the invariants.
@@ -84,15 +86,21 @@ class QuadratureSpec:
 # ---------------------------------------------------------------------------
 
 def kernel_entries(u, gamma):
-    """Yield the six distinct a_jk(u) = |u|^gamma (delta_jk |u|^2 - u_j u_k)
-    in the order of _PAIRS, one array at a time, from broadcastable
-    coordinates u = (u_x, u_y, u_z).  The operator's a-tables and
-    `kernel_matrix_batch` are both filled from here."""
+    """Yield the nine distinct kernel entries at broadcastable coordinates
+    u = (u_x, u_y, u_z), one array at a time, in the order of
+    `KernelTables.comps`: the row divergence b_j = -2 |u|^gamma u_j, then
+    the six a_jk(u) = |u|^gamma (delta_jk |u|^2 - u_j u_k) in the order of
+    _PAIRS, all from one |u|^gamma.  The operator's tables,
+    `kernel_matrix_batch` and the kernel suite's b are all filled from here."""
     ux, uy, uz = u
-    n2 = (ux * ux + uy * uy) + uz * uz
-    ng = n2 ** (0.5 * gamma)
-    ngp2 = ng * n2
-    del n2  # one table fewer while the entries are formed
+    ng = ((ux * ux + uy * uy) + uz * uz) ** (0.5 * gamma)
+    for uj in u:
+        b = ng * uj
+        b *= -2.0
+        yield b
+        del b  # hold no table while the next one is formed
+    # |u|^2 again, so that it is not held while the b tables are out
+    ngp2 = ng * ((ux * ux + uy * uy) + uz * uz)
     for j, k in _PAIRS:
         yield ngp2 - ng * u[j] * u[j] if j == k else -ng * u[j] * u[k]
 
@@ -101,7 +109,8 @@ def kernel_matrix_batch(points, gamma):
     """a_jk at an array of points, shape (..., 3) -> (..., 3, 3)."""
     pts = np.asarray(points, dtype=float)
     out = np.empty(pts.shape + (3,))
-    for (j, k), a in zip(_PAIRS, kernel_entries(np.moveaxis(pts, -1, 0), gamma)):
+    entries = itertools.islice(kernel_entries(np.moveaxis(pts, -1, 0), gamma), 3, None)
+    for (j, k), a in zip(_PAIRS, entries):
         out[..., j, k] = out[..., k, j] = a
     return out
 
@@ -420,21 +429,21 @@ def _lattice_offsets(grid, pad):
 
 
 def _lattice_squares(offs, planes=slice(None)):
-    """Shift coordinates (ux, uy, uz) and |u|^2 on the lattice whose axes
-    hold the 1-d shifts `offs`, on the z-planes `planes` (a slice, all of
-    them by default); the zero-shift entry of |u|^2 is 1, so that every
-    power of it is 1 there, for the caller to rewrite."""
+    """|u|^2 on the lattice whose axes hold the 1-d shifts `offs`, on the
+    z-planes `planes` (a slice, all of them by default); its zero-shift
+    entry is 1, so that every power of it is 1 there, for the caller to
+    rewrite."""
     ux = offs[None, None, :]
     uy = offs[None, :, None]
     uz = offs[planes, None, None]
     n2 = (ux * ux + uy * uy) + uz * uz
     if not planes.start:
         n2[0, 0, 0] = 1.0
-    return (ux, uy, uz), n2
+    return n2
 
 
 # kernel values per block of `radial_power_convolutions` (512 kB): its peak
-# is then the (N+1) x N x N partial sums of its groups, not a table
+# is then the N x N x N partial sums of its groups, not a table
 _STREAM_ELEMENTS = 1 << 16
 
 
@@ -450,12 +459,17 @@ def toeplitz_factor(grid, f):
 
 
 def _fold(w):
-    """Rows 0 .. M/2 of an M x N factor matrix, row s + row M - s for
+    """Rows 0 .. M/2 - 1 of an M x N factor matrix, row s + row M - s for
     0 < s < M/2: against a kernel even along its axis, K[s] = K[M - s],
-    the sum over the M shifts is the sum over the folded rows."""
+    the sum over the M shifts is the sum over the folded rows.  Row M/2,
+    the shift -N h that no two of the N nodes are apart, must be zero, as
+    it is in every `toeplitz_factor` matrix."""
     n = w.shape[0] // 2
-    out = w[:n + 1].copy()
-    out[1:n] += w[:n:-1]
+    if np.any(w[n]):
+        raise ValueError("row M/2 of a factor matrix must be zero: no two "
+                         "nodes are N h apart")
+    out = w[:n].copy()
+    out[1:] += w[:n:-1]
     return out
 
 
@@ -472,18 +486,18 @@ def radial_power_convolutions(grid, exponent, groups):
     density wz wy wx; a matrix scaled row by row by the lattice offsets,
     u(s) W[s, i], folds a factor u_k of the kernel into axis k.  K is even
     along every axis, so each matrix is folded once (`_fold`) and K is
-    formed on the shifts 0 .. N of each axis only, (N+1)^3 values, with
+    formed on the shifts 0 .. N-1 of each axis only, N^3 values, with
     the origin cell's exact average: _STREAM_ELEMENTS at a time, a block of
     z-planes, each contracted with the folded matrices in x, then in y.
     Terms that pass the same wx object share its x pass."""
     n = grid.N
     folded = {id(w): _fold(w) for wz, terms in groups
               for w in (wz, *itertools.chain.from_iterable(terms))}
-    offs = _lattice_offsets(grid, 2)[:n + 1]
-    partial = [np.zeros((n + 1, n, n)) for _ in groups]
-    planes = max(1, _STREAM_ELEMENTS // (n + 1) ** 2)
-    for z0 in range(0, n + 1, planes):
-        _, k = _lattice_squares(offs, slice(z0, z0 + planes))
+    offs = _lattice_offsets(grid, 2)[:n]
+    partial = [np.zeros((n, n, n)) for _ in groups]
+    planes = max(1, _STREAM_ELEMENTS // n ** 2)
+    for z0 in range(0, n, planes):
+        k = _lattice_squares(offs, slice(z0, z0 + planes))
         np.power(k, 0.5 * exponent, out=k)
         if z0 == 0:
             k[0, 0, 0] = cell_average_radial_power(exponent, grid.h)
@@ -524,28 +538,14 @@ class KernelTables:
         return self.comps[3:]
 
 
-def divergence_kernels(grid, params, pad=1):
-    """Yield b_x, b_y, b_z, b_j(u) = sum_k d_k a_jk(u) = -2 |u|^gamma u_j on
-    the shift lattice, one (M, M, M) table at a time from one |u|^gamma
-    table; odd kernel, symmetric cell: zero-shift entry 0."""
-    coords, ng = _lattice_squares(_lattice_offsets(grid, pad))
-    np.power(ng, 0.5 * params.gamma, out=ng)
-    ng *= -2.0
-    for uj in coords:
-        b = ng * uj
-        b[0, 0, 0] = 0.0
-        yield b
-        del b  # hold no table while the next one is formed
-
-
 @dataclass(frozen=True)
 class KernelTableStream:
     """The nine tables of `KernelTables.comps` on the shift lattice, in
-    their order, formed one at a time as they are read: b_j from
-    `divergence_kernels`, then a_jk from `kernel_entries`, whose zero
-    shift, 0/0 there, is rewritten to the cell average.  The stream holds
-    no table once its reader has taken the next one, so a reader that
-    keeps none holds one table at a time."""
+    their order, formed one at a time by `kernel_entries` as they are read.
+    Each zero shift, 0/0 there, is rewritten: b_j and the off-diagonal
+    a_jk to 0, the diagonal a_jj to the cell average.  The stream holds no
+    table once its reader has taken the next one, so a reader that keeps
+    none holds one table at a time."""
 
     grid: VelocityGrid
     params: KernelParams
@@ -555,19 +555,20 @@ class KernelTableStream:
         return 9
 
     def __iter__(self):
-        yield from divergence_kernels(self.grid, self.params, self.pad)
         # the direction average of (I - uhat uhat^T) over the symmetric
         # cell is (2/3) I
         avg = (2.0 / 3.0) * cell_average_radial_power(self.params.gamma + 2.0,
                                                       self.grid.h)
+        offs = _lattice_offsets(self.grid, self.pad)
         entries = kernel_entries(
-            _lattice_squares(_lattice_offsets(self.grid, self.pad))[0], self.params.gamma)
-        for i in range(6):
+            (offs[None, None, :], offs[None, :, None], offs[:, None, None]),
+            self.params.gamma)
+        for origin in (0.0, 0.0, 0.0, avg, avg, avg, 0.0, 0.0, 0.0):
             with np.errstate(divide="ignore", invalid="ignore"):
-                a = next(entries)
-            a[0, 0, 0] = avg if i < 3 else 0.0
-            yield a
-            del a  # hold no table while the next one is formed
+                table = next(entries)
+            table[0, 0, 0] = origin
+            yield table
+            del table  # hold no table while the next one is formed
 
 
 def tabulate_fft_kernels(grid, params, pad=1):

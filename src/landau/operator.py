@@ -15,10 +15,10 @@ norm and (−div(Abar grad f), g) = (Abar grad f, grad g) holds to round-off.
 where the prefactor identity mu^{-1/2} d_j (mu X) = mu^{1/2} (d_j X - v_j X)
 is applied analytically, never by pointwise division, so nothing blows up at
 large |v|.  The kernels are transformed once: the nine distinct tables
-b_j and a_jk = a_kj (KernelTables.comps), each as it is formed
-(kernel.KernelTableStream).  X_j contracts b_j, a_j0, a_j1
-and a_j2 against the transforms of (rho, v_x rho, v_y rho, v_z rho),
-rho = mu^{1/2} f, in the spectral form
+b_j and a_jk = a_kj (KernelTables.comps), each as kernel.KernelTableStream
+forms it from the one kernel evaluator, kernel.kernel_entries.  X_j
+contracts b_j, a_j0, a_j1 and a_j2 against the transforms of
+(rho, v_x rho, v_y rho, v_z rho), rho = mu^{1/2} f, in the spectral form
 of Pareschi, Russo & Toscani, J. Comput. Phys. 165 (2000).  Convolutions run
 over the periodic shift lattice; fields are expected to carry a decaying
 envelope.  The validation runs' unwrapped sums, which form no pad-2 table,
@@ -174,27 +174,6 @@ class OperatorContext:
 
         return arnoldi_edges(matvec, np.random.default_rng(0).standard_normal(grid.N ** 3))
 
-    @property
-    def spectral_radius(self):
-        """rho(L) = max |lambda(L)|, to ARNOLDI_TOL (see `spectrum`)."""
-        return self.spectrum.rho
-
-    @property
-    def spectrum_lower_edge(self):
-        """rho - max |rho - lambda(L)|, read from the same run as rho
-        (see `spectrum`): it bounds min Re lambda(L) from below, and is
-        negative because the discrete L2 is not exactly self-adjoint.
-
-        Measured to LOWER_EDGE_TOL only.  The eigenvalues of L at the low
-        end cluster within a small fraction of rho, so there the Ritz
-        residual falls slowly; the propagator widens its interval by 2% of
-        rho anyway (evolution.SPECTRUM_MARGIN).  The value is an estimate
-        at that residual: -0.358, -0.192, -0.060 and -0.031 at N = 24, 32,
-        48 and 64 (R=8), where the edge converged to 1e-6 reads -0.360 at
-        N=24 and -0.086 at N=48, so at N >= 48 it understates how far the
-        spectrum reaches below zero."""
-        return self.spectrum.edge
-
 
 # thick-restarted Arnoldi for OperatorContext.spectrum: basis size, ARPACK
 # relative residual tolerance of rho, restart budget
@@ -207,7 +186,18 @@ LOWER_EDGE_TOL = 1e-3
 
 class SpectrumEdges(NamedTuple):
     """rho = max |lambda|, edge = rho - max |rho - lambda|, and the
-    applications of the map and the Arnoldi cycles that measured them."""
+    applications of the map and the Arnoldi cycles that measured them.
+
+    rho is measured to ARNOLDI_TOL.  The edge bounds min Re lambda(L) from
+    below and is negative, because the discrete L2 is not exactly
+    self-adjoint; it is measured to LOWER_EDGE_TOL only.  The eigenvalues
+    of L at the low end cluster within a small fraction of rho, so there
+    the Ritz residual falls slowly; the propagator widens its interval by
+    2% of rho anyway (evolution.SPECTRUM_MARGIN).  The edge is an estimate
+    at that residual: -0.358, -0.192, -0.060 and -0.031 at N = 24, 32, 48
+    and 64 (R=8), where the edge converged to 1e-6 reads -0.360 at N=24
+    and -0.086 at N=48, so at N >= 48 it understates how far the spectrum
+    reaches below zero."""
 
     rho: float
     edge: float

@@ -169,8 +169,8 @@ def _suite_reports(name, res):
     if name == "energy":
         rep = verify.check_energy(res.trajectory, res.ladders)
         rep.add_constant("A_g", measure_source_bound(res.source_model(), res.cfg.time_T), 1)
-        rep.add_constant("spectral_radius", res.ctx.spectral_radius, 0)
-        rep.add_constant("spectrum_lower_edge", res.ctx.spectrum_lower_edge, 0)
+        rep.add_constant("spectral_radius", res.ctx.spectrum.rho, 0)
+        rep.add_constant("spectrum_lower_edge", res.ctx.spectrum.edge, 0)
         return [rep]
     if name == "smoothing":
         return [verify.smoothing_report(res.ladders)]

@@ -28,8 +28,8 @@ from .field import (ScalarField, a_norm_sq, band_spectrum, gaussian_envelope,
                     gradient, inner_product, l2_norm, normalized, synthesize,
                     weighted_norm)
 from .grid import VelocityGrid
-from .kernel import (_PAIRS, _lattice_offsets, c2_tolerance, divergence_kernels,
-                     kernel_first_derivatives, kernel_matrix_batch,
+from .kernel import (_PAIRS, KernelTableStream, _lattice_offsets, c2_tolerance,
+                     kernel_entries, kernel_first_derivatives, kernel_matrix_batch,
                      kernel_second_derivatives, radial_power_convolutions,
                      toeplitz_factor)
 from .operator import apply_L1, apply_L2
@@ -155,12 +155,12 @@ def make_ensemble(grid, count, seed, bandlimit=8, envelope_width=1.25):
 
 def check_kernel_identities(params, seed=1234):
     """Null identities of the kernel, the row divergence b_j = sum_k d_k a_jk
-    of the analytic first derivatives against its closed form
-    -2 |v|^gamma v at v and at -v, and Euler's identities of the
-    derivative tensors, sum_l v_l d_l a = (gamma + 2) a and
-    sum_m v_m d_m d_l a = (gamma + 1) d_l a (a is homogeneous of degree
-    gamma + 2), at scale-relative tolerance 1e-12 over KERNEL_SAMPLES
-    random points.  The trace in the divergence checks drops the
+    of the analytic first derivatives against the evaluator's b
+    (`kernel_entries`) at v, and against -b(v) at -v, as b is odd, and
+    Euler's identities of the derivative tensors, sum_l v_l d_l a =
+    (gamma + 2) a and sum_m v_m d_m d_l a = (gamma + 1) d_l a (a is
+    homogeneous of degree gamma + 2), at scale-relative tolerance 1e-12
+    over KERNEL_SAMPLES random points.  The trace in the divergence checks drops the
     d_l |v|^gamma term, as (|v|^2 I - v v^T) v = 0; Euler's identities
     read every term of both tensors."""
     rng = np.random.default_rng(seed)
@@ -176,13 +176,14 @@ def check_kernel_identities(params, seed=1234):
     rows = np.einsum("pjk,pj->pk", a, pts)
     row_rel = float(np.max(np.abs(rows) / radii[:, None] ** (g + 3.0)))
 
-    closed = -2.0 * (radii ** g)[:, None] * pts
+    entries = kernel_entries(pts.T, g)
+    b = np.stack([next(entries) for _ in range(3)], axis=-1)
     scale = 2.0 * radii[:, None] ** (g + 1.0)
 
     def div_error(sign):
-        # sum_k d_k a_jk at sign * v against the odd closed form there
+        # sum_k d_k a_jk at sign * v against sign * b(v)
         trace = np.einsum("pkjk->pj", kernel_first_derivatives(sign * pts, g))
-        return float(np.max(np.abs(trace - sign * closed) / scale))
+        return float(np.max(np.abs(trace - sign * b) / scale))
 
     div_rel = div_error(1.0)
     odd_rel = div_error(-1.0)
@@ -313,17 +314,18 @@ def check_coefficient_bounds(coeffs):
     a0 = np.max(np.abs(kernel_matrix_batch(pts, g)), axis=(1, 2))
     r0 = float(np.max(a0 / radii ** (g + 2.0)))
 
-    # the operator's pad-1 b tables against sum_k d_k a_jk at seeded
-    # nonzero shifts, each table sampled as it is yielded; next(), so that
-    # none is held while the next one is formed
+    # the operator's pad-1 b tables, the stream's first three, against
+    # sum_k d_k a_jk at seeded nonzero shifts, each table sampled as it is
+    # yielded; next(), so that none is held while the next one is formed
     m = grid.N
     flat = rng.integers(1, m ** 3, size=COEFFICIENT_SAMPLES)
     iz, iy, ix = np.unravel_index(flat, (m, m, m))
     offs = _lattice_offsets(grid, 1)
     shifts = np.stack([offs[ix], offs[iy], offs[iz]], axis=-1)
     trace = np.einsum("pkjk->pj", kernel_first_derivatives(shifts, g))
-    b_tables = divergence_kernels(grid, coeffs.params, pad=1)
+    b_tables = iter(KernelTableStream(grid, coeffs.params))
     table = np.stack([next(b_tables).reshape(-1)[flat] for _ in range(3)], axis=-1)
+    del b_tables  # the stream holds |u|^gamma and b_z until it is dropped
     scale = 2.0 * np.linalg.norm(shifts, axis=-1) ** (g + 1.0)
     b_err = float(np.max(np.abs(table - trace) / scale[:, None]))
 

@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -5,10 +6,10 @@ import pytest
 
 from landau.field import zeros
 from landau.grid import VelocityGrid
-from landau.kernel import (KernelParams, QuadratureSpec, _lattice_offsets,
-                           _lattice_squares, build_coefficients,
-                           cell_average_radial_power, divergence_kernels)
-from landau.operator import make_context
+from landau.kernel import (KernelParams, KernelTableStream, QuadratureSpec,
+                           _lattice_offsets, _lattice_squares, build_coefficients,
+                           cell_average_radial_power)
+from landau.operator import SpectrumEdges, make_context
 
 # small shared configuration used by most operator-level tests
 SMALL_R = 6.0
@@ -47,8 +48,7 @@ class ZeroOperator:
     has the measured spectral radius and lower edge of L = 0."""
 
     coeffs: object
-    spectral_radius: float = 0.0
-    spectrum_lower_edge: float = 0.0
+    spectrum: SpectrumEdges = SpectrumEdges(0.0, 0.0, 0, 0)
 
     def apply(self, f):
         return zeros(f.grid)
@@ -97,17 +97,18 @@ def abar_matrix(abar):
 
 
 def divergence_tables(grid, params, pad=1):
-    """The b_j of `kernel.divergence_kernels` as one (3, M, M, M) stack."""
-    return np.stack(tuple(divergence_kernels(grid, params, pad)))
+    """The b_j tables, the first three of `kernel.KernelTableStream`, as
+    one (3, M, M, M) stack."""
+    return np.stack(tuple(itertools.islice(KernelTableStream(grid, params, pad), 3)))
 
 
 def radial_kernel_table(grid, exponent, pad=1):
     """The whole table of |u|^exponent on the shift lattice (FFT layout),
     the origin cell its exact average: the oracle of
-    `kernel.radial_power_convolutions`, which forms only its shifts 0 .. N
-    of each axis, a block at a time, and folds the rest into its factor
-    matrices."""
-    _, table = _lattice_squares(_lattice_offsets(grid, pad))
+    `kernel.radial_power_convolutions`, which forms only its shifts
+    0 .. N-1 of each axis, a block at a time, and folds the rest into its
+    factor matrices."""
+    table = _lattice_squares(_lattice_offsets(grid, pad))
     np.power(table, 0.5 * exponent, out=table)
     table[0, 0, 0] = cell_average_radial_power(exponent, grid.h)
     return table

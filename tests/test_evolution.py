@@ -20,7 +20,7 @@ from landau.evolution import (SEGMENT_SAMPLES, SPECTRUM_MARGIN,
 from landau.field import ScalarField, inner_product, l2_norm, random_field, zeros
 from landau.grid import VelocityGrid
 from landau.kernel import KernelParams, QuadratureSpec, build_coefficients
-from landau.operator import apply_L1, make_context
+from landau.operator import SpectrumEdges, apply_L1, make_context
 from landau.verify import check_energy
 from tests.conftest import gaussian_field
 
@@ -140,7 +140,7 @@ def test_default_step_from_spectral_radius(small_grid, small_ctx):
     # rows each
     f0 = random_field(small_grid, 42, bandlimit=5, envelope_width=1.0)
     model = SourceModel(unit_gaussian(small_grid), amplitude=0.5)
-    rho = small_ctx.spectral_radius
+    rho = small_ctx.spectrum.rho
     T = 0.25
     res = evolve(f0, PropagatedSystem(small_ctx, model), T, snapshot_times=(0.1,))
     octaves = math.ceil(math.log2(rho * T))
@@ -160,7 +160,7 @@ def test_default_step_accuracy(small_grid, small_ctx):
     # length 8/rho
     f0 = random_field(small_grid, 7, bandlimit=5, envelope_width=1.0)
     model = SourceModel(unit_gaussian(small_grid), amplitude=0.5)
-    t0, t1 = 0.1, 0.1 + 8.0 / small_ctx.spectral_radius
+    t0, t1 = 0.1, 0.1 + 8.0 / small_ctx.spectrum.rho
     system = PropagatedSystem(small_ctx, model)
     lo, hi = interval_of(system)
     measured, lfs = step(f0, t0, t1, system, (lo, hi))
@@ -180,7 +180,7 @@ def test_step_on_reused_buffers_is_bit_identical(small_grid, small_ctx):
     system = PropagatedSystem(
         small_ctx, SourceModel(unit_gaussian(small_grid), amplitude=0.5))
     interval = interval_of(system)
-    t0, t1 = 0.1, 0.1 + 8.0 / small_ctx.spectral_radius
+    t0, t1 = 0.1, 0.1 + 8.0 / small_ctx.spectrum.rho
     buffers = step_buffers(small_grid.N ** 3)
     step(random_field(small_grid, 8, bandlimit=5), 0.0, 0.2, system, interval,
          buffers)
@@ -202,7 +202,7 @@ def test_step_memory_holds_no_product_block():
     ctx = make_context(build_coefficients(grid, KernelParams(-1.0), QuadratureSpec()))
     # measured edges stood in, so that no Arnoldi run is needed
     stand_in = SimpleNamespace(coeffs=ctx.coeffs, apply=ctx.apply,
-                               spectral_radius=200.0, spectrum_lower_edge=-1.0)
+                               spectrum=SpectrumEdges(200.0, -1.0, 0, 0))
     system = PropagatedSystem(stand_in, SourceModel(unit_gaussian(grid), amplitude=0.5))
     f0 = random_field(grid, 7, bandlimit=5, envelope_width=1.0)
     ctx.apply(f0)  # the calling thread's L2 workspace, made once per thread
@@ -237,7 +237,7 @@ def test_propagator_top_ritz_vector(small_grid, small_ctx):
     assert abs(theta.imag) <= 1e-12 * abs(theta)
     v = ScalarField(grid, (vec / vec[np.argmax(np.abs(vec))]).real.reshape(grid.shape))
     system = PropagatedSystem(small_ctx, SourceModel.zero(grid))
-    span = 1.0 / small_ctx.spectral_radius
+    span = 1.0 / small_ctx.spectrum.rho
     samples, lfs = step(v, 0.0, span, system, interval_of(system))
     for i, (f, lf) in enumerate(zip(samples, lfs), 1):
         exact = math.exp(-theta.real * span * i / SEGMENT_SAMPLES) * v
@@ -250,8 +250,6 @@ class CountingContext:
 
     def __init__(self, ctx, apply=None):
         self.coeffs = ctx.coeffs
-        self.spectral_radius = ctx.spectral_radius
-        self.spectrum_lower_edge = ctx.spectrum_lower_edge
         self.spectrum = ctx.spectrum
         self._apply = apply or ctx.apply
         self.calls = 0
@@ -288,7 +286,7 @@ def test_evolve_applies_L_once_per_field(small_grid, small_ctx):
     system = PropagatedSystem(ctx, model)
     lines = []
     evolve(f0, system, 0.5, snapshot_times=(0.25,), log=lines.append)
-    edges = evolution.segment_edges(0.5, ctx.spectral_radius, (0.25,))
+    edges = evolution.segment_edges(0.5, ctx.spectrum.rho, (0.25,))
     terms = [len(chebyshev_coefficients([t1 - t0], interval_of(system)))
              for t0, t1 in zip(edges[:-1], edges[1:])]
     planned = int(re.search(r"of (\d+) applications of L", lines[-1]).group(1))
@@ -487,7 +485,7 @@ def test_instability_guard(small_grid, small_ctx):
     # rho] of L, is refused before L is applied even once; an interval that
     # contains it goes ahead
     ctx = CountingContext(small_ctx)
-    rho, edge = ctx.spectral_radius, ctx.spectrum_lower_edge
+    rho, edge = ctx.spectrum.rho, ctx.spectrum.edge
     assert edge < 0.0 < rho
     f0 = random_field(small_grid, 31, bandlimit=5)
     system = PropagatedSystem(ctx, SourceModel.zero(small_grid))
@@ -531,7 +529,7 @@ phi = ScalarField(grid, np.exp(-grid.radius_sq / 2.0))
 model = SourceModel((1.0 / l2_norm(phi)) * phi, amplitude=0.5)
 f0 = random_field(grid, 42, bandlimit=8, envelope_width=1.25)
 res = evolve(f0, PropagatedSystem(ctx, model), 0.1, snapshot_times=(0.05,))
-print(repr(ctx.spectral_radius), repr(ctx.spectrum_lower_edge))
+print(repr(ctx.spectrum.rho), repr(ctx.spectrum.edge))
 print(hashlib.sha256(res.energy_log.tobytes()).hexdigest())
 for t, f in sorted(res.snapshots.items()):
     print(t, hashlib.sha256(f.values.tobytes()).hexdigest())

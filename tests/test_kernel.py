@@ -223,9 +223,9 @@ def test_abar_profiles_blocks_leave_the_bytes(monkeypatch):
 
 def _block_sizes(grid):
     """Kernel elements per block of `radial_power_convolutions`: 3 z-planes
-    of the folded kernel, (N+1)^2 values each, so that the last of its N+1
-    planes is in a short block, and its own."""
-    return 3 * (grid.N + 1) ** 2, kernel._STREAM_ELEMENTS
+    of the folded kernel, N^2 values each, so that the last of its N planes
+    is in a short block at N = 16, and its own."""
+    return 3 * grid.N ** 2, kernel._STREAM_ELEMENTS
 
 
 @pytest.mark.parametrize("kind", ["b_x", "radial"])
@@ -260,7 +260,7 @@ def test_radial_power_convolutions_need_no_parity(params, n, monkeypatch):
     # parity along any axis (factors centred off the origin, one with an
     # odd part), two groups, one of them with two terms, equal the
     # zero-padded transforms of the whole pad-2 table; in blocks of 3
-    # planes the last block holds 2 of the N+1 planes at N=16 and 1 at N=18
+    # planes the last block holds 1 of the N planes at N=16 and 3 at N=18
     grid = VelocityGrid(R=6.0, N=n)
     ax = grid.axis
     f = [np.exp(-0.3 * (ax - 0.7) ** 2), np.exp(-0.5 * (ax + 1.1) ** 2),
@@ -281,11 +281,12 @@ def test_radial_power_convolutions_need_no_parity(params, n, monkeypatch):
 
 @pytest.mark.parametrize("n", [16, 18])
 def test_radial_power_convolutions_are_the_lattice_sum(params, n, monkeypatch):
-    # on general M x N matrices each group is h^3 sum_s K[s] wz wy wx over
-    # every shift of the whole pad-2 table; unlike a Toeplitz factor, whose
-    # row M/2 is zero, these carry every row into the fold
+    # on general M x N matrices, row M/2 zero as in every Toeplitz factor,
+    # each group is h^3 sum_s K[s] wz wy wx over every shift of the whole
+    # pad-2 table
     grid = VelocityGrid(R=6.0, N=n)
     wz, wy, wx = np.random.default_rng(5).uniform(0.5, 1.5, (3, 2 * n, n))
+    wz[n] = wy[n] = wx[n] = 0.0
     table = radial_kernel_table(grid, params.gamma, pad=2)
     want = grid.cell_volume * np.einsum("zyx,za,yb,xc->abc", table, wz, wy, wx,
                                         optimize=True)
@@ -293,6 +294,20 @@ def test_radial_power_convolutions_are_the_lattice_sum(params, n, monkeypatch):
         monkeypatch.setattr(kernel, "_STREAM_ELEMENTS", elements)
         (got,) = radial_power_convolutions(grid, params.gamma, [(wz, [(wy, wx)])])
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_radial_power_convolutions_refuse_a_row_at_half_the_lattice(small_grid, params,
+                                                                    axis):
+    # the folded sums leave out the shift -N h, so a factor matrix that
+    # carries a value there, on any axis, is refused
+    w = toeplitz_factor(small_grid, np.exp(-0.5 * small_grid.axis ** 2))
+    factors = [w, w, w]
+    factors[axis] = w.copy()
+    factors[axis][small_grid.N, 3] = 1e-300
+    wz, wy, wx = factors
+    with pytest.raises(ValueError, match="row M/2"):
+        radial_power_convolutions(small_grid, params.gamma, [(wz, [(wy, wx)])])
 
 
 def test_c2_by_convolution_matches_padded_fft(small_grid, params, monkeypatch):

@@ -15,8 +15,8 @@ from landau.grid import VelocityGrid
 from landau.kernel import (KernelParams, QuadratureSpec, build_coefficients,
                            maxwellian_field, sqrt_maxwellian_field,
                            tabulate_fft_kernels)
-from landau.operator import (ConvolutionEngine, apply_L, apply_L1, apply_L2,
-                             arnoldi_edges, make_context)
+from landau.operator import (ConvolutionEngine, SpectrumEdges, apply_L, apply_L1,
+                             apply_L2, arnoldi_edges, make_context)
 from tests.collision_oracle import apply_Q
 from tests.conftest import (SMALL_R, abar_matrix, divergence_tables, gaussian_field,
                             padded_fft_convolution, radial_kernel_table)
@@ -330,18 +330,18 @@ def test_one_arnoldi_run_measures_both_edges(small_coeffs):
         return apply(f)
 
     ctx.apply = counted
-    rho = ctx.spectral_radius
+    rho = ctx.spectrum.rho
     first = len(calls)
-    edge = ctx.spectrum_lower_edge
+    edge = ctx.spectrum.edge
     assert edge < 0.0 < rho
     assert first > 0
     assert len(calls) == first == ctx.spectrum.applications
 
 
 def test_spectral_radius_bit_identical(small_coeffs):
-    rho = make_context(small_coeffs).spectral_radius
+    rho = make_context(small_coeffs).spectrum.rho
     assert rho > 0
-    assert make_context(small_coeffs).spectral_radius == rho
+    assert make_context(small_coeffs).spectrum.rho == rho
 
 
 def test_spectral_radius_brackets_chebyshev_interval(small_grid, small_ctx):
@@ -352,13 +352,13 @@ def test_spectral_radius_brackets_chebyshev_interval(small_grid, small_ctx):
     f0 = ScalarField(small_grid,
                      np.random.default_rng(1).standard_normal(small_grid.shape))
     model = SourceModel.zero(small_grid)
-    rho, edge = small_ctx.spectral_radius, small_ctx.spectrum_lower_edge
+    rho, edge = small_ctx.spectrum.rho, small_ctx.spectrum.edge
     span = 140.0 / rho
 
     def end(hi, lo=edge):
         # the true L, whose spectrum is taken to have been measured as [lo, hi]
-        measured = SimpleNamespace(apply=small_ctx.apply, spectral_radius=hi,
-                                   spectrum_lower_edge=lo)
+        measured = SimpleNamespace(apply=small_ctx.apply,
+                                   spectrum=SpectrumEdges(hi, lo, 0, 0))
         samples, _ = step(f0, 0.0, span, PropagatedSystem(measured, model),
                           (lo, hi))
         return samples[-1]

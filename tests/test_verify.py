@@ -5,6 +5,7 @@ import json
 import math
 import os
 import sys
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -27,7 +28,7 @@ from landau.verify import (check_coefficient_bounds, check_convolution_bound,
                            recheck_bilinear, smoothing_fit, smoothing_report)
 from landau import kernel, suites, verify
 from landau.grid import VelocityGrid
-from landau.kernel import KernelParams, UniaxialField
+from landau.kernel import KernelParams, QuadratureSpec, UniaxialField, build_coefficients
 from landau.suites import RunResources, run_suite
 from tests import gradient_oracle
 from tests.conftest import abar_matrix, gaussian_field
@@ -117,7 +118,7 @@ def test_kernel_identity_suite_reads_the_table_formula(params, monkeypatch):
     entries = kernel.kernel_entries
     xy = kernel._SYM_INDEX[(0, 1)]
     monkeypatch.setattr(kernel, "kernel_entries", lambda u, g: (
-        -a if i == xy else a for i, a in enumerate(entries(u, g))))
+        -a if i == 3 + xy else a for i, a in enumerate(entries(u, g))))
     table = kernel.tabulate_fft_kernels(VelocityGrid(R=8.0, N=16), params)
     # a_xy = -|u|^gamma u_x u_y < 0 at u = (h, h, h): the flip reaches the table
     assert table.a_comps[xy, 1, 1, 1] > 0.0
@@ -126,6 +127,26 @@ def test_kernel_identity_suite_reads_the_table_formula(params, monkeypatch):
     assert failed == {"quadratic_null", "row_null", "divergence_closed_form",
                       "divergence_odd", "first_derivative_homogeneity",
                       "second_derivative_homogeneity"}
+
+
+def test_kernel_identity_suite_reads_the_table_divergence(params, monkeypatch):
+    # the b_j that fill the operator's tables are the ones the divergence
+    # checks compare with the derivatives' trace: a sign error in b_y there
+    # fails those two checks alone
+    entries = kernel.kernel_entries
+
+    def flipped(u, g):
+        return (-b if i == 1 else b for i, b in enumerate(entries(u, g)))
+
+    for module in (kernel, verify):
+        monkeypatch.setattr(module, "kernel_entries", flipped)
+    table = kernel.tabulate_fft_kernels(VelocityGrid(R=8.0, N=16), params)
+    # b_y = -2 |u|^gamma u_y < 0 at u = (h, h, h): the flip reaches the table
+    assert table.b_comps[1, 1, 1, 1] > 0.0
+    rep = check_kernel_identities(params, seed=5)
+    failed = {c["id"]: c["value"] for c in rep.checks if c["verdict"] == "fail"}
+    assert set(failed) == {"divergence_closed_form", "divergence_odd"}
+    assert min(failed.values()) > 0.5
 
 
 def test_coefficient_bounds_suite(small_coeffs):
@@ -137,17 +158,35 @@ def test_coefficient_bounds_suite(small_coeffs):
 
 def test_coefficient_suite_catches_b_table_error(small_coeffs, monkeypatch):
     # a 1e-9 relative error in the b_y table that the suite samples, as
-    # divergence_kernels yields it, fails the b-table check alone
-    exact = verify.divergence_kernels
+    # kernel.KernelTableStream yields it, fails the b-table check alone
+    exact = kernel.KernelTableStream.__iter__
 
-    def perturbed(grid, params, pad=1):
-        for j, b in enumerate(exact(grid, params, pad)):
-            yield b * (1.0 + 1e-9) if j == 1 else b
+    def perturbed(stream):
+        for j, table in enumerate(exact(stream)):
+            yield table * (1.0 + 1e-9) if j == 1 else table
 
-    monkeypatch.setattr(verify, "divergence_kernels", perturbed)
+    monkeypatch.setattr(kernel.KernelTableStream, "__iter__", perturbed)
     rep = check_coefficient_bounds(small_coeffs)
     assert [c["id"] for c in rep.checks if c["verdict"] == "fail"] == [
         "b_table_vs_kernel_derivatives"]
+
+
+def test_coefficient_suite_drops_its_table_stream(monkeypatch):
+    # once its three b tables are sampled the suite drops the stream, which
+    # holds |u|^gamma and b_z: beside the K_coef scan, its traced peak at
+    # N=48 is 2.93 N^3 doubles, 4.87 while the stream is held to the end
+    grid = VelocityGrid(R=8.0, N=48)
+    coeffs = build_coefficients(grid, KernelParams(-1.0), QuadratureSpec())
+    ratios = verify.abar_derivative_ratios(coeffs.abar, grid.bracket_weight(0.0), grid.h)
+    monkeypatch.setattr(verify, "abar_derivative_ratios", lambda *args: ratios)
+    tracemalloc.start()
+    try:
+        assert check_coefficient_bounds(coeffs).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = peak / (8 * grid.N ** 3)
+    assert held < 4.0, held
 
 
 def test_convolution_bound_suite(small_grid, params):
@@ -601,8 +640,8 @@ def test_energy_suite_dt_rho_check(monkeypatch):
     assert rep.passed, rep.checks
     assert len(draws) == 1
     assert sum("boundary shell" in line for line in logged) == 1
-    rho = res.ctx.spectral_radius
-    edge = res.ctx.spectrum_lower_edge
+    rho = res.ctx.spectrum.rho
+    edge = res.ctx.spectrum.edge
     consts = {c["name"]: c["value"] for c in rep.constants}
     assert consts["spectral_radius"] == rho
     assert consts["spectrum_lower_edge"] == edge < 0.0
@@ -670,27 +709,12 @@ def test_run_resources_validate_their_config():
 def test_run_resources_tabulate_each_pad_once(monkeypatch):
     # make_context streams the operator's nine pad-1 tables
     # (kernel.KernelTableStream), stacks none of them, and each is gone
-    # once transformed; the build forms no pad-2 b table, as the c2
+    # once transformed; the build forms no pad-2 table, as the c2
     # cross-check streams |u|^gamma; the coefficient suite samples the
-    # pad-1 b tables alone, and the convolution suite forms none
-    pads = {"tabulate_fft_kernels": [], "divergence_kernels": []}
+    # first three tables of one more pad-1 stream, the b tables, and the
+    # convolution suite forms none
+    pads = {"tabulate_fft_kernels": [], "KernelTableStream": []}
     streamed = []
-
-    def counting(fn_name):
-        original = getattr(kernel, fn_name)
-
-        def counted(grid, params, pad=1, **kwargs):
-            pads[fn_name].append(pad)
-            return original(grid, params, pad=pad, **kwargs)
-        return original, counted
-
-    # every module that imported a function by name calls the counter
-    for fn_name in pads:
-        original, counted = counting(fn_name)
-        for name, module in list(sys.modules.items()):
-            if (name.startswith("landau")
-                    and getattr(module, fn_name, None) is original):
-                monkeypatch.setattr(module, fn_name, counted)
     stream_iter = kernel.KernelTableStream.__iter__
 
     def tracked(stream):
@@ -700,14 +724,31 @@ def test_run_resources_tabulate_each_pad_once(monkeypatch):
             del table
 
     monkeypatch.setattr(kernel.KernelTableStream, "__iter__", tracked)
+
+    def counting(fn_name):
+        original = getattr(kernel, fn_name)
+
+        def counted(grid, params, pad=1, **kwargs):
+            pads[fn_name].append(pad)
+            return original(grid, params, pad=pad, **kwargs)
+        return original, counted
+
+    # every module that imported the name calls the counter
+    for fn_name in pads:
+        original, counted = counting(fn_name)
+        for name, module in list(sys.modules.items()):
+            if (name.startswith("landau")
+                    and getattr(module, fn_name, None) is original):
+                monkeypatch.setattr(module, fn_name, counted)
     res = RunResources(parse_config_text(ENERGY_CFG), log=None)
     assert res.ctx.engine.hats.shape[0] == 9
-    assert pads == {"tabulate_fft_kernels": [], "divergence_kernels": [1]}
+    assert pads == {"tabulate_fft_kernels": [], "KernelTableStream": [1]}
     gc.collect()
     assert len(streamed) == 9 and all(ref() is None for ref in streamed)
     for suite in ("coefficients", "convolution"):
         run_suite(suite, res)
-    assert pads == {"tabulate_fft_kernels": [], "divergence_kernels": [1, 1]}
+    assert pads == {"tabulate_fft_kernels": [], "KernelTableStream": [1, 1]}
+    assert len(streamed) == 12
 
 
 def test_run_suite_stamps_fingerprint_and_grid():
