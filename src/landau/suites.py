@@ -7,12 +7,13 @@ are drawn for the one suite that reads them.
 The energy suite reads one propagation: the reference trajectory's graded
 energy log gives C5, and its nested subsamples are the energy-identity
 rungs.  Each ensemble of the inequalities suite holds its random members
-as band spectra and builds a member's field when the member pass reads
-it; the pass walks one contiguous run of members per core
-(`verify.member_pass`).  Each member owns the arrays it writes and results
-are reduced in a fixed order, so every output is the same bytes for any
-thread count."""
+as band spectra, and the member pass builds a member's or a probe's field
+when it reads it; the pass walks one contiguous run of members per core,
+the first on the calling thread (`verify.member_pass`).  Each member owns
+the arrays it writes and results are reduced in a fixed order, so every
+output is the same bytes for any thread count."""
 
+import time
 from functools import cached_property
 
 import numpy as np
@@ -55,7 +56,7 @@ class RunResources:
         """The verification ensemble, or with `fresh` the one drawn from
         seed + 1000 that the bilinear recheck certifies against, as a
         `verify.Ensemble`: one band block per random member, whatever N,
-        and the probes' 10 N^3 values.  Drawn anew on each call and not
+        and the envelope's N^3 values.  Drawn anew on each call and not
         kept: its member pass is all that the suite reads."""
         cfg = self.cfg
         return verify.make_ensemble(
@@ -155,15 +156,17 @@ def _suite_reports(name, res):
     if name == "convolution":
         return [verify.check_convolution_bound(res.grid, res.params)]
     if name == "inequalities":
-        members = verify.member_pass(res.ctx, res.ensemble())
+        members = _member_pass(res, res.ensemble(), True)
         reports = [
             verify.estimate_coercivity(res.coeffs, members),
             verify.estimate_bilinear_constants(members),
             verify.check_l3_embedding(members),
         ]
         consts = {c["name"]: c["value"] for rep in reports for c in rep.constants}
+        res.log(f"inequalities: coercivity descent took {reports[0].descent_steps} "
+                f"steps, C1 {consts['C1_sample_min']:.6g} -> {consts['C1']:.6g}")
         del members  # frees the first ensemble before the fresh one is drawn
-        fresh = verify.member_pass(res.ctx, res.ensemble(fresh=True), full=False)
+        fresh = _member_pass(res, res.ensemble(fresh=True), False)
         reports.append(verify.recheck_bilinear(fresh, consts))
         return reports
     if name == "energy":
@@ -175,6 +178,14 @@ def _suite_reports(name, res):
     if name == "smoothing":
         return [verify.smoothing_report(res.ladders)]
     raise ConfigError(f"unknown suite {name!r}")
+
+
+def _member_pass(res, ensemble, full):
+    ctx, n, t0 = res.ctx, len(ensemble), time.perf_counter()
+    members = verify.member_pass(ctx, ensemble, full=full)
+    res.log(f"inequalities: member pass over {n} members on "
+            f"{len(verify.runs_on_cores(n))} cores, {time.perf_counter() - t0:.2f} s")
+    return members
 
 
 def run_suites(names, res: RunResources):

@@ -10,9 +10,8 @@ which keeps a NaN where Python's `max` and `min` would drop it.  Ensembles
 mix seeded band-limited random fields with deterministic adversarial
 probes (oscillatory packets at several radii, where the anisotropic
 weights differ most).  An `Ensemble` holds each random member as its band
-spectrum, a block whose size does not grow with N, and the member pass
-builds a member's field when it reads it; only the probes are held as
-fields.
+spectrum, a block whose size does not grow with N, and no probe at all:
+the member pass builds a member's or a probe's field when it reads it.
 """
 
 import math
@@ -70,6 +69,7 @@ class VerificationReport:
     config_fingerprint: str = ""
     checks: list = dataclass_field(default_factory=list)
     constants: list = dataclass_field(default_factory=list)
+    descent_steps = None  # not a field: the coercivity descent's steps, for the log
 
     @property
     def failures(self):
@@ -97,56 +97,54 @@ class VerificationReport:
 # ensembles
 # ---------------------------------------------------------------------------
 
-def deterministic_probes(grid):
-    """Radial Gaussians plus oscillatory packets at several radii."""
-    probes = []
-    r2 = grid.radius_sq
-    vx = np.asarray(grid.component(0))
-    vy = np.asarray(grid.component(1))
-    vz = np.asarray(grid.component(2))
-    for w in (1.0, 2.0):
-        probes.append(normalized(ScalarField(grid, np.exp(-r2 / (2.0 * w * w)))))
-    for (cx, cy, cz), k in (((0.0, 0.0, 0.0), 2.0), ((2.0, 0.0, 0.0), 3.0),
-                            ((0.0, 3.0, 0.0), 5.0), ((3.0, 3.0, 0.0), 4.0)):
-        bump = np.exp(-((vx - cx) ** 2 + (vy - cy) ** 2 + (vz - cz) ** 2) / 2.0)
-        probes.append(normalized(ScalarField(grid, np.cos(k * vx) * bump)))
-        probes.append(normalized(ScalarField(grid, np.sin(k * (vx + vy) / math.sqrt(2.0)) * bump)))
-    return probes
+_PACKETS = (((0.0, 0.0, 0.0), 2.0), ((2.0, 0.0, 0.0), 3.0),  # (centre, wavenumber)
+            ((0.0, 3.0, 0.0), 5.0), ((3.0, 3.0, 0.0), 4.0))
+PROBES = 2 + 2 * len(_PACKETS)  # two radial Gaussians, two per packet
+
+
+def deterministic_probe(grid, k):
+    """Probe k of PROBES, unit-normalized: radial Gaussians of widths 1 and 2,
+    then per packet a cosine and a diagonal sine, on the axes, times a unit bump."""
+    if k < 2:
+        return normalized(ScalarField(grid, np.exp(-grid.radius_sq / (2.0 * (k + 1.0) ** 2))))
+    (cx, cy, cz), wave = _PACKETS[k // 2 - 1]
+    vx, vy, vz = grid.axis[None, None, :], grid.axis[None, :, None], grid.axis[:, None, None]
+    bump = np.exp(-((vx - cx) ** 2 + (vy - cy) ** 2 + (vz - cz) ** 2) / 2.0)
+    packet = np.cos(wave * vx) if k % 2 == 0 else np.sin(wave * (vx + vy) / math.sqrt(2.0))
+    return normalized(ScalarField(grid, packet * bump))
 
 
 @dataclass(eq=False)
 class Ensemble:
     """The members an inequality estimate is measured over: the seeded
-    random members, held as their band spectra (`field.band_spectrum`),
-    then the deterministic probes, held as fields.  `ens[i]` builds random
-    member i from its block under the shared `envelope` (`field.synthesize`),
-    bit for bit random_field(grid, seed + i, bandlimit, envelope_width), and
-    returns a probe as held, so no caller may write into a member."""
+    random members, held as band spectra (`field.band_spectrum`), then the
+    PROBES probes, not held.  `ens[i]` builds member i anew on each read:
+    bit for bit random_field(grid, seed + i, bandlimit, envelope_width)
+    from its block (`field.synthesize`), or a `deterministic_probe`."""
 
     grid: VelocityGrid
     spectra: list
     envelope: np.ndarray
-    probes: list
 
     def __len__(self):
-        return len(self.spectra) + len(self.probes)
+        return len(self.spectra) + PROBES
 
     def __getitem__(self, i):
         i = range(len(self))[i]  # IndexError past the end, which ends iteration
         if i < len(self.spectra):
             return synthesize(self.grid, self.spectra[i], self.envelope)
-        return self.probes[i - len(self.spectra)]
+        return deterministic_probe(self.grid, i - len(self.spectra))
 
 
 def make_ensemble(grid, count, seed, bandlimit=8, envelope_width=1.25):
-    """count seeded random members, drawn from seeds seed, ..., seed +
-    count - 1, plus the deterministic probes, as an `Ensemble`."""
+    """count seeded random members, drawn over one run of seeds per core
+    from seed, ..., seed + count - 1, plus the probes, as an `Ensemble`."""
     if count < MIN_ENSEMBLE:
         raise ValueError(f"ensemble needs at least {MIN_ENSEMBLE} random members, got {count}")
-    spectra = map_on_cores(lambda i: band_spectrum(grid, seed + i, bandlimit),
-                           range(count))
-    return Ensemble(grid, spectra, gaussian_envelope(grid, envelope_width),
-                    deterministic_probes(grid))
+    runs = map_on_cores(lambda run: [band_spectrum(grid, seed + i, bandlimit) for i in run],
+                        runs_on_cores(count))
+    return Ensemble(grid, [block for run in runs for block in run],
+                    gaussian_envelope(grid, envelope_width))
 
 
 # ---------------------------------------------------------------------------
@@ -400,19 +398,23 @@ def _cores():
 
 
 def map_on_cores(fn, items):
-    """[fn(x) for x in items], on one thread per core this process may run
-    on, returned in the order of items; the first item whose call raised
-    raises here.  With `runs_on_cores` the only place that reads the
-    core count.  It maps ensemble members and their random draws, whose
-    work numpy does with the GIL released in its transforms and ufunc
-    loops.  Each call must own every array it writes, so the results do
-    not depend on the thread count."""
-    with ThreadPoolExecutor(_cores()) as pool:
-        return list(pool.map(fn, items))
+    """[fn(x) for x in items] in item order: the first on the calling
+    thread, the rest on one pool thread per further core (no pool with one
+    core), so a map of `runs_on_cores` keeps every core busy.  The first
+    item whose call raised raises here, once every call has returned.  numpy
+    works with the GIL released; each call must own every array it writes,
+    so the results do not depend on the thread count."""
+    items = list(items)
+    workers = min(_cores(), len(items)) - 1
+    if workers < 1:
+        return [fn(x) for x in items]
+    with ThreadPoolExecutor(workers) as pool:
+        rest = [pool.submit(fn, x) for x in items[1:]]
+        return [fn(items[0]), *(f.result() for f in rest)]
 
 
 def runs_on_cores(n):
-    """range(n) cut into one contiguous run per core, in order."""
+    """range(n) cut into one contiguous run per core, in order; the first is the caller's."""
     k = min(_cores(), n)
     return [range(n * r // k, n * (r + 1) // k) for r in range(k)]
 
@@ -440,7 +442,7 @@ class MemberScalars:
     den: list         # split-energy denominator, likewise
     l1_pair: list     # (L1 f, f_j) per partner j
     l2_pair: list     # (L2 f, f_j) per partner j
-    grad_pair: list   # (Abar grad f, grad f_j) per partner j
+    grad_pair: list = None  # (Abar grad f, grad f_j) per partner j, if `full`
 
     @property
     def a_norm(self):
@@ -470,17 +472,16 @@ def member_pass(ctx, ensemble, full=True):
     outlives its member.  The gradient-form cross term of a pair is
     (L1 f, f_j) - ((c1 - c2) f, f_j), summation by parts with `divergence`
     the negative adjoint of `gradient`, so no partner's gradient is taken.
-    Without `full` the pass skips ||f||_{3, g/2} and the split-energy
-    denominator, which only the coercivity and L3 estimates read, not
-    `recheck_bilinear`.
+    Without `full` the pass skips ||f||_{3, g/2}, the split-energy
+    denominator and the gradient-form terms, which only the coercivity,
+    L3 and bilinear estimates read, not `recheck_bilinear`.
 
     Each thread walks one contiguous run of members (`runs_on_cores`) and
     builds each field from the ensemble when it reads it: member i + 1,
     the neighbour partner of member i, is the next member's field, built
     once, and only the strided partner is built a second time."""
-    coeffs = ctx.coeffs
+    coeffs, n = ctx.coeffs, len(ensemble)
     g = coeffs.params.gamma
-    n = len(ensemble)
     partners = _pairing(n)
     # the three forms, built once here, not lazily in each thread
     coeffs.a_form
@@ -490,14 +491,14 @@ def member_pass(ctx, ensemble, full=True):
         grad = gradient(f)
         l1 = apply_L1(f, coeffs, grad=grad)
         l2 = apply_L2(f, ctx.engine, coeffs)
-        potential = ScalarField(f.grid, l1_potential * f.values)
+        potential = ScalarField(f.grid, l1_potential * f.values) if full else None
         held = {i: f, (i + 1) % n: neighbour}
         pairs = []
         for j in partners[i]:
             f_j = held[j] if j in held else ensemble[j]
             l1_j = inner_product(l1, f_j)
-            pairs.append((l1_j, inner_product(l2, f_j),
-                          l1_j - inner_product(potential, f_j)))
+            gradform = (l1_j - inner_product(potential, f_j),) if full else ()
+            pairs.append((l1_j, inner_product(l2, f_j), *gradform))
         return (a_norm_sq(f, coeffs, grad), weighted_norm(f, 2, 0.5 * g),
                 weighted_norm(f, 3, 0.5 * g) if full else None,
                 split.energy(f, grad) if full else None, *zip(*pairs))
@@ -532,14 +533,14 @@ def coercivity_quotient(f, coeffs, grad=None):
 def estimate_coercivity(coeffs, members):
     """Smallest quotient ||f||_A^2 / split-form over the member pass, then
     tightened by projected gradient descent from the worst member; each
-    iterate's gradient is taken once."""
+    iterate's gradient is taken once; the report counts its descent_steps."""
     quotients = np.array([_quotient(num, den) for num, den in zip(members.a_sq, members.den)])
     worst = int(np.argmin(quotients))
     sample_min = float(quotients[worst])
 
     f = normalized(members.ensemble[worst])
     grad = gradient(f)
-    r = coercivity_quotient(f, coeffs, grad)
+    r, steps = coercivity_quotient(f, coeffs, grad), 0
     for _ in range(DESCENT_STEPS):
         num_op = coeffs.a_form.apply(f, grad)
         den_op = coeffs.split_form.apply(f, grad)
@@ -555,6 +556,7 @@ def estimate_coercivity(coeffs, members):
             r_trial = coercivity_quotient(trial, coeffs, trial_grad)
             if r_trial < r:
                 f, grad, r = trial, trial_grad, r_trial
+                steps += 1
                 break
             eta *= 0.5
         else:
@@ -566,6 +568,7 @@ def estimate_coercivity(coeffs, members):
     rep.add_check("C1_positive", c1_value, 0.0, c1_value > 0.0)
     rep.add_constant("C1", c1_value, len(quotients))
     rep.add_constant("C1_sample_min", sample_min, len(quotients))
+    rep.descent_steps = steps
     return rep
 
 
@@ -575,8 +578,8 @@ def estimate_coercivity(coeffs, members):
 
 def _pair_ratio_maxima(members):
     """Largest boundedness ratios of L1 (C2), of L2 (C3, its one-sided
-    form, C4) and of the gradient form over the pair schedule of the
-    member pass."""
+    form, C4) and, after a `full` pass, of the gradient form over the pair
+    schedule of the member pass."""
     a, s = members.a_norm, np.array(members.s)
     if np.min(a) < 1e-14 or np.min(s) < 1e-14:
         raise DegenerateRatioError("vanishing norm in bilinear ensemble")
@@ -584,11 +587,12 @@ def _pair_ratio_maxima(members):
     j = np.array(members.partners)
     a_i, s_i, a_j, s_j = a[:, None], s[:, None], a[j], s[j]
     l2 = np.abs(members.l2_pair)
+    gradform = ({} if members.grad_pair is None else
+                {"K_gradform": np.max(np.abs(members.grad_pair) / (a_i * a_j))})
     return {"C2": np.max(np.abs(members.l1_pair) / (a_i * a_j)),
             "C3": np.max(l2 / (s_i * a_j + a_i * s_j)),
             "C3_one_sided": np.max(l2 / (s_i * a_j)),
-            "C4": np.max(l2 / (a_i * a_j)),
-            "K_gradform": np.max(np.abs(members.grad_pair) / (a_i * a_j))}
+            "C4": np.max(l2 / (a_i * a_j)), **gradform}
 
 
 def estimate_bilinear_constants(members):

@@ -5,6 +5,8 @@ import json
 import math
 import os
 import sys
+import threading
+import time
 import tracemalloc
 import weakref
 
@@ -15,14 +17,14 @@ from landau.config import load_config, parse_config_text
 from landau.errors import ConfigError, DegenerateRatioError, FitDegenerateError
 from landau.evolution import (SEGMENT_SAMPLES, DerivativeLadder, PropagatedSystem,
                               SourceModel, derivative_ladder, evolve)
-from landau.field import (EnergyForm, VectorField, a_norm_sq, divergence, gradient,
-                          inner_product, l2_norm, random_field, synthesize,
+from landau.field import (EnergyForm, ScalarField, VectorField, a_norm_sq, divergence,
+                          gradient, inner_product, l2_norm, normalized, random_field, synthesize,
                           weighted_norm, zeros)
 from landau.operator import apply_L1, apply_L2, make_context
 from landau.persist import write_report_json
 from landau.verify import (check_coefficient_bounds, check_convolution_bound,
                            check_kernel_identities, check_l3_embedding,
-                           coercivity_quotient, deterministic_probes, energy_identity_convergence,
+                           coercivity_quotient, energy_identity_convergence,
                            check_energy, estimate_bilinear_constants,
                            estimate_coercivity, make_ensemble, member_pass,
                            recheck_bilinear, smoothing_fit, smoothing_report)
@@ -32,6 +34,23 @@ from landau.kernel import KernelParams, QuadratureSpec, UniaxialField, build_coe
 from landau.suites import RunResources, run_suite
 from tests import gradient_oracle
 from tests.conftest import abar_matrix, gaussian_field
+
+
+def deterministic_probes(grid):
+    """The 10 probes in their closed form, the oracle of `verify.deterministic_probe`."""
+    probes = []
+    r2 = grid.radius_sq
+    vx = np.asarray(grid.component(0))
+    vy = np.asarray(grid.component(1))
+    vz = np.asarray(grid.component(2))
+    for w in (1.0, 2.0):
+        probes.append(normalized(ScalarField(grid, np.exp(-r2 / (2.0 * w * w)))))
+    for (cx, cy, cz), k in (((0.0, 0.0, 0.0), 2.0), ((2.0, 0.0, 0.0), 3.0),
+                            ((0.0, 3.0, 0.0), 5.0), ((3.0, 3.0, 0.0), 4.0)):
+        bump = np.exp(-((vx - cx) ** 2 + (vy - cy) ** 2 + (vz - cz) ** 2) / 2.0)
+        probes.append(normalized(ScalarField(grid, np.cos(k * vx) * bump)))
+        probes.append(normalized(ScalarField(grid, np.sin(k * (vx + vy) / math.sqrt(2.0)) * bump)))
+    return probes
 
 
 @pytest.fixture(scope="module")
@@ -302,6 +321,61 @@ def test_abar_derivative_ratios_match_gradient_oracle(n, gamma, cores, monkeypat
     assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("cores", [1, 2, 8])
+def test_map_on_cores_takes_the_first_item_on_the_calling_thread(cores, monkeypatch):
+    # results come back in item order, and the first item runs on the
+    # calling thread whatever the core count
+    _on_cores(monkeypatch, cores)
+    caller = threading.get_ident()
+
+    def work(x):
+        time.sleep(0.002 * (x % 3))
+        return x * x, threading.get_ident()
+
+    got = verify.map_on_cores(work, range(20))
+    assert [value for value, _ in got] == [x * x for x in range(20)]
+    assert got[0][1] == caller
+    assert all(ident != caller for _, ident in got[1:]) == (cores > 1)
+
+
+def test_map_on_cores_makes_no_pool_on_one_core(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool on one core")
+
+    _on_cores(monkeypatch, 1)
+    monkeypatch.setattr(verify, "ThreadPoolExecutor", no_pool)
+    assert verify.map_on_cores(lambda x: x + 1, range(5)) == [1, 2, 3, 4, 5]
+    assert verify.map_on_cores(lambda x: x, []) == []
+
+
+def test_map_on_cores_raises_the_first_item_after_every_call(monkeypatch):
+    # the first item raises at once and a later one raises after a while:
+    # the first item's exception surfaces, once the later call has returned
+    _on_cores(monkeypatch, 2)
+    returned = []
+
+    def work(x):
+        if x == 0:
+            raise KeyError("first")
+        time.sleep(0.2)
+        returned.append(x)
+        raise ValueError("later")
+
+    with pytest.raises(KeyError, match="first"):
+        verify.map_on_cores(work, range(2))
+    assert returned == [1]
+
+
+def test_make_ensemble_blocks_equal_on_any_core_count(small_grid, monkeypatch):
+    spectra = []
+    for cores in (1, 2, 3):
+        _on_cores(monkeypatch, cores)
+        ens = make_ensemble(small_grid, 64, seed=5, bandlimit=5)
+        spectra.append(b"".join(block.tobytes() for block in ens.spectra))
+    assert spectra[0] == spectra[1] == spectra[2]
+    assert len(ens.spectra) == 64
+
+
 def _seam_planes(n):
     """The z-planes on either side of each seam between two scan slabs."""
     seams = range(2 + verify._SLAB_PLANES, n - 2, verify._SLAB_PLANES)
@@ -404,14 +478,19 @@ def test_member_pass_matches_public_functions(small_ctx, ensemble, members):
 
 
 def test_recheck_pass_skips_unread_norms(small_ctx, ensemble, members):
-    # the pass without `full` leaves out ||f||_{3, g/2} and the split-energy
-    # denominator, and the recheck reads the same bytes from it
+    # the pass without `full` leaves out ||f||_{3, g/2}, the split-energy
+    # denominator and the gradient-form terms, and the recheck reads the
+    # same bytes from it
     partial = member_pass(small_ctx, ensemble, full=False)
     for fld in dataclasses.fields(members):
         if fld.name in ("s3", "den"):
             assert getattr(partial, fld.name) == [None] * len(ensemble)
+        elif fld.name == "grad_pair":
+            assert partial.grad_pair is None
         elif fld.name != "ensemble":
             assert getattr(partial, fld.name) == getattr(members, fld.name), fld.name
+    assert "K_gradform" not in verify._pair_ratio_maxima(partial)
+    assert "K_gradform" in verify._pair_ratio_maxima(members)
     consts = {c["name"]: c["value"]
               for c in estimate_bilinear_constants(members).constants}
     assert (recheck_bilinear(partial, consts).checks
@@ -511,17 +590,38 @@ def test_inequalities_suite_reports_identical():
     assert docs[0] == docs[1]
 
 
+def test_inequalities_suite_logs_its_progress(monkeypatch, capsys):
+    # one line per member pass with its member count, core count and time,
+    # and one for the descent with its steps and C1 before and after; the
+    # same reports with a log as without, and no output without one
+    _on_cores(monkeypatch, 2)
+    logged = []
+    res = RunResources(parse_config_text(ENERGY_CFG), log=logged.append)
+    reports = run_suite("inequalities", res)
+    quiet = run_suite("inequalities", RunResources(parse_config_text(ENERGY_CFG), log=None))
+    assert reports == quiet and capsys.readouterr().out == ""
+    consts = {c["name"]: c["value"] for c in reports[0].constants}
+    assert len(logged) == 3, logged
+    for line in (logged[0], logged[2]):
+        assert line.startswith("inequalities: member pass over 74 members on 2 cores, ")
+        assert line.endswith(" s")
+    steps = reports[0].descent_steps
+    assert 0 <= steps <= verify.DESCENT_STEPS
+    assert logged[1] == (f"inequalities: coercivity descent took {steps} steps, "
+                         f"C1 {consts['C1_sample_min']:.6g} -> {consts['C1']:.6g}")
+
+
 def test_inequalities_suite_frees_each_ensemble(monkeypatch):
-    # the first ensemble, its probes and every member field built from it
+    # the first ensemble and every member and probe field built from it
     # are gone before the fresh one is drawn, and nothing of either
     # outlives the suite
-    drawn, built = [], []
+    drawn, built, probes = [], [], []
 
     def tracked(*args, **kwargs):
         gc.collect()
-        assert all(ref() is None for ref in drawn + built)
+        assert all(ref() is None for ref in drawn + built + probes)
         ens = make_ensemble(*args, **kwargs)
-        drawn.extend(weakref.ref(x) for x in [ens, *ens.probes])
+        drawn.append(weakref.ref(ens))
         return ens
 
     def tracked_build(*args):
@@ -529,31 +629,64 @@ def test_inequalities_suite_frees_each_ensemble(monkeypatch):
         built.append(weakref.ref(f))
         return f
 
+    def tracked_probe(*args):
+        f = deterministic_probe(*args)
+        probes.append(weakref.ref(f))
+        return f
+
+    deterministic_probe = verify.deterministic_probe
     monkeypatch.setattr(verify, "make_ensemble", tracked)
     monkeypatch.setattr(verify, "synthesize", tracked_build)
+    monkeypatch.setattr(verify, "deterministic_probe", tracked_probe)
     res = RunResources(parse_config_text(ENERGY_CFG), log=None)
     run_suite("inequalities", res)
     gc.collect()
-    assert len(drawn) == 2 * 11 and len(built) >= 2 * 64
-    assert all(ref() is None for ref in drawn + built)
+    assert len(drawn) == 2 and len(built) >= 2 * 64 and len(probes) >= 2 * 10
+    assert all(ref() is None for ref in drawn + built + probes)
 
 
 def test_ensemble_members_are_the_random_fields(small_grid):
     # member i of an ensemble is random_field(seed + i) bit for bit, the
     # probes follow it, and the random members are held as band blocks
     ens = make_ensemble(small_grid, 64, seed=42, bandlimit=5, envelope_width=1.0)
-    assert len(ens) == 64 + len(deterministic_probes(small_grid)) == 74
+    assert len(ens) == 64 + len(deterministic_probes(small_grid)) == 64 + verify.PROBES == 74
     for i in range(64):
         want = random_field(small_grid, 42 + i, bandlimit=5, envelope_width=1.0)
         assert np.array_equal(ens[i].values, want.values)
     for probe, want in zip([ens[i] for i in range(64, 74)],
                            deterministic_probes(small_grid)):
-        assert np.array_equal(probe.values, want.values)
+        assert probe.values.tobytes() == want.values.tobytes()
     assert all(block.shape == (11, 11, 6) for block in ens.spectra)
     assert np.array_equal(ens[-1].values, ens[73].values)
     with pytest.raises(IndexError):
         ens[74]
     assert len(list(ens)) == 74
+
+
+@pytest.mark.parametrize("n", [24, 48])
+def test_deterministic_probe_is_the_closed_form(n):
+    # each probe, built alone from 1-d and 2-d factors, is the oracle's
+    # N^3 evaluation bit for bit
+    grid = VelocityGrid(R=8.0, N=n)
+    for k, want in enumerate(deterministic_probes(grid)):
+        assert verify.deterministic_probe(grid, k).values.tobytes() == want.values.tobytes()
+
+
+def test_make_ensemble_holds_no_field_but_the_envelope():
+    # at N=32 a drawn ensemble adds at most its band blocks and 1.5 N^3
+    # doubles to the traced memory: the envelope is N^3, and probes held as
+    # fields would add 10 N^3 more
+    grid = VelocityGrid(R=8.0, N=32)
+    grid.radius_sq  # the grid's own node arrays, built before tracing
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ens = make_ensemble(grid, 64, seed=42, bandlimit=8)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    blocks = sum(block.nbytes for block in ens.spectra)
+    assert held <= blocks + 1.5 * 8 * grid.N ** 3, (held - blocks) / (8 * grid.N ** 3)
 
 
 def test_member_pass_memory_stays_below_a_held_ensemble(monkeypatch):
