@@ -144,8 +144,14 @@ def validate_config(cfg):
     if not 1 <= cfg.ladder_kmax <= LADDER_KMAX_CAP:
         raise ConfigError(f"ladder.kmax must be in [1, {LADDER_KMAX_CAP}], "
                           f"got {cfg.ladder_kmax}")
-    if not cfg.ladder_eval_times:
-        raise ConfigError("ladder.eval_times must name at least one time")
+    # an empty list verifies nothing; a repeated suite overwrites its own
+    # report, a repeated ladder time counts its rungs twice in the fit
+    for key, values in (("ladder.eval_times", cfg.ladder_eval_times),
+                        ("verify.suites", cfg.verify_suites)):
+        if not values:
+            raise ConfigError(f"{key} must name at least one entry")
+        if len(set(values)) < len(values):
+            raise ConfigError(f"{key} repeats an entry: {', '.join(map(str, values))}")
     for t in cfg.ladder_eval_times:
         if not 0.0 < t <= cfg.time_T:
             raise ConfigError(

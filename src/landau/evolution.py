@@ -193,14 +193,7 @@ def _log_row(f, lf, t, system):
             inner_product(g, f), inner_product(lf, f))
 
 
-def step_buffers(n):
-    """The blocks `step` works in for fields of n values: the samples and
-    their L f, and the pending terms and their L (T_k y)."""
-    return (np.empty((2, SEGMENT_SAMPLES, n)),
-            np.empty((2, ACCUMULATED_TERMS, n)))
-
-
-def step(f, t0, t1, system, interval, buffers=None, lf0=None):
+def step(f, t0, t1, system, interval, lf0=None):
     """Propagate y = (f(t0), tau(t0)) to the SEGMENT_SAMPLES uniform times
     of (t0, t1] by one Chebyshev recurrence T_{k+1}(X) y = 2 X T_k(X) y -
     T_{k-1}(X) y, X = (2 G - hi - lo) / (hi - lo), G that of `system`, whose
@@ -210,9 +203,9 @@ def step(f, t0, t1, system, interval, buffers=None, lf0=None):
     that builds the next term, so L is applied once per term, and not to
     the first term, f itself, when the caller hands L f in as `lf0`.
     Both sums run as one matrix product per ACCUMULATED_TERMS terms, in
-    blocks of STEP_COLUMNS columns added into the samples.  The
-    returned fields are views of `buffers` (see `step_buffers`, allocated
-    afresh when None), which the next step on the same buffers overwrites.
+    blocks of STEP_COLUMNS columns added into the samples.  The samples
+    and the pending terms are blocks made by this call; the returned
+    fields are views of the samples' block, which no later call touches.
 
     An interval [lo, hi] that does not contain `system.spectrum()`, the
     measured edges of the spectrum of G, raises InstabilityError before L
@@ -231,8 +224,8 @@ def step(f, t0, t1, system, interval, buffers=None, lf0=None):
     coef = chebyshev_coefficients(offsets, interval)
     degree = len(coef) - 1
     # samples[0] holds f, samples[1] L f; terms the same for the pending T_k y
-    samples, terms = buffers or step_buffers(f.values.size)
-    samples.fill(0.0)
+    samples = np.zeros((2, SEGMENT_SAMPLES, f.values.size))
+    terms = np.empty((2, ACCUMULATED_TERMS, f.values.size))
     prev, cur = None, (f.values, system.model.tau_derivative(0, t0))
     image = None if lf0 is None else lf0.values  # L of the first term, if held
     for k in range(degree + 1):
@@ -276,9 +269,10 @@ def evolve(f0, system, T, snapshot_times=(), log=None):
     operator than the system's cannot pass its own energy identity
     unnoticed.  That direct image, and L f0 of the first log row, is the
     first term's image in the next `step`, so L is applied once to each
-    field.  `log`, when given, receives one line with the measured
-    spectrum of L (`OperatorContext.spectrum`) and one progress line per
-    segment."""
+    field.  Each segment's samples are dropped once its rows, last sample
+    and gap are taken, so one segment's blocks are held at a time.  `log`,
+    when given, receives one line with the measured spectrum of L
+    (`OperatorContext.spectrum`) and one progress line per segment."""
     if T <= 0:
         raise ValueError("horizon T must be positive")
     ctx = system.ctx
@@ -299,11 +293,8 @@ def evolve(f0, system, T, snapshot_times=(), log=None):
     rows = [_log_row(f0, lf, 0.0, system)]
     snapshots, snapshot_steps, gaps = {}, {}, []
     applied, started = 1, time.perf_counter()
-    # one set of blocks for every segment: each segment's rows, last
-    # sample and gap are taken before the next one overwrites them
-    buffers = step_buffers(f0.values.size)
     for i, (t0, t1) in enumerate(zip(edges[:-1], edges[1:]), 1):
-        samples, lfs = step(f, t0, t1, system, (lo, hi), buffers, lf)
+        samples, lfs = step(f, t0, t1, system, (lo, hi), lf)
         times = [t0 + (t1 - t0) * j / SEGMENT_SAMPLES
                  for j in range(1, SEGMENT_SAMPLES)] + [t1]
         rows += [_log_row(sample, lf, t, system)
@@ -311,6 +302,7 @@ def evolve(f0, system, T, snapshot_times=(), log=None):
         f = samples[-1].copy()
         lf = ctx.apply(f)
         gaps.append(_relative_gap(lfs[-1], lf))
+        del samples, lfs  # freed before the next step makes its own
         if t1 in snapshot_times or t1 == T:
             snapshots[t1], snapshot_steps[t1] = f, i
         applied += costs[i - 1]

@@ -25,7 +25,6 @@ envelope.  The validation runs' unwrapped sums, which form no pad-2 table,
 are kernel.radial_power_convolutions.
 """
 
-import threading
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -47,7 +46,7 @@ class ConvolutionEngine:
     its row of `hats` as it arrives, and the engine keeps none of them.
     The operators use the nine tables of KernelTables.comps.  Applying the
     engine to a discrete delta of mass h^-3 reproduces each table exactly
-    up to transform round-off."""
+    up to transform round-off.  Each application makes its own buffers."""
 
     def __init__(self, grid, tables):
         self.grid = grid
@@ -63,7 +62,6 @@ class ConvolutionEngine:
                                  f"end in the grid's lattice {grid.shape}")
             np.fft.rfftn(table, out=hat)
             del table
-        self._local = threading.local()
 
     def forward(self, values, out=None):
         """rfft of an N^3 array, into `out` when given."""
@@ -81,18 +79,6 @@ class ConvolutionEngine:
         out *= self.grid.cell_volume
         return out
 
-    def workspace(self):
-        """The calling thread's buffers for `apply_L2`, made on its first
-        call and kept while the thread lives: two N^3 real arrays and six
-        transforms.  Each thread owns its own, so threaded member passes
-        share none."""
-        ws = getattr(self._local, "ws", None)
-        if ws is None:
-            n = self.grid.N
-            ws = self._local.ws = (np.empty((2,) + self.grid.shape),
-                                   np.empty((6, n, n, n // 2 + 1), complex))
-        return ws
-
 
 # ---------------------------------------------------------------------------
 # linear operators
@@ -108,14 +94,15 @@ def apply_L1(f, coeffs: LandauCoefficients, grad=None):
 
 def apply_L2(f, engine: ConvolutionEngine, coeffs: LandauCoefficients):
     """Nonlocal part via convolution against the Gaussian-weighted density.
-    Every intermediate lives in the engine's workspace of the calling
-    thread (`ConvolutionEngine.workspace`); the result is the one array
-    allocated."""
+    Every intermediate lives in two N^3 real arrays and six transforms made
+    by this call and freed when it returns; the result is the only array
+    that outlives it."""
     if f.grid != coeffs.grid or engine.grid != f.grid:
         raise GridMismatchError("field, engine and coefficients must share a grid")
-    grid = f.grid
+    grid, n = f.grid, f.grid.N
     mu_half = coeffs.mu_half.values
-    (rho, scratch), spectra = engine.workspace()
+    rho, scratch = np.empty((2,) + grid.shape)
+    spectra = np.empty((6, n, n, n // 2 + 1), complex)
     src, xhat, prod = spectra[:4], spectra[4], spectra[5]
     np.multiply(mu_half, f.values, out=rho)
     # transforms of (rho, v_x rho, v_y rho, v_z rho), one call each: a

@@ -56,6 +56,19 @@ def test_eval_times_window():
         parse_config_text("time.T = 1.0\nladder.eval_times = 0.5, 1.5\n")
 
 
+def test_empty_or_repeated_lists_rejected():
+    # a run without a suite verifies nothing; a repeated suite overwrites its
+    # report, and a repeated ladder time writes ladder_t<t>.csv twice and
+    # counts its rungs twice in the factorial fit
+    with pytest.raises(ConfigError, match="verify.suites must name at least one"):
+        parse_config_text(MINIMAL + "verify.suites =\n")
+    with pytest.raises(ConfigError, match="verify.suites repeats an entry"):
+        parse_config_text(MINIMAL + "verify.suites = kernel, energy, kernel\n")
+    with pytest.raises(ConfigError, match="ladder.eval_times repeats an entry"):
+        parse_config_text(MINIMAL.replace("ladder.eval_times = 0.125, 0.25",
+                                          "ladder.eval_times = 0.125, 0.25, 0.125"))
+
+
 def test_unknown_key_hard_error():
     with pytest.raises(ConfigError, match="unknown key"):
         parse_config_text("grid.M = 3\n")
@@ -360,6 +373,18 @@ def test_cli_source_width_exit_code(small_run_config, capsys, width):
     for command in ("verify", "report"):
         assert cli.main([command, "--config", cfg_path]) == 2
         assert "source.width must be positive" in capsys.readouterr().err
+    assert not os.path.exists(out_dir)
+
+
+def test_cli_verify_without_suites_exit_code(small_run_config, capsys):
+    # before, the run wrote nothing and exited 0
+    cfg_path, out_dir = small_run_config
+    with open(cfg_path) as fh:
+        text = fh.read().replace("verify.suites = kernel, coefficients", "verify.suites =")
+    with open(cfg_path, "w") as fh:
+        fh.write(text)
+    assert cli.main(["verify", "--config", cfg_path]) == 2
+    assert "verify.suites must name at least one" in capsys.readouterr().err
     assert not os.path.exists(out_dir)
 
 

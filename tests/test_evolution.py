@@ -16,7 +16,7 @@ from landau.evolution import (SEGMENT_SAMPLES, SPECTRUM_MARGIN,
                               PropagatedSystem, SourceModel,
                               chebyshev_coefficients, derivative_ladder,
                               evolve, measure_source_bound, scaled_bessel_i,
-                              step, step_buffers)
+                              step)
 from landau.field import ScalarField, inner_product, l2_norm, random_field, zeros
 from landau.grid import VelocityGrid
 from landau.kernel import KernelParams, QuadratureSpec, build_coefficients
@@ -174,48 +174,47 @@ def test_default_step_accuracy(small_grid, small_ctx):
         assert l2_norm(lf - direct) <= 1e-12 * l2_norm(direct)
 
 
-def test_step_on_reused_buffers_is_bit_identical(small_grid, small_ctx):
-    # evolve hands every segment the same blocks: a step on blocks that
-    # another step has filled gives the bytes of a step on fresh blocks
-    system = PropagatedSystem(
-        small_ctx, SourceModel(unit_gaussian(small_grid), amplitude=0.5))
-    interval = interval_of(system)
-    t0, t1 = 0.1, 0.1 + 8.0 / small_ctx.spectrum.rho
-    buffers = step_buffers(small_grid.N ** 3)
-    step(random_field(small_grid, 8, bandlimit=5), 0.0, 0.2, system, interval,
-         buffers)
-    f0 = random_field(small_grid, 7, bandlimit=5, envelope_width=1.0)
-    reused = step(f0, t0, t1, system, interval, buffers)
-    fresh = step(f0, t0, t1, system, interval)
-    for got, want in zip(reused, fresh):
-        for g, w in zip(got, want):
-            assert np.array_equal(g.values, w.values)
-    # the fields returned are views of the blocks
-    assert np.shares_memory(reused[0][-1].values, buffers[0])
-
-
-def test_step_memory_holds_no_product_block():
-    # one step on fresh blocks at N=32 allocates its samples and terms
-    # (48 N^3 doubles) and temporaries of about 11 N^3 (59.0 measured); a
-    # (16, N^3) product block on top of them would pass 64 N^3 (75.0)
+def _traced_peak(run, rho):
+    """The traced peak of `run(system, f0)` in N^3 doubles, the system and
+    `run`'s result, at N=32, R=6, on a fresh context whose measured edges
+    (rho, -1) are stood in, so that no Arnoldi run is needed.  One
+    application of L first builds the coefficient set's cached fields
+    (mu_half, l1_form), which would count otherwise (2 N^3 in one step)."""
     grid = VelocityGrid(R=6.0, N=32)
     ctx = make_context(build_coefficients(grid, KernelParams(-1.0), QuadratureSpec()))
-    # measured edges stood in, so that no Arnoldi run is needed
     stand_in = SimpleNamespace(coeffs=ctx.coeffs, apply=ctx.apply,
-                               spectrum=SpectrumEdges(200.0, -1.0, 0, 0))
+                               spectrum=SpectrumEdges(rho, -1.0, 0, 0))
     system = PropagatedSystem(stand_in, SourceModel(unit_gaussian(grid), amplitude=0.5))
     f0 = random_field(grid, 7, bandlimit=5, envelope_width=1.0)
-    ctx.apply(f0)  # the calling thread's L2 workspace, made once per thread
+    ctx.apply(f0)
     tracemalloc.start()
     try:
-        samples, _ = step(f0, 0.0, 0.05, system, interval_of(system))
+        out = run(system, f0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return peak / (8 * grid.N ** 3), system, out
+
+
+def test_step_memory_holds_no_product_block():
+    # one step at N=32 allocates its samples and terms (48 N^3 doubles)
+    # and temporaries of about 14 N^3 (61.7 measured); a (16, N^3)
+    # product block on top of them would pass 64 N^3 (75.0)
+    held, system, (samples, _) = _traced_peak(
+        lambda system, f0: step(f0, 0.0, 0.05, system, interval_of(system)), rho=200.0)
     assert len(chebyshev_coefficients([0.05], interval_of(system))) > 16
     assert all(np.isfinite(f.values).all() for f in samples)
-    held = peak / (8 * grid.N ** 3)
     assert held < 64.0, held
+
+
+def test_evolve_holds_one_segment_of_blocks():
+    # each step makes its own blocks, and evolve drops a segment's before
+    # the next step: 7 segments at N=32 peak at 63.8 N^3 doubles, where
+    # keeping each segment's samples into the next step reads 95.8
+    held, _, res = _traced_peak(lambda system, f0: evolve(f0, system, 0.5), rho=120.0)
+    assert len(res.energy_log) == 1 + 7 * SEGMENT_SAMPLES
+    assert np.isfinite(res.energy_log).all()
+    assert held < 75.0, held
 
 
 def test_propagator_top_ritz_vector(small_grid, small_ctx):

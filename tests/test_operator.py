@@ -72,6 +72,27 @@ def test_make_context_holds_one_table_at_a_time():
     assert held < 7.0, held
 
 
+def test_apply_L2_holds_only_its_result():
+    # every working array of apply_L2 is made by the call and freed when it
+    # returns: at N=32 on a fresh context one call leaves its result, N^3
+    # doubles, and nothing else (1.005 N^3 measured); buffers kept per
+    # thread between calls would leave 9.4 N^3
+    grid = VelocityGrid(R=8.0, N=32)
+    ctx = make_context(build_coefficients(grid, KernelParams(-1.0), QuadratureSpec()))
+    f = random_field(grid, 3, bandlimit=5, envelope_width=1.0)
+    ctx.coeffs.mu_half  # the coefficient set's cached field, built before tracing
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = apply_L2(f, ctx.engine, ctx.coeffs)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(out.values).all()
+    held /= 8 * grid.N ** 3
+    assert held < 1.5, held
+
+
 def test_convolve_linearity(small_grid, small_ctx):
     eng = small_ctx.engine
 

@@ -689,6 +689,32 @@ def test_make_ensemble_holds_no_field_but_the_envelope():
     assert held <= blocks + 1.5 * 8 * grid.N ** 3, (held - blocks) / (8 * grid.N ** 3)
 
 
+def test_member_pass_holds_nothing_grid_sized_afterwards(monkeypatch):
+    # at N=24 on two cores, with the coefficient forms built and the
+    # ensemble drawn first, the pass leaves its scalars and no working
+    # array (1.3 N^3 doubles measured) and peaks at 33.7 N^3; a per-thread
+    # L2 workspace kept on the calling thread leaves 9.8 N^3 and takes
+    # the peak to 41.5
+    grid = VelocityGrid(R=8.0, N=24)
+    ctx = make_context(kernel.build_coefficients(
+        grid, KernelParams(-1.0), kernel.QuadratureSpec(32, 64, 1e-6)))
+    coeffs = ctx.coeffs
+    coeffs.a_form, coeffs.l1_form, coeffs.split_form, coeffs.mu_half
+    ens = make_ensemble(grid, 64, seed=42, bandlimit=8)
+    _on_cores(monkeypatch, 2)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        scalars = member_pass(ctx, ens)
+        held, peak = (m - before for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert len(scalars.l2_pair) == len(ens)
+    cube = 8 * grid.N ** 3
+    assert held < 3.0 * cube, held / cube
+    assert peak < 38.0 * cube, peak / cube
+
+
 def test_member_pass_memory_stays_below_a_held_ensemble(monkeypatch):
     # at N=32 an ensemble held as fields is 74 N^3 doubles, 18.5 MiB; the
     # streamed ensemble, its band blocks (5 MiB at bandlimit 10) and its
