@@ -36,14 +36,6 @@ class InstabilityError(LandauError):
     spectrum of the propagated system, so the series would grow."""
 
 
-class LadderOverflowError(LandauError):
-    """Derivative ladder entry overflowed; carries the breakdown depth."""
-
-    def __init__(self, message, depth):
-        super().__init__(message)
-        self.depth = depth
-
-
 class DegenerateRatioError(LandauError):
     """Ratio estimate hit a near-zero denominator."""
 

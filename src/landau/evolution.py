@@ -28,14 +28,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InstabilityError, LadderOverflowError
+from .errors import InstabilityError
 from .field import ScalarField, a_norm, inner_product, l2_norm, zeros
 
 LADDER_KMAX_CAP = 10
-LADDER_OVERFLOW = 1e100
 # p: panels per segment of the coarsest energy-identity rung; the rungs
 # take p, 2p and 4p panels per segment.  Measured at N=24 (seed 42): the
-# log of p = 4 and that of p = 8 both take 218 applications of L, since a
+# log of p = 4 and that of p = 8 both take 209 applications of L, since a
 # sample costs none, and give residual dt-slopes of 3.90 and 3.97; p = 8
 # doubles the samples' memory and the log rows' A-norms.
 RUNG_PANELS = 4
@@ -336,27 +335,24 @@ class DerivativeLadder:
 
 
 def derivative_ladder(f_t, t, kmax, system):
-    """d_t^m f(t), m = 0..kmax: the f-rows of (-G)^m (f(t), tau(t))."""
+    """d_t^m f(t), m = 0..kmax: the f-rows of (-G)^m (f(t), tau(t)).  A
+    rung that overflows or holds a NaN is returned as it is: its non-finite
+    a_k fails the smoothing report (`verify.smoothing_report`)."""
     if t <= 0:
         raise ValueError("ladder requires t > 0")
     if kmax > LADDER_KMAX_CAP:
         raise ValueError(f"kmax {kmax} above cap {LADDER_KMAX_CAP}")
 
     entries, tau = [f_t.copy()], system.model.tau_derivative(0, t)
-    for m in range(1, kmax + 1):
+    for _ in range(kmax):
         _, gf = system.apply(entries[-1].values, tau)
-        nxt, tau = ScalarField(f_t.grid, -gf), -system.rate * tau
-        peak = np.max(np.abs(nxt.values))  # a NaN node gives a NaN peak
-        if not peak < LADDER_OVERFLOW:
-            fault = "overflow" if math.isfinite(peak) else "entry is not finite"
-            raise LadderOverflowError(f"ladder {fault} at depth {m}", depth=m)
-        entries.append(nxt)
+        entries.append(ScalarField(f_t.grid, -gf))
+        tau = -system.rate * tau
 
     norms_l2 = np.array([l2_norm(d) for d in entries])
     norms_a = np.array([a_norm(d, system.ctx.coeffs) for d in entries])
     ks = np.arange(kmax + 1, dtype=float)
     facts = np.array([math.factorial(k) for k in range(kmax + 1)], dtype=float)
     a_k = t ** ks * norms_l2 / facts
-    with np.errstate(divide="ignore"):
-        a_k_root = a_k ** (1.0 / (ks + 1.0))
+    a_k_root = a_k ** (1.0 / (ks + 1.0))
     return DerivativeLadder(t, entries, norms_l2, norms_a, a_k, a_k_root)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .errors import DegenerateRatioError, FitDegenerateError
+from .errors import ConfigError, DegenerateRatioError, FitDegenerateError
 from .evolution import RUNG_PANELS, SEGMENT_SAMPLES
 from .field import (ScalarField, a_norm_sq, band_spectrum, gaussian_envelope,
                     gradient, inner_product, l2_norm, normalized, synthesize,
@@ -362,12 +362,19 @@ def check_convolution_bound(grid, params):
     with e^{-delta |v|^2} for each delta (`gaussian_convolutions`); the
     ratio must be flat beyond |v| = 4, close to the dominated limit
     (pi/delta)^{3/2} near the box edge and positive at the origin.  K_conv
-    is its largest value over both deltas."""
+    is its largest value over both deltas.  A shell that holds no node of
+    the grid raises ConfigError before anything is convolved."""
     wgt = grid.bracket_weight(params.gamma)
     radius = grid.radius
     shell_far = (radius >= 4.0) & (radius <= grid.R - 0.5)
     shell_edge = (radius >= grid.R - 1.25) & (radius <= grid.R - 0.75)
     origin_cell = radius <= 1.5 * grid.h
+    for name, shell in (("plateau 4 <= |v| <= R - 0.5", shell_far),
+                        ("edge R - 1.25 <= |v| <= R - 0.75", shell_edge),
+                        ("origin |v| <= 1.5 h", origin_cell)):
+        if not shell.any():
+            raise ConfigError(f"the convolution suite's {name} shell holds no "
+                              f"node at grid.R = {grid.R:g}")
 
     rep = VerificationReport("convolution")
     maxima = []
@@ -581,8 +588,6 @@ def _pair_ratio_maxima(members):
     form, C4) and, after a `full` pass, of the gradient form over the pair
     schedule of the member pass."""
     a, s = members.a_norm, np.array(members.s)
-    if np.min(a) < 1e-14 or np.min(s) < 1e-14:
-        raise DegenerateRatioError("vanishing norm in bilinear ensemble")
     # member i down the rows, its partners j along them
     j = np.array(members.partners)
     a_i, s_i, a_j, s_j = a[:, None], s[:, None], a[j], s[j]
@@ -642,10 +647,7 @@ def recheck_bilinear(members, constants):
 
 def check_l3_embedding(members):
     """K_L3 = max ||f||_{3, g/2} / ||f||_A over the member pass."""
-    a = members.a_norm
-    if np.min(a) < 1e-14:
-        raise DegenerateRatioError("vanishing A-norm in embedding ensemble")
-    worst = np.max(np.array(members.s3) / a)
+    worst = np.max(np.array(members.s3) / members.a_norm)
     rep = VerificationReport("l3_embedding")
     rep.add_check("K_L3_finite", worst, math.inf, worst > 0)
     rep.add_constant("K_L3", worst, len(members.ensemble))

@@ -5,6 +5,8 @@ rename or a changed call shape fail here rather than in a benchmark run."""
 import dataclasses
 import importlib.util
 import os
+import subprocess
+import sys
 
 import numpy as np
 
@@ -102,3 +104,30 @@ def test_report_ids_the_benchmark_reads(tmp_path):
                 checks.report_constant(read("coercivity"), "C1"),
                 *(checks.report_constant(read("bilinear"), n) for n in ("C2", "C3", "C4"))]
     assert all(np.isfinite(read_ids))
+
+
+# a full verify, then every scipy module the run imported
+VERIFY_IMPORTS = """
+import sys
+from landau import cli
+code = cli.main(["verify", "--config", sys.argv[1], "--out", sys.argv[2]])
+print(code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_verify_imports_no_scipy(tmp_path):
+    # importing scipy.fft adds 27 MB of resident memory, beyond the 5%
+    # peak_rss_mb bound of analyticity-n24 (ROADMAP Baseline); tier-1 itself
+    # imports scipy, so only a fresh process can see what the product imports
+    cfg = validate_config(dataclasses.replace(
+        load_config(os.path.join(REPO, "configs", "reference.cfg")),
+        grid_N=16, f0_bandlimit=7))
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(canonical_text(cfg))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    run = subprocess.run([sys.executable, "-c", VERIFY_IMPORTS, str(cfg_path),
+                          str(tmp_path / "out")],
+                         env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    code, modules = run.stdout.splitlines()[-1].split(" ", 1)
+    assert code in ("0", "4") and modules == "[]", run.stdout

@@ -448,6 +448,23 @@ def test_cli_vanishing_forcing_exit_code(small_run_config, capsys):
     assert "DegenerateRatioError" in capsys.readouterr().err
 
 
+def test_cli_convolution_shell_without_nodes_exit_code(tmp_path, capsys):
+    # at R = 4 the plateau shell 4 <= |v| <= R - 0.5 is empty; before, the
+    # suite ended in a ValueError traceback from the maximum of no nodes
+    here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(here, "configs", "reference.cfg")) as fh:
+        text = fh.read()
+    for old, new in (("grid.R = 8.0", "grid.R = 4.0"), ("grid.N = 32", "grid.N = 16"),
+                     ("f0.bandlimit = 10", "f0.bandlimit = 5")):
+        text = text.replace(old, new)
+    cfg_path, out = tmp_path / "small_box.cfg", tmp_path / "out"
+    cfg_path.write_text(text)
+    assert cli.main(["verify", "--config", str(cfg_path), "--out", str(out),
+                     "--suite", "convolution"]) == 2
+    err = capsys.readouterr().err
+    assert "plateau" in err and "grid.R = 4" in err
+
+
 def test_cli_verify_writes_trajectory(small_run_config, tmp_path, monkeypatch):
     cfg_path, out_dir = small_run_config
     # no run writes outside its out dir; LANDAU_CACHE is not read

@@ -11,7 +11,7 @@ import pytest
 
 import landau
 from landau import evolution
-from landau.errors import InstabilityError, LadderOverflowError
+from landau.errors import InstabilityError
 from landau.evolution import (SEGMENT_SAMPLES, SPECTRUM_MARGIN,
                               PropagatedSystem, SourceModel,
                               chebyshev_coefficients, derivative_ladder,
@@ -21,7 +21,7 @@ from landau.field import ScalarField, inner_product, l2_norm, random_field, zero
 from landau.grid import VelocityGrid
 from landau.kernel import KernelParams, QuadratureSpec, build_coefficients
 from landau.operator import SpectrumEdges, apply_L1, make_context
-from landau.verify import check_energy
+from landau.verify import check_energy, smoothing_report
 from tests.conftest import gaussian_field
 
 
@@ -427,24 +427,30 @@ def test_ladder_requires_positive_time(small_grid, small_ctx):
         derivative_ladder(f, 1.0, 11, system)
 
 
-def test_ladder_overflow_guard(small_grid):
-    # an artificial exploding operator trips the overflow error with depth
+def test_exploding_ladder_fails_smoothing_report(small_grid, small_ctx):
+    # the ladder has no guard of its own: an exploding operator's rungs
+    # overflow to inf, and the smoothing report is what fails them
     class Exploding:
-        coeffs = None
+        coeffs = small_ctx.coeffs
 
         def apply(self, f):
             return 1e60 * f
 
     model = SourceModel.zero(small_grid)
     f = random_field(small_grid, 23, bandlimit=5)
-    with pytest.raises(LadderOverflowError, match="overflow at depth 2") as err:
-        derivative_ladder(f, 1.0, 4, PropagatedSystem(Exploding(), model))
-    assert err.value.depth == 2
+    with np.errstate(all="ignore"):  # the overflow is the point
+        lad = derivative_ladder(f, 1.0, 6, PropagatedSystem(Exploding(), model))
+        rep = smoothing_report([lad])
+    assert lad.a_k[1] / lad.a_k[0] == pytest.approx(1e60)
+    assert lad.a_k[2] / lad.a_k[0] == pytest.approx(5e119)
+    assert np.all(np.isinf(lad.a_k[3:]))
+    assert rep.failures[1] == ["C", "B"]
 
 
-def test_ladder_names_a_non_finite_entry(small_grid, small_ctx):
-    # a NaN node in a rung, which no overflow made, raises the same error
-    # type with a message that says the entry is not finite
+def test_non_finite_ladder_entry_fails_smoothing_report(small_grid, small_ctx):
+    # a NaN node in the first rung makes every a_k from k = 1 on NaN; the
+    # ladder returns it, and the smoothing report fails with C and B
+    # non-finite
     class Faulty:
         coeffs = small_ctx.coeffs
 
@@ -455,10 +461,11 @@ def test_ladder_names_a_non_finite_entry(small_grid, small_ctx):
 
     model = SourceModel.zero(small_grid)
     f = random_field(small_grid, 23, bandlimit=5)
-    with pytest.raises(LadderOverflowError,
-                       match="entry is not finite at depth 1") as err:
-        derivative_ladder(f, 1.0, 4, PropagatedSystem(Faulty(), model))
-    assert err.value.depth == 1
+    lad = derivative_ladder(f, 1.0, 4, PropagatedSystem(Faulty(), model))
+    assert math.isfinite(lad.a_k[0]) and np.all(np.isnan(lad.a_k[1:]))
+    rep = smoothing_report([lad])
+    # one ladder has no doubled time, so the root variation reads 0
+    assert rep.failures == (["fit_max_positive_residual"], ["C", "B"])
 
 
 def test_ladder_matches_time_differencing(small_grid, small_ctx):
