@@ -14,7 +14,7 @@ from .errors import ConfigError
 from .evolution import LADDER_KMAX_CAP
 from .grid import VelocityGrid
 from .kernel import KernelParams, QuadratureSpec
-from .verify import MIN_ENSEMBLE
+from .verify import MIN_ENSEMBLE, doubled_time_pairs
 
 ALL_SUITES = ("kernel", "coefficients", "convolution", "inequalities",
               "energy", "smoothing")
@@ -156,6 +156,9 @@ def validate_config(cfg):
         if not 0.0 < t <= cfg.time_T:
             raise ConfigError(
                 f"ladder.eval_times must lie in (0, T]; got {t} with T = {cfg.time_T}")
+    if "smoothing" in cfg.verify_suites and not doubled_time_pairs(cfg.ladder_eval_times):
+        raise ConfigError("ladder.eval_times holds no pair t, 2t for the smoothing suite "
+                          f"to compare: {', '.join(map(str, cfg.ladder_eval_times))}")
     for t in cfg.time_snapshot_times:
         if not 0.0 < t <= cfg.time_T:
             raise ConfigError(

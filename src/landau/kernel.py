@@ -7,8 +7,8 @@ The interaction kernel is
 a positive semidefinite projection off the v direction scaled by |v|^{gamma+2},
 with row divergence b_j = sum_k d_k a_jk = -2 |v|^gamma v_j.
 `kernel_entries` writes both once, from one |v|^gamma, for the operator's
-tables and the checked point forms; the derivatives follow by the product
-rule on a = |v|^gamma P.
+tables and the checked point forms; the derivatives of a are the complex
+step of that same evaluator, Im a(v + i s e_l) / s, exact to round-off.
 The smoothed diffusion matrix abar = a * mu is stored as its two radial
 profiles, the eigenvalue l_par along v and the double eigenvalue l_perp
 across it (`UniaxialField`).  With the polar axis along v, the azimuthal and
@@ -106,51 +106,29 @@ def kernel_entries(u, gamma):
 
 
 def kernel_matrix_batch(points, gamma):
-    """a_jk at an array of points, shape (..., 3) -> (..., 3, 3)."""
-    pts = np.asarray(points, dtype=float)
-    out = np.empty(pts.shape + (3,))
+    """a_jk at an array of points, shape (..., 3) -> (..., 3, 3), in the
+    points' dtype: complex points give the kernel's analytic continuation,
+    which `kernel_first_derivatives` reads."""
+    pts = np.asarray(points)
+    out = np.empty(pts.shape + (3,), np.result_type(pts, 0.0))
     entries = itertools.islice(kernel_entries(np.moveaxis(pts, -1, 0), gamma), 3, None)
     for (j, k), a in zip(_PAIRS, entries):
         out[..., j, k] = out[..., k, j] = a
     return out
 
 
-# d_m d_l P_jk indexed [m, l, j, k], constant as P = |v|^2 I - v v^T is
-# quadratic, so that d_l P = v_m d_m d_l P
-_EYE = np.eye(3)
-_P_SECOND = (2.0 * np.einsum("ml,jk->mljk", _EYE, _EYE)
-             - np.einsum("jl,km->mljk", _EYE, _EYE)
-             - np.einsum("jm,kl->mljk", _EYE, _EYE))
-
-
-def _product_factors(points, gamma):
-    """v, |v|^2, and the factors of a = w P with their first derivatives:
-    w = |v|^gamma, w_l, P = a at gamma = 0 and P_l indexed [..., l, j, k]."""
-    v = np.asarray(points, dtype=float)
-    n2 = np.sum(v * v, axis=-1)
-    w1 = (gamma * n2 ** (0.5 * gamma - 1.0))[..., None] * v
-    return (v, n2, n2 ** (0.5 * gamma), w1, kernel_matrix_batch(v, 0.0),
-            np.tensordot(v, _P_SECOND, axes=1))
+# imaginary step of `kernel_first_derivatives`: its truncation error is
+# O(s^2) relative, and no difference is taken, so any s this small is exact
+# to round-off (Squire & Trapp, SIAM Rev. 40, 1998)
+_COMPLEX_STEP = 1e-30
 
 
 def kernel_first_derivatives(points, gamma):
-    """d_l a_jk at points (..., 3) -> (..., 3, 3, 3) indexed [l, j, k], by the
-    product rule on a = w P: d_l a = w_l P + w P_l."""
-    _, _, w, w1, p, p1 = _product_factors(points, gamma)
-    return w1[..., :, None, None] * p[..., None, :, :] + w[..., None, None, None] * p1
-
-
-def kernel_second_derivatives(points, gamma):
-    """d_m d_l a_jk at points (..., 3) -> (..., 3, 3, 3, 3) indexed [m, l, j, k],
-    by the product rule: d_m d_l a = w_lm P + w_l P_m + w_m P_l + w P_lm."""
-    v, n2, w, w1, p, p1 = _product_factors(points, gamma)
-    w2 = ((gamma * (gamma - 2.0) * n2 ** (0.5 * gamma - 2.0))[..., None, None]
-          * (v[..., :, None] * v[..., None, :])
-          + (gamma * n2 ** (0.5 * gamma - 1.0))[..., None, None] * _EYE)
-    cross = w1[..., :, None, None, None] * p1[..., None, :, :, :]  # w_m P_l
-    return (w2[..., :, :, None, None] * p[..., None, None, :, :]
-            + cross + np.swapaxes(cross, -4, -3)
-            + w[..., None, None, None, None] * _P_SECOND)
+    """d_l a_jk at points (..., 3) -> (..., 3, 3, 3) indexed [l, j, k], the
+    complex-step derivative Im a(v + i s e_l) / s of `kernel_matrix_batch`."""
+    v = np.asarray(points, dtype=float)
+    steps = v[..., None, :] + (1j * _COMPLEX_STEP) * np.eye(3)  # [..., l, :]
+    return kernel_matrix_batch(steps, gamma).imag / _COMPLEX_STEP
 
 
 def maxwellian_field(grid, params):

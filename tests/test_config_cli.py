@@ -261,6 +261,20 @@ def test_cli_single_suite_flag(small_run_config):
     assert not os.path.exists(os.path.join(out_dir, "report_coefficients.json"))
 
 
+def test_cli_smoothing_without_doubled_time_exit_code(tmp_path, capsys):
+    # the smoothing suite compares the ladders at t and 2t; with no such
+    # pair among the ladder times its check would compare nothing
+    undoubled = MINIMAL.replace("ladder.eval_times = 0.125, 0.25",
+                                "ladder.eval_times = 0.125, 0.2")
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(undoubled)
+    assert cli.main(["verify", "--config", str(bad)]) == 2
+    assert "no pair t, 2t" in capsys.readouterr().err
+    # the other suites read no pair
+    cfg = parse_config_text(undoubled + "verify.suites = kernel, energy\n")
+    assert cfg.ladder_eval_times == (0.125, 0.2)
+
+
 def test_cli_config_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("gamma = 0.5\n")

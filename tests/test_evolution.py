@@ -464,8 +464,10 @@ def test_non_finite_ladder_entry_fails_smoothing_report(small_grid, small_ctx):
     lad = derivative_ladder(f, 1.0, 4, PropagatedSystem(Faulty(), model))
     assert math.isfinite(lad.a_k[0]) and np.all(np.isnan(lad.a_k[1:]))
     rep = smoothing_report([lad])
-    # one ladder has no doubled time, so the root variation reads 0
-    assert rep.failures == (["fit_max_positive_residual"], ["C", "B"])
+    # one ladder has no doubled time, so the root variation compares
+    # nothing and reads NaN
+    assert rep.failures == (["fit_max_positive_residual",
+                             "root_variation_under_time_doubling"], ["C", "B"])
 
 
 def test_ladder_matches_time_differencing(small_grid, small_ctx):

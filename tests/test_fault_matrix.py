@@ -5,7 +5,8 @@ Each fault is patched in with monkeypatch, and every configured suite then
 runs on fresh resources.  A row pins the ids of the failing checks and the
 names of the non-finite constants, which fail their report too, or else the
 error the run raises (exit 3 on the command line).  So a change that makes
-a fault invisible fails here.  A fault that no verdict sees stays as a row
+a fault invisible fails here.  The fault-free row also pins the report
+format, each report's check ids and constant names (`REPORTS`).  A fault that no verdict sees stays as a row
 that passes; its comment names the ROADMAP item that should make it fail.
 Injecting faults to judge the checks is mutation analysis (DeMillo, Lipton
 & Sayward, IEEE Computer 11, 1978).
@@ -139,6 +140,29 @@ RECHECK = {"C2_fresh_within_slack", "C3_fresh_within_slack",
            "C4_fresh_within_slack", "eps1_inequality_fresh_margin"}
 SMOOTHING = {"fit_max_positive_residual", "root_variation_under_time_doubling"}
 
+# the report format: every report of the run, in the order the suites
+# write them, with the ids of its checks and the names of its constants
+REPORTS = [
+    ("kernel", ["quadratic_null", "row_null", "divergence_closed_form",
+                "first_derivative_homogeneity"], []),
+    ("coefficients", ["kernel_alpha0_unit_bound", "abar_psd", "c1_nonnegative",
+                      "c2_crosscheck_rel_l2", "b_table_vs_kernel_derivatives"], ["K_coef"]),
+    ("convolution", ["plateau_delta_0.5", "edge_limit_delta_0.5", "origin_positive_delta_0.5",
+                     "plateau_delta_1", "edge_limit_delta_1", "origin_positive_delta_1"],
+     ["K_conv"]),
+    ("coercivity", ["all_quotients_positive", "C1_positive"], ["C1", "C1_sample_min"]),
+    ("bilinear", ["C2_finite", "C3_finite", "C4_finite", "gradform_cauchy_schwarz"],
+     ["C2", "C3", "C4", "C3_one_sided", "C_eps1", "C_eps2", "K_gradform"]),
+    ("l3_embedding", ["K_L3_finite"], ["K_L3"]),
+    ("bilinear_recheck", ["C2_fresh_within_slack", "C3_fresh_within_slack",
+                          "C4_fresh_within_slack", "eps1_inequality_fresh_margin"], []),
+    ("energy", ["residual_dt_slope", "energy_log_lf_gap"],
+     ["C5", "C6", "energy_identity_residual", "A_g", "spectral_radius",
+      "spectrum_lower_edge"]),
+    ("smoothing", ["fit_max_positive_residual", "root_variation_under_time_doubling"],
+     ["C", "B"]),
+]
+
 MATRIX = [
     pytest.param(None, set(), set(), id="none"),
     pytest.param(l2_scaled(0.0), {"C3_finite", "C4_finite",
@@ -178,6 +202,9 @@ def test_fault_matrix(reference_n24, monkeypatch, fault, failing, non_finite):
             suites.run_suites(reference_n24.verify_suites, res)
         return
     reports = suites.run_suites(reference_n24.verify_suites, res)
+    if fault is None:
+        assert [(rep.suite, [c["id"] for c in rep.checks], [c["name"] for c in rep.constants])
+                for rep in reports] == REPORTS
     checks = {cid for rep in reports for cid in rep.failures[0]}
     constants = {name for rep in reports for name in rep.failures[1]}
     assert (checks, constants) == (failing, non_finite)

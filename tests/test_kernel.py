@@ -29,7 +29,7 @@ def test_gamma_range_enforced():
 
 
 def _divergence(v, gamma):
-    """b_j = sum_k d_k a_jk, the trace of the analytic first derivatives."""
+    """b_j = sum_k d_k a_jk, the trace of the first derivatives."""
     return np.einsum("...kjk->...j", kernel_first_derivatives(v, gamma))
 
 
@@ -474,26 +474,18 @@ def test_batch_matches_pointwise(params):
 
 
 def test_kernel_derivative_tensors_match_finite_differences():
-    from landau.kernel import kernel_second_derivatives
-
+    # central differences of the evaluator judge its complex step
     h = 1e-5
     for gamma in (-0.5, -1.5, -2.9):
         for point in ((1.1, -0.6, 0.9), (0.0, 0.0, 1.3)):  # generic, on axis
             v = np.array([point])
             d1 = kernel_first_derivatives(v, gamma)[0]  # [l, j, k]
-            d2 = kernel_second_derivatives(v, gamma)[0]  # [m, l, j, k]
             for l in range(3):
                 e = np.zeros(3)
                 e[l] = h
                 fd = (kernel_matrix_batch(v + e, gamma)[0]
                       - kernel_matrix_batch(v - e, gamma)[0]) / (2 * h)
                 assert np.allclose(d1[l], fd, atol=1e-8)
-                for m in range(3):
-                    em = np.zeros(3)
-                    em[m] = h
-                    fd2 = (kernel_first_derivatives(v + em, gamma)[0][l]
-                           - kernel_first_derivatives(v - em, gamma)[0][l]) / (2 * h)
-                    assert np.allclose(d2[m, l], fd2, atol=1e-6)
 
 
 def _six_component_products(m, V):
