@@ -6,12 +6,12 @@ are drawn for the one suite that reads them.
 
 The energy suite reads one propagation: the reference trajectory's graded
 energy log gives C5, and its nested subsamples are the energy-identity
-rungs.  Each ensemble of the inequalities suite holds its random members
-as band spectra, and the member pass builds a member's or a probe's field
-when it reads it; the pass walks one contiguous run of members per core,
-the first on the calling thread (`verify.member_pass`).  Each member owns
-the arrays it writes and results are reduced in a fixed order, so every
-output is the same bytes for any thread count."""
+rungs.  Both ensembles of the inequalities suite, held as band spectra,
+go through one member pass (`verify.member_pass`): it pairs each member
+with itself and the next, and walks one contiguous run per core, the
+first on the calling thread; the suite logs where each constant is
+attained.  Each member owns the arrays it writes and results are reduced
+in a fixed order, so every output is the same bytes for any thread count."""
 
 import time
 from functools import cached_property
@@ -156,7 +156,7 @@ def _suite_reports(name, res):
     if name == "convolution":
         return [verify.check_convolution_bound(res.grid, res.params)]
     if name == "inequalities":
-        members = _member_pass(res, res.ensemble(), True)
+        members = _member_pass(res, res.ensemble())
         reports = [
             verify.estimate_coercivity(res.coeffs, members),
             verify.estimate_bilinear_constants(members),
@@ -165,8 +165,10 @@ def _suite_reports(name, res):
         consts = {c["name"]: c["value"] for rep in reports for c in rep.constants}
         res.log(f"inequalities: coercivity descent took {reports[0].descent_steps} "
                 f"steps, C1 {consts['C1_sample_min']:.6g} -> {consts['C1']:.6g}")
+        res.log("inequalities: attained at " + ", ".join(
+            f"{c} ({', '.join(at)})" for c, at in verify.attained_at(members).items()))
         del members  # frees the first ensemble before the fresh one is drawn
-        fresh = _member_pass(res, res.ensemble(fresh=True), False)
+        fresh = _member_pass(res, res.ensemble(fresh=True))
         reports.append(verify.recheck_bilinear(fresh, consts))
         return reports
     if name == "energy":
@@ -180,9 +182,9 @@ def _suite_reports(name, res):
     raise ConfigError(f"unknown suite {name!r}")
 
 
-def _member_pass(res, ensemble, full):
+def _member_pass(res, ensemble):
     ctx, n, t0 = res.ctx, len(ensemble), time.perf_counter()
-    members = verify.member_pass(ctx, ensemble, full=full)
+    members = verify.member_pass(ctx, ensemble)
     res.log(f"inequalities: member pass over {n} members on "
             f"{len(verify.runs_on_cores(n))} cores, {time.perf_counter() - t0:.2f} s")
     return members

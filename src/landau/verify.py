@@ -410,30 +410,19 @@ def runs_on_cores(n):
     return [range(n * r // k, n * (r + 1) // k) for r in range(k)]
 
 
-def _pairing(n):
-    """Deterministic pair schedule: row i holds the partners of member i,
-    itself, its neighbor and a strided member, so probe-probe and
-    probe-random combinations all get sampled."""
-    strided = [(i * 7 + 3) % n for i in range(n)]
-    return [(i, (i + 1) % n, j if j != i else (i + 2) % n)
-            for i, j in enumerate(strided)]
-
-
 @dataclass
 class MemberScalars:
     """Everything the inequality estimators read of an ensemble, one entry
-    per member; the pair entries follow the member's row of `_pairing`,
-    which starts with the member itself."""
+    per member i; a pair entry holds the pairs (i, i) and (i, i + 1 mod n)."""
 
     ensemble: Ensemble
-    partners: list
     a_sq: list        # ||f||_A^2
     s: list           # ||f||_{2, g/2}
-    s3: list          # ||f||_{3, g/2}, None in a pass that is not `full`
-    den: list         # split-energy denominator, likewise
+    s3: list          # ||f||_{3, g/2}
+    den: list         # split-energy denominator
     l1_pair: list     # (L1 f, f_j) per partner j
     l2_pair: list     # (L2 f, f_j) per partner j
-    grad_pair: list = None  # (Abar grad f, grad f_j) per partner j, if `full`
+    grad_pair: list   # (Abar grad f, grad f_j) per partner j
 
     @property
     def a_norm(self):
@@ -457,53 +446,42 @@ class MemberScalars:
         return np.array(self.l2_pair)[:, 0]
 
 
-def member_pass(ctx, ensemble, full=True):
+def member_pass(ctx, ensemble):
     """One pass over the ensemble: per member one gradient, L1 f, L2 f and
-    the weighted norms, reduced at once to scalars, so nothing N^3-sized
-    outlives its member.  The gradient-form cross term of a pair is
-    (L1 f, f_j) - ((c1 - c2) f, f_j), summation by parts with `divergence`
-    the negative adjoint of `gradient`, so no partner's gradient is taken.
-    Without `full` the pass skips ||f||_{3, g/2}, the split-energy
-    denominator and the gradient-form terms, which only the coercivity,
-    L3 and bilinear estimates read, not `recheck_bilinear`.
-
-    Each thread walks one contiguous run of members (`runs_on_cores`) and
-    builds each field from the ensemble when it reads it: member i + 1,
-    the neighbour partner of member i, is the next member's field, built
-    once, and only the strided partner is built a second time."""
+    the weighted norms, reduced at once to scalars against the member itself
+    and the next member, i + 1 mod n, so nothing N^3-sized outlives its
+    member.  The gradient-form cross term of a pair is (L1 f, f_j) -
+    ((c1 - c2) f, f_j), summation by parts with `divergence` the negative
+    adjoint of `gradient`, so no partner's gradient is taken.  Each thread
+    walks one contiguous run of members (`runs_on_cores`) and builds each
+    field when it reads it: once, and the one after the run's end twice."""
     coeffs, n = ctx.coeffs, len(ensemble)
     g = coeffs.params.gamma
-    partners = _pairing(n)
     # the three forms, built once here, not lazily in each thread
     coeffs.a_form
     l1_potential, split = coeffs.l1_form.potential, coeffs.split_form
 
-    def scalars(i, f, neighbour):
+    def scalars(f, neighbour):
         grad = gradient(f)
         l1 = apply_L1(f, coeffs, grad=grad)
         l2 = apply_L2(f, ctx.engine, coeffs)
-        potential = ScalarField(f.grid, l1_potential * f.values) if full else None
-        held = {i: f, (i + 1) % n: neighbour}
-        pairs = []
-        for j in partners[i]:
-            f_j = held[j] if j in held else ensemble[j]
+        potential = ScalarField(f.grid, l1_potential * f.values)
+        def pair(f_j):
             l1_j = inner_product(l1, f_j)
-            gradform = (l1_j - inner_product(potential, f_j),) if full else ()
-            pairs.append((l1_j, inner_product(l2, f_j), *gradform))
+            return l1_j, inner_product(l2, f_j), l1_j - inner_product(potential, f_j)
         return (a_norm_sq(f, coeffs, grad), weighted_norm(f, 2, 0.5 * g),
-                weighted_norm(f, 3, 0.5 * g) if full else None,
-                split.energy(f, grad) if full else None, *zip(*pairs))
+                weighted_norm(f, 3, 0.5 * g), split.energy(f, grad),
+                *zip(pair(f), pair(neighbour)))
 
     def walk(run):
-        rows, f = [], ensemble[run[0]]
+        rows, neighbour = [], ensemble[run[0]]
         for i in run:
-            neighbour = ensemble[(i + 1) % n]
-            rows.append(scalars(i, f, neighbour))
-            f = neighbour
+            f, neighbour = neighbour, ensemble[(i + 1) % n]
+            rows.append(scalars(f, neighbour))
         return rows
 
     rows = [row for run in map_on_cores(walk, runs_on_cores(n)) for row in run]
-    return MemberScalars(ensemble, partners, *map(list, zip(*rows)))
+    return MemberScalars(ensemble, *map(list, zip(*rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -567,28 +545,37 @@ def estimate_coercivity(coeffs, members):
 # bilinear constants
 # ---------------------------------------------------------------------------
 
-def _pair_ratio_maxima(members):
-    """Largest boundedness ratios of L1 (C2), of L2 (C3, its one-sided
-    form, C4) and, after a `full` pass, of the gradient form over the pair
-    schedule of the member pass."""
+def _pair_ratios(members):
+    """Boundedness ratios of L1 (C2), of L2 (C3, its one-sided form, C4)
+    and of the gradient form over the pairs of the member pass: member i
+    down the rows, its pairs (i, i) and (i, i + 1 mod n) along them."""
     a, s = members.a_norm, np.array(members.s)
-    # member i down the rows, its partners j along them
-    j = np.array(members.partners)
-    a_i, s_i, a_j, s_j = a[:, None], s[:, None], a[j], s[j]
+    a_i, s_i = a[:, None], s[:, None]
+    a_j, s_j = (np.stack([x, np.roll(x, -1)], axis=1) for x in (a, s))
     l2 = np.abs(members.l2_pair)
-    gradform = ({} if members.grad_pair is None else
-                {"K_gradform": np.max(np.abs(members.grad_pair) / (a_i * a_j))})
-    return {"C2": np.max(np.abs(members.l1_pair) / (a_i * a_j)),
-            "C3": np.max(l2 / (s_i * a_j + a_i * s_j)),
-            "C3_one_sided": np.max(l2 / (s_i * a_j)),
-            "C4": np.max(l2 / (a_i * a_j)), **gradform}
+    return {"C2": np.abs(members.l1_pair) / (a_i * a_j),
+            "C3": l2 / (s_i * a_j + a_i * s_j),
+            "C3_one_sided": l2 / (s_i * a_j),
+            "C4": l2 / (a_i * a_j),
+            "K_gradform": np.abs(members.grad_pair) / (a_i * a_j)}
+
+
+def attained_at(members):
+    """The member of C1_sample_min, the smallest coercivity quotient, and the
+    pair at which each ratio of `_pair_ratios` is largest, each member named
+    "i random" or "i probe k"."""
+    n, k = len(members.a_sq), len(members.ensemble.spectra)
+    label = [f"{i} random" if i < k else f"{i} probe {i - k}" for i in range(n)]
+    at = {c: divmod(int(np.argmax(r)), 2) for c, r in _pair_ratios(members).items()}
+    return {"C1_sample_min": (label[int(np.argmin(np.divide(members.a_sq, members.den)))],),
+            **{c: (label[i], label[(i + j) % n]) for c, (i, j) in at.items()}}
 
 
 def estimate_bilinear_constants(members):
     """Empirical maxima of the boundedness ratios of L1 and L2, the
     quarter-slack companion constants, and the gradient-form ratio."""
     n = len(members.ensemble)
-    worst = _pair_ratio_maxima(members)
+    worst = {name: np.max(r) for name, r in _pair_ratios(members).items()}
     kgrad = worst["K_gradform"]
     a2, s2 = members.squares()
     c_eps1 = np.max(((1.0 - EPS1) * a2 - members.l1ff) / s2, initial=0.0)
@@ -611,7 +598,7 @@ def recheck_bilinear(members, constants):
     """Certify measured maxima on the member pass of a fresh ensemble with
     multiplicative slack RECHECK_SLACK."""
     rep = VerificationReport("bilinear_recheck")
-    worst = _pair_ratio_maxima(members)
+    worst = {name: np.max(r) for name, r in _pair_ratios(members).items()}
     for name in ("C2", "C3", "C4"):
         bound = RECHECK_SLACK * constants[name]
         rep.add_check(f"{name}_fresh_within_slack", worst[name], bound,

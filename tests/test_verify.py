@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import os
+import re
 import sys
 import threading
 import time
@@ -430,14 +431,16 @@ def test_bilinear_constants(small_ctx, members):
 
 def test_member_pass_matches_public_functions(small_ctx, ensemble, members):
     # every scalar of the pass, bit for bit against the public functions
-    # on each member, with every gradient computed afresh; the cross terms,
-    # taken by summation by parts from (L1 f, f_j), to round-off against
-    # the gradient form itself
+    # on each member, with every gradient computed afresh, over the pairs
+    # (i, i) and (i, i + 1 mod n); the cross terms, taken by summation by
+    # parts from (L1 f, f_j), to round-off against the gradient form itself
     coeffs = small_ctx.coeffs
     g = coeffs.params.gamma
     vol = coeffs.grid.cell_volume
-    assert members.partners == verify._pairing(len(ensemble))
+    n = len(ensemble)
     a = members.a_norm
+    for fld in ("l1_pair", "l2_pair", "grad_pair"):
+        assert [len(row) for row in getattr(members, fld)] == [2] * n, fld
     for i, f in enumerate(ensemble):
         l1 = apply_L1(f, coeffs)
         l2 = apply_L2(f, small_ctx.engine, coeffs)
@@ -448,31 +451,27 @@ def test_member_pass_matches_public_functions(small_ctx, ensemble, members):
         assert members.l1ff[i] == inner_product(l1, f)
         assert members.l2ff[i] == inner_product(l2, f)
         flux = coeffs.abar.apply(gradient(f))
-        for c, j in enumerate(members.partners[i]):
+        for c, j in enumerate((i, (i + 1) % n)):
             assert members.l1_pair[i][c] == inner_product(l1, ensemble[j])
             assert members.l2_pair[i][c] == inner_product(l2, ensemble[j])
             form = float(np.sum(flux.comps * gradient(ensemble[j]).comps)) * vol
             assert abs(members.grad_pair[i][c] - form) <= 1e-13 * a[i] * a[j]
 
 
-def test_recheck_pass_skips_unread_norms(small_ctx, ensemble, members):
-    # the pass without `full` leaves out ||f||_{3, g/2}, the split-energy
-    # denominator and the gradient-form terms, and the recheck reads the
-    # same bytes from it
-    partial = member_pass(small_ctx, ensemble, full=False)
-    for fld in dataclasses.fields(members):
-        if fld.name in ("s3", "den"):
-            assert getattr(partial, fld.name) == [None] * len(ensemble)
-        elif fld.name == "grad_pair":
-            assert partial.grad_pair is None
-        elif fld.name != "ensemble":
-            assert getattr(partial, fld.name) == getattr(members, fld.name), fld.name
-    assert "K_gradform" not in verify._pair_ratio_maxima(partial)
-    assert "K_gradform" in verify._pair_ratio_maxima(members)
-    consts = {c["name"]: c["value"]
-              for c in estimate_bilinear_constants(members).constants}
-    assert (recheck_bilinear(partial, consts).checks
-            == recheck_bilinear(members, consts).checks)
+def test_member_pass_builds_each_member_once(small_ctx, ensemble, monkeypatch):
+    # each field is built once, the next member's field is the partner, and
+    # only the member after each run's end is built a second time: at most
+    # n + (number of runs) builds, not one more per member (2n)
+    built = []
+
+    def counted(build):
+        return lambda *args: built.append(args) or build(*args)
+
+    for name in ("synthesize", "deterministic_probe"):
+        monkeypatch.setattr(verify, name, counted(getattr(verify, name)))
+    n = len(ensemble)
+    member_pass(small_ctx, ensemble)
+    assert n <= len(built) <= n + len(verify.runs_on_cores(n)), len(built)
 
 
 def test_member_pass_one_gradient_per_member(small_ctx, ensemble, monkeypatch):
@@ -570,8 +569,9 @@ def test_inequalities_suite_reports_identical():
 
 def test_inequalities_suite_logs_its_progress(monkeypatch, capsys):
     # one line per member pass with its member count, core count and time,
-    # and one for the descent with its steps and C1 before and after; the
-    # same reports with a log as without, and no output without one
+    # one for the descent with its steps and C1 before and after, and one
+    # for where the constants are attained; the same reports with a log as
+    # without, and no output without one
     _on_cores(monkeypatch, 2)
     logged = []
     res = RunResources(parse_config_text(ENERGY_CFG), log=logged.append)
@@ -579,14 +579,56 @@ def test_inequalities_suite_logs_its_progress(monkeypatch, capsys):
     quiet = run_suite("inequalities", RunResources(parse_config_text(ENERGY_CFG), log=None))
     assert reports == quiet and capsys.readouterr().out == ""
     consts = {c["name"]: c["value"] for c in reports[0].constants}
-    assert len(logged) == 3, logged
-    for line in (logged[0], logged[2]):
+    assert len(logged) == 4, logged
+    for line in (logged[0], logged[3]):
         assert line.startswith("inequalities: member pass over 74 members on 2 cores, ")
         assert line.endswith(" s")
     steps = reports[0].descent_steps
     assert 0 <= steps <= verify.DESCENT_STEPS
     assert logged[1] == (f"inequalities: coercivity descent took {steps} steps, "
                          f"C1 {consts['C1_sample_min']:.6g} -> {consts['C1']:.6g}")
+    assert logged[2].startswith("inequalities: attained at C1_sample_min (")
+
+
+def test_inequalities_suite_logs_where_each_constant_is_attained():
+    # each logged member is named random or probe k by its place in the
+    # ensemble, each pair is (i, i) or (i, i + 1 mod n), and the ratio at
+    # each logged pair, taken from the public functions on the logged
+    # members, is the reported constant
+    logged = []
+    res = RunResources(parse_config_text(ENERGY_CFG), log=logged.append)
+    consts = {c["name"]: c["value"] for rep in run_suite("inequalities", res)
+              for c in rep.constants}
+    [line] = [x for x in logged if x.startswith("inequalities: attained at ")]
+    named = dict(re.findall(r"(\w+) \(([^)]*)\)", line))
+    assert list(named) == ["C1_sample_min", "C2", "C3", "C3_one_sided", "C4", "K_gradform"]
+    ens, coeffs = res.ensemble(), res.coeffs
+    n, k, g = len(ens), len(ens.spectra), coeffs.params.gamma
+    at = {}
+    for name, members in named.items():
+        at[name] = [int(label.split()[0]) for label in members.split(", ")]
+        for i, label in zip(at[name], members.split(", ")):
+            assert label == (f"{i} random" if i < k else f"{i} probe {i - k}")
+    [i] = at["C1_sample_min"]
+    f = ens[i]
+    assert (a_norm_sq(f, coeffs) / coeffs.split_form.energy(f)) == consts["C1_sample_min"]
+    for name in ("C2", "C3", "C3_one_sided", "C4", "K_gradform"):
+        i, j = at[name]
+        assert j in (i, (i + 1) % n), (name, i, j)
+        f, f_j = ens[i], ens[j]
+        a_i, a_j = (math.sqrt(a_norm_sq(x, coeffs)) for x in (f, f_j))
+        s_i, s_j = (weighted_norm(x, 2, 0.5 * g) for x in (f, f_j))
+        l2 = abs(inner_product(apply_L2(f, res.ctx.engine, coeffs), f_j))
+        if name == "K_gradform":
+            form = float(np.sum(coeffs.abar.apply(gradient(f)).comps
+                                * gradient(f_j).comps)) * coeffs.grid.cell_volume
+            assert abs(abs(form) / (a_i * a_j) - consts[name]) <= 1e-13, name
+            continue
+        ratio = {"C2": abs(inner_product(apply_L1(f, coeffs), f_j)) / (a_i * a_j),
+                 "C3": l2 / (s_i * a_j + a_i * s_j),
+                 "C3_one_sided": l2 / (s_i * a_j),
+                 "C4": l2 / (a_i * a_j)}[name]
+        assert ratio == consts[name], (name, ratio, consts[name])
 
 
 def test_inequalities_suite_frees_each_ensemble(monkeypatch):
