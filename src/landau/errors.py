@@ -31,11 +31,6 @@ class EigenvalueError(LandauError):
     """Eigenvalue iteration did not converge."""
 
 
-class InstabilityError(LandauError):
-    """The Chebyshev propagation interval does not contain the measured
-    spectrum of the propagated system, so the series would grow."""
-
-
 class DegenerateRatioError(LandauError):
     """Ratio estimate hit a near-zero denominator."""
 

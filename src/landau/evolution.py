@@ -9,17 +9,18 @@ the f-rows of (-G)^m y, exact: finite differences of trajectories would
 destroy the k! scaling.
 
 `evolve` applies the exact propagator e^{-s G} through its Chebyshev
-expansion on an interval [lo, hi] that contains that spectrum (Tal-Ezer &
-Kosloff, J. Chem. Phys. 81, 1984; augmenting the system with the forcing
-follows Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011), so no step size
-and no stability region enter.  The time axis is cut into octave segments
-[0, T/2^K], ..., [T/2, T] with K = ceil(log2(rho(L) T)), plus every
-requested time as an edge; one `step` propagates one segment and its
-SEGMENT_SAMPLES uniform sample times by a single three-term recurrence,
-and returns f and L f at those times.  The samples form the energy log,
-whose nested subsamples are the energy-identity rungs; the log's (Lf, f)
-comes from the recurrence's own applications of L, and `evolve` checks it
-against L applied directly to the last sample of each segment.
+expansion on `PropagatedSystem.interval`, which contains that spectrum
+(Tal-Ezer & Kosloff, J. Chem. Phys. 81, 1984; augmenting the system with
+the forcing follows Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011), so
+no step size and no stability region enter.  The time axis is cut into
+octave segments [0, T/2^K], ..., [T/2, T] with K = ceil(log2(rho(L) T)),
+plus every requested time as an edge; one `step` propagates one segment
+and its SEGMENT_SAMPLES uniform sample times by a single three-term
+recurrence, and returns f and L f at those times.  The samples form the
+energy log, whose nested subsamples are the energy-identity rungs; the
+log's (Lf, f) comes from the recurrence's own applications of L, and
+`evolve` checks it against L applied directly to the last sample of each
+segment.
 """
 
 import math
@@ -28,7 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InstabilityError
 from .field import ScalarField, a_norm, inner_product, l2_norm, zeros
 
 LADDER_KMAX_CAP = 10
@@ -166,12 +166,13 @@ class PropagatedSystem:
             lf = self.ctx.apply(ScalarField(phi.grid, f)).values
         return lf, lf - tau * phi.values
 
-    def spectrum(self, margin=0.0):
-        """(lower, upper) of G: rate and L's measured edges, each moved
-        margin * rho outwards; SPECTRUM_MARGIN - 1 gives `evolve`'s interval.
-        L's lower edge rho - max |rho - lambda| is at most min Re lambda."""
+    @property
+    def interval(self):
+        """The propagation interval [lo, hi]: it holds rate and L's measured
+        edges, each moved (SPECTRUM_MARGIN - 1) rho outwards.  L's lower
+        edge rho - max |rho - lambda| is at most min Re lambda."""
         rho, edge = self.ctx.spectrum.rho, self.ctx.spectrum.edge
-        pad = margin * rho
+        pad = (SPECTRUM_MARGIN - 1.0) * rho
         return min(edge - pad, self.rate), max(rho + pad, self.rate)
 
 
@@ -192,35 +193,27 @@ def _log_row(f, lf, t, system):
             inner_product(g, f), inner_product(lf, f))
 
 
-def step(f, t0, t1, system, interval, lf0=None):
+def step(f, t0, t1, system, lf0=None):
     """Propagate y = (f(t0), tau(t0)) to the SEGMENT_SAMPLES uniform times
     of (t0, t1] by one Chebyshev recurrence T_{k+1}(X) y = 2 X T_k(X) y -
-    T_{k-1}(X) y, X = (2 G - hi - lo) / (hi - lo), G that of `system`, whose
-    vectors serve every sample time.  Returns the fields f at those times,
-    the last at t1, and L f at the same times, sum_k c_k(s_i) L (T_k y)_f:
+    T_{k-1}(X) y, X = (2 G - hi - lo) / (hi - lo), with G and [lo, hi] =
+    `system.interval` those of `system`, whose vectors serve every sample
+    time.  Returns the fields f at those times, the last at t1, and L f at
+    the same times, sum_k c_k(s_i) L (T_k y)_f:
     `system.apply` gives each term's image under L with the f-row of G
     that builds the next term, so L is applied once per term, and not to
     the first term, f itself, when the caller hands L f in as `lf0`.
     Both sums run as one matrix product per ACCUMULATED_TERMS terms, in
     blocks of STEP_COLUMNS columns added into the samples.  The samples
     and the pending terms are blocks made by this call; the returned
-    fields are views of the samples' block, which no later call touches.
-
-    An interval [lo, hi] that does not contain `system.spectrum()`, the
-    measured edges of the spectrum of G, raises InstabilityError before L
-    is applied: outside [lo, hi] the series grows instead of decaying."""
-    lower, upper = system.spectrum()
-    lo, hi = interval
-    if not (lo <= lower and upper <= hi and lo < hi and math.isfinite(hi - lo)):
-        raise InstabilityError(
-            f"interval [{lo:.6g}, {hi:.6g}] does not contain the measured "
-            f"spectrum [{lower:.6g}, {upper:.6g}] of the propagated system")
+    fields are views of the samples' block, which no later call touches."""
     grid = f.grid
+    lo, hi = system.interval
     scale, shift = 2.0 / (hi - lo), (hi + lo) / (hi - lo)
     rate_x = scale * system.rate - shift
 
     offsets = (t1 - t0) * np.arange(1, SEGMENT_SAMPLES + 1) / SEGMENT_SAMPLES
-    coef = chebyshev_coefficients(offsets, interval)
+    coef = chebyshev_coefficients(offsets, (lo, hi))
     degree = len(coef) - 1
     # samples[0] holds f, samples[1] L f; terms the same for the pending T_k y
     samples = np.zeros((2, SEGMENT_SAMPLES, f.values.size))
@@ -256,11 +249,10 @@ def _relative_gap(got, exact):
 
 
 def evolve(f0, system, T, snapshot_times=(), log=None):
-    """Propagate f0 to time T under `system` on its interval
-    `system.spectrum(SPECTRUM_MARGIN - 1)`; returns the energy log, with one
-    row at 0 and SEGMENT_SAMPLES rows per segment (see `segment_edges`),
-    the fields at the snapshot times and at T with the index of the
-    segment that ends at each, and `lf_gap`.
+    """Propagate f0 to time T under `system` on `system.interval`; returns
+    the energy log, with one row at 0 and SEGMENT_SAMPLES rows per segment
+    (see `segment_edges`), the fields at the snapshot times and at T with
+    the index of the segment that ends at each, and `lf_gap`.
 
     The log's (Lf, f) takes L f from `step`.  L is also applied directly
     to the last sample of every segment; `lf_gap` is the largest relative
@@ -275,7 +267,6 @@ def evolve(f0, system, T, snapshot_times=(), log=None):
     if T <= 0:
         raise ValueError("horizon T must be positive")
     ctx = system.ctx
-    lo, hi = system.spectrum(SPECTRUM_MARGIN - 1.0)
     if log is not None:
         measured = ctx.spectrum
         log(f"evolve: spectrum of L measured, rho = {measured.rho:.6g}, lower "
@@ -284,7 +275,7 @@ def evolve(f0, system, T, snapshot_times=(), log=None):
     edges = segment_edges(T, ctx.spectrum.rho, snapshot_times)
     # applications of L per segment: the series' terms but the first,
     # whose image the caller holds, and one for the direct check
-    costs = [len(chebyshev_coefficients([t1 - t0], (lo, hi)))
+    costs = [len(chebyshev_coefficients([t1 - t0], system.interval))
              for t0, t1 in zip(edges[:-1], edges[1:])]
     planned = 1 + sum(costs)
 
@@ -293,7 +284,7 @@ def evolve(f0, system, T, snapshot_times=(), log=None):
     snapshots, snapshot_steps, gaps = {}, {}, []
     applied, started = 1, time.perf_counter()
     for i, (t0, t1) in enumerate(zip(edges[:-1], edges[1:]), 1):
-        samples, lfs = step(f, t0, t1, system, (lo, hi), lf)
+        samples, lfs = step(f, t0, t1, system, lf)
         times = [t0 + (t1 - t0) * j / SEGMENT_SAMPLES
                  for j in range(1, SEGMENT_SAMPLES)] + [t1]
         rows += [_log_row(sample, lf, t, system)

@@ -304,9 +304,10 @@ def abar_profiles_at(s_values, params, quad):
     r_max = float(s.max()) + 8.0
     base = _abar_profiles(s, params, quad.radial_order, r_max)
     fine = _abar_profiles(s, params, 2 * quad.radial_order, r_max)
-    scale = max(float(np.max(np.abs(fine[0]))), float(np.max(np.abs(fine[1]))))
-    err = max(float(np.max(np.abs(f - b))) for f, b in zip(fine, base)) / scale
-    if err > quad.rtol:
+    # numpy maxima over both profiles, and a refusal that a NaN fails too
+    scale = float(np.max(np.abs(fine)))
+    err = float(np.max(np.abs(np.subtract(fine, base)))) / scale
+    if not err <= quad.rtol:
         raise QuadratureError(
             f"radial order doubling changed abar by {err:.3e} > rtol {quad.rtol:.1e}"
         )

@@ -236,9 +236,10 @@ def arnoldi_edges(matvec, v0):
     cycle after the first costs m - k applications for k kept vectors.
     Projections, norms and the rotation are numpy reductions (einsum,
     which never calls BLAS), so their summation order, and with it both
-    edges, is the same for any BLAS thread count.  Written with numpy
-    alone: importing scipy.linalg would add to the resident memory of
-    every run.
+    edges, is the same for any BLAS thread count.  A projected matrix with
+    a non-finite entry raises EigenvalueError before its eigenvalues are
+    taken.  Written with numpy alone: importing scipy.linalg would add to
+    the resident memory of every run.
     """
     m = ARNOLDI_KRYLOV_DIM
     n = v0.size
@@ -256,6 +257,9 @@ def arnoldi_edges(matvec, v0):
                 hess[:j + 1, j] += c
             hess[j + 1, j] = _norm(w)
             basis[j + 1] = w / hess[j + 1, j]
+        if not np.isfinite(hess).all():
+            raise EigenvalueError(f"the projected matrix of Arnoldi cycle {cycle} "
+                                  "holds a non-finite entry: the map is not finite")
         theta, vecs = np.linalg.eig(hess[:m])
         residual = np.abs(hess[m] @ vecs)
         top = int(np.argmax(np.abs(theta)))

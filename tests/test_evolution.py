@@ -11,9 +11,7 @@ import pytest
 
 import landau
 from landau import evolution
-from landau.errors import InstabilityError
-from landau.evolution import (SEGMENT_SAMPLES, SPECTRUM_MARGIN,
-                              PropagatedSystem, SourceModel,
+from landau.evolution import (SEGMENT_SAMPLES, PropagatedSystem, SourceModel,
                               chebyshev_coefficients, derivative_ladder,
                               evolve, measure_source_bound, scaled_bessel_i,
                               step)
@@ -36,14 +34,9 @@ def test_source_bound_finite(small_grid):
     assert 0.0 < a_g < 10.0
 
 
-def interval_of(system):
-    """The propagation interval `evolve` uses for `system`."""
-    return system.spectrum(SPECTRUM_MARGIN - 1.0)
-
-
 def test_step_zero_stays_zero(small_grid, small_ctx):
     system = PropagatedSystem(small_ctx, SourceModel.zero(small_grid))
-    samples, lfs = step(zeros(small_grid), 0.25, 0.35, system, interval_of(system))
+    samples, lfs = step(zeros(small_grid), 0.25, 0.35, system)
     assert len(samples) == len(lfs) == SEGMENT_SAMPLES
     assert all(np.all(f.values == 0.0) for f in samples + lfs)
 
@@ -88,8 +81,8 @@ def test_step_without_operator_matches_quadrature(small_grid, small_zero_ctx):
         def exact(t):
             return f0.values + 0.7 * (1.0 - math.exp(-rate * t)) / rate * phi.values
 
-        assert interval_of(system) == (0.0, rate)
-        samples, _ = step(f0, 0.0, 0.4, system, interval_of(system))
+        assert system.interval == (0.0, rate)
+        samples, _ = step(f0, 0.0, 0.4, system)
         for i, f in enumerate(samples, 1):
             err = np.max(np.abs(f.values - exact(0.4 * i / SEGMENT_SAMPLES)))
             assert err <= 1e-12 * scale
@@ -157,14 +150,20 @@ def test_default_step_from_spectral_radius(small_grid, small_ctx):
 def test_default_step_accuracy(small_grid, small_ctx):
     # the measured interval against a much wider one, whose series has
     # other coefficients and more terms, at every sample of a segment of
-    # length 8/rho
+    # length 8/rho; the wide series propagates the true L on a stand-in
+    # whose measured edges reach past (lo - 5, 2 hi)
     f0 = random_field(small_grid, 7, bandlimit=5, envelope_width=1.0)
     model = SourceModel(unit_gaussian(small_grid), amplitude=0.5)
     t0, t1 = 0.1, 0.1 + 8.0 / small_ctx.spectrum.rho
     system = PropagatedSystem(small_ctx, model)
-    lo, hi = interval_of(system)
-    measured, lfs = step(f0, t0, t1, system, (lo, hi))
-    wide, _ = step(f0, t0, t1, system, (lo - 5.0, 2.0 * hi))
+    lo, hi = system.interval
+    stand_in = SimpleNamespace(apply=small_ctx.apply, coeffs=small_ctx.coeffs,
+                               spectrum=SpectrumEdges(2.0 * hi, lo - 5.0, 0, 0))
+    wide_system = PropagatedSystem(stand_in, model)
+    wide_lo, wide_hi = wide_system.interval
+    assert wide_lo <= lo - 5.0 and wide_hi >= 2.0 * hi
+    measured, lfs = step(f0, t0, t1, system)
+    wide, _ = step(f0, t0, t1, wide_system)
     for f, g in zip(measured, wide):
         assert l2_norm(f - g) <= 1e-12 * l2_norm(g)
     # L f at each sample, summed from the recurrence's own applications of
@@ -201,8 +200,8 @@ def test_step_memory_holds_no_product_block():
     # and temporaries of about 14 N^3 (61.7 measured); a (16, N^3)
     # product block on top of them would pass 64 N^3 (75.0)
     held, system, (samples, _) = _traced_peak(
-        lambda system, f0: step(f0, 0.0, 0.05, system, interval_of(system)), rho=200.0)
-    assert len(chebyshev_coefficients([0.05], interval_of(system))) > 16
+        lambda system, f0: step(f0, 0.0, 0.05, system), rho=200.0)
+    assert len(chebyshev_coefficients([0.05], system.interval)) > 16
     assert all(np.isfinite(f.values).all() for f in samples)
     assert held < 64.0, held
 
@@ -237,7 +236,7 @@ def test_propagator_top_ritz_vector(small_grid, small_ctx):
     v = ScalarField(grid, (vec / vec[np.argmax(np.abs(vec))]).real.reshape(grid.shape))
     system = PropagatedSystem(small_ctx, SourceModel.zero(grid))
     span = 1.0 / small_ctx.spectrum.rho
-    samples, lfs = step(v, 0.0, span, system, interval_of(system))
+    samples, lfs = step(v, 0.0, span, system)
     for i, (f, lf) in enumerate(zip(samples, lfs), 1):
         exact = math.exp(-theta.real * span * i / SEGMENT_SAMPLES) * v
         assert l2_norm(f - exact) <= 1e-10 * l2_norm(exact)
@@ -286,7 +285,7 @@ def test_evolve_applies_L_once_per_field(small_grid, small_ctx):
     lines = []
     evolve(f0, system, 0.5, snapshot_times=(0.25,), log=lines.append)
     edges = evolution.segment_edges(0.5, ctx.spectrum.rho, (0.25,))
-    terms = [len(chebyshev_coefficients([t1 - t0], interval_of(system)))
+    terms = [len(chebyshev_coefficients([t1 - t0], system.interval))
              for t0, t1 in zip(edges[:-1], edges[1:])]
     planned = int(re.search(r"of (\d+) applications of L", lines[-1]).group(1))
     assert len(edges) > 3
@@ -300,10 +299,9 @@ def test_step_takes_the_first_image_it_is_handed(small_grid, small_ctx):
     f0 = random_field(small_grid, 7, bandlimit=5, envelope_width=1.0)
     counted = CountingContext(small_ctx)
     counting = PropagatedSystem(counted, system.model)
-    interval = interval_of(system)
-    fresh = step(f0, 0.1, 0.2, counting, interval)
+    fresh = step(f0, 0.1, 0.2, counting)
     calls = counted.calls
-    handed = step(f0, 0.1, 0.2, counting, interval, lf0=small_ctx.apply(f0))
+    handed = step(f0, 0.1, 0.2, counting, lf0=small_ctx.apply(f0))
     assert counted.calls == 2 * calls - 1
     for got, want in zip(handed, fresh):
         for g, w in zip(got, want):
@@ -488,32 +486,19 @@ def test_ladder_matches_time_differencing(small_grid, small_ctx):
     assert 2.5 <= ratio <= 6.0  # second order in the offset
 
 
-def test_instability_guard(small_grid, small_ctx):
-    # an interval that does not contain the measured spectrum, [lower edge,
-    # rho] of L, is refused before L is applied even once; an interval that
-    # contains it goes ahead
-    ctx = CountingContext(small_ctx)
-    rho, edge = ctx.spectrum.rho, ctx.spectrum.edge
+def test_propagation_interval_contains_spectrum(small_grid, small_ctx):
+    # the interval holds the measured spectrum [lower edge, rho] of L,
+    # padded by 2% of rho at both ends, and the forcing's rate, which is an
+    # eigenvalue of the propagated system too
+    rho, edge = small_ctx.spectrum.rho, small_ctx.spectrum.edge
     assert edge < 0.0 < rho
-    f0 = random_field(small_grid, 31, bandlimit=5)
-    system = PropagatedSystem(ctx, SourceModel.zero(small_grid))
-    assert system.spectrum() == (edge, rho)
-    assert system.spectrum(0.02) == (edge - 0.02 * rho, rho + 0.02 * rho)
-    for interval in ((edge, 0.99 * rho), (edge + 0.01, 1.02 * rho),
-                     (0.0, 1.02 * rho), (edge, math.inf), (math.nan, rho),
-                     (1.02 * rho, edge)):
-        with pytest.raises(InstabilityError, match="does not contain"):
-            step(f0, 0.0, 0.1, system, interval)
-    # the forcing's rate is an eigenvalue of the propagated system too
+    system = PropagatedSystem(small_ctx, SourceModel.zero(small_grid))
+    assert system.interval == pytest.approx(
+        (edge - 0.02 * rho, 1.02 * rho), rel=1e-15, abs=1e-15 * rho)
     fast = PropagatedSystem(
-        ctx, SourceModel(unit_gaussian(small_grid), rate=2.0 * rho))
-    assert fast.spectrum(0.02) == (edge - 0.02 * rho, 2.0 * rho)
-    with pytest.raises(InstabilityError, match="does not contain"):
-        step(f0, 0.0, 0.1, fast, (edge, 1.02 * rho))
-    assert ctx.calls == 0
-    samples, _ = step(f0, 0.0, 0.1, system, (edge, rho))
-    assert ctx.calls > 0
-    assert all(np.isfinite(f.values).all() for f in samples)
+        small_ctx, SourceModel(unit_gaussian(small_grid), rate=2.0 * rho))
+    assert fast.interval[0] == system.interval[0]
+    assert fast.interval[1] == 2.0 * rho
 
 
 # rho, the lower edge, the energy log and the snapshots of a short run, the

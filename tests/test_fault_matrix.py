@@ -18,9 +18,9 @@ import os
 
 import pytest
 
-from landau import evolution, kernel, operator, suites, verify
-from landau.config import load_config, validate_config
-from landau.errors import CrossCheckError
+from landau import cli, evolution, kernel, operator, suites, verify
+from landau.config import canonical_text, load_config, validate_config
+from landau.errors import CrossCheckError, EigenvalueError, QuadratureError
 
 REFERENCE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                          "configs", "reference.cfg")
@@ -134,6 +134,32 @@ def nan_ladder_entry(mp):
         f_t, t, kmax, Faulty(system.ctx, system.model)))
 
 
+def nan_kernel_spectrum(mp):
+    # one entry of the first kernel table's spectrum, so every application
+    # of L is NaN
+    exact = suites.make_context
+
+    def faulty(coeffs):
+        ctx = exact(coeffs)
+        ctx.engine.hats[0][1, 2, 3] = math.nan
+        return ctx
+
+    mp.setattr(suites, "make_context", faulty)
+
+
+def nan_abar_profile(mp):
+    # one radius of l_perp, the second of the two profiles, at both radial
+    # orders of the abar gate
+    exact = kernel._abar_profiles
+
+    def faulty(s_values, params, radial_order, r_max):
+        l_par, l_perp = exact(s_values, params, radial_order, r_max)
+        l_perp[len(l_perp) // 2] = math.nan
+        return l_par, l_perp
+
+    mp.setattr(kernel, "_abar_profiles", faulty)
+
+
 BILINEAR = {"C2_finite", "C3_finite", "C4_finite", "gradform_cauchy_schwarz",
             "K_L3_finite"}
 RECHECK = {"C2_fresh_within_slack", "C3_fresh_within_slack",
@@ -184,6 +210,8 @@ MATRIX = [
     pytest.param(nan_convolution_node, set(), {"K_conv"}, id="nan-convolution-node"),
     pytest.param(scalar_weights(c2_nan=True), CrossCheckError, None, id="nan-c2-node"),
     pytest.param(nan_ladder_entry, SMOOTHING, {"C", "B"}, id="nan-ladder-entry"),
+    pytest.param(nan_kernel_spectrum, EigenvalueError, None, id="nan-kernel-spectrum"),
+    pytest.param(nan_abar_profile, QuadratureError, None, id="nan-abar-profile"),
 ]
 
 
@@ -209,3 +237,17 @@ def test_fault_matrix(reference_n24, monkeypatch, fault, failing, non_finite):
     constants = {name for rep in reports for name in rep.failures[1]}
     assert (checks, constants) == (failing, non_finite)
     assert all(rep.passed for rep in reports) == (not failing and not non_finite)
+
+
+@pytest.mark.parametrize("fault, error", [(nan_kernel_spectrum, "EigenvalueError"),
+                                          (nan_abar_profile, "QuadratureError")])
+def test_non_finite_fault_exit_code(reference_n24, monkeypatch, tmp_path, capsys,
+                                    fault, error):
+    # the energy suite's run stops at the judge of each NaN: exit 3, with
+    # the error named on stderr
+    fault(monkeypatch)
+    cfg = dataclasses.replace(reference_n24, io_out_dir=str(tmp_path / "out"))
+    path = tmp_path / "run.cfg"
+    path.write_text(canonical_text(cfg))
+    assert cli.main(["verify", "--config", str(path), "--suite", "energy"]) == 3
+    assert f"[{error}]" in capsys.readouterr().err

@@ -148,6 +148,22 @@ def test_abar_quadrature_rejects_impossible_tolerance():
         abar_profiles_at(np.array([4.0]), p, QuadratureSpec(rtol=1e-16))
 
 
+@pytest.mark.parametrize("which", [0, 1])
+def test_abar_quadrature_rejects_a_nan_profile(monkeypatch, which):
+    # a NaN at one radius of l_par (0) or l_perp (1), at both radial
+    # orders, fails the order-doubling gate, in either place of the pair
+    exact = kernel._abar_profiles
+
+    def faulty(s_values, params, radial_order, r_max):
+        profiles = exact(s_values, params, radial_order, r_max)
+        profiles[which][1] = math.nan
+        return profiles
+
+    monkeypatch.setattr(kernel, "_abar_profiles", faulty)
+    with pytest.raises(QuadratureError):
+        abar_profiles_at(np.array([0.5, 1.0, 2.0]), KernelParams(-1.0), QuadratureSpec())
+
+
 def _polar_integrals_by_gauss(s, r):
     """Both polar integrals by composite 30-point Gauss-Legendre in
     u = 1 - t on [0, 2], with panels halving toward u = 0, where

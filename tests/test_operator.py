@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from landau import operator
+from landau import evolution, operator
 from landau.errors import EigenvalueError, GridMismatchError
 from landau.evolution import PropagatedSystem, SourceModel, step
 from landau.field import (ScalarField, a_norm_sq, gradient, inner_product,
@@ -376,6 +376,22 @@ def test_arnoldi_matches_dense_eigenvalues(monkeypatch):
         arnoldi_edges(lambda x: a @ x, rng.standard_normal(n))
 
 
+def test_arnoldi_refuses_a_non_finite_map():
+    # one NaN entry of the matrix reaches the projected matrix in the first
+    # cycle, which is refused before its eigenvalues are taken
+    a = np.diag(np.linspace(0.0, 10.0, 100))
+    a[3, 7] = math.nan
+    calls = []
+
+    def matvec(x):
+        calls.append(1)
+        return a @ x
+
+    with pytest.raises(EigenvalueError, match="not finite"):
+        arnoldi_edges(matvec, np.random.default_rng(0).standard_normal(100))
+    assert len(calls) == operator.ARNOLDI_KRYLOV_DIM
+
+
 def test_one_arnoldi_run_measures_both_edges(small_coeffs):
     # rho and the lower edge come from one run: reading the edge after rho
     # applies L no more times
@@ -401,11 +417,14 @@ def test_spectral_radius_bit_identical(small_coeffs):
     assert make_context(small_coeffs).spectrum.rho == rho
 
 
-def test_spectral_radius_brackets_chebyshev_interval(small_grid, small_ctx):
+def test_spectral_radius_brackets_chebyshev_interval(small_grid, small_ctx,
+                                                     monkeypatch):
     # white noise, so the datum carries the top eigenmodes of L, over a
     # segment of length 140 / rho, against a series on a much wider
     # interval: hi = 1.02 rho keeps 12 digits, a rho measured 2% low loses
-    # five and one measured 10% low blows up (8e-13, 7e-8 and 1.9e3)
+    # five and one measured 10% low blows up (8e-13, 7e-8 and 1.9e3).
+    # Without the margin each stand-in's interval is its measured [lo, hi].
+    monkeypatch.setattr(evolution, "SPECTRUM_MARGIN", 1.0)
     f0 = ScalarField(small_grid,
                      np.random.default_rng(1).standard_normal(small_grid.shape))
     model = SourceModel.zero(small_grid)
@@ -416,8 +435,9 @@ def test_spectral_radius_brackets_chebyshev_interval(small_grid, small_ctx):
         # the true L, whose spectrum is taken to have been measured as [lo, hi]
         measured = SimpleNamespace(apply=small_ctx.apply,
                                    spectrum=SpectrumEdges(hi, lo, 0, 0))
-        samples, _ = step(f0, 0.0, span, PropagatedSystem(measured, model),
-                          (lo, hi))
+        system = PropagatedSystem(measured, model)
+        assert system.interval == (lo, hi)
+        samples, _ = step(f0, 0.0, span, system)
         return samples[-1]
 
     ref = end(2.0 * rho, edge - 1.0)
