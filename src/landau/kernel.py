@@ -574,11 +574,9 @@ class LandauCoefficients:
 
     grid: VelocityGrid
     params: KernelParams
-    quad: QuadratureSpec
     abar: UniaxialField
     c1: np.ndarray
     c2: np.ndarray
-    c2_crosscheck: float = math.nan
 
     @cached_property
     def mu_half(self):
@@ -632,4 +630,4 @@ def build_coefficients(grid, params, quad=QuadratureSpec()):
         raise CrossCheckError(
             f"c2 routes disagree: relative L2 difference {rel:.3e} > {tol:.3e}"
         )
-    return LandauCoefficients(grid, params, quad, abar, c1, c2, rel)
+    return LandauCoefficients(grid, params, abar, c1, c2)

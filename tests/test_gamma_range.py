@@ -10,7 +10,7 @@ from landau.evolution import (PropagatedSystem, SourceModel, derivative_ladder,
                               evolve)
 from landau.field import ScalarField, l2_norm, random_field
 from landau.grid import VelocityGrid
-from landau.kernel import KernelParams, QuadratureSpec, build_coefficients
+from landau.kernel import KernelParams, QuadratureSpec, build_coefficients, crosscheck_c2
 from landau.operator import make_context
 
 
@@ -21,7 +21,7 @@ def test_pipeline_across_gamma(gamma):
     coeffs = build_coefficients(grid, params, QuadratureSpec())
     assert coeffs.abar.min_eigenvalue_ratio() >= -1e-10
     assert coeffs.c1.min() >= 0.0
-    assert coeffs.c2_crosscheck <= 0.5
+    assert crosscheck_c2(coeffs.c2, grid, params) <= 0.5
 
     ctx = make_context(coeffs)
     f0 = random_field(grid, 42, bandlimit=5, envelope_width=1.0)

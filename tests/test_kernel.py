@@ -412,7 +412,7 @@ def test_scalar_weights(small_grid, small_coeffs):
         0.25 * l_par.reshape(-1)[np.argmin(small_grid.radius_sq)]
         * small_grid.radius_sq.min(), rel=1e-12)
     # the two c2 routes agreed at build time
-    assert small_coeffs.c2_crosscheck <= 0.05
+    assert kernel.crosscheck_c2(c2, small_grid, small_coeffs.params) <= 0.05
     # decay bound for the divergence field
     wgt = small_grid.bracket_weight(small_coeffs.params.gamma + 1.0)
     assert np.isfinite(np.max(np.abs(2.0 * c2) / wgt))

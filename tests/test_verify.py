@@ -202,20 +202,20 @@ def test_coercivity_estimate(small_coeffs, members, monkeypatch):
     assert consts["C1"] > 0
     # descent never reports a minimum above any sampled quotient
     assert consts["C1"] <= consts["C1_sample_min"] + 1e-15
-    assert {c["id"] for c in rep.checks} == {"all_quotients_positive", "C1_positive"}
+    assert {c["id"] for c in rep.checks} == {"C1_positive"}
 
 
 def test_coercivity_report_fails_on_nonpositive_descent_iterate(
         small_coeffs, members, monkeypatch):
     # every sampled quotient is positive, but the descent's iterates read
-    # negated quotients: only C1_positive sees the final iterate
+    # negated quotients: C1_positive sees the final iterate
     quotient = verify.coercivity_quotient
     monkeypatch.setattr(verify, "coercivity_quotient",
                         lambda f, coeffs, grad=None: -quotient(f, coeffs, grad))
     monkeypatch.setattr(verify, "DESCENT_STEPS", 3)
     rep = estimate_coercivity(small_coeffs, members)
     verdicts = {c["id"]: c["verdict"] for c in rep.checks}
-    assert verdicts == {"all_quotients_positive": "pass", "C1_positive": "fail"}
+    assert verdicts == {"C1_positive": "fail"}
     assert not rep.passed
 
 
@@ -1004,7 +1004,8 @@ def test_nan_reaches_the_constant(small_coeffs, small_grid):
 def test_run_resources_without_cache_dir_writes_nothing(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)  # where a relative path would land
     res = RunResources(parse_config_text(ENERGY_CFG), log=None)
-    assert res.coeffs.c2_crosscheck > 0
+    coeffs = res.coeffs
+    assert kernel.crosscheck_c2(coeffs.c2, coeffs.grid, coeffs.params) > 0
     assert os.listdir(tmp_path) == []
 
 
