@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import ScalarField, a_norm, inner_product, l2_norm, zeros
+from .kernel import SERIAL_GEMM_MAX
 
 LADDER_KMAX_CAP = 10
 # p: panels per segment of the coarsest energy-identity rung; the rungs
@@ -49,11 +50,11 @@ CHEBYSHEV_TOL = 1e-15
 # product, (SEGMENT_SAMPLES x 8) @ (8 x N^3); a product with this few terms
 # gives the same bytes for any BLAS thread count
 ACCUMULATED_TERMS = 8
-# columns per block of that product: a (16 x 8) @ (8 x 2048) product is
-# below OpenBLAS's threading threshold, so it runs on the calling thread and
-# wakes no worker to spin after it, and its (16 x 2048) result is all that
-# is allocated before it is added into the samples
-STEP_COLUMNS = 2048
+# columns per block of that product, 2048: the most that keep it on the
+# calling thread (`kernel.SERIAL_GEMM_MAX`), so it wakes no worker to spin
+# after it, and its (16 x 2048) result is all that is allocated before it
+# is added into the samples
+STEP_COLUMNS = SERIAL_GEMM_MAX // (SEGMENT_SAMPLES * ACCUMULATED_TERMS)
 # depth and sample count on [0, T] of the forcing bound A_g
 SOURCE_BOUND_KMAX = 8
 SOURCE_BOUND_SAMPLES = 65

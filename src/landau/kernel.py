@@ -23,6 +23,9 @@ is formed there only, N^3 values a block of z-planes at a time, never as
 a (2N)^3 table.  The nine operator tables are formed one at a time
 (`KernelTableStream`), their origin cell the exact cell average.  The
 coefficient set names the forms of the estimates and builds the invariants.
+Every product that can outgrow OpenBLAS's serial bounds, the radial sums
+of abar and the Toeplitz passes, runs in blocks on the calling thread
+(`serial_matmul`), so none wakes OpenBLAS's worker threads.
 """
 
 import itertools
@@ -203,6 +206,62 @@ def _dot(a, b):
 
 
 # ---------------------------------------------------------------------------
+# matrix products on the calling thread
+# ---------------------------------------------------------------------------
+
+# OpenBLAS runs a dgemm with m n k <= 2^18 (SMP_THRESHOLD_MIN 65536 times
+# GEMM_MULTITHREAD_THRESHOLD 4) and a dgemv with m n < 9216 (2304 times 4)
+# on the calling thread; a larger product may wake its worker threads,
+# which then busy-wait on the other cores after the call, against the
+# threads of `verify.map_on_cores`
+SERIAL_GEMM_MAX = 1 << 18
+SERIAL_GEMV_BELOW = 9216
+# blocks start at multiples of this when at least this many rows or
+# columns fit a call: the widest register tile of OpenBLAS's double
+# kernels, so the blocks' tiles lie where the one-call product's lie
+_TILE = 16
+
+
+def _blocks(n, fit):
+    """Slices that cover range(n) with at most `fit` rows (columns) each:
+    one slice when n fits, else widths of the largest multiple of _TILE
+    below `fit` (a power of two when fewer fit), a last row joining the
+    block before it: numpy hands a one-row product to another BLAS
+    routine, which sums it in another order."""
+    if n <= fit:
+        return [slice(0, n)]
+    room = fit - 1  # for that joining row
+    width = room - room % _TILE if room >= _TILE else 1 << max(room.bit_length() - 1, 0)
+    starts = list(range(0, n - 1, width))
+    return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [n])]
+
+
+def serial_matmul(a, b):
+    """a @ b, into a new array, as BLAS calls that each stay on the
+    calling thread: a matrix times a vector in blocks of rows of `a`
+    within SERIAL_GEMV_BELOW, a 2-d or stacked `a` times a 2-d or stacked
+    `b` in blocks of columns of `b` within SERIAL_GEMM_MAX per matrix.
+    The blocks come from the shapes, never split the inner dimension k
+    and start at multiples of _TILE, so each entry has the bytes of the
+    one-call product on one thread, except where OpenBLAS gives that call
+    another kernel: the last n mod 8 columns of a wide product (README),
+    and blocks below _TILE wide, at k > 542 for a vector or N > 124 for
+    the N x N factors here.  A product stays on the caller while two rows
+    (columns) fit a call: k <= 4607, or m k <= 2^17."""
+    m, k = a.shape[-2:]
+    if b.ndim == 1:
+        out = np.empty(a.shape[:-1])
+        for rows in _blocks(m, (SERIAL_GEMV_BELOW - 1) // k):
+            np.matmul(a[..., rows, :], b, out=out[..., rows])
+        return out
+    n = b.shape[-1]
+    out = np.empty(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (m, n))
+    for cols in _blocks(n, SERIAL_GEMM_MAX // (m * k)):
+        np.matmul(a, b[..., cols], out=out[..., cols])
+    return out
+
+
+# ---------------------------------------------------------------------------
 # abar quadrature
 # ---------------------------------------------------------------------------
 
@@ -286,7 +345,8 @@ def _abar_profiles(s_values, params, radial_order, r_max):
         l_par(s)  = 2 pi C_mu int r^{g+4} e^{-(s^2+r^2)/2} int (1-t^2)   e^{s r t} dt dr
         l_perp(s) = 2 pi C_mu int r^{g+4} e^{-(s^2+r^2)/2} int (1+t^2)/2 e^{s r t} dt dr
 
-    for the radial rule, _ABAR_BLOCK radii at a time to bound temporaries.
+    for the radial rule, _ABAR_BLOCK radii at a time to bound temporaries,
+    each profile's sum over the rule by `serial_matmul`.
     """
     r, wr = _radial_rule(r_max, radial_order)
     radial_factor = wr * r ** (params.gamma + 4.0)
@@ -295,7 +355,8 @@ def _abar_profiles(s_values, params, radial_order, r_max):
     for lo in range(0, s_values.size, _ABAR_BLOCK):
         rows = slice(lo, lo + _ABAR_BLOCK)
         par[rows], perp[rows] = polar_integrals(s_values[rows, None], r[None, :])
-    return pref * (par @ radial_factor), pref * (perp @ radial_factor)
+    return (pref * serial_matmul(par, radial_factor),
+            pref * serial_matmul(perp, radial_factor))
 
 
 def abar_profiles_at(s_values, params, quad):
@@ -468,7 +529,8 @@ def radial_power_convolutions(grid, exponent, groups):
     formed on the shifts 0 .. N-1 of each axis only, N^3 values, with
     the origin cell's exact average: _STREAM_ELEMENTS at a time, a block of
     z-planes, each contracted with the folded matrices in x, then in y.
-    Terms that pass the same wx object share its x pass."""
+    Terms that pass the same wx object share its x pass.  Every product
+    is a `serial_matmul`."""
     n = grid.N
     folded = {id(w): _fold(w) for wz, terms in groups
               for w in (wz, *itertools.chain.from_iterable(terms))}
@@ -480,18 +542,19 @@ def radial_power_convolutions(grid, exponent, groups):
         np.power(k, 0.5 * exponent, out=k)
         if z0 == 0:
             k[0, 0, 0] = cell_average_radial_power(exponent, grid.h)
-        x_pass = {id(wx): k @ folded[id(wx)] for _, terms in groups for _, wx in terms}
+        x_pass = {id(wx): serial_matmul(k, folded[id(wx)])
+                  for _, terms in groups for _, wx in terms}
         del k  # no block outlives its passes
         for (_, terms), p in zip(groups, partial):
             for wy, wx in terms:
-                p[z0:z0 + planes] += np.matmul(folded[id(wy)].T, x_pass[id(wx)])
+                p[z0:z0 + planes] += serial_matmul(folded[id(wy)].T, x_pass[id(wx)])
         del x_pass
     out = []
     for wz, _ in groups:
         # each partial sum is freed once contracted
-        conv = np.tensordot(folded[id(wz)].T, partial.pop(0), 1)
+        conv = serial_matmul(folded[id(wz)].T, partial.pop(0).reshape(n, n * n))
         conv *= grid.cell_volume
-        out.append(conv)
+        out.append(conv.reshape(n, n, n))
     return out
 
 

@@ -504,8 +504,8 @@ def test_propagation_interval_contains_spectrum(small_grid, small_ctx):
 
 # rho, the lower edge, the energy log and the snapshots of a short run, the
 # c2 convolution route and the convolution suite's two convolutions, at
-# N=24, R=8, where OpenBLAS splits a dot product of N^3 terms and the
-# routes' Toeplitz products over threads
+# N=24, R=8, where the routes' z contractions, N^4 multiply-adds each, are
+# over OpenBLAS's serial bound as one call (`kernel.serial_matmul`)
 BLAS_THREADS_RUN = """
 import hashlib
 import numpy as np

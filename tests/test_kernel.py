@@ -1,4 +1,8 @@
+import hashlib
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -13,8 +17,8 @@ from landau.kernel import (KernelParams, QuadratureSpec, _lattice_offsets,
                            cell_average_radial_power, compute_abar_field,
                            compute_scalar_weights, kernel_first_derivatives,
                            kernel_matrix_batch, maxwellian_field, polar_integrals,
-                           radial_power_convolutions, tabulate_fft_kernels,
-                           toeplitz_factor)
+                           radial_power_convolutions, serial_matmul,
+                           tabulate_fft_kernels, toeplitz_factor)
 from landau.verify import check_convolution_bound
 from tests.conftest import (abar_matrix, divergence_tables, padded_fft_convolution,
                             radial_kernel_table, separable_density)
@@ -235,6 +239,150 @@ def test_abar_profiles_blocks_leave_the_bytes(monkeypatch):
     monkeypatch.setattr(kernel, "_ABAR_BLOCK", s.size)
     for got, want in zip(blocked, kernel._abar_profiles(*args)):
         assert np.array_equal(got, want)
+
+
+# (a shape, b shape, a in column order): products above OpenBLAS's serial
+# bounds, most with a ragged last block: the abar gemv at N=64 (1192 radii),
+# one with a last row to join (1201 = 75 * 16 + 1), one too long for 16
+# rows a call, the z contraction at N=64 and N=80, one with a last column
+# to join (2017 = 2 * 1008 + 1), and the x and y passes of N=100 planes.
+# Each wide product has a multiple of 8 columns, or few enough that the
+# one-call product goes to the same OpenBLAS kernel as the blocks
+SERIAL_SHAPES = [
+    ((1192, 384), (384,), False),
+    ((1201, 384), (384,), False),
+    ((300, 1000), (1000,), False),
+    ((64, 64), (64, 4096), True),
+    ((80, 80), (80, 6400), True),
+    ((16, 16), (16, 2017), True),
+    ((5, 100, 100), (100, 100), False),
+    ((100, 100), (5, 100, 100), True),
+]
+
+# the one-call products of the operands saved in argv[1], on the BLAS
+# thread count of the environment
+SERIAL_REFERENCE_RUN = """
+import hashlib, sys
+import numpy as np
+operands = np.load(sys.argv[1])
+for i in range(len(operands.files) // 2):
+    product = np.matmul(operands[f"a{i}"], operands[f"b{i}"])
+    print(hashlib.sha256(product.tobytes()).hexdigest())
+"""
+
+
+def _serial_operands(shapes):
+    """Seeded operands (a, b) of `shapes`."""
+    rng = np.random.default_rng(7)
+    return [(rng.standard_normal(a[::-1]).T if transposed else rng.standard_normal(a),
+             rng.standard_normal(b)) for a, b, transposed in shapes]
+
+
+def test_serial_matmul_gives_the_one_call_bytes(tmp_path):
+    # against the one-call product on one BLAS thread, in a child process:
+    # with more threads OpenBLAS may split a matrix-vector product at a row
+    # that no tile boundary matches, and its bytes change
+    operands = _serial_operands(SERIAL_SHAPES)
+    path = tmp_path / "operands.npz"
+    np.savez(path, **{f"{name}{i}": x for i, pair in enumerate(operands)
+                      for name, x in zip("ab", pair)})
+    run = subprocess.run([sys.executable, "-c", SERIAL_REFERENCE_RUN, str(path)],
+                         env=dict(os.environ, OPENBLAS_NUM_THREADS="1"),
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    got = [hashlib.sha256(serial_matmul(a, b).tobytes()).hexdigest()
+           for a, b in operands]
+    assert got == run.stdout.split()
+
+
+def test_serial_matmul_calls_stay_within_the_bounds(monkeypatch):
+    # every BLAS call is within its serial bound and two rows (columns)
+    # wide, and the calls write each entry of the product once
+    calls = []
+    matmul = np.matmul
+
+    def spy(a, b, out):
+        calls.append((a.shape, b.shape, out.size))
+        return matmul(a, b, out=out)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    # and two whose bound a whole number of tiles fills, 32 rows of 287
+    # and 64 columns of 64 x 64, each with a last row (column) to join
+    full = [((65, 287), (287,), False), ((64, 64), (64, 129), True)]
+    for a, b in _serial_operands(SERIAL_SHAPES + full):
+        calls.clear()
+        product = serial_matmul(a, b)
+        assert len(calls) > 1
+        for a_shape, b_shape, _ in calls:
+            m, k = a_shape[-2:]
+            if len(b_shape) == 1:
+                assert 2 <= m and m * k < kernel.SERIAL_GEMV_BELOW
+            else:
+                assert 2 <= b_shape[-1] and m * k * b_shape[-1] <= kernel.SERIAL_GEMM_MAX
+        assert sum(size for _, _, size in calls) == product.size
+
+
+def _blas_threads_from_environment():
+    """OpenBLAS's thread count as the environment sets it, its first
+    positive setting, or None."""
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            threads = int(os.environ.get(name, ""))
+        except ValueError:
+            continue
+        if threads > 0:
+            return threads
+    return None
+
+
+# the CPU ticks of every thread but the caller's over a cold coefficient
+# build and the convolution suite's bound at N=32 and at N=48, R=8,
+# gamma = -1, and the c2 route at N=112, whose x and y passes are over the
+# bound per plane; each reading after a pause in which OpenBLAS's workers,
+# woken or new, finish busy-waiting
+WORKER_TICKS_RUN = """
+import os, time
+from landau.grid import VelocityGrid
+from landau.kernel import KernelParams, build_coefficients, c2_by_convolution
+from landau.verify import check_convolution_bound
+
+def worker_ticks():
+    ticks = 0
+    for tid in os.listdir("/proc/self/task"):
+        if tid != str(os.getpid()):
+            with open(f"/proc/self/task/{tid}/stat") as fh:
+                fields = fh.read().rsplit(")", 1)[1].split()
+            ticks += int(fields[11]) + int(fields[12])  # utime, stime
+    return ticks
+
+params = KernelParams(-1.0)
+time.sleep(0.5)
+before = worker_ticks()
+for n in (32, 48):
+    grid = VelocityGrid(R=8.0, N=n)
+    build_coefficients(grid, params)
+    check_convolution_bound(grid, params)
+c2_by_convolution(VelocityGrid(R=8.0, N=112), params)
+time.sleep(0.5)
+print(worker_ticks() - before)
+"""
+
+
+def test_build_wakes_no_blas_worker():
+    # every product of a build and of the convolution suite runs on the
+    # calling thread, so no OpenBLAS worker spends CPU on it
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("no /proc/self/task to read the threads' CPU time from")
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("one usable core: OpenBLAS starts no worker")
+    if _blas_threads_from_environment() == 1:
+        pytest.skip("the environment pins OpenBLAS to one thread")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(kernel.__file__)))
+    run = subprocess.run([sys.executable, "-c", WORKER_TICKS_RUN],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert int(run.stdout) <= 1
 
 
 def _block_sizes(grid):
