@@ -14,13 +14,14 @@ into the out dir; verify makes it and builds the coefficients afresh.
 """
 
 import argparse
+import dataclasses
 import datetime
 import json
 import os
 import sys
 
 from . import persist
-from .config import fingerprint, load_config
+from .config import fingerprint, load_config, validate_config
 from .errors import ConfigError, LandauError
 from .suites import RunResources, run_suites
 
@@ -66,6 +67,9 @@ def _write_trajectory(res, out_dir):
 
 def cmd_verify(args):
     cfg = load_config(args.config)
+    if args.suite:
+        # the config as this run reads it; the reports keep the file's fingerprint
+        validate_config(dataclasses.replace(cfg, verify_suites=(args.suite,)))
     out_dir = args.out or cfg.io_out_dir
     try:
         os.makedirs(out_dir, exist_ok=True)

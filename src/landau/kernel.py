@@ -18,10 +18,10 @@ doubling its order.  c1 and c2 follow from l_par alone, as abar v = l_par v.
 The c2 cross-check convolves the separable fields v_k mu with the pad-2
 kernel b_k = -2 |u|^gamma u_k by 1-d Toeplitz passes, without wrap or
 spectra (`radial_power_convolutions`): |u|^gamma is even along every axis,
-so the factor matrices are folded onto the shifts 0 .. N-1 and the kernel
-is formed there only, N^3 values a block of z-planes at a time, never as
-a (2N)^3 table.  The nine operator tables are formed one at a time
-(`KernelTableStream`), their origin cell the exact cell average.  The
+so `toeplitz_factor` folds each factor onto the shifts 0 .. N-1, and the
+kernel is formed there only, N^3 values a block of z-planes at a time,
+never as a (2N)^3 table.  The nine operator tables are formed one at a
+time (`KernelTableStream`), their origin cell the exact cell average.  The
 coefficient set names the forms of the estimates and builds the invariants.
 Every product that can outgrow OpenBLAS's serial bounds, the radial sums
 of abar and the Toeplitz passes, runs in blocks on the calling thread
@@ -413,12 +413,12 @@ def c2_by_convolution(grid, params):
     """The convolution route to c2, (1/2) sum_k (sum_j d_j a_jk) * (v_k mu)
     = -mu_prefactor sum_k (|u|^gamma u_k) * (v_k e^{-|v|^2/2}), unwrapped,
     with no b table: each term reads |u|^gamma from
-    `radial_power_convolutions`, with u_k folded into axis k's matrix.
+    `radial_power_convolutions`, with u_k in axis k's odd factor matrix.
     The y and z terms share the Gaussian's x pass, and the x and y terms,
     whose z factor is the Gaussian, share one z contraction."""
     gauss = np.exp(-0.5 * grid.axis ** 2)
     w = toeplitz_factor(grid, gauss)
-    wu = _lattice_offsets(grid, 2)[:, None] * toeplitz_factor(grid, grid.axis * gauss)
+    wu = toeplitz_factor(grid, grid.axis * gauss, odd=True)
     xy_terms, z_term = radial_power_convolutions(
         grid, params.gamma, [(w, [(w, wu), (wu, w)]), (wu, [(w, w)])])
     xy_terms += z_term
@@ -487,53 +487,40 @@ def _lattice_squares(offs, planes=slice(None)):
 _STREAM_ELEMENTS = 1 << 16
 
 
-def toeplitz_factor(grid, f):
-    """The M x N Toeplitz matrix W[(i - i') mod M, i] = f[i'] of a 1-d
-    factor f on the pad-2 lattice (M = 2N): a product with it sums over i'
-    along one axis.  On M = 2N the shifts i - i' never wrap."""
+def toeplitz_factor(grid, f, odd=False):
+    """The N x N factor matrix W[s, i] = f[i - s] + f[i + s] of a 1-d
+    factor f (zero off the grid; f[i] alone at s = 0): the pad-2 Toeplitz
+    matrix W[(i - i') mod M, i] = f[i'], M = 2N, folded, row s plus row
+    M - s, for a kernel even along its axis (row N, the shift -N h, is
+    zero: no two nodes are that far apart).  `odd` scales each row by its
+    shift u(s) before the fold, to carry a factor u_k of the kernel."""
     n = grid.N
     i = np.arange(n)
     w = np.zeros((2 * n, n))
     w[(i[None, :] - i[:, None]) % (2 * n), i[None, :]] = f[:, None]
-    return w
-
-
-def _fold(w):
-    """Rows 0 .. M/2 - 1 of an M x N factor matrix, row s + row M - s for
-    0 < s < M/2: against a kernel even along its axis, K[s] = K[M - s],
-    the sum over the M shifts is the sum over the folded rows.  Row M/2,
-    the shift -N h that no two of the N nodes are apart, must be zero, as
-    it is in every `toeplitz_factor` matrix."""
-    n = w.shape[0] // 2
-    if np.any(w[n]):
-        raise ValueError("row M/2 of a factor matrix must be zero: no two "
-                         "nodes are N h apart")
-    out = w[:n].copy()
-    out[1:] += w[:n:-1]
-    return out
+    if odd:
+        w *= _lattice_offsets(grid, 2)[:, None]
+    w[1:n] += w[:n:-1]
+    return w[:n].copy()
 
 
 def radial_power_convolutions(grid, exponent, groups):
     """Unwrapped sums of the pad-2 kernel K = |u|^exponent against
     separable factors, without a (2N)^3 table.  `groups` holds pairs
-    (wz, terms), terms a sequence of (wy, wx) of M x N matrices; each
-    group gives
+    (wz, terms), terms a sequence of (wy, wx) of N x N matrices over the
+    shifts s = 0 .. N-1 of each axis; each group gives
 
         h^3 sum_terms sum_s K[s] wz[s_z, i_z] wy[s_y, i_y] wx[s_x, i_x],
 
-    its terms summed before the one z contraction at the end.  With
-    `toeplitz_factor` matrices this is the convolution of K with the
-    density wz wy wx; a matrix scaled row by row by the lattice offsets,
-    u(s) W[s, i], folds a factor u_k of the kernel into axis k.  K is even
-    along every axis, so each matrix is folded once (`_fold`) and K is
-    formed on the shifts 0 .. N-1 of each axis only, N^3 values, with
-    the origin cell's exact average: _STREAM_ELEMENTS at a time, a block of
-    z-planes, each contracted with the folded matrices in x, then in y.
-    Terms that pass the same wx object share its x pass.  Every product
-    is a `serial_matmul`."""
+    its terms summed before the one z contraction at the end.  K is even
+    along every axis, so with `toeplitz_factor` matrices, which fold the
+    shift -s onto s, this is the convolution of K with the density
+    wz wy wx.  K is formed on the shifts 0 .. N-1 of each axis only, N^3
+    values, with the origin cell's exact average: _STREAM_ELEMENTS at a
+    time, a block of z-planes, each contracted with the matrices in x,
+    then in y.  Terms that pass the same wx object share its x pass.
+    Every product is a `serial_matmul`."""
     n = grid.N
-    folded = {id(w): _fold(w) for wz, terms in groups
-              for w in (wz, *itertools.chain.from_iterable(terms))}
     offs = _lattice_offsets(grid, 2)[:n]
     partial = [np.zeros((n, n, n)) for _ in groups]
     planes = max(1, _STREAM_ELEMENTS // n ** 2)
@@ -542,17 +529,17 @@ def radial_power_convolutions(grid, exponent, groups):
         np.power(k, 0.5 * exponent, out=k)
         if z0 == 0:
             k[0, 0, 0] = cell_average_radial_power(exponent, grid.h)
-        x_pass = {id(wx): serial_matmul(k, folded[id(wx)])
+        x_pass = {id(wx): serial_matmul(k, wx)
                   for _, terms in groups for _, wx in terms}
         del k  # no block outlives its passes
         for (_, terms), p in zip(groups, partial):
             for wy, wx in terms:
-                p[z0:z0 + planes] += serial_matmul(folded[id(wy)].T, x_pass[id(wx)])
+                p[z0:z0 + planes] += serial_matmul(wy.T, x_pass[id(wx)])
         del x_pass
     out = []
     for wz, _ in groups:
         # each partial sum is freed once contracted
-        conv = serial_matmul(folded[id(wz)].T, partial.pop(0).reshape(n, n * n))
+        conv = serial_matmul(wz.T, partial.pop(0).reshape(n, n * n))
         conv *= grid.cell_volume
         out.append(conv.reshape(n, n, n))
     return out

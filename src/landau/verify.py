@@ -198,48 +198,40 @@ def check_kernel_identities(params, seed=1234):
 _SLAB_PLANES = 16
 
 
-def _shifted(box, axis, by):
-    """The box of slices `box` moved `by` nodes along `axis`."""
-    return tuple(slice(b.start + by, b.stop + by) if a == axis else b
-                 for a, b in enumerate(box))
-
-
 def abar_derivative_ratios(abar, wgt, h):
     """The 54 decay ratios of K_coef, max |d^beta abar_jk| / w over the
     interior nodes 2 .. N-3, 1 <= |beta| <= 2: per component in the order
     of `_PAIRS`, d_i then d_i d_j for j >= i, over numpy axes i = 0, 1, 2;
     w = wgt, and sqrt(2) wgt for a pure second derivative.
 
-    Each derivative is np.gradient's interior formula (x[i+1] - x[i-1]) /
-    (2 h), evaluated only on the nodes the scan reads, so the ratios are
-    np.gradient's bits and no edge stencil enters.  The interior z-planes
-    are cut into slabs of _SLAB_PLANES, each read with two ghost planes on
-    either side; each core walks one contiguous run of slabs
-    (`runs_on_cores`) through buffers made on the calling thread: a
-    component of abar, its first derivative, the second derivative or
-    scan, and the slab's sqrt(2) wgt.  Each ratio is the NaN-keeping numpy
-    max of its slab maxima."""
+    Each derivative is np.gradient's interior formula (`centered`), so the
+    ratios are np.gradient's bits and no edge stencil enters.  The interior
+    z-planes are cut into slabs of _SLAB_PLANES with two ghost planes on
+    either side: d_i is taken one node in from the ghosted slab's faces,
+    its ratio on its interior, d_i d_j from it.  Each core walks one
+    contiguous run of slabs (`runs_on_cores`) through four buffers made on
+    the calling thread and sized for the tallest slab.  Each ratio is the
+    NaN-keeping numpy max of its slab maxima."""
     n = wgt.shape[0]
-    m = n - 4
     slabs = [(z, min(z + _SLAB_PLANES, n - 2)) for z in range(2, n - 2, _SLAB_PLANES)]
     runs = runs_on_cores(len(slabs))
     top = slabs[0][1] - slabs[0][0]  # the tallest slab
-    buffers = [(np.empty((top + 4) * n * n), np.empty((top + 2) * (n - 2) ** 2),
-                np.empty(top * m * m), np.empty(top * m * m)) for _ in runs]
+    buffers = [(np.empty((top + 4, n, n)), np.empty((top + 2, n - 2, n - 2)),
+                np.empty((top, n - 4, n - 4)), np.empty((top, n - 4, n - 4))) for _ in runs]
+
+    def centered(x, axis, out):
+        """(x[i+1] - x[i-1]) / (2 h) along `axis`, on x's nodes one in from every face."""
+        ahead = tuple(slice(2, None) if a == axis else slice(1, -1) for a in range(3))
+        behind = tuple(slice(None, -2) if a == axis else slice(1, -1) for a in range(3))
+        np.subtract(x[ahead], x[behind], out=out)
+        return np.divide(out, 2.0 * h, out=out)
 
     def slab_ratios(z0, z1, comp, first, second, w_pure):
         s = z1 - z0
         ghosted = slice(z0 - 2, z1 + 2)
-        comp = comp[:(s + 4) * n * n].reshape(s + 4, n, n)
-        second = second[:s * m * m].reshape(s, m, m)
+        comp, first, second = comp[:s + 4], first[:s + 2], second[:s]
         w_mixed = wgt[z0:z1, 2:-2, 2:-2]
-        w_pure = np.multiply(w_mixed, math.sqrt(2.0),
-                             out=w_pure[:s * m * m].reshape(s, m, m))
-        inner = (slice(2, s + 2), slice(2, n - 2), slice(2, n - 2))  # of comp
-
-        def centered(x, box, axis, out):
-            np.subtract(x[_shifted(box, axis, 1)], x[_shifted(box, axis, -1)], out=out)
-            return np.divide(out, 2.0 * h, out=out)
+        w_pure = np.multiply(w_mixed, math.sqrt(2.0), out=w_pure[:s])
 
         def scan(d, w):
             return np.max(np.divide(np.abs(d, out=second), w, out=second))
@@ -252,17 +244,10 @@ def abar_derivative_ratios(abar, wgt, h):
             if j == k:
                 np.add(comp, abar.across[ghosted], out=comp)
             for ax_i in range(3):
-                # d_i where the scans of d_i and d_i d_j, j >= i, read it:
-                # the interior, one node wider along the axes >= i
-                box = tuple(slice(b.start - 1, b.stop + 1) if a >= ax_i else b
-                            for a, b in enumerate(inner))
-                shape = [b.stop - b.start for b in box]
-                d = centered(comp, box, ax_i, first[:math.prod(shape)].reshape(shape))
-                core = tuple(slice(1, e - 1) if a >= ax_i else slice(0, e)
-                             for a, e in enumerate(shape))  # the interior, of d
-                ratios.append(scan(d[core], w_mixed))
+                d = centered(comp, ax_i, first)
+                ratios.append(scan(d[1:-1, 1:-1, 1:-1], w_mixed))
                 for ax_j in range(ax_i, 3):
-                    ratios.append(scan(centered(d, core, ax_j, second),
+                    ratios.append(scan(centered(d, ax_j, second),
                                        w_pure if ax_i == ax_j else w_mixed))
         return ratios
 

@@ -114,6 +114,28 @@ def radial_kernel_table(grid, exponent, pad=1):
     return table
 
 
+def toeplitz_matrix(grid, f):
+    """The M x N Toeplitz matrix W[(i - i') mod M, i] = f[i'] of a 1-d
+    factor f on the pad-2 lattice (M = 2N, where i - i' never wraps)."""
+    n = grid.N
+    i = np.arange(n)
+    w = np.zeros((2 * n, n))
+    w[(i[None, :] - i[:, None]) % (2 * n), i[None, :]] = f[:, None]
+    return w
+
+
+def fold(w):
+    """Rows 0 .. M/2 - 1 of an M x N matrix, row s + row M - s for
+    0 < s < M/2: against a kernel even along its axis, the sum over the
+    M shifts when row M/2 is zero.  With `toeplitz_matrix`, the reference
+    of `kernel.toeplitz_factor`."""
+    n = w.shape[0] // 2
+    assert not np.any(w[n])
+    out = w[:n].copy()
+    out[1:] += w[:n:-1]
+    return out
+
+
 def padded_fft_convolution(grid, table, rho):
     """h^3 sum_i' table[i - i'] rho[i'] for a pad-2 table (FFT layout,
     M = 2N) and an N^3 density rho, by zero-padded transforms: the oracle

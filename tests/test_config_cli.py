@@ -271,8 +271,16 @@ def test_cli_smoothing_without_doubled_time_exit_code(tmp_path, capsys):
     assert cli.main(["verify", "--config", str(bad)]) == 2
     assert "no pair t, 2t" in capsys.readouterr().err
     # the other suites read no pair
-    cfg = parse_config_text(undoubled + "verify.suites = kernel, energy\n")
+    others = undoubled + "verify.suites = kernel, energy\n"
+    cfg = parse_config_text(others)
     assert cfg.ladder_eval_times == (0.125, 0.2)
+    # --suite smoothing is refused before any work, as if the file listed it
+    bad.write_text(others)
+    out_dir = tmp_path / "out"
+    assert cli.main(["verify", "--config", str(bad), "--suite", "smoothing",
+                     "--out", str(out_dir)]) == 2
+    assert "no pair t, 2t" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_cli_config_error_exit_code(tmp_path, capsys):

@@ -20,8 +20,8 @@ from landau.kernel import (KernelParams, QuadratureSpec, _lattice_offsets,
                            radial_power_convolutions, serial_matmul,
                            tabulate_fft_kernels, toeplitz_factor)
 from landau.verify import check_convolution_bound
-from tests.conftest import (abar_matrix, divergence_tables, padded_fft_convolution,
-                            radial_kernel_table, separable_density)
+from tests.conftest import (abar_matrix, divergence_tables, fold, padded_fft_convolution,
+                            radial_kernel_table, separable_density, toeplitz_matrix)
 
 
 def test_gamma_range_enforced():
@@ -397,16 +397,16 @@ def test_radial_power_convolutions_match_padded_fft(small_grid, params, kind,
                                                     monkeypatch):
     # the streamed kernel's Toeplitz passes against zero-padded transforms
     # of the whole pad-2 table, three distinct factors: on the odd
-    # b_x = -2 |u|^gamma u_x, with -2 u_x folded into the x matrix, and on
-    # the even radial kernel; in blocks of 3 z-planes (the last one short)
-    # and in the default blocks
+    # b_x = -2 |u|^gamma u_x, with -2 u_x in the odd x matrix, and on the
+    # even radial kernel; in blocks of 3 z-planes (the last one short) and
+    # in the default blocks
     ax = small_grid.axis
     factors = [np.exp(-0.3 * ax * ax), ax * np.exp(-0.5 * ax * ax),
                np.cos(ax) * np.exp(-0.2 * ax * ax)]
     wz, wy, wx = (toeplitz_factor(small_grid, f) for f in factors)
     if kind == "b_x":
         table = divergence_tables(small_grid, params, pad=2)[0]
-        wx = -2.0 * _lattice_offsets(small_grid, 2)[:, None] * wx
+        wx = -2.0 * toeplitz_factor(small_grid, factors[2], odd=True)
     else:
         table = radial_kernel_table(small_grid, params.gamma, pad=2)
     want = padded_fft_convolution(small_grid, table, separable_density(factors))
@@ -445,9 +445,9 @@ def test_radial_power_convolutions_need_no_parity(params, n, monkeypatch):
 
 @pytest.mark.parametrize("n", [16, 18])
 def test_radial_power_convolutions_are_the_lattice_sum(params, n, monkeypatch):
-    # on general M x N matrices, row M/2 zero as in every Toeplitz factor,
-    # each group is h^3 sum_s K[s] wz wy wx over every shift of the whole
-    # pad-2 table
+    # on general M x N matrices, row M/2 zero as in every Toeplitz matrix,
+    # each group of their folds is h^3 sum_s K[s] wz wy wx over every shift
+    # of the whole pad-2 table
     grid = VelocityGrid(R=6.0, N=n)
     wz, wy, wx = np.random.default_rng(5).uniform(0.5, 1.5, (3, 2 * n, n))
     wz[n] = wy[n] = wx[n] = 0.0
@@ -456,22 +456,41 @@ def test_radial_power_convolutions_are_the_lattice_sum(params, n, monkeypatch):
                                         optimize=True)
     for elements in _block_sizes(grid):
         monkeypatch.setattr(kernel, "_STREAM_ELEMENTS", elements)
-        (got,) = radial_power_convolutions(grid, params.gamma, [(wz, [(wy, wx)])])
+        (got,) = radial_power_convolutions(grid, params.gamma,
+                                           [(fold(wz), [(fold(wy), fold(wx))])])
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("axis", [0, 1, 2])
-def test_radial_power_convolutions_refuse_a_row_at_half_the_lattice(small_grid, params,
-                                                                    axis):
-    # the folded sums leave out the shift -N h, so a factor matrix that
-    # carries a value there, on any axis, is refused
-    w = toeplitz_factor(small_grid, np.exp(-0.5 * small_grid.axis ** 2))
-    factors = [w, w, w]
-    factors[axis] = w.copy()
-    factors[axis][small_grid.N, 3] = 1e-300
-    wz, wy, wx = factors
-    with pytest.raises(ValueError, match="row M/2"):
-        radial_power_convolutions(small_grid, params.gamma, [(wz, [(wy, wx)])])
+@pytest.mark.parametrize("n", [16, 18])
+def test_factor_matrices_are_the_folded_toeplitz_bytes(n):
+    # toeplitz_factor, even and odd, is the fold of the pad-2 Toeplitz
+    # matrix, odd with its rows scaled by the lattice offsets, bit for bit,
+    # on factors with and without parity
+    grid = VelocityGrid(R=6.0, N=n)
+    ax = grid.axis
+    gauss = np.exp(-0.5 * ax ** 2)
+    offs = _lattice_offsets(grid, 2)[:, None]
+    for f in (gauss, ax * gauss, (1.0 + 0.4 * ax) * np.exp(-0.2 * (ax - 0.3) ** 2)):
+        assert toeplitz_factor(grid, f).tobytes() == fold(toeplitz_matrix(grid, f)).tobytes()
+        odd = fold(offs * toeplitz_matrix(grid, f))
+        assert toeplitz_factor(grid, f, odd=True).tobytes() == odd.tobytes()
+
+
+@pytest.mark.parametrize("n", [16, 18])
+def test_c2_by_convolution_is_the_folded_toeplitz_route_bytes(params, n):
+    # the c2 route on the reference folds, of the Gaussian's Toeplitz
+    # matrix and of v e^{-v^2/2}'s with its rows scaled by the shifts u(s),
+    # gives c2_by_convolution's bits
+    grid = VelocityGrid(R=6.0, N=n)
+    ax = grid.axis
+    gauss = np.exp(-0.5 * ax ** 2)
+    offs = _lattice_offsets(grid, 2)[:, None]
+    w = fold(toeplitz_matrix(grid, gauss))
+    wu = fold(offs * toeplitz_matrix(grid, ax * gauss))
+    xy_terms, z_term = radial_power_convolutions(
+        grid, params.gamma, [(w, [(w, wu), (wu, w)]), (wu, [(w, w)])])
+    want = -params.mu_prefactor * (xy_terms + z_term)
+    assert c2_by_convolution(grid, params).tobytes() == want.tobytes()
 
 
 def test_c2_by_convolution_matches_padded_fft(small_grid, params, monkeypatch):
